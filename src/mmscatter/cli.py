@@ -29,7 +29,6 @@ from .fitting import DegenerateScanError, SearchConfig, compare_models, grid_fit
 from .geometry import ScanSpec, paper_scene, scan_positions, patch_angles
 from .lobes import Direction, LobeModel, LobeParams, NormalizationMode, RadioLink, pattern_sweep
 from .materials import IncidenceContext, Polarization, initial_scattering_coefficient
-from .quadrature import QuadratureError
 from .raytrace import simulate_scan
 
 EXIT_OK = 0
@@ -396,9 +395,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except QuadratureError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ scan generated by this package is reproduced bit-exactly by the fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -202,16 +202,6 @@ def _shape_candidates(model_kind: LobeModel, s_value: float, cfg: SearchConfig):
                 yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
 
 
-def _with_s(params: LobeParams, s_value: float) -> LobeParams:
-    return LobeParams(
-        model=params.model,
-        s_coeff=s_value,
-        alpha_r=params.alpha_r,
-        alpha_i=params.alpha_i,
-        lambda_mix=params.lambda_mix,
-    )
-
-
 def grid_fit(
     scan: Scan,
     scene: Scene,
@@ -250,7 +240,7 @@ def grid_fit(
             consider(rnd, "A", params)
         shape = best.params
         for s_value in s_grid(s_initial, search_cfg.s_span, search_cfg.s_step):
-            consider(rnd, "B", _with_s(shape, s_value))
+            consider(rnd, "B", replace(shape, s_coeff=s_value))
         current_s = best.params.s_coeff
         if best.fvu == 0.0:
             converged = True

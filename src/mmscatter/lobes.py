@@ -12,18 +12,23 @@ with K = sqrt(60 P_t G_t) and F the lobe-pattern normalization. Two
 normalizations are supported: PAPER_LINE integrates the lobe over the
 in-plane scattering angle with |sin theta_s| weighting, HEMISPHERE (the
 default) integrates the lobe over the upward hemisphere in solid angle.
+Both integrals are evaluated exactly, for an array of incidence angles at
+once: PAPER_LINE by its closed form (a cosine series in theta_i), and
+HEMISPHERE by Gauss-Legendre in cos(theta_s), where the azimuthally
+integrated lobe is a polynomial of degree alpha.
 Receiver power in a given direction is P_r = G_r lambda^2 / (480 pi^2) * |E_s|^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
+
 from .materials import IncidenceContext, Material, Polarization, initial_scattering_coefficient
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "LobeModel",
@@ -171,33 +176,57 @@ def _phi_ring_coeffs(alpha: int) -> tuple[tuple[int, float], ...]:
 
 
 @lru_cache(maxsize=None)
-def single_lobe_norm(mode: NormalizationMode, alpha: int, theta_i: float) -> float:
-    """Normalization of one lobe centered on the specular direction.
+def _gauss_legendre_01(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    from numpy.polynomial.legendre import leggauss  # deferred: keeps numpy.polynomial out of package import
 
-    The backscatter lobe has the same normalization by mirror symmetry of
-    the hemisphere (or of the in-plane interval) about the surface normal.
+    nodes, weights = leggauss(n)
+    return tuple(((nodes + 1.0) / 2.0).tolist()), tuple((weights / 2.0).tolist())
+
+
+@lru_cache(maxsize=None)
+def _line_cos_coeffs(alpha: int) -> tuple[float, ...]:
+    # ((1 + cos u)/2)^alpha = 4^-alpha [C(2alpha,alpha) + 2 sum_{m>=1} C(2alpha,alpha-m) cos(m u)];
+    # against |sin ts| on [-pi/2, pi/2] the sin(m ts) parts of cos(m (ts - ti))
+    # are odd and vanish, leaving cos(m ti) times
+    #   I_m = int |sin t| cos(m t) dt = 2 (1 - m sin(m pi/2)) / (1 - m^2),  I_1 = 1
+    coeffs = []
+    for m in range(alpha + 1):
+        num, den = (1, 1) if m == 1 else (2 * (1 - m * (0, 1, 0, -1)[m % 4]), 1 - m * m)
+        weight = 1 if m == 0 else 2
+        # exact integers until the one correctly rounded int / int division
+        coeffs.append(weight * math.comb(2 * alpha, alpha - m) * num / (4**alpha * den))
+    return tuple(coeffs)
+
+
+def single_lobe_norm(mode: NormalizationMode, alpha: int, theta_i) -> np.ndarray:
+    """Normalization of one lobe centered on the specular direction, per theta_i.
+
+    theta_i is an array of incidence angles (rad); the result has its shape
+    and is exact to rounding. The backscatter lobe has the same
+    normalization by mirror symmetry of the hemisphere (or of the in-plane
+    interval) about the surface normal.
     """
     _check_alpha("alpha", alpha)
+    theta = np.asarray(theta_i, dtype=float)
+    flat = theta.reshape(-1)
+    total = np.zeros_like(flat)
     if mode is NormalizationMode.PAPER_LINE:
-        # in-plane integral with |sin theta_s|; split at 0 where |sin| kinks
-        def f(theta_s: float) -> float:
-            return ((1.0 + math.cos(theta_s - theta_i)) / 2.0) ** alpha * abs(math.sin(theta_s))
-
-        return adaptive_simpson(f, -math.pi / 2.0, 0.0) + adaptive_simpson(f, 0.0, math.pi / 2.0)
+        for m, c in enumerate(_line_cos_coeffs(alpha)):
+            total += c * np.cos(m * flat)
+        return total.reshape(theta.shape)
 
     coeffs = _phi_ring_coeffs(alpha)
-    cos_ti = math.cos(theta_i)
-    sin_ti = math.sin(theta_i)
-
-    def ring(theta_s: float) -> float:
-        a = 1.0 + cos_ti * math.cos(theta_s)
-        b = sin_ti * math.sin(theta_s)
-        total = 0.0
-        for k, c in coeffs:
-            total += c * a ** (alpha - k) * b**k
-        return total * math.sin(theta_s)
-
-    return adaptive_simpson(ring, 0.0, math.pi / 2.0)
+    # only even powers of sin(ts) survive the ring integral, so in x = cos(ts)
+    # the integrand is a polynomial of degree alpha: alpha // 2 + 1 nodes are exact
+    nodes, weights = _gauss_legendre_01(alpha // 2 + 1)
+    x = np.array(nodes)[:, None]
+    a = 1.0 + x * np.cos(flat)  # (nodes, T)
+    b_sq = (1.0 - x * x) * np.sin(flat) ** 2
+    ring = sum(c * a ** (alpha - k) * b_sq ** (k // 2) for k, c in coeffs)
+    for w, row in zip(weights, ring):
+        total += w * row
+    return total.reshape(theta.shape)
 
 
 def normalization_f(params: LobeParams, theta_i: float, mode: NormalizationMode = NormalizationMode.HEMISPHERE) -> float:
@@ -207,10 +236,10 @@ def normalization_f(params: LobeParams, theta_i: float, mode: NormalizationMode 
     """
     if not 0.0 <= theta_i < math.pi / 2:
         raise ValueError(f"theta_i must be in [0, pi/2), got {theta_i}")
-    f_forward = single_lobe_norm(mode, params.alpha_r, theta_i)
+    f_forward = float(single_lobe_norm(mode, params.alpha_r, theta_i))
     if params.model is LobeModel.SINGLE_LOBE:
         return f_forward
-    f_back = single_lobe_norm(mode, params.alpha_i, theta_i)
+    f_back = float(single_lobe_norm(mode, params.alpha_i, theta_i))
     return params.lambda_mix * f_forward + (1.0 - params.lambda_mix) * f_back
 
 
@@ -278,7 +307,7 @@ def pattern_sweep(
             s_value = initial_scattering_coefficient(material, ctx).s_coeff
         else:
             s_value = fixed_s
-        swept = _with_s(params, s_value)
+        swept = replace(params, s_coeff=s_value)
         if direction is Direction.SPECULAR:
             psi_r, psi_i = 0.0, 2.0 * theta
         else:
@@ -295,13 +324,3 @@ def pattern_sweep(
         e_sq = scattered_field_sq(swept, geom, link, mode)
         rows.append(PatternRow(theta_i_deg=theta_deg, direction=direction, p_r_watts=received_scatter_power(e_sq, link.g_r, link.wavelength)))
     return rows
-
-
-def _with_s(params: LobeParams, s_value: float) -> LobeParams:
-    return LobeParams(
-        model=params.model,
-        s_coeff=s_value,
-        alpha_r=params.alpha_r,
-        alpha_i=params.alpha_i,
-        lambda_mix=params.lambda_mix,
-    )

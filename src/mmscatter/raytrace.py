@@ -146,7 +146,7 @@ class ScanPattern:
     def _norms(self, alpha: int) -> np.ndarray:
         table = self._norm_cache.get(alpha)
         if table is None:
-            table = np.array([single_lobe_norm(self.mode, alpha, float(t)) for t in self.tile_theta])
+            table = single_lobe_norm(self.mode, alpha, self.tile_theta)
             self._norm_cache[alpha] = table
         return table
 

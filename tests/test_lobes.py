@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import WAVELENGTH_28GHZ
 from mmscatter.lobes import (
@@ -16,6 +18,7 @@ from mmscatter.lobes import (
     pattern_sweep,
     received_scatter_power,
     scattered_field_sq,
+    single_lobe_norm,
 )
 
 def single(s, alpha_r):
@@ -24,6 +27,40 @@ def single(s, alpha_r):
 
 def dual(s, alpha_r, alpha_i, lam):
     return LobeParams(model=LobeModel.DUAL_LOBE, s_coeff=s, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
+
+
+REFERENCE_THETAS_DEG = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 89.9)
+
+
+def hemisphere_lobe_integral(alpha, theta_i):
+    """Solid-angle integral of the specular lobe over the upward hemisphere.
+
+    Tensor rule: 40-node Gauss-Legendre in theta_s on [0, pi/2] times the
+    48-point periodic trapezoid in phi, which is exact for the lobe's
+    trigonometric polynomial of degree alpha <= 10 in phi.
+    """
+    x, w = np.polynomial.legendre.leggauss(40)
+    ts = (x + 1.0) * math.pi / 4.0
+    wt = w * math.pi / 4.0
+    ps = np.arange(48) * (2.0 * math.pi / 48)
+    tt, pp = np.meshgrid(ts, ps, indexing="ij")
+    cos_psi_r = math.sin(theta_i) * np.sin(tt) * np.cos(pp) + math.cos(theta_i) * np.cos(tt)
+    integrand = ((1.0 + cos_psi_r) / 2.0) ** alpha * np.sin(tt)
+    return float(wt @ integrand.sum(axis=1)) * (2.0 * math.pi / 48)
+
+
+def line_lobe_integral(alpha, theta_i):
+    """In-plane integral of the lobe with |sin theta_s| weighting.
+
+    Composite 8-node Gauss-Legendre on 16 panels per half-interval, split
+    at theta_s = 0 where |sin| has its kink.
+    """
+    x, w = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(-math.pi / 2, math.pi / 2, 33)
+    half = np.diff(edges)[:, None] / 2.0
+    ts = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    wt = (half * w).ravel()
+    return float(wt @ (((1.0 + np.cos(ts - theta_i)) / 2.0) ** alpha * np.abs(np.sin(ts))))
 
 
 def make_geom(theta_i_deg=30.0, psi_r_deg=25.0, psi_i_deg=75.0, r_i=1.5, r_s=2.0, extent=0.7, theta_s_deg=40.0):
@@ -92,7 +129,26 @@ class TestNormalization:
     def test_hemisphere_alpha1_normal_incidence(self):
         # closed form for the hemisphere integral of (1+cos)/2: 3*pi/2
         got = normalization_f(single(0.1, 1), 0.0, NormalizationMode.HEMISPHERE)
-        assert got == pytest.approx(3.0 * math.pi / 2.0, abs=1e-8)
+        assert got == pytest.approx(3.0 * math.pi / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        ("mode", "reference"),
+        [(NormalizationMode.HEMISPHERE, hemisphere_lobe_integral), (NormalizationMode.PAPER_LINE, line_lobe_integral)],
+    )
+    def test_matches_reference_integral(self, mode, reference):
+        thetas = np.radians(REFERENCE_THETAS_DEG)
+        for alpha in range(1, 11):
+            got = single_lobe_norm(mode, alpha, thetas)
+            assert got.shape == thetas.shape
+            for theta_i, value in zip(thetas, got):
+                assert value == pytest.approx(reference(alpha, theta_i), rel=1e-12)
+
+    @settings(deadline=None, max_examples=60)
+    @given(alpha=st.integers(1, 10), theta_i=st.floats(0.0, math.pi / 2, exclude_max=True))
+    def test_hemisphere_density_is_normalized(self, alpha, theta_i):
+        norm = normalization_f(single(0.1, alpha), theta_i, NormalizationMode.HEMISPHERE)
+        assert norm > 0.0
+        assert hemisphere_lobe_integral(alpha, theta_i) / norm == pytest.approx(1.0, rel=1e-12)
 
     def test_paperline_matches_fine_trapezoid(self):
         theta_i = math.radians(30.0)
@@ -159,7 +215,7 @@ class TestScatteredField:
         #  K from 10 dBm / 15 dBi, hemisphere normalization)
         geom = make_geom(theta_i_deg=30.0, psi_r_deg=0.0, psi_i_deg=60.0, r_i=1.5, r_s=1.5, extent=1.0, theta_s_deg=30.0)
         got = scattered_field_sq(single(0.3, 4), geom, paper_link, NormalizationMode.HEMISPHERE)
-        assert got == pytest.approx(0.12594525392857644, rel=1e-10)
+        assert got == pytest.approx(0.12594525392857644, rel=1e-14)
 
     def test_dual_mix_component_decomposition(self, paper_link):
         # result(mix) splits into mix-weighted forward and backward lobes

@@ -6,7 +6,7 @@ import pytest
 from mmscatter import dbm_to_watts
 from mmscatter.fileio import read_scan, write_simulated_scan
 from mmscatter.geometry import ScanSpec, Scene, Wall, paper_scene, rx_position, scan_positions
-from mmscatter.lobes import LobeModel, LobeParams
+from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, normalization_f
 from mmscatter.materials import IncidenceContext, Material, initial_scattering_coefficient
 from mmscatter.raytrace import (
     LENGTH_GATE_M,
@@ -105,6 +105,16 @@ class TestGating:
         anchor = max(result.contributions, key=lambda c: c.power).path_length
         for c in result.contributions:
             assert abs(c.path_length - anchor) <= LENGTH_GATE_M + 1e-12
+
+
+class TestNormTable:
+    @pytest.mark.parametrize("mode", list(NormalizationMode))
+    def test_vector_table_equals_scalar_norm(self, paper_link, materials_db, scene30, mode):
+        rx = np.array([p.position for p in scan_positions(scene30, ScanSpec())])
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.1, mode)
+        for alpha in range(1, 11):
+            scalar = [normalization_f(single(0.3, alpha), float(t), mode) for t in pattern.tile_theta]
+            assert pattern._norms(alpha).tolist() == scalar
 
 
 class TestDeterminism:
