@@ -363,9 +363,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tiles-m", type=float, default=0.1, help="wall tile edge, m (default 0.1)")
     p.add_argument("--max-rounds", type=int, default=10, help="alternation round budget (default 10)")
     p.add_argument("--model", choices=("single", "dual", "both"), default="both")
-    p.add_argument("--alpha-r", type=int, default=4, help=argparse.SUPPRESS)
-    p.add_argument("--alpha-i", type=int, default=10, help=argparse.SUPPRESS)
-    p.add_argument("--lambda", dest="lambda_mix", type=float, default=0.2, help=argparse.SUPPRESS)
     p.add_argument("--mode", choices=tuple(_MODES), default="hemisphere", help="lobe normalization mode")
     p.add_argument("--radius", type=float, default=None, help="scan radius, m (default 1.5)")
     _add_link(p)

@@ -5,9 +5,15 @@ coefficient fixed and searches the lobe shape (alpha_r, and alpha_i with
 the mix weight for the dual-lobe model); stage B holds the shape and sweeps
 the scattering coefficient on a +/- 0.15 grid in 0.05 steps around the
 theoretical initial value. Rounds alternate until the best FVU improves by
-less than 1e-4 or the round budget is spent. Every candidate is simulated
-through the same tiled single-bounce predictor used by simulate_scan, so a
-scan generated by this package is reproduced bit-exactly by the fit.
+less than 1e-4 or the round budget is spent.
+
+The FVU that decides a fit always comes from the tiled single-bounce
+predictor that simulate_scan uses, so a scan generated by this package is
+reproduced bit-exactly. The 1,100 dual-lobe shapes of stage A are first
+screened together by matrix products (ScanEvaluator.screen_dual_shapes,
+accurate to about 1e-15); only the shapes within CONFIRM_MARGIN of the
+screen's best are then scored by the predictor, and only those exact FVUs
+take part in choosing the best. See docs/stage_a_screen.md.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import watts_to_dbm
+from . import DBM_REF_WATTS, watts_to_dbm
 from .fileio import Scan, default_materials
 from .geometry import Scene, rx_position
 from .lobes import ALPHA_MAX, ALPHA_MIN, LobeModel, LobeParams, NormalizationMode, RadioLink
 from .materials import MaterialDatabase, Polarization
-from .raytrace import DEFAULT_TILE_EDGE, build_pattern
+from .raytrace import DEFAULT_TILE_EDGE, build_pattern, power_gate
 
 __all__ = [
     "DegenerateScanError",
@@ -40,6 +46,13 @@ __all__ = [
 ]
 
 FVU_TIE_TOL = 1e-12
+# stage-A shapes whose screened FVU lies within this of the screen's best are
+# scored exactly; far above FVU_TIE_TOL times the shape count and the ~1e-15
+# screen error, so every shape that can become the best is confirmed
+CONFIRM_MARGIN = 1e-8
+# relative inflation of the anchor certificate, far above the few-ulp rounding
+# of the tile powers that predict compares with the specular power
+_CERTIFICATE_MARGIN = 1e-9
 
 
 class DegenerateScanError(ValueError):
@@ -170,6 +183,18 @@ class _Candidate:
         return self.key < other.key
 
 
+def _specular_anchor_certified(spec_power, s_value: float, forward_peak, backscatter_peak):
+    """True where the specular path anchors predict's delay window for every mix of a width pair.
+
+    forward_peak and backscatter_peak are ScanPattern.lobe_peaks rows of the
+    pair's widths. By the mediant inequality no tile then outweighs the
+    specular power, whatever lambda; the bound is inflated by
+    _CERTIFICATE_MARGIN so that rounding in the tile powers cannot flip it.
+    """
+    bound = s_value * s_value * (1.0 + _CERTIFICATE_MARGIN) * np.maximum(forward_peak, backscatter_peak)
+    return spec_power >= bound
+
+
 class ScanEvaluator:
     """Shared predictor: maps candidate parameters to an FVU against the scan."""
 
@@ -184,11 +209,48 @@ class ScanEvaluator:
         self.pattern = build_pattern(
             scene, positions, cfg.link, cfg.materials, cfg.tile_edge, cfg.mode, cfg.polarization
         )
+        self._lambdas = lambda_grid(cfg.lambda_step)
+        self._screen_tables = None
 
     def __call__(self, params: LobeParams) -> float:
         total_w, _, _, _, _ = self.pattern.predict(params)
         simulated = [watts_to_dbm(float(w)) for w in total_w]
         return fvu(self.measured, simulated)
+
+    def screen_dual_shapes(self, s_value: float) -> np.ndarray:
+        """Screened FVU of every dual-lobe stage-A shape at s_value, in _shape_candidates order.
+
+        At the positions where the specular path is certified to anchor the
+        delay window for every mix of a width pair, the diffuse sum is s^2
+        times a precomputed specular-window sum; every other position goes
+        through the gate of predict. The values agree with __call__ to
+        rounding (about 1e-15).
+        """
+        pattern = self.pattern
+        alphas = range(ALPHA_MIN, ALPHA_MAX + 1)
+        if self._screen_tables is None:
+            forward, backscatter = pattern.lobe_peaks(alphas)
+            self._screen_tables = (forward, backscatter, pattern.specular_window_sums(alphas, self._lambdas))
+        forward, backscatter, window_sums = self._screen_tables
+        s_sq = s_value * s_value
+        spec = pattern.spec_power
+        measured = np.asarray(self.measured)
+        denom = float(((measured - measured.mean()) ** 2).sum())
+        n_lam = len(self._lambdas)
+        values = np.empty((len(alphas), len(alphas) * n_lam))
+        for i, alpha_r in enumerate(alphas):
+            certified = _specular_anchor_certified(spec, s_value, forward[i], backscatter)  # (A, P)
+            spec_w, diff_w = power_gate(spec[:, None, None], s_sq * window_sums[:, i])
+            total_w = spec_w + diff_w  # (P, A, L)
+            for j in np.flatnonzero(~certified.all(axis=1)):
+                rows = np.flatnonzero(~certified[j])
+                for k, lam in enumerate(self._lambdas):
+                    params = LobeParams(LobeModel.DUAL_LOBE, s_value, alpha_r, alphas[j], lam)
+                    total_w[rows, j, k] = pattern.gate(pattern.tile_powers(params, rows), rows)[0]
+            with np.errstate(divide="ignore"):
+                simulated = 10.0 * np.log10(total_w.reshape(len(spec), -1) / DBM_REF_WATTS)
+            values[i] = np.sqrt(((measured[:, None] - simulated) ** 2).sum(axis=0) / denom)
+        return values.ravel()
 
 
 def _shape_candidates(model_kind: LobeModel, s_value: float, cfg: SearchConfig):
@@ -202,6 +264,15 @@ def _shape_candidates(model_kind: LobeModel, s_value: float, cfg: SearchConfig):
                 yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
 
 
+def _build_evaluator(scan: Scan, scene: Scene, cfg: SearchConfig, plane_only: bool) -> ScanEvaluator:
+    if plane_only:
+        try:
+            scan = scan.plane_only()
+        except ValueError as exc:
+            raise DegenerateScanError(str(exc)) from None
+    return ScanEvaluator(scan, scene, cfg)
+
+
 def grid_fit(
     scan: Scan,
     scene: Scene,
@@ -209,16 +280,13 @@ def grid_fit(
     s_initial: float,
     search_cfg: SearchConfig,
     plane_only: bool = False,
+    *,
+    _evaluate: ScanEvaluator | None = None,
 ) -> FitReport:
     """Staged exhaustive search for the lobe parameters minimizing FVU."""
     if not 0.0 < s_initial < 1.0:
         raise ValueError(f"s_initial must be in (0, 1), got {s_initial}")
-    if plane_only:
-        try:
-            scan = scan.plane_only()
-        except ValueError as exc:
-            raise DegenerateScanError(str(exc)) from None
-    evaluate = ScanEvaluator(scan, scene, search_cfg)
+    evaluate = _evaluate if _evaluate is not None else _build_evaluator(scan, scene, search_cfg, plane_only)
     prior = lambda_prior(scene.incidence_angle)
 
     trace: list[TraceEntry] = []
@@ -236,8 +304,18 @@ def grid_fit(
     previous_round_fvu = math.inf
     converged = False
     for rnd in range(1, search_cfg.max_rounds + 1):
-        for params in _shape_candidates(model_kind, current_s, search_cfg):
-            consider(rnd, "A", params)
+        shapes = _shape_candidates(model_kind, current_s, search_cfg)
+        if model_kind is LobeModel.DUAL_LOBE:
+            screened = evaluate.screen_dual_shapes(current_s)
+            cutoff = screened.min() + CONFIRM_MARGIN
+            for params, value in zip(shapes, screened.tolist()):
+                if value > cutoff:
+                    trace.append(TraceEntry(round=rnd, stage="A", params=params, fvu=value))
+                else:
+                    consider(rnd, "A", params)
+        else:
+            for params in shapes:
+                consider(rnd, "A", params)
         shape = best.params
         for s_value in s_grid(s_initial, search_cfg.s_span, search_cfg.s_step):
             consider(rnd, "B", replace(shape, s_coeff=s_value))
@@ -271,7 +349,9 @@ def compare_models(
 ) -> ModelComparison:
     """Fit both models and report the lower-FVU one (ties go to single-lobe)."""
     cfg = search_cfg if search_cfg is not None else SearchConfig(link=link)
-    single = grid_fit(scan, scene, LobeModel.SINGLE_LOBE, s_initial, cfg, plane_only)
-    dual = grid_fit(scan, scene, LobeModel.DUAL_LOBE, s_initial, cfg, plane_only)
+    # both fits score candidates against the same pattern, built once
+    evaluate = _build_evaluator(scan, scene, cfg, plane_only)
+    single = grid_fit(scan, scene, LobeModel.SINGLE_LOBE, s_initial, cfg, plane_only, _evaluate=evaluate)
+    dual = grid_fit(scan, scene, LobeModel.DUAL_LOBE, s_initial, cfg, plane_only, _evaluate=evaluate)
     winner = LobeModel.DUAL_LOBE if dual.fvu < single.fvu - FVU_TIE_TOL else LobeModel.SINGLE_LOBE
     return ModelComparison(single=single, dual=dual, winner=winner)

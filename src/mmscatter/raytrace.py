@@ -38,6 +38,7 @@ __all__ = [
     "simulate_point",
     "simulate_scan",
     "convergence_probe",
+    "power_gate",
     "POWER_GATE_DB",
     "LENGTH_GATE_M",
     "DELAY_GATE_S",
@@ -104,6 +105,16 @@ class ConvergenceReport:
     converged: bool
 
 
+def power_gate(spec_in_window, diff_sum, power_gate_db: float = POWER_GATE_DB):
+    """(spec_w, diff_w): each path family is dropped when more than power_gate_db below the stronger one.
+
+    The arguments are the in-window specular power and the delay-gated
+    diffuse sum, in watts, as arrays of any one broadcastable shape.
+    """
+    threshold = np.maximum(spec_in_window, diff_sum) * 10.0 ** (-power_gate_db / 10.0)
+    return np.where(spec_in_window >= threshold, spec_in_window, 0.0), np.where(diff_sum >= threshold, diff_sum, 0.0)
+
+
 def _resolve_material(materials: MaterialDatabase | Material, name: str) -> Material:
     if isinstance(materials, Material):
         return materials
@@ -129,7 +140,7 @@ class ScanPattern:
         self._u = u_base  # (P, T): (1 + cos psi_r)/2
         self._v = v_base  # (P, T): (1 + cos psi_i)/2
         self._lengths = lengths  # (P, T): r_i + r_s
-        self._spec_power = spec_power  # (P,)
+        self.spec_power = spec_power  # (P,): specular power, 0 where no specular point
         self._spec_length = spec_length  # (P,)
         self._norm_cache: dict[int, np.ndarray] = {}
         self._u_pow: dict[int, np.ndarray] = {}
@@ -164,22 +175,27 @@ class ScanPattern:
             self._v_pow[alpha] = arr
         return arr
 
-    def tile_powers(self, params: LobeParams) -> np.ndarray:
-        """(P, T) diffuse power per tile before gating, watts."""
+    def tile_powers(self, params: LobeParams, rows=slice(None)) -> np.ndarray:
+        """(R, T) diffuse power per tile before gating, watts, at the positions `rows` (default all)."""
         s_sq = params.s_coeff * params.s_coeff
         if params.model is LobeModel.SINGLE_LOBE:
-            gain = self._u_power(params.alpha_r)
+            gain = self._u_power(params.alpha_r)[rows]
             norm = self._norms(params.alpha_r)
         else:
             lam = params.lambda_mix
-            gain = lam * self._u_power(params.alpha_r) + (1.0 - lam) * self._v_power(params.alpha_i)
+            gain = lam * self._u_power(params.alpha_r)[rows] + (1.0 - lam) * self._v_power(params.alpha_i)[rows]
             norm = lam * self._norms(params.alpha_r) + (1.0 - lam) * self._norms(params.alpha_i)
-        return s_sq * self._const * gain / norm
+        return s_sq * self._const[rows] * gain / norm
 
     def predict(self, params: LobeParams, power_gate_db: float = POWER_GATE_DB):
-        """Gated per-position powers: (total_w, spec_w, diff_w, dropped_power, dropped_delay).
+        """Gated per-position powers: (total_w, spec_w, diff_w, dropped_power, dropped_delay)."""
+        return self.gate(self.tile_powers(params), power_gate_db=power_gate_db)
 
-        The path-length (delay) gate cuts individual tiles: only surface
+    def gate(self, tile_p: np.ndarray, rows=slice(None), power_gate_db: float = POWER_GATE_DB):
+        """Gate the tile powers `tile_p` (R, T) of the positions `rows`.
+
+        Returns (total_w, spec_w, diff_w, dropped_power, dropped_delay) per
+        row. The path-length (delay) gate cuts individual tiles: only surface
         elements whose path length sits within the window around the
         strongest path contribute. The power gate then de-noises whole
         paths: the specular path and the aggregated diffuse path are each
@@ -187,43 +203,79 @@ class ScanPattern:
         gating tiles individually would make the diffuse sum depend on the
         tiling, so the aggregate carries the rule.
         """
-        tile_p = self.tile_powers(params)
-        spec_p = self._spec_power
-        gate = _length_gate()
-        floor = 10.0 ** (-power_gate_db / 10.0)
+        spec_p = self.spec_power[rows]
+        spec_len = self._spec_length[rows]
+        lengths = self._lengths[rows]
+        length_gate = _length_gate()
 
         # the strongest single contribution anchors the delay window
         tile_max = tile_p.max(axis=1)
         idx = tile_p.argmax(axis=1)
-        tile_best_len = self._lengths[np.arange(tile_p.shape[0]), idx]
-        best_len = np.where(spec_p >= tile_max, self._spec_length, tile_best_len)
+        tile_best_len = lengths[np.arange(tile_p.shape[0]), idx]
+        best_len = np.where(spec_p >= tile_max, spec_len, tile_best_len)
 
         tile_alive = tile_p > 0.0
-        tile_delay_ok = np.abs(self._lengths - best_len[:, None]) <= gate
+        tile_delay_ok = np.abs(lengths - best_len[:, None]) <= length_gate
         diff_sum = np.where(tile_alive & tile_delay_ok, tile_p, 0.0).sum(axis=1)
 
         spec_alive = spec_p > 0.0
-        spec_delay_ok = np.abs(self._spec_length - best_len) <= gate
+        spec_delay_ok = np.abs(spec_len - best_len) <= length_gate
         spec_in_window = np.where(spec_alive & spec_delay_ok, spec_p, 0.0)
 
-        threshold = np.maximum(spec_in_window, diff_sum) * floor
-        diff_w = np.where(diff_sum >= threshold, diff_sum, 0.0)
-        spec_w = np.where(spec_in_window >= threshold, spec_in_window, 0.0)
+        spec_w, diff_w = power_gate(spec_in_window, diff_sum, power_gate_db)
         total_w = spec_w + diff_w
 
         n_window_tiles = (tile_alive & tile_delay_ok).sum(axis=1)
         dropped_delay = (tile_alive & ~tile_delay_ok).sum(axis=1) + (spec_alive & ~spec_delay_ok)
-        dropped_power = np.where((diff_sum > 0.0) & (diff_sum < threshold), n_window_tiles, 0) + (
-            (spec_in_window > 0.0) & (spec_in_window < threshold)
+        dropped_power = np.where((diff_sum > 0.0) & (diff_w == 0.0), n_window_tiles, 0) + (
+            (spec_in_window > 0.0) & (spec_w == 0.0)
         )
         return total_w, spec_w, diff_w, dropped_power, dropped_delay
+
+    def lobe_peaks(self, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """Largest tile power per unit S^2 of each pure lobe: two (len(alphas), P) arrays.
+
+        The first holds the forward lobe (lambda 1) of each width, the second
+        the backscatter lobe (lambda 0). A dual-lobe tile power is a mediant
+        of the two pure ones, so for widths (a_r, a_i) and any mix no tile
+        carries more than S^2 * max(forward[a_r], backscatter[a_i]).
+        """
+        forward = np.array([(self._const * self._u_power(a) / self._norms(a)).max(axis=1) for a in alphas])
+        backscatter = np.array([(self._const * self._v_power(a) / self._norms(a)).max(axis=1) for a in alphas])
+        return forward, backscatter
+
+    def specular_window_sums(self, alphas, lambdas) -> np.ndarray:
+        """Dual-lobe diffuse sums per unit S^2 in the specular delay window: (P, A, A, L).
+
+        Entry [p, i, j, l] sums the tile powers of forward width alphas[i],
+        backscatter width alphas[j] and mix lambdas[l] over the tiles whose
+        path length lies within the window around the specular path. Where
+        the specular path anchors the window this is the diffuse sum that
+        predict gates. With the window fixed the sum is linear in the two
+        lobe gains, so each lobe of each width and mix takes one matrix
+        product against the reciprocal mixed normalizations of all the
+        widths of the other lobe.
+        """
+        norms = np.array([self._norms(a) for a in alphas])  # (A, T)
+        window = np.abs(self._lengths - self._spec_length[:, None]) <= _length_gate()
+        const_in_window = np.where(window, self._const, 0.0)
+        sums = np.zeros((const_in_window.shape[0], len(alphas), len(alphas), len(lambdas)))
+        gain = np.empty_like(const_in_window)
+        for k, a in enumerate(alphas):
+            np.multiply(const_in_window, self._u_power(a), out=gain)
+            for m, lam in enumerate(lambdas):
+                sums[:, k, :, m] += lam * (gain @ np.reciprocal(lam * norms[k] + (1.0 - lam) * norms).T)
+            np.multiply(const_in_window, self._v_power(a), out=gain)
+            for m, lam in enumerate(lambdas):
+                sums[:, :, k, m] += (1.0 - lam) * (gain @ np.reciprocal(lam * norms + (1.0 - lam) * norms[k]).T)
+        return sums
 
     def contributions(
         self, params: LobeParams, position: int, power_gate_db: float = POWER_GATE_DB
     ) -> tuple[tuple[PathContribution, ...], GatingReport]:
         """Retained contributions at one receiver, in specular-then-tile order."""
         tile_p = self.tile_powers(params)[position]
-        spec_p = float(self._spec_power[position])
+        spec_p = float(self.spec_power[position])
         spec_len = float(self._spec_length[position])
         gate = _length_gate()
         floor = 10.0 ** (-power_gate_db / 10.0)

@@ -1,12 +1,18 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from mmscatter import wavelength_for_frequency
 from mmscatter.fileio import default_materials
 from mmscatter.lobes import RadioLink
 
 WAVELENGTH_28GHZ = wavelength_for_frequency(28.0e9)
+
+# property tests draw the same examples on every run and keep no example
+# database, so two runs of the suite test the same cases
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def series_i0(x: float, terms: int = 30) -> float:

@@ -221,3 +221,16 @@ def test_fit_header_records_input_digest(tmp_path):
     first = out.read_text().splitlines()[0]
     assert first.startswith("# mmscatter")
     assert "inputs: scan=" in first
+
+
+def test_fit_header_has_no_lobe_shape_options(tmp_path):
+    # the fit searches the lobe shape; the header records no fixed one
+    sim = tmp_path / "sim.csv"
+    run("simulate", "--material", "rough_wall", "--s", "0.3", "--tiles-m", "0.5", "--out", str(sim))
+    out = tmp_path / "fit.txt"
+    args = ("fit", "--scan", str(sim), "--model", "single", "--s-initial", "0.3", "--tiles-m", "0.5", "--out", str(out))
+    assert run(*args) == EXIT_OK
+    header = out.read_text().splitlines()[0]
+    for key in ("alpha_r=", "alpha_i=", "lambda_mix="):
+        assert key not in header
+    assert run(*args, "--alpha-r", "4") == EXIT_USAGE

@@ -1,12 +1,18 @@
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmscatter.fileio import Scan, ScanPoint, scan_from_records
+from mmscatter.fileio import Scan, ScanPoint, default_materials, scan_from_records
 from mmscatter.fitting import (
     DegenerateScanError,
     SearchConfig,
     ScanEvaluator,
+    _shape_candidates,
+    _specular_anchor_certified,
     compare_models,
     fvu,
     grid_fit,
@@ -14,9 +20,9 @@ from mmscatter.fitting import (
     lambda_prior,
     s_grid,
 )
-from mmscatter.geometry import ScanSpec, paper_scene
+from mmscatter.geometry import DEFAULT_CYLINDER_HEIGHTS, ScanSpec, paper_scene, scan_positions
 from mmscatter.lobes import LobeModel, LobeParams
-from mmscatter.raytrace import simulate_scan
+from mmscatter.raytrace import build_pattern, simulate_scan
 
 
 def single(s, alpha_r=4):
@@ -40,6 +46,12 @@ def cfg(paper_link, materials_db):
 def synthetic_scan(scene, params, link, db, heights=(0.0,), tile_edge=0.5):
     spec = ScanSpec(height_offsets=heights)
     return scan_from_records(simulate_scan(scene, spec, params, link, db, tile_edge))
+
+
+def with_noise(scan, seed, sigma_db=1.0):
+    rng = random.Random(seed)
+    points = (ScanPoint(p.azimuth_deg, p.delta_h_cm, p.power_dbm + rng.gauss(0.0, sigma_db)) for p in scan.points)
+    return Scan(tuple(points))
 
 
 class TestFvu:
@@ -214,3 +226,100 @@ class TestCompareModels:
         a = compare_models(scan, scene30, paper_link, 0.35, cfg)
         b = compare_models(scan, scene30, paper_link, 0.35, cfg)
         assert a == b
+
+
+class TestStageAScreen:
+    """The batched stage-A screen against exact per-candidate scoring."""
+
+    @pytest.mark.parametrize(
+        "material, theta_deg, heights",
+        [("metal_sheet", 20.0, (0.0,)), ("rough_wall", 45.0, (0.0,)), ("rough_wall", 30.0, DEFAULT_CYLINDER_HEIGHTS)],
+    )
+    def test_screen_matches_exact_scoring(
+        self, material, theta_deg, heights, paper_link, materials_db, cfg, monkeypatch
+    ):
+        scene = paper_scene(material, theta_deg)
+        scan = synthetic_scan(scene, dual(0.3, 3, 8, 0.35), paper_link, materials_db, heights=heights)
+        evaluate = ScanEvaluator(scan, scene, cfg)
+        gate = evaluate.pattern.gate
+        fallback_rows = []
+
+        def spy(tile_p, rows, *args, **kwargs):
+            fallback_rows.extend(rows)
+            return gate(tile_p, rows, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate.pattern, "gate", spy)
+        screened = evaluate.screen_dual_shapes(0.3)
+        monkeypatch.undo()
+        # the +/-90 deg receivers lie in the wall plane and have no specular point
+        assert fallback_rows
+        exact = np.array([evaluate(p) for p in _shape_candidates(LobeModel.DUAL_LOBE, 0.3, cfg)])
+        assert screened.shape == exact.shape
+        finite = np.isfinite(exact)
+        assert np.array_equal(screened[~finite], exact[~finite])
+        assert np.max(np.abs(screened[finite] - exact[finite])) <= 1e-13
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        alpha_r=st.integers(1, 10),
+        alpha_i=st.integers(1, 10),
+        lam=st.floats(0.0, 1.0),
+        s=st.floats(0.01, 0.99),
+        theta_deg=st.floats(5.0, 80.0),
+        material=st.sampled_from(default_materials().names()),
+    )
+    def test_certificate_implies_specular_anchor(
+        self, alpha_r, alpha_i, lam, s, theta_deg, material, paper_link, materials_db
+    ):
+        scene = paper_scene(material, theta_deg)
+        positions = [p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))]
+        pattern = build_pattern(scene, np.array(positions), paper_link, materials_db, 0.5)
+        forward, backscatter = pattern.lobe_peaks((alpha_r, alpha_i))
+        certified = _specular_anchor_certified(pattern.spec_power, s, forward[0], backscatter[1])
+        # predict anchors the delay window on the specular path when no tile outweighs it
+        tile_max = pattern.tile_powers(dual(s, alpha_r, alpha_i, lam)).max(axis=1)
+        assert np.all(pattern.spec_power[certified] >= tile_max[certified])
+
+    @staticmethod
+    def exact_screen(cfg, jitter=0.0):
+        """Per-candidate ScanEvaluator.__call__ in place of the batched screen, optionally perturbed."""
+
+        def screen(evaluate, s_value):
+            exact = np.array([evaluate(p) for p in _shape_candidates(LobeModel.DUAL_LOBE, s_value, cfg)])
+            return exact * (1.0 + jitter * np.random.default_rng(7).uniform(-1.0, 1.0, exact.size))
+
+        return screen
+
+    @pytest.mark.parametrize(
+        "truth, seed",
+        [
+            (single(0.30, 4), 1),
+            (dual(0.40, 3, 8, 0.35), 2),
+            # at lambda 0 or 1 one width drops out and the tie-break picks it
+            (dual(0.35, 5, 7, 0.0), 3),
+            (dual(0.35, 6, 2, 1.0), 4),
+        ],
+    )
+    def test_fit_equals_all_exact_scoring(self, truth, seed, scene30, paper_link, materials_db, cfg, monkeypatch):
+        scan = with_noise(synthetic_scan(scene30, truth, paper_link, materials_db), seed)
+        screened = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
+        monkeypatch.setattr(ScanEvaluator, "screen_dual_shapes", self.exact_screen(cfg))
+        exact = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
+        assert screened.best == exact.best
+        assert screened.fvu == exact.fvu
+        assert screened.converged == exact.converged
+        assert screened.trace[-1].round == exact.trace[-1].round
+        assert len(screened.trace) == len(exact.trace)
+
+    def test_screen_error_below_margin_cannot_change_the_fit(self, scene30, paper_link, materials_db, cfg, monkeypatch):
+        # the lambda-0 truth ties all ten forward widths exactly; a screen error
+        # far below CONFIRM_MARGIN must not decide the tie
+        truth = dual(0.35, 5, 7, 0.0)
+        scan = with_noise(synthetic_scan(scene30, truth, paper_link, materials_db), 3)
+        monkeypatch.setattr(ScanEvaluator, "screen_dual_shapes", self.exact_screen(cfg))
+        exact = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
+        monkeypatch.setattr(ScanEvaluator, "screen_dual_shapes", self.exact_screen(cfg, jitter=1e-12))
+        perturbed = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
+        assert exact.best.alpha_r == 1
+        assert perturbed.best == exact.best
+        assert perturbed.fvu == exact.fvu
