@@ -244,9 +244,8 @@ class ScanEvaluator:
             total_w = spec_w + diff_w  # (P, A, L)
             for j in np.flatnonzero(~certified.all(axis=1)):
                 rows = np.flatnonzero(~certified[j])
-                for k, lam in enumerate(self._lambdas):
-                    params = LobeParams(LobeModel.DUAL_LOBE, s_value, alpha_r, alphas[j], lam)
-                    total_w[rows, j, k] = pattern.gate(pattern.tile_powers(params, rows), rows)[0]
+                tile_p = pattern.dual_tile_powers(s_value, alpha_r, alphas[j], self._lambdas, rows)  # (L, R, T)
+                total_w[rows, j] = pattern.gate(tile_p, rows)[0].T
             with np.errstate(divide="ignore"):
                 simulated = 10.0 * np.log10(total_w.reshape(len(spec), -1) / DBM_REF_WATTS)
             values[i] = np.sqrt(((measured[:, None] - simulated) ** 2).sum(axis=0) / denom)

@@ -4,9 +4,7 @@ A single rectangular wall is illuminated by a fixed Tx; the Rx is stepped
 along a circular arc of configurable radius around the wall center (and
 optionally raised by a set of height offsets, sweeping a semicylinder).
 Azimuth 0 deg is the wall normal at the center; positive azimuth is the
-specular side of the Tx. Both antennas are boresighted on the wall center,
-with full gain inside the half-power beamwidth and a flat -20 dB floor
-outside it.
+specular side of the Tx.
 """
 
 from __future__ import annotations
@@ -26,17 +24,10 @@ __all__ = [
     "scan_positions",
     "specular_point",
     "patch_angles",
-    "antenna_mask",
     "paper_scene",
-    "DEFAULT_HPBW_DEG",
-    "MASK_FLOOR",
 ]
 
 _UP = np.array([0.0, 0.0, 1.0])
-
-DEFAULT_HPBW_DEG = 23.0
-# Gain multiplier outside the half-power beamwidth (-20 dB).
-MASK_FLOOR = 0.01
 
 DEFAULT_ARC_HEIGHTS = (0.0,)
 DEFAULT_CYLINDER_HEIGHTS = (0.0, 0.10, 0.20, 0.30)
@@ -244,22 +235,6 @@ def patch_angles(
         psi_i=psi_i,
         surface_extent=extent,
     )
-
-
-def antenna_mask(boresight: np.ndarray, ray: np.ndarray, hpbw_deg: float = DEFAULT_HPBW_DEG) -> float:
-    """Gain multiplier for a ray leaving an antenna aimed along boresight.
-
-    Full gain within half the beamwidth of boresight, MASK_FLOOR outside.
-    """
-    b = np.asarray(boresight, dtype=float)
-    r = np.asarray(ray, dtype=float)
-    nb = float(np.linalg.norm(b))
-    nr = float(np.linalg.norm(r))
-    if nb == 0.0 or nr == 0.0:
-        raise ValueError("zero-length direction vector")
-    cos_off = float(np.dot(b, r) / (nb * nr))
-    offset = math.acos(min(1.0, max(-1.0, cos_off)))
-    return 1.0 if offset <= math.radians(hpbw_deg) / 2.0 else MASK_FLOOR
 
 
 def paper_scene(

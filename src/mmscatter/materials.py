@@ -171,8 +171,14 @@ def bessel_i0(x: float) -> float:
             if term < total * 1e-18:
                 break
         return total
-    # asymptotic: I0(x) ~ exp(x)/sqrt(2 pi x) * sum_k a_k / x^k,
-    # a_0 = 1, a_k = a_{k-1} * (2k-1)^2 / (8k); truncate at the smallest term
+    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * _i0_asymptotic_sum(x)
+
+
+def _i0_asymptotic_sum(x: float) -> float:
+    """sum_k a_k / x^k of the asymptotic I0(x) ~ exp(x)/sqrt(2 pi x) * sum_k a_k / x^k.
+
+    a_0 = 1, a_k = a_{k-1} * (2k-1)^2 / (8k); truncated at the smallest term.
+    """
     total = 1.0
     term = 1.0
     for k in range(1, 40):
@@ -183,7 +189,7 @@ def bessel_i0(x: float) -> float:
         total += term
         if abs(term) < total * 1e-16:
             break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
+    return total
 
 
 def fresnel_gamma(eps_r: float, theta_i: float, pol: Polarization = Polarization.TE) -> float:
@@ -223,17 +229,7 @@ def rayleigh_factor(h_rms: float, theta_i: float, wavelength: float) -> float:
     # for g past the series range, fold exp(-g) into the asymptotic prefactor.
     if g < _I0_SERIES_LIMIT:
         return math.exp(-g) * bessel_i0(g)
-    total = 1.0
-    term = 1.0
-    for k in range(1, 40):
-        next_term = term * (2 * k - 1) ** 2 / (8.0 * k * g)
-        if abs(next_term) >= abs(term):
-            break
-        term = next_term
-        total += term
-        if abs(term) < total * 1e-16:
-            break
-    return total / math.sqrt(2.0 * math.pi * g)
+    return _i0_asymptotic_sum(g) / math.sqrt(2.0 * math.pi * g)
 
 
 def rough_reflection(gamma: float, rayleigh_r: float) -> float:

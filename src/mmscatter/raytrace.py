@@ -22,7 +22,7 @@ import numpy as np
 
 from . import SPEED_OF_LIGHT, watts_to_dbm
 from .fileio import height_m_to_cm
-from .geometry import Scene, ScanSpec, antenna_mask, scan_positions, specular_point
+from .geometry import Scene, ScanSpec, scan_positions, specular_point
 from .lobes import LobeModel, LobeParams, NormalizationMode, RadioLink, single_lobe_norm
 from .materials import Material, MaterialDatabase, Polarization, fresnel_gamma, rayleigh_factor
 
@@ -177,31 +177,44 @@ class ScanPattern:
 
     def tile_powers(self, params: LobeParams, rows=slice(None)) -> np.ndarray:
         """(R, T) diffuse power per tile before gating, watts, at the positions `rows` (default all)."""
+        if params.model is LobeModel.DUAL_LOBE:
+            return self.dual_tile_powers(params.s_coeff, params.alpha_r, params.alpha_i, params.lambda_mix, rows)
         s_sq = params.s_coeff * params.s_coeff
-        if params.model is LobeModel.SINGLE_LOBE:
-            gain = self._u_power(params.alpha_r)[rows]
-            norm = self._norms(params.alpha_r)
-        else:
-            lam = params.lambda_mix
-            gain = lam * self._u_power(params.alpha_r)[rows] + (1.0 - lam) * self._v_power(params.alpha_i)[rows]
-            norm = lam * self._norms(params.alpha_r) + (1.0 - lam) * self._norms(params.alpha_i)
-        return s_sq * self._const[rows] * gain / norm
+        return s_sq * self._const[rows] * self._u_power(params.alpha_r)[rows] / self._norms(params.alpha_r)
+
+    def dual_tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None)) -> np.ndarray:
+        """(..., R, T) dual-lobe tile powers, watts, for mixes `lambdas` of any shape (...) at the positions `rows`."""
+        lam = np.asarray(lambdas, dtype=float)[..., None]
+        norm = lam * self._norms(alpha_r) + (1.0 - lam) * self._norms(alpha_i)
+        lam = lam[..., None]
+        gain = lam * self._u_power(alpha_r)[rows] + (1.0 - lam) * self._v_power(alpha_i)[rows]
+        return s_value * s_value * self._const[rows] * gain / norm[..., None, :]
 
     def predict(self, params: LobeParams, power_gate_db: float = POWER_GATE_DB):
         """Gated per-position powers: (total_w, spec_w, diff_w, dropped_power, dropped_delay)."""
         return self.gate(self.tile_powers(params), power_gate_db=power_gate_db)
 
     def gate(self, tile_p: np.ndarray, rows=slice(None), power_gate_db: float = POWER_GATE_DB):
-        """Gate the tile powers `tile_p` (R, T) of the positions `rows`.
+        """Gate the tile powers `tile_p` (..., R, T) of the positions `rows`.
 
         Returns (total_w, spec_w, diff_w, dropped_power, dropped_delay) per
-        row. The path-length (delay) gate cuts individual tiles: only surface
-        elements whose path length sits within the window around the
-        strongest path contribute. The power gate then de-noises whole
-        paths: the specular path and the aggregated diffuse path are each
-        dropped when more than power_gate_db below the stronger of the two;
-        gating tiles individually would make the diffuse sum depend on the
-        tiling, so the aggregate carries the rule.
+        row, each of shape (..., R); leading axes of tile_p batch several
+        candidates over the same rows. The path-length (delay) gate cuts
+        individual tiles: only surface elements whose path length sits
+        within the window around the strongest path contribute. The power
+        gate then de-noises whole paths: the specular path and the
+        aggregated diffuse path are each dropped when more than
+        power_gate_db below the stronger of the two; gating tiles
+        individually would make the diffuse sum depend on the tiling, so the
+        aggregate carries the rule.
+        """
+        return self._gate(tile_p, rows, power_gate_db)[0]
+
+    def _gate(self, tile_p: np.ndarray, rows, power_gate_db: float):
+        """gate's result plus the delay window it applied.
+
+        Returns (gated, best_len, tile_in): gate's five arrays, the anchor
+        path length (..., R), and the live tiles inside the window (..., R, T).
         """
         spec_p = self.spec_power[rows]
         spec_len = self._spec_length[rows]
@@ -209,28 +222,24 @@ class ScanPattern:
         length_gate = _length_gate()
 
         # the strongest single contribution anchors the delay window
-        tile_max = tile_p.max(axis=1)
-        idx = tile_p.argmax(axis=1)
-        tile_best_len = lengths[np.arange(tile_p.shape[0]), idx]
+        tile_max = tile_p.max(axis=-1)
+        tile_best_len = lengths[np.arange(lengths.shape[0]), tile_p.argmax(axis=-1)]
         best_len = np.where(spec_p >= tile_max, spec_len, tile_best_len)
 
         tile_alive = tile_p > 0.0
-        tile_delay_ok = np.abs(lengths - best_len[:, None]) <= length_gate
-        diff_sum = np.where(tile_alive & tile_delay_ok, tile_p, 0.0).sum(axis=1)
-
+        tile_in = tile_alive & (np.abs(lengths - best_len[..., None]) <= length_gate)
         spec_alive = spec_p > 0.0
-        spec_delay_ok = np.abs(spec_len - best_len) <= length_gate
-        spec_in_window = np.where(spec_alive & spec_delay_ok, spec_p, 0.0)
+        spec_in = spec_alive & (np.abs(spec_len - best_len) <= length_gate)
 
+        diff_sum = np.where(tile_in, tile_p, 0.0).sum(axis=-1)
+        spec_in_window = np.where(spec_in, spec_p, 0.0)
         spec_w, diff_w = power_gate(spec_in_window, diff_sum, power_gate_db)
-        total_w = spec_w + diff_w
 
-        n_window_tiles = (tile_alive & tile_delay_ok).sum(axis=1)
-        dropped_delay = (tile_alive & ~tile_delay_ok).sum(axis=1) + (spec_alive & ~spec_delay_ok)
-        dropped_power = np.where((diff_sum > 0.0) & (diff_w == 0.0), n_window_tiles, 0) + (
+        dropped_delay = (tile_alive & ~tile_in).sum(axis=-1) + (spec_alive & ~spec_in)
+        dropped_power = np.where((diff_sum > 0.0) & (diff_w == 0.0), tile_in.sum(axis=-1), 0) + (
             (spec_in_window > 0.0) & (spec_w == 0.0)
         )
-        return total_w, spec_w, diff_w, dropped_power, dropped_delay
+        return (spec_w + diff_w, spec_w, diff_w, dropped_power, dropped_delay), best_len, tile_in
 
     def lobe_peaks(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """Largest tile power per unit S^2 of each pure lobe: two (len(alphas), P) arrays.
@@ -274,70 +283,43 @@ class ScanPattern:
         self, params: LobeParams, position: int, power_gate_db: float = POWER_GATE_DB
     ) -> tuple[tuple[PathContribution, ...], GatingReport]:
         """Retained contributions at one receiver, in specular-then-tile order."""
-        tile_p = self.tile_powers(params)[position]
-        spec_p = float(self.spec_power[position])
-        spec_len = float(self._spec_length[position])
-        gate = _length_gate()
-        floor = 10.0 ** (-power_gate_db / 10.0)
+        return self._explain(params, position, power_gate_db)[1:]
 
-        tile_max = float(tile_p.max()) if tile_p.size else 0.0
-        if spec_p >= tile_max:
-            best_len = spec_len
-        else:
-            best_len = float(self._lengths[position, int(tile_p.argmax())])
-
-        spec_alive = spec_p > 0.0
-        spec_delay_ok = abs(spec_len - best_len) <= gate
-        window_tiles = []
-        dropped_delay = 0
-        for t in range(tile_p.shape[0]):
-            p = float(tile_p[t])
-            if p <= 0.0:
-                continue
-            if abs(float(self._lengths[position, t]) - best_len) <= gate:
-                window_tiles.append((t, p))
-            else:
-                dropped_delay += 1
-        if spec_alive and not spec_delay_ok:
-            dropped_delay += 1
-
-        diff_sum = sum(p for _, p in window_tiles)
-        spec_in_window = spec_p if (spec_alive and spec_delay_ok) else 0.0
-        threshold = max(spec_in_window, diff_sum) * floor
-        spec_kept = spec_in_window > 0.0 and spec_in_window >= threshold
-        diff_kept = diff_sum > 0.0 and diff_sum >= threshold
-
-        dropped_power = 0
-        if spec_in_window > 0.0 and not spec_kept:
-            dropped_power += 1
-        if diff_sum > 0.0 and not diff_kept:
-            dropped_power += len(window_tiles)
-
+    def _explain(self, params: LobeParams, position: int, power_gate_db: float = POWER_GATE_DB):
+        """Gate one receiver: (gate's five arrays of shape (1,), retained contributions, GatingReport)."""
+        rows = slice(position, position + 1)
+        tile_p = self.tile_powers(params, rows)
+        gated, best_len, tile_in = self._gate(tile_p, rows, power_gate_db)
+        _, spec_w, diff_w, dropped_power, dropped_delay = gated
+        anchor = float(best_len[0])
         kept: list[PathContribution] = []
-        if spec_kept:
+        if spec_w[0] > 0.0:
+            length = float(self._spec_length[position])
             kept.append(
                 PathContribution(
                     kind=PathKind.SPECULAR,
                     patch_id=None,
-                    power=spec_in_window,
-                    path_length=spec_len,
-                    excess_delay=(spec_len - best_len) / SPEED_OF_LIGHT,
+                    power=float(spec_w[0]),
+                    path_length=length,
+                    excess_delay=(length - anchor) / SPEED_OF_LIGHT,
                 )
             )
-        if diff_kept:
-            for t, p in window_tiles:
+        if diff_w[0] > 0.0:
+            for t in np.flatnonzero(tile_in[0]).tolist():
                 length = float(self._lengths[position, t])
                 kept.append(
                     PathContribution(
                         kind=PathKind.DIFFUSE,
                         patch_id=t,
-                        power=p,
+                        power=float(tile_p[0, t]),
                         path_length=length,
-                        excess_delay=(length - best_len) / SPEED_OF_LIGHT,
+                        excess_delay=(length - anchor) / SPEED_OF_LIGHT,
                     )
                 )
-        report = GatingReport(dropped_power=int(dropped_power), dropped_delay=int(dropped_delay), retained=len(kept))
-        return tuple(kept), report
+        report = GatingReport(
+            dropped_power=int(dropped_power[0]), dropped_delay=int(dropped_delay[0]), retained=len(kept)
+        )
+        return gated, tuple(kept), report
 
 
 def tile_centers(scene: Scene, tile_edge: float) -> tuple[np.ndarray, float]:
@@ -349,15 +331,10 @@ def tile_centers(scene: Scene, tile_edge: float) -> tuple[np.ndarray, float]:
     n_w = max(1, math.ceil(wall.height / tile_edge))
     du = wall.width / n_u
     dw = wall.height / n_w
-    centers = np.empty((n_u * n_w, 3))
-    k = 0
-    for iw in range(n_w):
-        off_w = -wall.height / 2.0 + (iw + 0.5) * dw
-        for iu in range(n_u):
-            off_u = -wall.width / 2.0 + (iu + 0.5) * du
-            centers[k] = wall.center + off_u * wall.u_axis + off_w * wall.w_axis
-            k += 1
-    return centers, du * dw
+    off_u = -wall.width / 2.0 + (np.arange(n_u) + 0.5) * du
+    off_w = -wall.height / 2.0 + (np.arange(n_w) + 0.5) * dw
+    centers = wall.center + off_u[None, :, None] * wall.u_axis + off_w[:, None, None] * wall.w_axis
+    return centers.reshape(-1, 3), du * dw
 
 
 def build_pattern(
@@ -368,17 +345,8 @@ def build_pattern(
     tile_edge: float = DEFAULT_TILE_EDGE,
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,
-    apply_antenna_mask: bool = False,
 ) -> ScanPattern:
-    """Precompute per-tile geometry and constants for a set of receivers.
-
-    With apply_antenna_mask the center-boresighted beam mask multiplies
-    every path at both ends. It is off by default: the hard -20 dB floor
-    suppresses the specular path 40 dB at wide receiver angles while the
-    wall-center tiles stay at full gain, which inverts the specular/diffuse
-    balance the single-bounce model is meant to reproduce; the 35 dB power
-    gate already removes out-of-beam clutter.
-    """
+    """Precompute per-tile geometry and constants for a set of receivers."""
     material = _resolve_material(materials, scene.wall.material)
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     if rx.shape[1] != 3:
@@ -398,12 +366,6 @@ def build_pattern(
         raise ValueError("tx does not illuminate the full wall from the outward side")
     tile_theta = np.arccos(cos_ti)
     spec_dir = v_i - 2.0 * (v_i @ n)[:, None] * n
-
-    tx_bore = wall.center - tx
-    if apply_antenna_mask:
-        tx_mask = np.array([antenna_mask(tx_bore, d) for d in to_tile])
-    else:
-        tx_mask = np.ones(centers.shape[0])
 
     n_pos = rx.shape[0]
     n_tiles = centers.shape[0]
@@ -431,13 +393,7 @@ def build_pattern(
         u_base[p] = (1.0 + cos_psi_r) / 2.0
         v_base[p] = (1.0 + cos_psi_i) / 2.0
         lengths[p] = r_i + r_s
-
-        rx_bore = wall.center - rp
-        if apply_antenna_mask:
-            rx_mask = np.array([antenna_mask(rx_bore, -d) for d in from_tile])
-        else:
-            rx_mask = np.ones(centers.shape[0])
-        const[p] = k_sq / (r_i * r_s) ** 2 * area * cos_ti * tx_mask * rx_mask * rx_gain_scale
+        const[p] = k_sq / (r_i * r_s) ** 2 * area * cos_ti * rx_gain_scale
 
         sp = specular_point(tx, rp, wall)
         if sp is not None:
@@ -453,10 +409,7 @@ def build_pattern(
                 gamma = fresnel_gamma(material.eps_r, theta_sp, polarization)
                 rough = rayleigh_factor(material.h_rms, theta_sp, link.wavelength) * gamma
                 friis = link.p_t * link.g_t * link.g_r * (link.wavelength / (4.0 * math.pi * path_len)) ** 2
-                mask = 1.0
-                if apply_antenna_mask:
-                    mask = antenna_mask(tx_bore, d_in) * antenna_mask(rx_bore, -d_out)
-                spec_power[p] = friis * mask * rough * rough
+                spec_power[p] = friis * rough * rough
                 spec_length[p] = path_len
 
     return ScanPattern(
@@ -483,14 +436,10 @@ def simulate_point(
     tile_edge: float = DEFAULT_TILE_EDGE,
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,
-    apply_antenna_mask: bool = False,
 ) -> SimResult:
     """Total, specular, and diffuse received power at one receiver position."""
-    pattern = build_pattern(
-        scene, np.asarray(rx, dtype=float)[None, :], link, materials, tile_edge, mode, polarization, apply_antenna_mask
-    )
-    total_w, spec_w, diff_w, _, _ = pattern.predict(lobe_params)
-    kept, report = pattern.contributions(lobe_params, 0)
+    pattern = build_pattern(scene, np.asarray(rx, dtype=float)[None, :], link, materials, tile_edge, mode, polarization)
+    (total_w, spec_w, diff_w, _, _), kept, report = pattern._explain(lobe_params, 0)
     return SimResult(
         total_power_dbm=watts_to_dbm(float(total_w[0])),
         specular_power_dbm=watts_to_dbm(float(spec_w[0])),
@@ -509,13 +458,11 @@ def simulate_scan(
     tile_edge: float = DEFAULT_TILE_EDGE,
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,
-    apply_antenna_mask: bool = False,
 ) -> list[SimRecord]:
     """Simulated scan over the arc/semicylinder, ordered by (delta_h, azimuth)."""
     positions = scan_positions(scene, scanspec)
     pattern = build_pattern(
-        scene, np.array([p.position for p in positions]), link, materials, tile_edge, mode, polarization,
-        apply_antenna_mask,
+        scene, np.array([p.position for p in positions]), link, materials, tile_edge, mode, polarization
     )
     total_w, spec_w, diff_w, _, _ = pattern.predict(lobe_params)
     records = []

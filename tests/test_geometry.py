@@ -5,11 +5,9 @@ import pytest
 
 from mmscatter.geometry import (
     DEFAULT_CYLINDER_HEIGHTS,
-    MASK_FLOOR,
     ScanSpec,
     Scene,
     Wall,
-    antenna_mask,
     paper_scene,
     patch_angles,
     rx_position,
@@ -163,17 +161,3 @@ class TestSceneValidation:
             scene = paper_scene("rough_wall", theta)
             assert math.degrees(scene.incidence_angle) == pytest.approx(theta, abs=1e-9)
 
-
-class TestAntennaMask:
-    def test_inside_beam(self):
-        assert antenna_mask(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.1, 0.0])) == 1.0
-
-    def test_outside_beam(self):
-        assert antenna_mask(np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0])) == MASK_FLOOR
-
-    def test_boundary_is_half_beamwidth(self):
-        just_in = math.radians(11.49)
-        just_out = math.radians(11.51)
-        bore = np.array([1.0, 0.0, 0.0])
-        assert antenna_mask(bore, np.array([math.cos(just_in), math.sin(just_in), 0.0])) == 1.0
-        assert antenna_mask(bore, np.array([math.cos(just_out), math.sin(just_out), 0.0])) == MASK_FLOOR

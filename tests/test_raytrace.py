@@ -5,8 +5,17 @@ import pytest
 
 from mmscatter import dbm_to_watts
 from mmscatter.fileio import read_scan, write_simulated_scan
-from mmscatter.geometry import ScanSpec, Scene, Wall, paper_scene, rx_position, scan_positions
-from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, normalization_f
+from mmscatter.geometry import (
+    DEFAULT_CYLINDER_HEIGHTS,
+    ScanSpec,
+    Scene,
+    Wall,
+    paper_scene,
+    patch_angles,
+    rx_position,
+    scan_positions,
+)
+from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, normalization_f, scattered_field_sq
 from mmscatter.materials import IncidenceContext, Material, initial_scattering_coefficient
 from mmscatter.raytrace import (
     LENGTH_GATE_M,
@@ -105,6 +114,91 @@ class TestGating:
         anchor = max(result.contributions, key=lambda c: c.power).path_length
         for c in result.contributions:
             assert abs(c.path_length - anchor) <= LENGTH_GATE_M + 1e-12
+
+    def test_batched_gate_equals_per_mix_gate(self, paper_link, materials_db, scene30):
+        rx = np.array([p.position for p in scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))])
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.25)
+        lambdas = [k / 10 for k in range(11)]
+        rows = np.array([0, 5, 9, 18, 19, 37, 75])
+        batched = pattern.gate(pattern.dual_tile_powers(0.4, 2, 9, lambdas, rows), rows)
+        for k, lam in enumerate(lambdas):
+            per_mix = pattern.gate(pattern.tile_powers(dual(0.4, 2, 9, lam), rows), rows)
+            for b, m in zip(batched, per_mix):
+                assert np.array_equal(b[k], m)
+
+
+class TestContributions:
+    """The per-path view of one receiver against the gated powers of predict."""
+
+    @pytest.mark.parametrize(
+        "material, theta_deg, params, wall_width",
+        [
+            ("rough_wall", 30.0, single(0.3), 3.0),
+            ("metal_sheet", 20.0, dual(0.3, 3, 8, 0.35), 3.0),
+            # a wide wall has tiles outside the delay window
+            ("rough_wall", 30.0, single(0.3), 8.0),
+        ],
+    )
+    def test_contributions_agree_with_predict(self, material, theta_deg, params, wall_width, paper_link, materials_db):
+        scene = paper_scene(material, theta_deg, wall_width=wall_width)
+        rx = np.array([p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))])
+        pattern = build_pattern(scene, rx, paper_link, materials_db, 0.25)
+        total_w, spec_w, diff_w, dropped_power, dropped_delay = pattern.predict(params)
+        all_tile_p = pattern.tile_powers(params)
+        for p in range(len(rx)):
+            kept, report = pattern.contributions(params, p)
+            assert report.dropped_power == dropped_power[p]
+            assert report.dropped_delay == dropped_delay[p]
+            assert math.fsum(c.power for c in kept) == pytest.approx(total_w[p], rel=1e-12)
+            # the window around the strongest path, written out for this one receiver
+            tile_p = all_tile_p[p]
+            if pattern.spec_power[p] >= tile_p.max():
+                anchor = pattern._spec_length[p]
+            else:
+                anchor = pattern._lengths[p, tile_p.argmax()]
+            window = np.flatnonzero((tile_p > 0.0) & (np.abs(pattern._lengths[p] - anchor) <= LENGTH_GATE_M))
+            diffuse_ids = [c.patch_id for c in kept if c.kind is PathKind.DIFFUSE]
+            assert diffuse_ids == (window.tolist() if diff_w[p] > 0.0 else [])
+            assert report.retained == len(diffuse_ids) + int(spec_w[p] > 0.0)
+        if wall_width > 3.0:
+            assert np.any(dropped_delay > 0)
+
+
+class TestTileCenters:
+    def test_equal_to_per_tile_loop(self):
+        # a tilted wall off the origin, so that every term of the sum rounds
+        for azimuth_deg, tilt_deg in ((0.0, 0.0), (30.0, 20.0), (45.0, -10.0), (80.0, 35.0)):
+            az, tilt = math.radians(azimuth_deg), math.radians(tilt_deg)
+            normal = np.array([math.cos(az) * math.cos(tilt), math.sin(az) * math.cos(tilt), math.sin(tilt)])
+            wall = Wall(center=np.array([0.3, -1.7, 1.1]), normal=normal, width=3.7, height=3.0, material="m")
+            scene = Scene(wall=wall, tx=wall.center + 1.5 * normal, carrier_frequency=28e9)
+            u, w = wall.u_axis, wall.w_axis
+            for edge in (0.4, 0.3, 0.1, 0.07, 0.025):
+                centers, area = tile_centers(scene, edge)
+                n_u, n_w = math.ceil(wall.width / edge), math.ceil(wall.height / edge)
+                du, dw = wall.width / n_u, wall.height / n_w
+                loop = [
+                    wall.center
+                    + (-wall.width / 2.0 + (iu + 0.5) * du) * u
+                    + (-wall.height / 2.0 + (iw + 0.5) * dw) * w
+                    for iw in range(n_w)
+                    for iu in range(n_u)
+                ]
+                assert np.array_equal(centers, np.array(loop))
+                assert area == du * dw
+
+
+class TestKernelAgreement:
+    @pytest.mark.parametrize("mode", list(NormalizationMode))
+    @pytest.mark.parametrize("params", [single(0.4, 3), dual(0.4, 2, 9, 0.3)], ids=["single", "dual"])
+    def test_scalar_kernel_matches_tile_powers(self, params, mode, paper_link, materials_db, scene30):
+        rx = np.array([p.position for p in scan_positions(scene30, ScanSpec())])
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.25, mode)
+        centers, area = tile_centers(scene30, 0.25)
+        rx_scale = paper_link.g_r * paper_link.wavelength**2 / (480.0 * math.pi**2)
+        geoms = [[patch_angles(scene30.tx, r, c, scene30.wall.normal, area) for c in centers] for r in rx]
+        scalar = np.array([[scattered_field_sq(params, g, paper_link, mode) for g in row] for row in geoms])
+        assert np.allclose(scalar * rx_scale, pattern.tile_powers(params), rtol=1e-12, atol=0.0)
 
 
 class TestNormTable:
