@@ -118,16 +118,24 @@ def _resolve_scene(args, db):
 
 
 def _resolve_scanspec(args, inline_spec) -> ScanSpec:
+    """Scan layout: each command-line option, else the scene file's inline spec, else the default."""
     base = inline_spec if inline_spec is not None else ScanSpec()
     heights = base.height_offsets
     if args.heights is not None:
         heights = tuple(float(tok) for tok in args.heights.split(","))
     return ScanSpec(
-        radius=args.radius if args.radius is not None else base.radius,
+        radius=_scan_radius(args, inline_spec),
         azimuth_step_deg=args.step_deg if args.step_deg is not None else base.azimuth_step_deg,
         azimuth_range_deg=args.range_deg if args.range_deg is not None else base.azimuth_range_deg,
         height_offsets=heights,
     )
+
+
+def _scan_radius(args, inline_spec) -> float:
+    """--radius, else the scene file's scan_radius_m, else the default radius."""
+    if args.radius is not None:
+        return args.radius
+    return (inline_spec if inline_spec is not None else ScanSpec()).radius
 
 
 def _theoretical_s(scene, db, args) -> float:
@@ -192,12 +200,11 @@ def _cmd_pattern(args) -> int:
     link = _link(args)
     theta_grid = _theta_grid(args)
     template = _lobe_params(args, 0.0)
-    header = _header(args, _input_digests(args)) + " | extent=unit-patch"
-    all_lines = [f"# {header}", "theta_i_deg,direction,p_r_dbm,model,material"]
+    rows = []
     for name in _material_names(args, db):
         material = db.get(name)
         for direction in (Direction.INCIDENT, Direction.SPECULAR):
-            rows = pattern_sweep(
+            sweep = pattern_sweep(
                 material,
                 template,
                 link,
@@ -207,14 +214,17 @@ def _cmd_pattern(args) -> int:
                 polarization=Polarization[args.pol],
                 fixed_s=args.s,
             )
-            for row in rows:
-                all_lines.append(
-                    f"{row.theta_i_deg!r},{row.direction.value},{watts_to_dbm(row.p_r_watts)!r},"
-                    f"{template.model.value},{name}"
-                )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(all_lines))
-        fh.write("\n")
+            rows.extend(
+                f"{row.theta_i_deg!r},{row.direction.value},{watts_to_dbm(row.p_r_watts)!r},"
+                f"{template.model.value},{name}"
+                for row in sweep
+            )
+    _write_csv(
+        args.out,
+        _header(args, _input_digests(args)) + " | extent=unit-patch",
+        "theta_i_deg,direction,p_r_dbm,model,material",
+        rows,
+    )
     return EXIT_OK
 
 
@@ -242,7 +252,7 @@ def _cmd_fit(args) -> int:
     cfg = SearchConfig(
         link=link,
         materials=db,
-        scan_radius=args.radius if args.radius is not None else 1.5,
+        scan_radius=_scan_radius(args, inline_spec),
         tile_edge=args.tiles_m,
         mode=_MODES[args.mode],
         polarization=Polarization[args.pol],

@@ -148,7 +148,12 @@ def read_scan(path) -> Scan:
         fields = line.split(",")
         if len(fields) != n_cols:
             raise _err(source, no, f"expected {n_cols} fields, got {len(fields)}")
-        values = [_parse_float(tok, source, no, name) for tok, name in zip(fields, header.split(","))]
+        names = header.split(",")
+        values = [_parse_float(tok, source, no, name) for tok, name in zip(fields, names)]
+        # simulated scans write -inf to the split columns where a path family is empty
+        for value, name in zip(values[:3], names):
+            if not math.isfinite(value):
+                raise _err(source, no, f"{name} must be finite, got {value!r}")
         try:
             point = ScanPoint(azimuth_deg=values[0], delta_h_cm=values[1], power_dbm=values[2])
         except ValueError as exc:

@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 FVU_TIE_TOL = 1e-12
+# stage-B grid: s_initial +/- S_SPAN in S_STEP steps; stage-A mix grid step
+S_SPAN = 0.15
+S_STEP = 0.05
+LAMBDA_STEP = 0.1
+# rounds stop once the best FVU improves by less than this
+IMPROVEMENT_TOL = 1e-4
 # stage-A shapes whose screened FVU lies within this of the screen's best are
 # scored exactly; far above FVU_TIE_TOL times the shape count and the ~1e-15
 # screen error, so every shape that can become the best is confirmed
@@ -61,7 +67,7 @@ class DegenerateScanError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SearchConfig:
-    """Fit configuration: link budget, material database, grids, and stopping."""
+    """Fit configuration: link budget, material database, scan and tiling, and the round budget."""
 
     link: RadioLink
     materials: MaterialDatabase = field(default_factory=default_materials)
@@ -69,15 +75,9 @@ class SearchConfig:
     tile_edge: float = DEFAULT_TILE_EDGE
     mode: NormalizationMode = NormalizationMode.HEMISPHERE
     polarization: Polarization = Polarization.TE
-    s_span: float = 0.15
-    s_step: float = 0.05
-    lambda_step: float = 0.1
     max_rounds: int = 10
-    improvement_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.s_step <= 0.0 or self.s_span < 0.0 or self.lambda_step <= 0.0:
-            raise ValueError("grid steps must be positive")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
 
@@ -126,27 +126,32 @@ def fvu(measured, simulated) -> float:
     return math.sqrt(num / denom)
 
 
-def s_grid(s_initial: float, span: float = 0.15, step: float = 0.05) -> list[float]:
-    """Scattering-coefficient grid s_initial +/- span, clamped to (0, 1)."""
-    n = round(span / step)
+def s_grid(s_initial: float) -> list[float]:
+    """Scattering-coefficient grid s_initial +/- S_SPAN in S_STEP steps, clamped to (0, 1)."""
+    n = round(S_SPAN / S_STEP)
     values = []
     for k in range(-n, n + 1):
-        s = round(s_initial + k * step, 10)
+        s = round(s_initial + k * S_STEP, 10)
         if 0.0 < s < 1.0:
             values.append(s)
     return values
 
 
-def lambda_grid(step: float = 0.1) -> list[float]:
+def lambda_grid() -> list[float]:
+    """Forward/backscatter mixes 0 to 1 in LAMBDA_STEP steps."""
     values = []
     k = 0
     while True:
-        lam = round(k * step, 10)
+        lam = round(k * LAMBDA_STEP, 10)
         if lam > 1.0:
             break
         values.append(lam)
         k += 1
     return values
+
+
+# the stage-A mixes, built once
+_LAMBDAS = tuple(lambda_grid())
 
 
 def lambda_prior(theta_i: float) -> float:
@@ -209,7 +214,6 @@ class ScanEvaluator:
         self.pattern = build_pattern(
             scene, positions, cfg.link, cfg.materials, cfg.tile_edge, cfg.mode, cfg.polarization
         )
-        self._lambdas = lambda_grid(cfg.lambda_step)
         self._screen_tables = None
 
     def __call__(self, params: LobeParams) -> float:
@@ -230,13 +234,13 @@ class ScanEvaluator:
         alphas = range(ALPHA_MIN, ALPHA_MAX + 1)
         if self._screen_tables is None:
             forward, backscatter = pattern.lobe_peaks(alphas)
-            self._screen_tables = (forward, backscatter, pattern.specular_window_sums(alphas, self._lambdas))
+            self._screen_tables = (forward, backscatter, pattern.specular_window_sums(alphas, _LAMBDAS))
         forward, backscatter, window_sums = self._screen_tables
         s_sq = s_value * s_value
         spec = pattern.spec_power
         measured = np.asarray(self.measured)
         denom = float(((measured - measured.mean()) ** 2).sum())
-        n_lam = len(self._lambdas)
+        n_lam = len(_LAMBDAS)
         values = np.empty((len(alphas), len(alphas) * n_lam))
         for i, alpha_r in enumerate(alphas):
             certified = _specular_anchor_certified(spec, s_value, forward[i], backscatter)  # (A, P)
@@ -244,7 +248,7 @@ class ScanEvaluator:
             total_w = spec_w + diff_w  # (P, A, L)
             for j in np.flatnonzero(~certified.all(axis=1)):
                 rows = np.flatnonzero(~certified[j])
-                tile_p = pattern.dual_tile_powers(s_value, alpha_r, alphas[j], self._lambdas, rows)  # (L, R, T)
+                tile_p = pattern.dual_tile_powers(s_value, alpha_r, alphas[j], _LAMBDAS, rows)  # (L, R, T)
                 total_w[rows, j] = pattern.gate(tile_p, rows)[0].T
             with np.errstate(divide="ignore"):
                 simulated = 10.0 * np.log10(total_w.reshape(len(spec), -1) / DBM_REF_WATTS)
@@ -252,14 +256,14 @@ class ScanEvaluator:
         return values.ravel()
 
 
-def _shape_candidates(model_kind: LobeModel, s_value: float, cfg: SearchConfig):
+def _shape_candidates(model_kind: LobeModel, s_value: float):
     if model_kind is LobeModel.SINGLE_LOBE:
         for alpha_r in range(ALPHA_MIN, ALPHA_MAX + 1):
             yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r)
         return
     for alpha_r in range(ALPHA_MIN, ALPHA_MAX + 1):
         for alpha_i in range(ALPHA_MIN, ALPHA_MAX + 1):
-            for lam in lambda_grid(cfg.lambda_step):
+            for lam in _LAMBDAS:
                 yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
 
 
@@ -303,7 +307,7 @@ def grid_fit(
     previous_round_fvu = math.inf
     converged = False
     for rnd in range(1, search_cfg.max_rounds + 1):
-        shapes = _shape_candidates(model_kind, current_s, search_cfg)
+        shapes = _shape_candidates(model_kind, current_s)
         if model_kind is LobeModel.DUAL_LOBE:
             screened = evaluate.screen_dual_shapes(current_s)
             cutoff = screened.min() + CONFIRM_MARGIN
@@ -316,14 +320,14 @@ def grid_fit(
             for params in shapes:
                 consider(rnd, "A", params)
         shape = best.params
-        for s_value in s_grid(s_initial, search_cfg.s_span, search_cfg.s_step):
+        for s_value in s_grid(s_initial):
             consider(rnd, "B", replace(shape, s_coeff=s_value))
         current_s = best.params.s_coeff
         if best.fvu == 0.0:
             converged = True
             break
         improvement = previous_round_fvu - best.fvu
-        if improvement < search_cfg.improvement_tol:
+        if improvement < IMPROVEMENT_TOL:
             converged = True
             break
         previous_round_fvu = best.fvu

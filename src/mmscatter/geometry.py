@@ -4,7 +4,8 @@ A single rectangular wall is illuminated by a fixed Tx; the Rx is stepped
 along a circular arc of configurable radius around the wall center (and
 optionally raised by a set of height offsets, sweeping a semicylinder).
 Azimuth 0 deg is the wall normal at the center; positive azimuth is the
-specular side of the Tx.
+specular side of the Tx. SurfacePaths holds the geometry of the
+single-bounce paths over surface elements that the scattering model needs.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lobes import ScatterGeometry
-
 __all__ = [
     "Wall",
     "Scene",
     "ScanSpec",
     "RxPosition",
+    "ScatterGeometry",
+    "SurfacePaths",
     "scan_positions",
     "specular_point",
     "patch_angles",
@@ -187,53 +188,70 @@ def specular_point(tx: np.ndarray, rx: np.ndarray, wall: Wall) -> np.ndarray | N
     return point
 
 
-def patch_angles(
-    tx: np.ndarray,
-    rx: np.ndarray,
-    patch_center: np.ndarray,
-    wall_normal: np.ndarray,
-    extent: float = 1.0,
-) -> ScatterGeometry:
-    """Incidence/scattering angles and lobe angles for one surface element.
+class SurfacePaths:
+    """Single-bounce path geometry from a Tx over surface points, to one receiver at a time.
 
-    psi_r is measured between the Rx direction and the mirror image of the
-    incident direction; psi_i between the Rx direction and the
-    reverse-incident direction. Both are 3D angles, so the same values
-    serve in-plane and raised receivers.
+    The incident side is computed once for all points: r_i and cos_ti are
+    (T,) arrays. receiver(rx) computes the scattered side. psi_r is the
+    angle between the Rx direction and the mirror image of the incident
+    direction, psi_i between the Rx direction and the reverse-incident
+    direction; both are 3D angles, so the same values serve in-plane and
+    raised receivers. Every cosine is clipped to [-1, 1].
     """
-    tx = _as_vec3(tx, "tx")
-    rx = _as_vec3(rx, "rx")
-    patch = _as_vec3(patch_center, "patch_center")
-    n = _as_vec3(wall_normal, "wall_normal")
 
-    to_patch = patch - tx
-    r_i = float(np.linalg.norm(to_patch))
-    from_patch = rx - patch
-    r_s = float(np.linalg.norm(from_patch))
-    if r_i == 0.0 or r_s == 0.0:
-        raise ValueError("degenerate geometry: tx or rx coincides with the patch")
-    v_i = to_patch / r_i
-    v_s = from_patch / r_s
+    def __init__(self, tx: np.ndarray, points: np.ndarray, normal: np.ndarray):
+        self.points = points
+        self.normal = normal
+        to_point = points - tx
+        self.r_i = np.linalg.norm(to_point, axis=1)
+        if np.any(self.r_i == 0.0):
+            raise ValueError("degenerate geometry: tx coincides with a surface point")
+        self._v_i = to_point / self.r_i[:, None]
+        self.cos_ti = np.clip(-(self._v_i @ normal), -1.0, 1.0)
+        if np.any(self.cos_ti <= 0.0):
+            raise ValueError("tx does not illuminate the surface from the outward side")
+        self._spec_dir = self._v_i - 2.0 * (self._v_i @ normal)[:, None] * normal
 
-    cos_ti = float(np.dot(-v_i, n))
-    if cos_ti <= 0.0:
-        raise ValueError("tx does not illuminate the patch from the outward side")
-    cos_ts = float(np.dot(v_s, n))
-    if cos_ts < 0.0:
-        raise ValueError("rx lies behind the wall plane")
+    def receiver(self, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(r_s, cos_ts, cos_psi_r, cos_psi_i) per point for the receiver at rx."""
+        from_point = rx - self.points
+        r_s = np.linalg.norm(from_point, axis=1)
+        if np.any(r_s == 0.0):
+            raise ValueError("degenerate geometry: rx coincides with a surface point")
+        v_s = from_point / r_s[:, None]
+        cos_ts = np.clip(v_s @ self.normal, -1.0, 1.0)
+        if np.any(cos_ts < 0.0):
+            raise ValueError("rx lies behind the wall plane")
+        cos_psi_r = np.clip((v_s * self._spec_dir).sum(axis=1), -1.0, 1.0)
+        cos_psi_i = np.clip((v_s * -self._v_i).sum(axis=1), -1.0, 1.0)
+        return r_s, cos_ts, cos_psi_r, cos_psi_i
 
-    spec_dir = v_i - 2.0 * float(np.dot(v_i, n)) * n
-    psi_r = math.acos(min(1.0, max(-1.0, float(np.dot(v_s, spec_dir)))))
-    psi_i = math.acos(min(1.0, max(-1.0, float(np.dot(v_s, -v_i)))))
 
+@dataclass(frozen=True)
+class ScatterGeometry:
+    """Distances (m) and angles (rad) of one Tx -> surface element -> Rx path.
+
+    theta_i and theta_s are measured from the surface normal; psi_r and
+    psi_i are the lobe angles of SurfacePaths.
+    """
+
+    r_i: float
+    r_s: float
+    theta_i: float
+    theta_s: float
+    psi_r: float
+    psi_i: float
+
+
+def patch_angles(tx: np.ndarray, rx: np.ndarray, patch_center: np.ndarray, wall_normal: np.ndarray) -> ScatterGeometry:
+    """Distances and angles of the path over one surface element (SurfacePaths for one point)."""
+    paths = SurfacePaths(
+        _as_vec3(tx, "tx"), _as_vec3(patch_center, "patch_center")[None, :], _as_vec3(wall_normal, "wall_normal")
+    )
+    r_s, cos_ts, cos_psi_r, cos_psi_i = paths.receiver(_as_vec3(rx, "rx"))
+    theta_i, theta_s, psi_r, psi_i = np.arccos([paths.cos_ti[0], cos_ts[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
     return ScatterGeometry(
-        r_i=r_i,
-        r_s=r_s,
-        theta_i=math.acos(min(1.0, cos_ti)),
-        theta_s=math.acos(min(1.0, cos_ts)),
-        psi_r=psi_r,
-        psi_i=psi_i,
-        surface_extent=extent,
+        r_i=float(paths.r_i[0]), r_s=float(r_s[0]), theta_i=theta_i, theta_s=theta_s, psi_r=psi_r, psi_i=psi_i
     )
 
 

@@ -17,6 +17,8 @@ once: PAPER_LINE by its closed form (a cosine series in theta_i), and
 HEMISPHERE by Gauss-Legendre in cos(theta_s), where the azimuthally
 integrated lobe is a polynomial of degree alpha.
 Receiver power in a given direction is P_r = G_r lambda^2 / (480 pi^2) * |E_s|^2.
+element_constant and element_power evaluate P_r for arrays of surface
+elements; the scan simulator, the fit and pattern_sweep all use them.
 """
 
 from __future__ import annotations
@@ -35,18 +37,19 @@ __all__ = [
     "NormalizationMode",
     "Direction",
     "LobeParams",
-    "ScatterGeometry",
     "RadioLink",
     "PatternRow",
-    "lobe_gain",
     "normalization_f",
-    "scattered_field_sq",
-    "received_scatter_power",
+    "lobe_mix",
+    "element_constant",
+    "element_power",
     "pattern_sweep",
 ]
 
 ALPHA_MIN = 1
 ALPHA_MAX = 10
+# antenna distance (m) of pattern_sweep's unit-area surface element
+SWEEP_RANGE_M = 1.5
 
 
 class LobeModel(Enum):
@@ -101,39 +104,6 @@ def _check_alpha(name: str, value) -> None:
 
 
 @dataclass(frozen=True)
-class ScatterGeometry:
-    """Angular and distance context of one Tx -> surface element -> Rx path.
-
-    psi_r is the angle between the scattering and specular-reflection
-    directions, psi_i the angle between the scattering and reverse-incident
-    directions; both are true 3D angles in [0, pi]. surface_extent is the
-    illuminated length (m) or patch area (m^2) depending on the tiling
-    interpretation in use.
-    """
-
-    r_i: float
-    r_s: float
-    theta_i: float
-    theta_s: float
-    psi_r: float
-    psi_i: float
-    surface_extent: float = 1.0
-
-    def __post_init__(self):
-        if self.r_i <= 0.0 or self.r_s <= 0.0:
-            raise ValueError(f"degenerate geometry: r_i={self.r_i}, r_s={self.r_s}")
-        if not 0.0 <= self.theta_i < math.pi / 2:
-            raise ValueError(f"theta_i must be in [0, pi/2), got {self.theta_i}")
-        if not 0.0 <= self.theta_s <= math.pi / 2:
-            raise ValueError(f"theta_s must be in [0, pi/2], got {self.theta_s}")
-        for name, value in (("psi_r", self.psi_r), ("psi_i", self.psi_i)):
-            if not 0.0 <= value <= math.pi:
-                raise ValueError(f"{name} must be in [0, pi], got {value}")
-        if self.surface_extent <= 0.0:
-            raise ValueError(f"surface_extent must be > 0, got {self.surface_extent}")
-
-
-@dataclass(frozen=True)
 class RadioLink:
     """Transmit power (W), linear antenna gains, and carrier wavelength (m)."""
 
@@ -152,14 +122,6 @@ class RadioLink:
     def k_const(self) -> float:
         """Incident-field amplitude constant K = sqrt(60 P_t G_t)."""
         return math.sqrt(60.0 * self.p_t * self.g_t)
-
-
-def lobe_gain(psi: float, alpha: int) -> float:
-    """Lobe shape ((1 + cos psi) / 2)^alpha; 1 at psi = 0, 0 at psi = pi."""
-    if not 0.0 <= psi <= math.pi:
-        raise ValueError(f"psi must be in [0, pi], got {psi}")
-    _check_alpha("alpha", alpha)
-    return ((1.0 + math.cos(psi)) / 2.0) ** alpha
 
 
 @lru_cache(maxsize=None)
@@ -239,34 +201,33 @@ def normalization_f(params: LobeParams, theta_i: float, mode: NormalizationMode 
     f_forward = float(single_lobe_norm(mode, params.alpha_r, theta_i))
     if params.model is LobeModel.SINGLE_LOBE:
         return f_forward
-    f_back = float(single_lobe_norm(mode, params.alpha_i, theta_i))
-    return params.lambda_mix * f_forward + (1.0 - params.lambda_mix) * f_back
+    return lobe_mix(params.lambda_mix, f_forward, float(single_lobe_norm(mode, params.alpha_i, theta_i)))
 
 
-def scattered_field_sq(
-    params: LobeParams,
-    geom: ScatterGeometry,
-    link: RadioLink,
-    mode: NormalizationMode = NormalizationMode.HEMISPHERE,
-) -> float:
-    """Squared scattered-field amplitude |E_s|^2 at the receiver (V^2/m^2 scale)."""
-    norm = normalization_f(params, geom.theta_i, mode)
-    amplitude = (params.s_coeff * link.k_const / (geom.r_i * geom.r_s)) ** 2
-    spread = geom.surface_extent * math.cos(geom.theta_i) / norm
-    if params.model is LobeModel.SINGLE_LOBE:
-        mix = lobe_gain(geom.psi_r, params.alpha_r)
-    else:
-        mix = params.lambda_mix * lobe_gain(geom.psi_r, params.alpha_r) + (
-            1.0 - params.lambda_mix
-        ) * lobe_gain(geom.psi_i, params.alpha_i)
-    return amplitude * spread * mix
+def lobe_mix(lam, forward, backscatter):
+    """Dual-lobe mix Lambda * forward + (1 - Lambda) * backscatter, of lobe gains or of normalizations."""
+    return lam * forward + (1.0 - lam) * backscatter
 
 
-def received_scatter_power(e_s_sq: float, g_r: float, wavelength: float) -> float:
-    """Receiver power P_r = G_r lambda^2 / (480 pi^2) * |E_s|^2, in watts."""
-    if e_s_sq < 0.0:
-        raise ValueError(f"e_s_sq must be >= 0, got {e_s_sq}")
-    return g_r * wavelength**2 / (480.0 * math.pi**2) * e_s_sq
+def element_constant(link: RadioLink, r_i, r_s, cos_theta_i, area):
+    """K^2 / (r_i r_s)^2 * A cos(theta_i) * G_r lambda^2 / (480 pi^2), per surface element.
+
+    This is the received power without S^2, the lobe gain and F. It
+    depends on the geometry only, so a scan pattern computes it once per
+    tiling and receiver; the arguments broadcast together.
+    """
+    rx_scale = link.g_r * link.wavelength**2 / (480.0 * math.pi**2)
+    return link.k_const**2 / (r_i * r_s) ** 2 * area * cos_theta_i * rx_scale
+
+
+def element_power(s_value, const, gain, norm):
+    """Received diffuse power of surface elements, watts: S^2 * const * gain / F.
+
+    const is element_constant of the elements, gain the lobe gain toward
+    the receiver (((1 + cos psi) / 2)^alpha, or the lobe_mix of two) and
+    norm the matching normalization F at the elements' incidence angles.
+    """
+    return s_value * s_value * const * gain / norm
 
 
 @dataclass(frozen=True)
@@ -285,42 +246,37 @@ def pattern_sweep(
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,
     fixed_s: float | None = None,
-    r_i: float = 1.5,
-    r_s: float = 1.5,
-    surface_extent: float = 1.0,
 ) -> list[PatternRow]:
     """Received scattered power versus incidence angle, in one direction.
 
-    The receiver sits at distance r_s in either the specular direction
-    (psi_r = 0, psi_i = 2 theta_i) or back along the incident direction
-    (psi_i = 0, psi_r = 2 theta_i). Unless fixed_s is given, the scattering
+    A unit-area surface element sits SWEEP_RANGE_M from both antennas; the
+    receiver lies in either the specular direction (psi_r = 0,
+    psi_i = 2 theta_i) or back along the incident direction (psi_i = 0,
+    psi_r = 2 theta_i). Unless fixed_s is given, the scattering
     coefficient is recomputed per angle from the material's roughness and
     reflection coefficient.
     """
-    rows = []
-    for theta_deg in theta_grid_deg:
+    grid = list(theta_grid_deg)
+    for theta_deg in grid:
         if not 0.0 < theta_deg < 90.0:
             raise ValueError(f"theta grid must lie within (0, 90) degrees, got {theta_deg}")
-        theta = math.radians(theta_deg)
-        if fixed_s is None:
-            ctx = IncidenceContext(theta_i=theta, wavelength=link.wavelength, polarization=polarization)
-            s_value = initial_scattering_coefficient(material, ctx).s_coeff
-        else:
-            s_value = fixed_s
-        swept = replace(params, s_coeff=s_value)
-        if direction is Direction.SPECULAR:
-            psi_r, psi_i = 0.0, 2.0 * theta
-        else:
-            psi_r, psi_i = 2.0 * theta, 0.0
-        geom = ScatterGeometry(
-            r_i=r_i,
-            r_s=r_s,
-            theta_i=theta,
-            theta_s=theta,
-            psi_r=psi_r,
-            psi_i=psi_i,
-            surface_extent=surface_extent,
-        )
-        e_sq = scattered_field_sq(swept, geom, link, mode)
-        rows.append(PatternRow(theta_i_deg=theta_deg, direction=direction, p_r_watts=received_scatter_power(e_sq, link.g_r, link.wavelength)))
-    return rows
+    theta = np.radians(np.array(grid, dtype=float))
+    if fixed_s is None:
+        s_value = np.array([
+            initial_scattering_coefficient(
+                material, IncidenceContext(theta_i=t, wavelength=link.wavelength, polarization=polarization)
+            ).s_coeff
+            for t in theta.tolist()
+        ])
+    else:
+        s_value = replace(params, s_coeff=fixed_s).s_coeff
+    off_axis = (1.0 + np.cos(2.0 * theta)) / 2.0
+    forward, backscatter = (1.0, off_axis) if direction is Direction.SPECULAR else (off_axis, 1.0)
+    gain = forward**params.alpha_r
+    norm = single_lobe_norm(mode, params.alpha_r, theta)
+    if params.model is LobeModel.DUAL_LOBE:
+        gain = lobe_mix(params.lambda_mix, gain, backscatter**params.alpha_i)
+        norm = lobe_mix(params.lambda_mix, norm, single_lobe_norm(mode, params.alpha_i, theta))
+    const = element_constant(link, SWEEP_RANGE_M, SWEEP_RANGE_M, np.cos(theta), 1.0)
+    powers = element_power(s_value, const, gain, norm).tolist()
+    return [PatternRow(theta_i_deg=t, direction=direction, p_r_watts=p) for t, p in zip(grid, powers)]

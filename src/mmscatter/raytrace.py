@@ -22,8 +22,17 @@ import numpy as np
 
 from . import SPEED_OF_LIGHT, watts_to_dbm
 from .fileio import height_m_to_cm
-from .geometry import Scene, ScanSpec, scan_positions, specular_point
-from .lobes import LobeModel, LobeParams, NormalizationMode, RadioLink, single_lobe_norm
+from .geometry import Scene, ScanSpec, SurfacePaths, scan_positions, specular_point
+from .lobes import (
+    LobeModel,
+    LobeParams,
+    NormalizationMode,
+    RadioLink,
+    element_constant,
+    element_power,
+    lobe_mix,
+    single_lobe_norm,
+)
 from .materials import Material, MaterialDatabase, Polarization, fresnel_gamma, rayleigh_factor
 
 __all__ = [
@@ -179,16 +188,15 @@ class ScanPattern:
         """(R, T) diffuse power per tile before gating, watts, at the positions `rows` (default all)."""
         if params.model is LobeModel.DUAL_LOBE:
             return self.dual_tile_powers(params.s_coeff, params.alpha_r, params.alpha_i, params.lambda_mix, rows)
-        s_sq = params.s_coeff * params.s_coeff
-        return s_sq * self._const[rows] * self._u_power(params.alpha_r)[rows] / self._norms(params.alpha_r)
+        alpha = params.alpha_r
+        return element_power(params.s_coeff, self._const[rows], self._u_power(alpha)[rows], self._norms(alpha))
 
     def dual_tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None)) -> np.ndarray:
         """(..., R, T) dual-lobe tile powers, watts, for mixes `lambdas` of any shape (...) at the positions `rows`."""
         lam = np.asarray(lambdas, dtype=float)[..., None]
-        norm = lam * self._norms(alpha_r) + (1.0 - lam) * self._norms(alpha_i)
-        lam = lam[..., None]
-        gain = lam * self._u_power(alpha_r)[rows] + (1.0 - lam) * self._v_power(alpha_i)[rows]
-        return s_value * s_value * self._const[rows] * gain / norm[..., None, :]
+        norm = lobe_mix(lam, self._norms(alpha_r), self._norms(alpha_i))
+        gain = lobe_mix(lam[..., None], self._u_power(alpha_r)[rows], self._v_power(alpha_i)[rows])
+        return element_power(s_value, self._const[rows], gain, norm[..., None, :])
 
     def predict(self, params: LobeParams, power_gate_db: float = POWER_GATE_DB):
         """Gated per-position powers: (total_w, spec_w, diff_w, dropped_power, dropped_delay)."""
@@ -249,9 +257,9 @@ class ScanPattern:
         of the two pure ones, so for widths (a_r, a_i) and any mix no tile
         carries more than S^2 * max(forward[a_r], backscatter[a_i]).
         """
-        forward = np.array([(self._const * self._u_power(a) / self._norms(a)).max(axis=1) for a in alphas])
-        backscatter = np.array([(self._const * self._v_power(a) / self._norms(a)).max(axis=1) for a in alphas])
-        return forward, backscatter
+        forward = [element_power(1.0, self._const, self._u_power(a), self._norms(a)).max(axis=1) for a in alphas]
+        backscatter = [element_power(1.0, self._const, self._v_power(a), self._norms(a)).max(axis=1) for a in alphas]
+        return np.array(forward), np.array(backscatter)
 
     def specular_window_sums(self, alphas, lambdas) -> np.ndarray:
         """Dual-lobe diffuse sums per unit S^2 in the specular delay window: (P, A, A, L).
@@ -355,17 +363,7 @@ def build_pattern(
     n = wall.normal
     tx = scene.tx
     centers, area = tile_centers(scene, tile_edge)
-
-    to_tile = centers - tx  # (T, 3)
-    r_i = np.linalg.norm(to_tile, axis=1)
-    if np.any(r_i == 0.0):
-        raise ValueError("tx coincides with a wall tile")
-    v_i = to_tile / r_i[:, None]
-    cos_ti = np.clip(-(v_i @ n), -1.0, 1.0)
-    if np.any(cos_ti <= 0.0):
-        raise ValueError("tx does not illuminate the full wall from the outward side")
-    tile_theta = np.arccos(cos_ti)
-    spec_dir = v_i - 2.0 * (v_i @ n)[:, None] * n
+    paths = SurfacePaths(tx, centers, n)
 
     n_pos = rx.shape[0]
     n_tiles = centers.shape[0]
@@ -376,24 +374,13 @@ def build_pattern(
     spec_power = np.zeros(n_pos)
     spec_length = np.zeros(n_pos)
 
-    k_sq = link.k_const**2
-    rx_gain_scale = link.g_r * link.wavelength**2 / (480.0 * math.pi**2)
-
     for p in range(n_pos):
         rp = rx[p]
-        from_tile = rp - centers
-        r_s = np.linalg.norm(from_tile, axis=1)
-        if np.any(r_s == 0.0):
-            raise ValueError("rx coincides with a wall tile")
-        v_s = from_tile / r_s[:, None]
-        if np.any(np.clip(v_s @ n, -1.0, 1.0) < 0.0):
-            raise ValueError("rx lies behind the wall plane")
-        cos_psi_r = np.clip((v_s * spec_dir).sum(axis=1), -1.0, 1.0)
-        cos_psi_i = np.clip((v_s * -v_i).sum(axis=1), -1.0, 1.0)
+        r_s, _, cos_psi_r, cos_psi_i = paths.receiver(rp)
         u_base[p] = (1.0 + cos_psi_r) / 2.0
         v_base[p] = (1.0 + cos_psi_i) / 2.0
-        lengths[p] = r_i + r_s
-        const[p] = k_sq / (r_i * r_s) ** 2 * area * cos_ti * rx_gain_scale
+        lengths[p] = paths.r_i + r_s
+        const[p] = element_constant(link, paths.r_i, r_s, paths.cos_ti, area)
 
         sp = specular_point(tx, rp, wall)
         if sp is not None:
@@ -416,7 +403,7 @@ def build_pattern(
         scene=scene,
         link=link,
         mode=mode,
-        tile_theta=tile_theta,
+        tile_theta=np.arccos(paths.cos_ti),
         tile_area=area,
         const=const,
         u_base=u_base,

@@ -167,7 +167,7 @@ def test_criterion_5_exact_fit_recovery():
 
         evaluate = ScanEvaluator(scan, scene, cfg)
         zero_set = []
-        for s_value in s_grid(truth.s_coeff, cfg.s_span, cfg.s_step):
+        for s_value in s_grid(truth.s_coeff):
             if truth.model is LobeModel.SINGLE_LOBE:
                 shapes = [LobeParams(truth.model, s_value, a) for a in range(1, 11)]
             else:
@@ -175,7 +175,7 @@ def test_criterion_5_exact_fit_recovery():
                     LobeParams(truth.model, s_value, ar, alpha_i=ai, lambda_mix=lam_mix)
                     for ar in range(1, 11)
                     for ai in range(1, 11)
-                    for lam_mix in lambda_grid(cfg.lambda_step)
+                    for lam_mix in lambda_grid()
                 ]
             for params in shapes:
                 if evaluate(params) <= 1e-12:

@@ -119,6 +119,50 @@ def test_simulate_respects_scene_file(tmp_path):
     assert len(scan) == 38  # two heights from the scene file
 
 
+def test_fit_uses_scene_scan_radius(tmp_path):
+    # fit places the receivers on the scene file's scan radius, as simulate does
+    scene = tmp_path / "scene.txt"
+    scene.write_text(
+        "material rough_wall\nfrequency_ghz 28\nwall_center 0 0 0\nwall_normal 1 0 0\n"
+        "wall_width_m 3\nwall_height_m 3\ntx 1.299038105676658 -0.75 0\n"
+        "scan_radius_m 2.0\n",
+        encoding="utf-8",
+    )
+    sim = tmp_path / "sim.csv"
+    assert (
+        run("simulate", "--scene", str(scene), "--model", "single", "--s", "0.3", "--alpha-r", "4",
+            "--tiles-m", "0.5", "--out", str(sim))
+        == EXIT_OK
+    )
+    out = tmp_path / "fit.txt"
+    assert (
+        run("fit", "--scan", str(sim), "--scene", str(scene), "--model", "single", "--s-initial", "0.3",
+            "--tiles-m", "0.5", "--out", str(out))
+        == EXIT_OK
+    )
+    report = read_report(out)
+    assert report.fvu == 0.0
+    assert (report.best.s_coeff, report.best.alpha_r) == (0.3, 4)
+    # the scan was simulated at 2.0 m, so the default radius cannot reproduce it
+    assert (
+        run("fit", "--scan", str(sim), "--scene", str(scene), "--model", "single", "--s-initial", "0.3",
+            "--tiles-m", "0.5", "--radius", "1.5", "--out", str(out))
+        == EXIT_OK
+    )
+    assert read_report(out).fvu > 0.1
+
+
+@pytest.mark.parametrize("record", ["10.0,0.0,-inf", "10.0,0.0,inf", "10.0,inf,-60.0", "inf,0.0,-60.0"])
+def test_non_finite_scan_value_is_data_error(tmp_path, capsys, record):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"angle_deg,delta_h_cm,power_dbm\n0.0,0.0,-55.0\n{record}\n20.0,0.0,-61.0\n", encoding="utf-8")
+    code = run("fit", "--scan", str(bad), "--material", "rough_wall", "--model", "single",
+               "--s-initial", "0.3", "--tiles-m", "0.5", "--out", str(tmp_path / "r.txt"))
+    assert code == EXIT_DATA
+    assert f"{bad}:3:" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
 def test_usage_error_exit_code(tmp_path):
     assert run("simulate", "--no-such-flag") == EXIT_USAGE
     assert run("frobnicate") == EXIT_USAGE

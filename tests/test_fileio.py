@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmscatter.fileio import (
     FileFormatError,
@@ -123,6 +125,94 @@ class TestScanValidation:
         path = tmp_path / "scan.csv"
         path.write_text("angle_deg,delta_h_cm,power_dbm\n30.0,0.0,nan\n40.0,0.0,-61.0\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match="NaN"):
+            read_scan(path)
+
+
+    @pytest.mark.parametrize("record", ["40.0,0.0,inf", "40.0,0.0,-inf", "40.0,inf,-61.0", "40.0,-inf,-61.0"])
+    def test_non_finite_rejected(self, tmp_path, record):
+        path = tmp_path / "scan.csv"
+        path.write_text(f"angle_deg,delta_h_cm,power_dbm\n30.0,0.0,-60.0\n{record}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r":3: .* must be finite"):
+            read_scan(path)
+
+    def test_split_columns_accept_minus_inf(self, tmp_path):
+        # simulate writes -inf where a receiver gets no specular or no diffuse power
+        path = tmp_path / "scan.csv"
+        path.write_text(
+            "angle_deg,delta_h_cm,power_dbm,specular_dbm,diffuse_dbm\n"
+            "-90.0,0.0,-70.5,-inf,-70.5\n30.0,0.0,-40.0,-40.1,-inf\n",
+            encoding="utf-8",
+        )
+        assert read_scan(path).powers_dbm() == [-70.5, -40.0]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+scan_points = st.lists(
+    st.builds(ScanPoint, azimuth_deg=st.floats(-90.0, 90.0), delta_h_cm=finite, power_dbm=finite),
+    min_size=2,
+    max_size=12,
+    unique_by=lambda pt: pt.key,
+)
+
+
+def lobe_params():
+    s_coeff = st.floats(0.0, 1.0, exclude_max=True)
+    alpha = st.integers(1, 10)
+    single = st.builds(LobeParams, model=st.just(LobeModel.SINGLE_LOBE), s_coeff=s_coeff, alpha_r=alpha)
+    dual = st.builds(
+        LobeParams, model=st.just(LobeModel.DUAL_LOBE), s_coeff=s_coeff, alpha_r=alpha, alpha_i=alpha,
+        lambda_mix=st.floats(0.0, 1.0),
+    )
+    return single | dual
+
+
+class TestFormatProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(points=scan_points)
+    def test_scan_round_trip(self, tmp_path_factory, points):
+        scan = Scan(points=tuple(points))
+        first = tmp_path_factory.mktemp("scan") / "a.csv"
+        write_scan(scan, first)
+        assert read_scan(first) == scan
+        second = first.with_name("b.csv")
+        write_scan(read_scan(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        best=lobe_params(),
+        fvu=finite,
+        s_initial=finite,
+        trace=st.lists(
+            st.builds(
+                TraceEntry, round=st.integers(1, 99), stage=st.sampled_from("AB"), params=lobe_params(), fvu=finite
+            ),
+            max_size=6,
+        ),
+        plane_only=st.booleans(),
+        converged=st.booleans(),
+    )
+    def test_report_round_trip(self, tmp_path_factory, best, fvu, s_initial, trace, plane_only, converged):
+        report = FitReport(
+            best=best, fvu=fvu, s_initial=s_initial, trace=tuple(trace), plane_only=plane_only, converged=converged
+        )
+        path = tmp_path_factory.mktemp("report") / "report.txt"
+        write_report(report, path, header_comment="property")
+        assert read_report(path) == report
+
+    @settings(deadline=None, max_examples=60)
+    @given(points=scan_points, data=st.data())
+    def test_non_finite_scan_value_raises(self, tmp_path_factory, points, data):
+        path = tmp_path_factory.mktemp("scan") / "scan.csv"
+        write_scan(Scan(points=tuple(points)), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = data.draw(st.integers(1, len(points)))
+        column = data.draw(st.integers(0, 2))
+        fields = lines[row].split(",")
+        fields[column] = data.draw(st.sampled_from(["inf", "-inf", "nan", "Infinity"]))
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=rf":{row + 1}:"):
             read_scan(path)
 
 

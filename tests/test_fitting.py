@@ -253,7 +253,7 @@ class TestStageAScreen:
         monkeypatch.undo()
         # the +/-90 deg receivers lie in the wall plane and have no specular point
         assert fallback_rows
-        exact = np.array([evaluate(p) for p in _shape_candidates(LobeModel.DUAL_LOBE, 0.3, cfg)])
+        exact = np.array([evaluate(p) for p in _shape_candidates(LobeModel.DUAL_LOBE, 0.3)])
         assert screened.shape == exact.shape
         finite = np.isfinite(exact)
         assert np.array_equal(screened[~finite], exact[~finite])
@@ -285,7 +285,7 @@ class TestStageAScreen:
         """Per-candidate ScanEvaluator.__call__ in place of the batched screen, optionally perturbed."""
 
         def screen(evaluate, s_value):
-            exact = np.array([evaluate(p) for p in _shape_candidates(LobeModel.DUAL_LOBE, s_value, cfg)])
+            exact = np.array([evaluate(p) for p in _shape_candidates(LobeModel.DUAL_LOBE, s_value)])
             return exact * (1.0 + jitter * np.random.default_rng(7).uniform(-1.0, 1.0, exact.size))
 
         return screen

@@ -6,20 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import WAVELENGTH_28GHZ
+from mmscatter.geometry import SurfacePaths
 from mmscatter.lobes import (
+    SWEEP_RANGE_M,
     Direction,
     LobeModel,
     LobeParams,
     NormalizationMode,
     RadioLink,
-    ScatterGeometry,
-    lobe_gain,
+    element_constant,
+    element_power,
     normalization_f,
     pattern_sweep,
-    received_scatter_power,
-    scattered_field_sq,
     single_lobe_norm,
 )
+from mmscatter.materials import IncidenceContext, initial_scattering_coefficient
 
 def single(s, alpha_r):
     return LobeParams(model=LobeModel.SINGLE_LOBE, s_coeff=s, alpha_r=alpha_r)
@@ -63,16 +64,24 @@ def line_lobe_integral(alpha, theta_i):
     return float(wt @ (((1.0 + np.cos(ts - theta_i)) / 2.0) ** alpha * np.abs(np.sin(ts))))
 
 
-def make_geom(theta_i_deg=30.0, psi_r_deg=25.0, psi_i_deg=75.0, r_i=1.5, r_s=2.0, extent=0.7, theta_s_deg=40.0):
-    return ScatterGeometry(
-        r_i=r_i,
-        r_s=r_s,
-        theta_i=math.radians(theta_i_deg),
-        theta_s=math.radians(theta_s_deg),
-        psi_r=math.radians(psi_r_deg),
-        psi_i=math.radians(psi_i_deg),
-        surface_extent=extent,
-    )
+def rx_scale(link):
+    """G_r lambda^2 / (480 pi^2): received power per unit |E_s|^2."""
+    return link.g_r * link.wavelength**2 / (480.0 * math.pi**2)
+
+
+def sweep_power(material, params, link, direction, theta_deg, mode=NormalizationMode.HEMISPHERE, fixed_s=0.3):
+    return pattern_sweep(material, params, link, direction, [theta_deg], mode, fixed_s=fixed_s)[0].p_r_watts
+
+
+def forward_lobe_ratio(material, alpha, theta_deg, link):
+    """Single-lobe incident / specular sweep power: the lobe gain at psi_R = 2 theta_i.
+
+    Both receivers see the element at the same distances and incidence
+    angle, and the specular one sits on the lobe axis (gain 1).
+    """
+    params = single(0.3, alpha)
+    incident = sweep_power(material, params, link, Direction.INCIDENT, theta_deg)
+    return incident / sweep_power(material, params, link, Direction.SPECULAR, theta_deg)
 
 
 class TestLobeParams:
@@ -104,25 +113,24 @@ class TestLobeParams:
 
 
 class TestLobeGain:
-    def test_anchors(self):
-        assert lobe_gain(0.0, 1) == 1.0
-        assert lobe_gain(0.0, 10) == 1.0
-        assert lobe_gain(math.pi / 2, 2) == pytest.approx(0.25, rel=1e-15)
-        assert lobe_gain(math.pi, 5) == pytest.approx(0.0, abs=1e-30)
+    # the lobe shape ((1 + cos psi) / 2)^alpha as pattern_sweep applies it
 
-    def test_monotone_in_psi(self):
+    def test_anchors(self, materials_db, paper_link):
+        wall = materials_db.get("rough_wall")
+        assert forward_lobe_ratio(wall, 3, 30.0, paper_link) == pytest.approx(0.421875, rel=1e-14)
+        assert forward_lobe_ratio(wall, 2, 45.0, paper_link) == pytest.approx(0.25, rel=1e-14)
+        assert forward_lobe_ratio(wall, 5, 89.99, paper_link) == pytest.approx(0.0, abs=1e-30)
+
+    def test_monotone_in_psi(self, materials_db, paper_link):
+        wall = materials_db.get("rough_wall")
         for alpha in (1, 4, 10):
-            values = [lobe_gain(math.radians(p), alpha) for p in range(0, 181, 2)]
+            values = [forward_lobe_ratio(wall, alpha, float(t), paper_link) for t in range(1, 90)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_monotone_in_alpha(self):
-        psi = math.radians(50.0)
-        values = [lobe_gain(psi, a) for a in range(1, 11)]
+    def test_monotone_in_alpha(self, materials_db, paper_link):
+        wall = materials_db.get("rough_wall")
+        values = [forward_lobe_ratio(wall, a, 25.0, paper_link) for a in range(1, 11)]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_range_error(self):
-        with pytest.raises(ValueError):
-            lobe_gain(-0.01, 3)
 
 
 class TestNormalization:
@@ -201,83 +209,99 @@ class TestNormalization:
 
 
 class TestScatteredField:
-    def test_zero_s_scatters_nothing(self, paper_link):
-        assert scattered_field_sq(single(0.0, 4), make_geom(), paper_link) == 0.0
+    def test_zero_s_scatters_nothing(self, materials_db, paper_link):
+        grid = [float(t) for t in range(1, 90)]
+        for params in (single(0.0, 4), dual(0.0, 2, 9, 0.3)):
+            for direction in Direction:
+                rows = pattern_sweep(materials_db.get("rough_wall"), params, paper_link, direction, grid, fixed_s=0.0)
+                assert [row.p_r_watts for row in rows] == [0.0] * len(grid)
 
     def test_inverse_square_pair(self, paper_link):
-        near = scattered_field_sq(single(0.3, 4), make_geom(r_i=1.5, r_s=1.5), paper_link)
-        far = scattered_field_sq(single(0.3, 4), make_geom(r_i=3.0, r_s=3.0), paper_link)
+        near = element_constant(paper_link, 1.5, 1.5, math.cos(0.4), 0.7)
+        far = element_constant(paper_link, 3.0, 3.0, math.cos(0.4), 0.7)
         assert near / far == pytest.approx(16.0, rel=1e-12)
 
-    def test_frozen_transcription_value(self, paper_link):
+    def test_frozen_transcription_value(self, materials_db, paper_link):
         # independent high-precision transcription of the single-lobe formula
         # (S=0.3, alpha_R=4, theta_i=30 deg, psi_R=0, r_i=r_s=1.5, l=1,
         #  K from 10 dBm / 15 dBi, hemisphere normalization)
-        geom = make_geom(theta_i_deg=30.0, psi_r_deg=0.0, psi_i_deg=60.0, r_i=1.5, r_s=1.5, extent=1.0, theta_s_deg=30.0)
-        got = scattered_field_sq(single(0.3, 4), geom, paper_link, NormalizationMode.HEMISPHERE)
-        assert got == pytest.approx(0.12594525392857644, rel=1e-14)
+        assert SWEEP_RANGE_M == 1.5
+        power = sweep_power(materials_db.get("rough_wall"), single(0.3, 4), paper_link, Direction.SPECULAR, 30.0)
+        assert power / rx_scale(paper_link) == pytest.approx(0.12594525392857644, rel=1e-14)
 
-    def test_dual_mix_component_decomposition(self, paper_link):
+    def test_dual_mix_component_decomposition(self, materials_db, paper_link):
         # result(mix) splits into mix-weighted forward and backward lobes
-        # under the shared normalization, to 1e-12
-        geom = make_geom()
+        # under the shared normalization, to 1e-12; the incident receiver
+        # sits at psi_R = 2 theta_i and psi_i = 0
+        theta = math.radians(30.0)
         for lam in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
             params = dual(0.4, 3, 7, lam)
-            full = scattered_field_sq(params, geom, paper_link)
-            norm = normalization_f(params, geom.theta_i)
+            wall = materials_db.get("rough_wall")
+            full = sweep_power(wall, params, paper_link, Direction.INCIDENT, 30.0, fixed_s=0.4)
             base = (
-                (params.s_coeff * paper_link.k_const / (geom.r_i * geom.r_s)) ** 2
-                * geom.surface_extent
-                * math.cos(geom.theta_i)
-                / norm
+                (0.4 * paper_link.k_const / (1.5 * 1.5)) ** 2
+                * math.cos(theta)
+                / normalization_f(params, theta)
+                * rx_scale(paper_link)
             )
-            forward = base * lobe_gain(geom.psi_r, params.alpha_r)
-            backward = base * lobe_gain(geom.psi_i, params.alpha_i)
-            assert abs(full - (lam * forward + (1.0 - lam) * backward)) <= 1e-12 * max(full, 1.0)
+            forward = base * ((1.0 + math.cos(2.0 * theta)) / 2.0) ** 3
+            backward = base
+            assert abs(full - (lam * forward + (1.0 - lam) * backward)) <= 1e-12 * full
 
-    def test_specular_peak_dominance(self, paper_link):
-        peak = scattered_field_sq(single(0.3, 5), make_geom(psi_r_deg=0.0), paper_link)
-        for psi in range(1, 181, 6):
-            off = scattered_field_sq(single(0.3, 5), make_geom(psi_r_deg=float(psi)), paper_link)
+    def test_specular_peak_dominance(self, materials_db, paper_link):
+        # the specular receiver sits on the lobe axis, the incident one at psi_R = 2 theta_i
+        wall = materials_db.get("rough_wall")
+        for theta_deg in range(1, 90, 3):
+            peak = sweep_power(wall, single(0.3, 5), paper_link, Direction.SPECULAR, float(theta_deg))
+            off = sweep_power(wall, single(0.3, 5), paper_link, Direction.INCIDENT, float(theta_deg))
             assert peak >= off
 
-    def test_full_grid_finite_nonnegative(self, paper_link):
-        for theta_deg in range(1, 90, 1):
-            theta = math.radians(theta_deg)
-            geom = ScatterGeometry(
-                r_i=1.5, r_s=1.5, theta_i=theta, theta_s=theta, psi_r=0.0, psi_i=min(2 * theta, math.pi)
-            )
-            for alpha in range(1, 11):
-                value = scattered_field_sq(single(0.3, alpha), geom, paper_link)
-                assert math.isfinite(value) and value >= 0.0
-                for tenths in range(0, 11):
-                    lam = round(tenths * 0.1, 10)
-                    value = scattered_field_sq(dual(0.3, alpha, 11 - alpha, lam), geom, paper_link)
-                    assert math.isfinite(value) and value >= 0.0
+    def test_full_grid_finite_nonnegative(self, materials_db, paper_link):
+        grid = [float(t) for t in range(1, 90)]
+        wall = materials_db.get("rough_wall")
+        for alpha in range(1, 11):
+            shapes = [single(0.3, alpha)] + [dual(0.3, alpha, 11 - alpha, round(k * 0.1, 10)) for k in range(11)]
+            for params in shapes:
+                for direction in Direction:
+                    for row in pattern_sweep(wall, params, paper_link, direction, grid, fixed_s=0.3):
+                        assert math.isfinite(row.p_r_watts) and row.p_r_watts >= 0.0
 
     def test_degenerate_geometry(self):
+        # the kernel's geometry rejects a Tx on an element, a Tx that does not
+        # illuminate the surface, and a receiver behind the wall plane
+        normal = np.array([1.0, 0.0, 0.0])
+        points = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
         with pytest.raises(ValueError):
-            make_geom(r_i=0.0)
+            SurfacePaths(np.array([0.0, 0.5, 0.0]), points, normal)
         with pytest.raises(ValueError):
-            make_geom(r_s=0.0)
+            SurfacePaths(np.array([-1.0, 0.0, 0.0]), points, normal)
+        paths = SurfacePaths(np.array([1.0, -0.5, 0.0]), points, normal)
+        with pytest.raises(ValueError):
+            paths.receiver(np.array([-0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError):
+            paths.receiver(points[1])
 
 
 class TestReceivedPower:
-    def test_zero(self):
-        assert received_scatter_power(0.0, 10**1.5, WAVELENGTH_28GHZ) == 0.0
+    # element_constant carries K^2 and the receive factor G_r lambda^2 / (480 pi^2)
 
-    def test_frozen_value(self):
-        got = received_scatter_power(1.0, 10**1.5, WAVELENGTH_28GHZ)
+    def test_zero(self, paper_link):
+        # an element seen edge-on from the Tx (cos theta_i = 0) scatters nothing
+        assert element_constant(paper_link, 1.5, 1.5, 0.0, 1.0) == 0.0
+
+    def test_frozen_value(self, paper_link):
+        got = element_constant(paper_link, 1.0, 1.0, 1.0, 1.0) / paper_link.k_const**2
         assert got == pytest.approx(7.6627642426813431e-07, rel=1e-12)
         assert got == pytest.approx(7.66e-7, rel=1e-3)
 
     def test_linearity(self):
-        base = received_scatter_power(2.5, 10.0, WAVELENGTH_28GHZ)
-        assert received_scatter_power(25.0, 10.0, WAVELENGTH_28GHZ) == pytest.approx(10.0 * base, rel=1e-14)
-
-    def test_negative_error(self):
-        with pytest.raises(ValueError):
-            received_scatter_power(-1.0, 10.0, WAVELENGTH_28GHZ)
+        low = RadioLink(p_t=0.01, g_t=10.0, g_r=10.0, wavelength=WAVELENGTH_28GHZ)
+        high = RadioLink(p_t=0.01, g_t=10.0, g_r=100.0, wavelength=WAVELENGTH_28GHZ)
+        base = element_constant(low, 1.5, 2.0, 0.8, 0.25)
+        assert element_constant(high, 1.5, 2.0, 0.8, 0.25) == pytest.approx(10.0 * base, rel=1e-14)
+        assert element_constant(low, 1.5, 2.0, 0.8, 2.5) == pytest.approx(10.0 * base, rel=1e-14)
+        power = element_power(0.3, base, 0.5, 2.0)
+        assert element_power(0.3, 10.0 * base, 0.5, 2.0) == pytest.approx(10.0 * power, rel=1e-14)
 
 
 class TestRadioLink:
@@ -314,8 +338,32 @@ class TestPatternSweep:
             assert s_row.p_r_watts >= i_row.p_r_watts
 
     def test_material_smoke_caches(self, materials_db, paper_link):
-        # second call must hit the normalization cache and agree exactly
+        # repeat calls agree exactly
         mat = materials_db.get("marble_wall")
         a = pattern_sweep(mat, single(0.0, 4), paper_link, Direction.SPECULAR, [20.0, 40.0])
         b = pattern_sweep(mat, single(0.0, 4), paper_link, Direction.SPECULAR, [20.0, 40.0])
         assert [r.p_r_watts for r in a] == [r.p_r_watts for r in b]
+
+    @pytest.mark.parametrize("mode", list(NormalizationMode))
+    @pytest.mark.parametrize("params", [single(0.0, 4), dual(0.0, 2, 9, 0.3)], ids=["single", "dual"])
+    def test_matches_written_out_formula(self, materials_db, paper_link, params, mode):
+        # the per-angle formula, written out here with the theory S of each angle:
+        # P_r = (S K / r^2)^2 cos(theta) / F * gain * G_r lambda^2 / (480 pi^2)
+        grid = [float(t) for t in range(1, 90)]
+        for name in materials_db.names():
+            material = materials_db.get(name)
+            for direction in Direction:
+                rows = pattern_sweep(material, params, paper_link, direction, grid, mode)
+                for theta_deg, row in zip(grid, rows):
+                    theta = math.radians(theta_deg)
+                    s = initial_scattering_coefficient(material, IncidenceContext(theta, paper_link.wavelength)).s_coeff
+                    off_axis = (1.0 + math.cos(2.0 * theta)) / 2.0
+                    forward, back = (1.0, off_axis) if direction is Direction.SPECULAR else (off_axis, 1.0)
+                    gain = forward**params.alpha_r
+                    if params.model is LobeModel.DUAL_LOBE:
+                        gain = params.lambda_mix * gain + (1.0 - params.lambda_mix) * back**params.alpha_i
+                    field_sq = (s * paper_link.k_const / 1.5**2) ** 2 * math.cos(theta) / normalization_f(
+                        params, theta, mode
+                    ) * gain
+                    assert row.theta_i_deg == theta_deg and row.direction is direction
+                    assert row.p_r_watts == pytest.approx(field_sq * rx_scale(paper_link), rel=1e-14)

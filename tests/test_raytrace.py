@@ -11,11 +11,10 @@ from mmscatter.geometry import (
     Scene,
     Wall,
     paper_scene,
-    patch_angles,
     rx_position,
     scan_positions,
 )
-from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, normalization_f, scattered_field_sq
+from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, normalization_f
 from mmscatter.materials import IncidenceContext, Material, initial_scattering_coefficient
 from mmscatter.raytrace import (
     LENGTH_GATE_M,
@@ -195,10 +194,31 @@ class TestKernelAgreement:
         rx = np.array([p.position for p in scan_positions(scene30, ScanSpec())])
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.25, mode)
         centers, area = tile_centers(scene30, 0.25)
+        tx, n = scene30.tx.tolist(), scene30.wall.normal.tolist()
         rx_scale = paper_link.g_r * paper_link.wavelength**2 / (480.0 * math.pi**2)
-        geoms = [[patch_angles(scene30.tx, r, c, scene30.wall.normal, area) for c in centers] for r in rx]
-        scalar = np.array([[scattered_field_sq(params, g, paper_link, mode) for g in row] for row in geoms])
-        assert np.allclose(scalar * rx_scale, pattern.tile_powers(params), rtol=1e-12, atol=0.0)
+
+        def per_path_power(r, c):
+            # P = S^2 K^2 / (r_i r_s)^2 * A cos(theta_i) * G_r lambda^2 / (480 pi^2) * gain / F
+            to_c = [ci - ti for ci, ti in zip(c, tx)]
+            from_c = [ri - ci for ri, ci in zip(r, c)]
+            r_i, r_s = math.hypot(*to_c), math.hypot(*from_c)
+            v_i = [x / r_i for x in to_c]
+            v_s = [x / r_s for x in from_c]
+            cos_ti = -sum(a * b for a, b in zip(v_i, n))
+            along_n = sum(a * b for a, b in zip(v_i, n))
+            mirror = [a - 2.0 * along_n * b for a, b in zip(v_i, n)]
+            cos_psi_r = sum(a * b for a, b in zip(v_s, mirror))
+            cos_psi_i = -sum(a * b for a, b in zip(v_s, v_i))
+            gain = ((1.0 + cos_psi_r) / 2.0) ** params.alpha_r
+            if params.model is LobeModel.DUAL_LOBE:
+                lam = params.lambda_mix
+                gain = lam * gain + (1.0 - lam) * ((1.0 + cos_psi_i) / 2.0) ** params.alpha_i
+            norm = normalization_f(params, math.acos(cos_ti), mode)
+            field_sq = (params.s_coeff * paper_link.k_const / (r_i * r_s)) ** 2 * area * cos_ti * gain / norm
+            return field_sq * rx_scale
+
+        per_path = np.array([[per_path_power(r, c) for c in centers.tolist()] for r in rx.tolist()])
+        assert np.allclose(pattern.tile_powers(params), per_path, rtol=1e-12, atol=0.0)
 
 
 class TestNormTable:
