@@ -36,6 +36,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+DEFAULT_FREQ_GHZ = 28.0
+
 _MODES = {"hemisphere": NormalizationMode.HEMISPHERE, "line": NormalizationMode.PAPER_LINE}
 
 
@@ -80,13 +82,13 @@ def _input_digests(args) -> dict[str, str]:
     return inputs
 
 
-def _link(args) -> RadioLink:
+def _link(args, frequency_hz: float) -> RadioLink:
     gain = 10.0 ** (args.gain_dbi / 10.0)
     return RadioLink(
         p_t=dbm_to_watts(args.p_t_dbm),
         g_t=gain,
         g_r=gain,
-        wavelength=wavelength_for_frequency(args.freq_ghz * 1e9),
+        wavelength=wavelength_for_frequency(frequency_hz),
     )
 
 
@@ -107,10 +109,20 @@ def _theta_grid(args) -> list[float]:
 
 
 def _resolve_scene(args, db):
-    """Scene from --scene, else the default layout from --material/--theta-deg."""
+    """Scene from --scene, else the default layout from --material/--theta-deg.
+
+    The scene carries the one carrier frequency of the call: a scene file's
+    frequency_ghz, which an explicit --freq-ghz must match, else --freq-ghz.
+    """
     inline_spec = None
-    if getattr(args, "scene", None):
+    if args.scene:
         scene, inline_spec = read_scene(args.scene)
+        if args.freq_ghz is not None and args.freq_ghz * 1e9 != scene.carrier_frequency:
+            raise ValueError(
+                f"--freq-ghz {args.freq_ghz!r} conflicts with frequency_ghz {scene.carrier_frequency / 1e9!r}"
+                f" of scene file {args.scene}"
+            )
+        args.freq_ghz = scene.carrier_frequency / 1e9
     else:
         scene = paper_scene(args.material, args.theta_deg, frequency_hz=args.freq_ghz * 1e9)
     db.get(scene.wall.material)
@@ -142,7 +154,7 @@ def _theoretical_s(scene, db, args) -> float:
     material = db.get(scene.wall.material)
     ctx = IncidenceContext(
         theta_i=scene.incidence_angle,
-        wavelength=wavelength_for_frequency(args.freq_ghz * 1e9),
+        wavelength=wavelength_for_frequency(scene.carrier_frequency),
         polarization=Polarization[args.pol],
     )
     return initial_scattering_coefficient(material, ctx).s_coeff
@@ -197,7 +209,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_pattern(args) -> int:
     db = _materials_db(args)
-    link = _link(args)
+    link = _link(args, args.freq_ghz * 1e9)
     theta_grid = _theta_grid(args)
     template = _lobe_params(args, 0.0)
     rows = []
@@ -232,7 +244,7 @@ def _cmd_simulate(args) -> int:
     db = _materials_db(args)
     scene, inline_spec = _resolve_scene(args, db)
     spec = _resolve_scanspec(args, inline_spec)
-    link = _link(args)
+    link = _link(args, scene.carrier_frequency)
     s_coeff = args.s if args.s is not None else _theoretical_s(scene, db, args)
     params = _lobe_params(args, s_coeff)
     records = simulate_scan(
@@ -247,7 +259,7 @@ def _cmd_fit(args) -> int:
     db = _materials_db(args)
     scene, inline_spec = _resolve_scene(args, db)
     scan = read_scan(args.scan)
-    link = _link(args)
+    link = _link(args, scene.carrier_frequency)
     s_initial = args.s_initial if args.s_initial is not None else _theoretical_s(scene, db, args)
     cfg = SearchConfig(
         link=link,
@@ -305,7 +317,12 @@ def _cmd_angles(args) -> int:
 
 def _add_shared(parser, with_scene: bool = False) -> None:
     parser.add_argument("--materials-file", help="material database file (default: built-in table)")
-    parser.add_argument("--freq-ghz", type=float, default=28.0, help="carrier frequency (default 28)")
+    parser.add_argument(
+        "--freq-ghz",
+        type=float,
+        default=None,
+        help=f"carrier frequency (default: the scene file's, else {DEFAULT_FREQ_GHZ:g})",
+    )
     parser.add_argument("--pol", choices=("TE", "TM"), default="TE", help="polarization for Gamma (default TE)")
     parser.add_argument("--out", required=True, help="output file path")
     if with_scene:
@@ -394,6 +411,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.freq_ghz is None and not getattr(args, "scene", None):
+        args.freq_ghz = DEFAULT_FREQ_GHZ
     try:
         return args.func(args)
     except (FileFormatError, FileNotFoundError, IsADirectoryError, DegenerateScanError, KeyError) as exc:

@@ -66,6 +66,13 @@ def _parse_float(token: str, source: str, lineno: int, what: str) -> float:
     return value
 
 
+def _parse_finite(token: str, source: str, lineno: int, what: str) -> float:
+    value = _parse_float(token, source, lineno, what)
+    if math.isinf(value):
+        raise _err(source, lineno, f"{what} must be finite, got {value!r}")
+    return value
+
+
 def height_m_to_cm(delta_h_m: float) -> float:
     """Height offset in the scan-file unit; quantized to 1e-9 cm so the
     common decimal heights (0.1 m, 0.2 m, ...) convert without float dust."""
@@ -149,11 +156,9 @@ def read_scan(path) -> Scan:
         if len(fields) != n_cols:
             raise _err(source, no, f"expected {n_cols} fields, got {len(fields)}")
         names = header.split(",")
-        values = [_parse_float(tok, source, no, name) for tok, name in zip(fields, names)]
+        values = [_parse_finite(tok, source, no, name) for tok, name in zip(fields[:3], names)]
         # simulated scans write -inf to the split columns where a path family is empty
-        for value, name in zip(values[:3], names):
-            if not math.isfinite(value):
-                raise _err(source, no, f"{name} must be finite, got {value!r}")
+        values += [_parse_float(tok, source, no, name) for tok, name in zip(fields[3:], names[3:])]
         try:
             point = ScanPoint(azimuth_deg=values[0], delta_h_cm=values[1], power_dbm=values[2])
         except ValueError as exc:
@@ -224,7 +229,7 @@ def _parse_length(token: str, default_unit: str, source: str, lineno: int, what:
             raise _err(source, lineno, f"unknown unit {unit!r} for {what} (use m, cm, or mm)")
     else:
         raise _err(source, lineno, f"malformed {what} value {token!r}")
-    return _parse_float(parts[0], source, lineno, what) * _LENGTH_UNITS[unit]
+    return _parse_finite(parts[0], source, lineno, what) * _LENGTH_UNITS[unit]
 
 
 def _parse_materials(lines, source: str) -> MaterialDatabase:
@@ -273,7 +278,7 @@ def _parse_materials(lines, source: str) -> MaterialDatabase:
                 raise _err(source, no, f"duplicate key {key} for material {current_name!r}")
             unit = _MATERIAL_KEYS[key]
             if unit is None:
-                fields[key] = _parse_float(value, source, no, key)
+                fields[key] = _parse_finite(value, source, no, key)
             else:
                 fields[key] = _parse_length(value, unit, source, no, key)
         else:
@@ -318,10 +323,10 @@ def read_scene(path) -> tuple[Scene, ScanSpec | None]:
         if key == "material":
             values[key] = rest
         elif key in _SCENE_SCALARS or key in {"scan_radius_m", "scan_step_deg", "scan_range_deg"}:
-            values[key] = _parse_float(rest, source, no, key)
+            values[key] = _parse_finite(rest, source, no, key)
         elif key in _SCENE_VECTORS or key == "scan_heights_m":
             tokens = rest.split()
-            vec = [_parse_float(t, source, no, key) for t in tokens]
+            vec = [_parse_finite(t, source, no, key) for t in tokens]
             if key in _SCENE_VECTORS and len(vec) != 3:
                 raise _err(source, no, f"{key} needs 3 components, got {len(vec)}")
             values[key] = vec

@@ -9,15 +9,16 @@ less than 1e-4 or the round budget is spent.
 
 The FVU that decides a fit always comes from the tiled single-bounce
 predictor that simulate_scan uses, so a scan generated by this package is
-reproduced bit-exactly. The 1,100 dual-lobe shapes of stage A are first
-screened together by matrix products (ScanEvaluator.screen_dual_shapes,
-accurate to about 1e-15); only the shapes within CONFIRM_MARGIN of the
-screen's best are then scored by the predictor, and only those exact FVUs
-take part in choosing the best. See docs/stage_a_screen.md.
+reproduced bit-exactly. Every stage is first screened from per-pattern
+tables (ScanEvaluator.screen, accurate to about 1e-15); only the
+candidates within CONFIRM_MARGIN of the stage's screened best are then
+scored by the predictor, and only those exact FVUs take part in choosing
+the best. See docs/stage_a_screen.md.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -52,9 +53,9 @@ S_STEP = 0.05
 LAMBDA_STEP = 0.1
 # rounds stop once the best FVU improves by less than this
 IMPROVEMENT_TOL = 1e-4
-# stage-A shapes whose screened FVU lies within this of the screen's best are
-# scored exactly; far above FVU_TIE_TOL times the shape count and the ~1e-15
-# screen error, so every shape that can become the best is confirmed
+# candidates whose screened FVU lies within this of their stage's screened best
+# are scored exactly; far above FVU_TIE_TOL times the candidate count and the
+# ~1e-15 screen error, so every candidate that can become the best is confirmed
 CONFIRM_MARGIN = 1e-8
 # relative inflation of the anchor certificate, far above the few-ulp rounding
 # of the tile powers that predict compares with the specular power
@@ -150,8 +151,11 @@ def lambda_grid() -> list[float]:
     return values
 
 
-# the stage-A mixes, built once
+# the stage-A widths and mixes, built once
+_ALPHAS = tuple(range(ALPHA_MIN, ALPHA_MAX + 1))
 _LAMBDAS = tuple(lambda_grid())
+# screen candidates in blocks of this many, so its (P, block) temporaries stay small
+_SCREEN_BLOCK = 128
 
 
 def lambda_prior(theta_i: float) -> float:
@@ -188,16 +192,72 @@ class _Candidate:
         return self.key < other.key
 
 
-def _specular_anchor_certified(spec_power, s_value: float, forward_peak, backscatter_peak):
-    """True where the specular path anchors predict's delay window for every mix of a width pair.
+def _specular_anchor_certified(spec_power, s_value, peak):
+    """True where the specular path anchors predict's delay window.
 
-    forward_peak and backscatter_peak are ScanPattern.lobe_peaks rows of the
-    pair's widths. By the mediant inequality no tile then outweighs the
-    specular power, whatever lambda; the bound is inflated by
-    _CERTIFICATE_MARGIN so that rounding in the tile powers cannot flip it.
+    peak bounds every tile power per unit S^2 (from ScanPattern.lobe_peaks:
+    by the mediant inequality, the larger of the two pure-lobe peaks of the
+    shape's widths). The bound is inflated by _CERTIFICATE_MARGIN so that
+    rounding in the tile powers cannot flip it.
     """
-    bound = s_value * s_value * (1.0 + _CERTIFICATE_MARGIN) * np.maximum(forward_peak, backscatter_peak)
-    return spec_power >= bound
+    return spec_power >= s_value * s_value * (1.0 + _CERTIFICATE_MARGIN) * peak
+
+
+def _shape_grid(model_kind: LobeModel):
+    """(alphas_r, alphas_i, lambdas) whose product, in this order, is the model's stage-A shapes.
+
+    The single lobe is the mix-1 slice of the dual lobe: at lambda 1 the
+    backscatter lobe has weight zero and its width drops out, so one
+    nominal width stands for it.
+    """
+    if model_kind is LobeModel.SINGLE_LOBE:
+        return _ALPHAS, (ALPHA_MIN,), (1.0,)
+    return _ALPHAS, _ALPHAS, _LAMBDAS
+
+
+class _ScreenTables:
+    """Per-unit-S^2 tables of one model's stage-A shapes, built once per pattern.
+
+    Column n is shape n of _shape_candidates; shapes[n] is its (alpha_r,
+    alpha_i, lambda) on the grid of the dual-lobe formula. window[p, n] is
+    the diffuse sum in the delay window that predict anchors at position p:
+    on the specular path where there is one, else on the strongest tile.
+    peak[p, n] bounds every tile power (the specular certificate);
+    tile_certified[p, n] is the tile-anchor certificate of the positions
+    with no specular path.
+    """
+
+    def __init__(self, pattern, model_kind: LobeModel):
+        alphas_r, alphas_i, lambdas = _shape_grid(model_kind)
+        self.shapes = list(itertools.product(alphas_r, alphas_i, lambdas))
+        n_pos = pattern.n_positions
+        lam = np.asarray(lambdas)
+        # a lobe of weight zero bounds nothing
+        peak = np.where(lam > 0.0, pattern.lobe_peaks(alphas_r).T[:, :, None, None], 0.0)
+        if np.any(lam < 1.0):
+            backscatter = pattern.lobe_peaks(alphas_i, backscatter=True).T[:, None, :, None]
+            peak = np.maximum(peak, np.where(lam < 1.0, backscatter, 0.0))
+        self.peak = np.broadcast_to(peak, (n_pos, len(alphas_r), len(alphas_i), len(lambdas))).reshape(n_pos, -1)
+        self.window = pattern.specular_window_sums(alphas_r, alphas_i, lambdas).reshape(n_pos, -1)
+        self.spec_power = pattern.spec_power
+        self.no_spec = self.spec_power == 0.0
+        self.tile_certified = np.zeros(self.window.shape, dtype=bool)
+        rows = np.flatnonzero(self.no_spec)
+        if rows.size:
+            sums, certified = pattern.tile_window_sums(alphas_r, alphas_i, lambdas, rows, _CERTIFICATE_MARGIN)
+            self.window[rows] = sums.reshape(rows.size, -1)
+            self.tile_certified[rows] = certified.reshape(rows.size, -1)
+        self.columns = {
+            (p.alpha_r, p.alpha_i, p.lambda_mix): n for n, p in enumerate(_shape_candidates(model_kind, 0.5))
+        }
+
+    def certified(self, s_value, columns):
+        """(P, Q) mask of the table entries that equal predict's anchored sum at S s_value[q]."""
+        return np.where(
+            self.no_spec[:, None],
+            self.tile_certified[:, columns],
+            _specular_anchor_certified(self.spec_power[:, None], s_value, self.peak[:, columns]),
+        )
 
 
 class ScanEvaluator:
@@ -214,55 +274,63 @@ class ScanEvaluator:
         self.pattern = build_pattern(
             scene, positions, cfg.link, cfg.materials, cfg.tile_edge, cfg.mode, cfg.polarization
         )
-        self._screen_tables = None
+        self._tables: dict[LobeModel, _ScreenTables] = {}
 
     def __call__(self, params: LobeParams) -> float:
         total_w, _, _, _, _ = self.pattern.predict(params)
         simulated = [watts_to_dbm(float(w)) for w in total_w]
         return fvu(self.measured, simulated)
 
-    def screen_dual_shapes(self, s_value: float) -> np.ndarray:
-        """Screened FVU of every dual-lobe stage-A shape at s_value, in _shape_candidates order.
+    def screen(self, candidates) -> np.ndarray:
+        """Screened FVU of candidates of one model (stage-A shapes at any S), in order.
 
-        At the positions where the specular path is certified to anchor the
-        delay window for every mix of a width pair, the diffuse sum is s^2
-        times a precomputed specular-window sum; every other position goes
-        through the gate of predict. The values agree with __call__ to
-        rounding (about 1e-15).
+        At each position the diffuse sum is s^2 times the model's table entry
+        where a certificate says the table's delay window is predict's;
+        every other position goes through the gate of predict. The values
+        agree with __call__ to rounding (about 1e-15).
         """
+        model_kind = candidates[0].model
+        tables = self._tables.get(model_kind)
+        if tables is None:
+            tables = self._tables[model_kind] = _ScreenTables(self.pattern, model_kind)
+        columns = np.array([tables.columns[(p.alpha_r, p.alpha_i, p.lambda_mix)] for p in candidates])
+        s_values = np.array([p.s_coeff for p in candidates])
+        return np.concatenate([
+            self._screen_block(tables, s_values[k : k + _SCREEN_BLOCK], columns[k : k + _SCREEN_BLOCK])
+            for k in range(0, len(candidates), _SCREEN_BLOCK)
+        ])
+
+    def _screen_block(self, tables: _ScreenTables, s_values, columns) -> np.ndarray:
         pattern = self.pattern
-        alphas = range(ALPHA_MIN, ALPHA_MAX + 1)
-        if self._screen_tables is None:
-            forward, backscatter = pattern.lobe_peaks(alphas)
-            self._screen_tables = (forward, backscatter, pattern.specular_window_sums(alphas, _LAMBDAS))
-        forward, backscatter, window_sums = self._screen_tables
-        s_sq = s_value * s_value
         spec = pattern.spec_power
+        s_sq = s_values * s_values
+        spec_w, diff_w = power_gate(spec[:, None], s_sq * tables.window[:, columns])
+        total_w = spec_w + diff_w  # (P, Q)
+        uncertified = ~tables.certified(s_values, columns)
+        # the gate of predict, once per S and width pair for all its mixes
+        groups: dict[tuple, list[tuple[int, float]]] = {}
+        for q in np.flatnonzero(uncertified.any(axis=0)).tolist():
+            a_r, a_i, lam = tables.shapes[columns[q]]
+            groups.setdefault((float(s_values[q]), a_r, a_i), []).append((q, lam))
+        for (s_value, a_r, a_i), members in groups.items():
+            qs, lambdas = map(list, zip(*members))
+            rows = np.flatnonzero(uncertified[:, qs].any(axis=1))
+            tile_p = pattern.dual_tile_powers(s_value, a_r, a_i, lambdas, rows)  # (G, R, T)
+            total_w[np.ix_(rows, qs)] = pattern.gate(tile_p, rows)[0].T
         measured = np.asarray(self.measured)
         denom = float(((measured - measured.mean()) ** 2).sum())
-        n_lam = len(_LAMBDAS)
-        values = np.empty((len(alphas), len(alphas) * n_lam))
-        for i, alpha_r in enumerate(alphas):
-            certified = _specular_anchor_certified(spec, s_value, forward[i], backscatter)  # (A, P)
-            spec_w, diff_w = power_gate(spec[:, None, None], s_sq * window_sums[:, i])
-            total_w = spec_w + diff_w  # (P, A, L)
-            for j in np.flatnonzero(~certified.all(axis=1)):
-                rows = np.flatnonzero(~certified[j])
-                tile_p = pattern.dual_tile_powers(s_value, alpha_r, alphas[j], _LAMBDAS, rows)  # (L, R, T)
-                total_w[rows, j] = pattern.gate(tile_p, rows)[0].T
-            with np.errstate(divide="ignore"):
-                simulated = 10.0 * np.log10(total_w.reshape(len(spec), -1) / DBM_REF_WATTS)
-            values[i] = np.sqrt(((measured[:, None] - simulated) ** 2).sum(axis=0) / denom)
-        return values.ravel()
+        with np.errstate(divide="ignore"):
+            simulated = 10.0 * np.log10(total_w / DBM_REF_WATTS)
+        return np.sqrt(((measured[:, None] - simulated) ** 2).sum(axis=0) / denom)
 
 
 def _shape_candidates(model_kind: LobeModel, s_value: float):
     if model_kind is LobeModel.SINGLE_LOBE:
-        for alpha_r in range(ALPHA_MIN, ALPHA_MAX + 1):
+        for alpha_r in _ALPHAS:
             yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r)
         return
-    for alpha_r in range(ALPHA_MIN, ALPHA_MAX + 1):
-        for alpha_i in range(ALPHA_MIN, ALPHA_MAX + 1):
+    for alpha_r in _ALPHAS:
+        for alpha_i in _ALPHAS:
             for lam in _LAMBDAS:
                 yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
 
@@ -295,33 +363,25 @@ def grid_fit(
     trace: list[TraceEntry] = []
     best: _Candidate | None = None
 
-    def consider(rnd: int, stage: str, params: LobeParams) -> None:
+    def stage(rnd: int, name: str, candidates: list[LobeParams]) -> None:
+        """Screen every candidate; score exactly, and let compete, those near the screened minimum."""
         nonlocal best
-        value = evaluate(params)
-        trace.append(TraceEntry(round=rnd, stage=stage, params=params, fvu=value))
-        candidate = _Candidate(params, value, s_initial, prior)
-        if candidate.beats(best):
-            best = candidate
+        screened = evaluate.screen(candidates)
+        cutoff = screened.min() + CONFIRM_MARGIN
+        for params, value in zip(candidates, screened.tolist()):
+            if value <= cutoff:
+                value = evaluate(params)
+                candidate = _Candidate(params, value, s_initial, prior)
+                if candidate.beats(best):
+                    best = candidate
+            trace.append(TraceEntry(round=rnd, stage=name, params=params, fvu=value))
 
     current_s = s_initial
     previous_round_fvu = math.inf
     converged = False
     for rnd in range(1, search_cfg.max_rounds + 1):
-        shapes = _shape_candidates(model_kind, current_s)
-        if model_kind is LobeModel.DUAL_LOBE:
-            screened = evaluate.screen_dual_shapes(current_s)
-            cutoff = screened.min() + CONFIRM_MARGIN
-            for params, value in zip(shapes, screened.tolist()):
-                if value > cutoff:
-                    trace.append(TraceEntry(round=rnd, stage="A", params=params, fvu=value))
-                else:
-                    consider(rnd, "A", params)
-        else:
-            for params in shapes:
-                consider(rnd, "A", params)
-        shape = best.params
-        for s_value in s_grid(s_initial):
-            consider(rnd, "B", replace(shape, s_coeff=s_value))
+        stage(rnd, "A", list(_shape_candidates(model_kind, current_s)))
+        stage(rnd, "B", [replace(best.params, s_coeff=s_value) for s_value in s_grid(s_initial)])
         current_s = best.params.s_coeff
         if best.fvu == 0.0:
             converged = True

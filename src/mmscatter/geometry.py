@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,15 +62,15 @@ class Wall:
         if abs(float(np.dot(self.normal, _UP))) > 1.0 - 1e-9:
             raise ValueError("wall normal must not be vertical")
 
-    @property
+    @cached_property
     def u_axis(self) -> np.ndarray:
-        """Horizontal in-wall axis (width direction)."""
+        """Horizontal in-wall axis (width direction), computed once per wall."""
         u = np.cross(_UP, self.normal)
         return u / np.linalg.norm(u)
 
-    @property
+    @cached_property
     def w_axis(self) -> np.ndarray:
-        """Vertical in-wall axis (height direction)."""
+        """Vertical in-wall axis (height direction), computed once per wall."""
         return np.cross(self.normal, self.u_axis)
 
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:

@@ -204,9 +204,16 @@ def normalization_f(params: LobeParams, theta_i: float, mode: NormalizationMode 
     return lobe_mix(params.lambda_mix, f_forward, float(single_lobe_norm(mode, params.alpha_i, theta_i)))
 
 
-def lobe_mix(lam, forward, backscatter):
-    """Dual-lobe mix Lambda * forward + (1 - Lambda) * backscatter, of lobe gains or of normalizations."""
-    return lam * forward + (1.0 - lam) * backscatter
+def lobe_mix(lam, forward, backscatter, out=None):
+    """Dual-lobe mix Lambda * forward + (1 - Lambda) * backscatter, of lobe gains or of normalizations.
+
+    out, an array of the broadcast shape, receives the mix if given.
+    """
+    if out is None:
+        return lam * forward + (1.0 - lam) * backscatter
+    np.multiply(lam, forward, out=out)
+    out += (1.0 - lam) * backscatter
+    return out
 
 
 def element_constant(link: RadioLink, r_i, r_s, cos_theta_i, area):
@@ -220,14 +227,20 @@ def element_constant(link: RadioLink, r_i, r_s, cos_theta_i, area):
     return link.k_const**2 / (r_i * r_s) ** 2 * area * cos_theta_i * rx_scale
 
 
-def element_power(s_value, const, gain, norm):
+def element_power(s_value, const, gain, norm, out=None):
     """Received diffuse power of surface elements, watts: S^2 * const * gain / F.
 
     const is element_constant of the elements, gain the lobe gain toward
     the receiver (((1 + cos psi) / 2)^alpha, or the lobe_mix of two) and
     norm the matching normalization F at the elements' incidence angles.
+    out, an array of the broadcast shape (gain itself, say), receives the
+    powers if given.
     """
-    return s_value * s_value * const * gain / norm
+    if out is None:
+        return s_value * s_value * const * gain / norm
+    np.multiply(s_value * s_value * const, gain, out=out)
+    out /= norm
+    return out
 
 
 @dataclass(frozen=True)

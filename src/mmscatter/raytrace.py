@@ -57,6 +57,11 @@ POWER_GATE_DB = 35.0
 LENGTH_GATE_M = 1.5
 DELAY_GATE_S = 5e-9
 
+# path lengths closer than this count as one length when the strongest tile
+# anchors the delay window: far above the rounding of lengths of a few m, far
+# below the spacing of distinct tile path lengths
+_ANCHOR_TIE_M = 1e-9
+
 DEFAULT_TILE_EDGE = 0.10
 CONVERGENCE_EDGES = (0.4, 0.2, 0.1, 0.05, 0.025)
 CONVERGENCE_TOL_DB = 0.1
@@ -191,12 +196,17 @@ class ScanPattern:
         alpha = params.alpha_r
         return element_power(params.s_coeff, self._const[rows], self._u_power(alpha)[rows], self._norms(alpha))
 
-    def dual_tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None)) -> np.ndarray:
-        """(..., R, T) dual-lobe tile powers, watts, for mixes `lambdas` of any shape (...) at the positions `rows`."""
+    def dual_tile_powers(
+        self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None), out=None
+    ) -> np.ndarray:
+        """(..., R, T) dual-lobe tile powers, watts, for mixes `lambdas` of any shape (...) at the positions `rows`.
+
+        out, an array of that shape, receives the powers if given.
+        """
         lam = np.asarray(lambdas, dtype=float)[..., None]
         norm = lobe_mix(lam, self._norms(alpha_r), self._norms(alpha_i))
-        gain = lobe_mix(lam[..., None], self._u_power(alpha_r)[rows], self._v_power(alpha_i)[rows])
-        return element_power(s_value, self._const[rows], gain, norm[..., None, :])
+        gain = lobe_mix(lam[..., None], self._u_power(alpha_r)[rows], self._v_power(alpha_i)[rows], out=out)
+        return element_power(s_value, self._const[rows], gain, norm[..., None, :], out=gain)
 
     def predict(self, params: LobeParams, power_gate_db: float = POWER_GATE_DB):
         """Gated per-position powers: (total_w, spec_w, diff_w, dropped_power, dropped_delay)."""
@@ -249,43 +259,112 @@ class ScanPattern:
         )
         return (spec_w + diff_w, spec_w, diff_w, dropped_power, dropped_delay), best_len, tile_in
 
-    def lobe_peaks(self, alphas) -> tuple[np.ndarray, np.ndarray]:
-        """Largest tile power per unit S^2 of each pure lobe: two (len(alphas), P) arrays.
+    def lobe_peaks(self, alphas, backscatter: bool = False) -> np.ndarray:
+        """Largest tile power per unit S^2 of each pure lobe: (len(alphas), P).
 
-        The first holds the forward lobe (lambda 1) of each width, the second
-        the backscatter lobe (lambda 0). A dual-lobe tile power is a mediant
-        of the two pure ones, so for widths (a_r, a_i) and any mix no tile
-        carries more than S^2 * max(forward[a_r], backscatter[a_i]).
+        The forward lobe (lambda 1) by default, the backscatter lobe (lambda
+        0) with backscatter=True. A dual-lobe tile power is a mediant of the
+        two pure ones, so for widths (a_r, a_i) and any mix no tile carries
+        more than S^2 * max(forward[a_r], backscatter[a_i]).
         """
-        forward = [element_power(1.0, self._const, self._u_power(a), self._norms(a)).max(axis=1) for a in alphas]
-        backscatter = [element_power(1.0, self._const, self._v_power(a), self._norms(a)).max(axis=1) for a in alphas]
-        return np.array(forward), np.array(backscatter)
+        power = self._v_power if backscatter else self._u_power
+        tile_p = np.empty_like(self._const)
+        peaks = [element_power(1.0, self._const, power(a), self._norms(a), out=tile_p).max(axis=1) for a in alphas]
+        return np.array(peaks)
 
-    def specular_window_sums(self, alphas, lambdas) -> np.ndarray:
-        """Dual-lobe diffuse sums per unit S^2 in the specular delay window: (P, A, A, L).
+    def specular_window_sums(self, alphas_r, alphas_i, lambdas) -> np.ndarray:
+        """Dual-lobe diffuse sums per unit S^2 in the specular delay window: (P, Ar, Ai, L).
 
-        Entry [p, i, j, l] sums the tile powers of forward width alphas[i],
-        backscatter width alphas[j] and mix lambdas[l] over the tiles whose
+        Entry [p, i, j, l] sums the tile powers of forward width alphas_r[i],
+        backscatter width alphas_i[j] and mix lambdas[l] over the tiles whose
         path length lies within the window around the specular path. Where
         the specular path anchors the window this is the diffuse sum that
         predict gates. With the window fixed the sum is linear in the two
         lobe gains, so each lobe of each width and mix takes one matrix
         product against the reciprocal mixed normalizations of all the
-        widths of the other lobe.
+        widths of the other lobe. A lobe of weight zero adds nothing and is
+        skipped, so the mix-1 slice (the single lobe) needs no backscatter
+        gains.
         """
-        norms = np.array([self._norms(a) for a in alphas])  # (A, T)
+        norms_r = np.array([self._norms(a) for a in alphas_r])  # (Ar, T)
+        norms_i = np.array([self._norms(a) for a in alphas_i])  # (Ai, T)
         window = np.abs(self._lengths - self._spec_length[:, None]) <= _length_gate()
         const_in_window = np.where(window, self._const, 0.0)
-        sums = np.zeros((const_in_window.shape[0], len(alphas), len(alphas), len(lambdas)))
+        sums = np.zeros((const_in_window.shape[0], len(alphas_r), len(alphas_i), len(lambdas)))
         gain = np.empty_like(const_in_window)
-        for k, a in enumerate(alphas):
+        forward = [(m, lam) for m, lam in enumerate(lambdas) if lam > 0.0]
+        backscatter = [(m, lam) for m, lam in enumerate(lambdas) if lam < 1.0]
+        for k, a in enumerate(alphas_r if forward else ()):
             np.multiply(const_in_window, self._u_power(a), out=gain)
-            for m, lam in enumerate(lambdas):
-                sums[:, k, :, m] += lam * (gain @ np.reciprocal(lam * norms[k] + (1.0 - lam) * norms).T)
+            for m, lam in forward:
+                sums[:, k, :, m] += lam * (gain @ np.reciprocal(lobe_mix(lam, norms_r[k], norms_i)).T)
+        for k, a in enumerate(alphas_i if backscatter else ()):
             np.multiply(const_in_window, self._v_power(a), out=gain)
-            for m, lam in enumerate(lambdas):
-                sums[:, :, k, m] += (1.0 - lam) * (gain @ np.reciprocal(lam * norms + (1.0 - lam) * norms[k]).T)
+            for m, lam in backscatter:
+                sums[:, :, k, m] += (1.0 - lam) * (gain @ np.reciprocal(lobe_mix(lam, norms_r, norms_i[k])).T)
         return sums
+
+    def tile_window_sums(self, alphas_r, alphas_i, lambdas, rows, margin: float):
+        """Dual-lobe diffuse sums per unit S^2 in the strongest tile's delay window, with a certificate.
+
+        For receivers with no specular path (spec_power 0) predict anchors
+        the delay window on the strongest tile. Scaling by S^2 does not
+        move it, so one pass at unit S serves every S. Returns two
+        (R, Ar, Ai, L) arrays over the positions `rows`, indexed like
+        specular_window_sums: the window sums, and where they are certified.
+        An entry is certified when the strongest tile outweighs every tile
+        of a different path length (more than _ANCHOR_TIE_M apart) by
+        (1 + margin), and no tile lies within 2 _ANCHOR_TIE_M of the window
+        edge. Rounding of the S^2 scaling can then only move the anchor
+        among tiles of one path length (mirror images tie exactly), which
+        leaves the window unchanged, so s^2 times a certified entry is the
+        diffuse sum predict gates.
+
+        The pass runs one width pair at a time, on the tiles of each row in
+        path-length order: there the window and the tie band of an anchor
+        are index ranges, found once per row.
+        """
+        lengths = self._lengths[rows]  # (R, T)
+        n_rows, n_tiles = lengths.shape
+        n_lam = len(lambdas)
+        gate = _length_gate()
+        tie = _ANCHOR_TIE_M
+        order = np.argsort(lengths, axis=-1, kind="stable")
+        # per row and length rank of the anchor: the window [lo, hi), the tie
+        # band [band_lo, band_hi), and the count of tiles near the window edge
+        lo, hi, band_lo, band_hi, at_edge = (np.empty((n_rows, n_tiles), dtype=np.intp) for _ in range(5))
+        for r, ranked in enumerate(np.take_along_axis(lengths, order, axis=-1)):
+            lo[r], hi[r] = np.searchsorted(ranked, ranked - gate), np.searchsorted(ranked, ranked + gate, "right")
+            band_lo[r] = np.searchsorted(ranked, ranked - tie)
+            band_hi[r] = np.searchsorted(ranked, ranked + tie, "right")
+            at_edge[r] = sum(
+                np.searchsorted(ranked, edge + 2.0 * tie, "right") - np.searchsorted(ranked, edge - 2.0 * tie)
+                for edge in (ranked - gate, ranked + gate)
+            )
+        flat_order = (order + n_tiles * np.arange(n_rows)[:, None]).ravel()
+        base = n_tiles * np.arange(n_lam * n_rows).reshape(n_lam, n_rows)
+        row = np.arange(n_rows)
+        band = np.arange((band_hi - band_lo).max())
+        tile_p = np.empty((n_lam, n_rows, n_tiles))
+        # one spare zero past the end keeps every window end a valid index of reduceat
+        flat = np.zeros(tile_p.size + 1)
+        ranked_p = flat[:-1].reshape(n_lam, n_rows, n_tiles)
+        shape = (len(alphas_r), len(alphas_i), n_lam, n_rows)
+        sums = np.empty(shape)
+        certified = np.empty(shape, dtype=bool)
+        for i, a_r in enumerate(alphas_r):
+            for j, a_i in enumerate(alphas_i):
+                self.dual_tile_powers(1.0, a_r, a_i, lambdas, rows, out=tile_p)
+                np.take(tile_p.reshape(n_lam, -1), flat_order, axis=1, out=ranked_p.reshape(n_lam, -1), mode="clip")
+                k = ranked_p.argmax(axis=-1)  # (L, R): the anchor's length rank
+                top = np.take_along_axis(ranked_p, k[..., None], axis=-1)[..., 0]
+                windows = np.stack([base + lo[row, k], base + hi[row, k]], axis=-1)
+                sums[i, j] = np.add.reduceat(flat, windows.ravel())[::2].reshape(n_lam, n_rows)
+                # zero the anchor's tie band; the largest tile left is its rival
+                flat[base[..., None] + np.minimum(band_lo[row, k, None] + band, band_hi[row, k, None] - 1)] = 0.0
+                rival = ranked_p.max(axis=-1)
+                certified[i, j] = (top >= (1.0 + margin) * rival) & (at_edge[row, k] == 0)
+        return sums.transpose(3, 0, 1, 2), certified.transpose(3, 0, 1, 2)
 
     def contributions(
         self, params: LobeParams, position: int, power_gate_db: float = POWER_GATE_DB

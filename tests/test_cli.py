@@ -163,6 +163,63 @@ def test_non_finite_scan_value_is_data_error(tmp_path, capsys, record):
     assert not (tmp_path / "r.txt").exists()
 
 
+SCENE_60GHZ = (
+    "material rough_wall\nfrequency_ghz 60\nwall_center 0 0 0\nwall_normal 1 0 0\n"
+    "wall_width_m 3\nwall_height_m 3\ntx 1.299038105676658 -0.75 0\n"
+)
+
+
+def _data_rows(path):
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+
+def test_scene_frequency_sets_the_wavelength(tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE_60GHZ, encoding="utf-8")
+    outs = [tmp_path / "scene.csv", tmp_path / "explicit.csv"]
+    for out, extra in zip(outs, ([], ["--freq-ghz", "60"])):
+        code = run("simulate", "--scene", str(scene), "--s", "0.3", "--tiles-m", "0.5", *extra, "--out", str(out))
+        assert code == EXIT_OK
+    assert _data_rows(outs[0]) == _data_rows(outs[1])
+    assert "freq_ghz=60.0" in outs[0].read_text().splitlines()[0]
+    at_minus_70 = [ln for ln in _data_rows(outs[0]) if ln.startswith("-70.0,0.0,")][0]
+    assert float(at_minus_70.split(",")[2]) == pytest.approx(-40.36, abs=0.005)
+
+
+def test_conflicting_frequency_is_data_error(tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE_60GHZ, encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    code = run("simulate", "--scene", str(scene), "--freq-ghz", "28", "--tiles-m", "0.5", "--out", str(out))
+    assert code == EXIT_DATA
+    assert "conflicts with frequency_ghz 60.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_header_without_scene_records_default_frequency(tmp_path):
+    out = tmp_path / "theory.csv"
+    assert run("theory", "--material", "metal_sheet", "--out", str(out)) == EXIT_OK
+    assert " freq_ghz=28.0 " in out.read_text().splitlines()[0]
+
+
+def test_infinite_scene_value_is_data_error(tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE_60GHZ + "scan_radius_m inf\n", encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    assert run("simulate", "--scene", str(scene), "--tiles-m", "0.5", "--out", str(out)) == EXIT_DATA
+    assert f"{scene}:8: scan_radius_m must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_material_value_is_data_error(tmp_path, capsys):
+    materials = tmp_path / "materials.txt"
+    materials.write_text("material rough_wall\neps_r inf\nh_rms_mm 0.715\nthickness_cm 32\n", encoding="utf-8")
+    out = tmp_path / "theory.csv"
+    assert run("theory", "--materials-file", str(materials), "--out", str(out)) == EXIT_DATA
+    assert f"{materials}:2: eps_r must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(tmp_path):
     assert run("simulate", "--no-such-flag") == EXIT_USAGE
     assert run("frobnicate") == EXIT_USAGE

@@ -257,6 +257,15 @@ class TestMaterialsFile:
         assert mat.thickness == 0.32
         assert mat.h_rms == 0.0005
 
+    @pytest.mark.parametrize("lineno, record", [(2, "eps_r inf"), (3, "h_rms_mm -inf"), (4, "thickness_cm inf cm")])
+    def test_infinite_value_rejected(self, tmp_path, lineno, record):
+        fields = ["eps_r 4.0", "h_rms_mm 0.5", "thickness_cm 32"]
+        fields[lineno - 2] = record
+        path = tmp_path / "mat.txt"
+        path.write_text("material demo\n" + "\n".join(fields) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=rf":{lineno}: {record.split()[0]} must be finite"):
+            read_materials(path)
+
     def test_validation_errors(self, tmp_path):
         bad_eps = tmp_path / "a.txt"
         bad_eps.write_text("material demo\neps_r 0.5\nh_rms_mm 0.5\nthickness_cm 32\n", encoding="utf-8")
@@ -381,6 +390,21 @@ class TestSceneFile:
         path = tmp_path / "scene.txt"
         path.write_text("material rough_wall\nwibble 3\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match=r":2: unknown key"):
+            read_scene(path)
+
+    @pytest.mark.parametrize(
+        "line, lineno",
+        [("frequency_ghz inf", 2), ("tx 1.3 -inf 0", 7), ("scan_radius_m inf", 8), ("scan_heights_m 0 inf", 8)],
+    )
+    def test_infinite_value_rejected(self, tmp_path, line, lineno):
+        lines = ["material rough_wall", "frequency_ghz 28", "wall_center 0 0 0", "wall_normal 1 0 0",
+                 "wall_width_m 3", "wall_height_m 3", "tx 1.3 -0.75 0"]
+        key = line.split()[0]
+        lines = [ln for ln in lines if ln.split()[0] != key]
+        lines.insert(lineno - 1, line)
+        path = tmp_path / "scene.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=rf":{lineno}: {key} must be finite"):
             read_scene(path)
 
     def test_bad_vector(self, tmp_path):

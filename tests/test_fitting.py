@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mmscatter.fitting import (
     SearchConfig,
     ScanEvaluator,
     _shape_candidates,
+    _CERTIFICATE_MARGIN,
     _specular_anchor_certified,
     compare_models,
     fvu,
@@ -228,18 +230,35 @@ class TestCompareModels:
         assert a == b
 
 
-class TestStageAScreen:
-    """The batched stage-A screen against exact per-candidate scoring."""
+def scan_for(material, theta_deg, heights, paper_link, materials_db):
+    scene = paper_scene(material, theta_deg)
+    return scene, synthetic_scan(scene, dual(0.3, 3, 8, 0.35), paper_link, materials_db, heights=heights)
 
-    @pytest.mark.parametrize(
-        "material, theta_deg, heights",
-        [("metal_sheet", 20.0, (0.0,)), ("rough_wall", 45.0, (0.0,)), ("rough_wall", 30.0, DEFAULT_CYLINDER_HEIGHTS)],
-    )
+
+def assert_matches_exact(evaluate, candidates):
+    screened = evaluate.screen(candidates)
+    exact = np.array([evaluate(p) for p in candidates])
+    assert screened.shape == exact.shape
+    finite = np.isfinite(exact)
+    assert np.array_equal(screened[~finite], exact[~finite])
+    assert np.max(np.abs(screened[finite] - exact[finite])) <= 1e-13
+
+
+SCREEN_SCANS = [
+    ("metal_sheet", 20.0, (0.0,)),
+    ("rough_wall", 45.0, (0.0,)),
+    ("rough_wall", 30.0, DEFAULT_CYLINDER_HEIGHTS),
+]
+
+
+class TestStageAScreen:
+    """The table-driven screen of every stage against exact per-candidate scoring."""
+
+    @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
     def test_screen_matches_exact_scoring(
         self, material, theta_deg, heights, paper_link, materials_db, cfg, monkeypatch
     ):
-        scene = paper_scene(material, theta_deg)
-        scan = synthetic_scan(scene, dual(0.3, 3, 8, 0.35), paper_link, materials_db, heights=heights)
+        scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
         evaluate = ScanEvaluator(scan, scene, cfg)
         gate = evaluate.pattern.gate
         fallback_rows = []
@@ -248,16 +267,31 @@ class TestStageAScreen:
             fallback_rows.extend(rows)
             return gate(tile_p, rows, *args, **kwargs)
 
-        monkeypatch.setattr(evaluate.pattern, "gate", spy)
-        screened = evaluate.screen_dual_shapes(0.3)
-        monkeypatch.undo()
-        # the +/-90 deg receivers lie in the wall plane and have no specular point
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluate.pattern, "gate", spy)
+            evaluate.screen(list(_shape_candidates(LobeModel.DUAL_LOBE, 0.9)))
+        # at s 0.9 on 0.5 m tiles the specular certificate misses for many shapes
         assert fallback_rows
-        exact = np.array([evaluate(p) for p in _shape_candidates(LobeModel.DUAL_LOBE, 0.3)])
-        assert screened.shape == exact.shape
-        finite = np.isfinite(exact)
-        assert np.array_equal(screened[~finite], exact[~finite])
-        assert np.max(np.abs(screened[finite] - exact[finite])) <= 1e-13
+        for s in (0.3, 0.9):
+            assert_matches_exact(evaluate, list(_shape_candidates(LobeModel.DUAL_LOBE, s)))
+
+    @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
+    @pytest.mark.parametrize("s", [0.3, 0.9])
+    def test_single_lobe_screen_matches_exact_scoring(
+        self, material, theta_deg, heights, s, paper_link, materials_db, cfg
+    ):
+        scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
+        assert_matches_exact(ScanEvaluator(scan, scene, cfg), list(_shape_candidates(LobeModel.SINGLE_LOBE, s)))
+
+    @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
+    @pytest.mark.parametrize("shape", [single(0.3, 1), single(0.3, 10), dual(0.3, 2, 9, 0.0), dual(0.3, 7, 3, 0.6)])
+    def test_stage_b_screen_matches_exact_scoring(
+        self, material, theta_deg, heights, shape, paper_link, materials_db, cfg
+    ):
+        scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
+        # a grid reaching s 0.9, where the specular certificate misses
+        grid = s_grid(0.3) + s_grid(0.8)
+        assert_matches_exact(ScanEvaluator(scan, scene, cfg), [replace(shape, s_coeff=s) for s in grid])
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -274,18 +308,43 @@ class TestStageAScreen:
         scene = paper_scene(material, theta_deg)
         positions = [p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))]
         pattern = build_pattern(scene, np.array(positions), paper_link, materials_db, 0.5)
-        forward, backscatter = pattern.lobe_peaks((alpha_r, alpha_i))
-        certified = _specular_anchor_certified(pattern.spec_power, s, forward[0], backscatter[1])
+        peak = np.maximum(pattern.lobe_peaks((alpha_r,))[0], pattern.lobe_peaks((alpha_i,), backscatter=True)[0])
+        certified = _specular_anchor_certified(pattern.spec_power, s, peak)
         # predict anchors the delay window on the specular path when no tile outweighs it
         tile_max = pattern.tile_powers(dual(s, alpha_r, alpha_i, lam)).max(axis=1)
         assert np.all(pattern.spec_power[certified] >= tile_max[certified])
 
-    @staticmethod
-    def exact_screen(cfg, jitter=0.0):
-        """Per-candidate ScanEvaluator.__call__ in place of the batched screen, optionally perturbed."""
+    @settings(deadline=None, max_examples=40)
+    @given(
+        alpha_r=st.integers(1, 10),
+        alpha_i=st.integers(1, 10),
+        lam=st.floats(0.0, 1.0),
+        s=st.floats(0.01, 0.99),
+        theta_deg=st.floats(5.0, 80.0),
+        material=st.sampled_from(default_materials().names()),
+    )
+    def test_certified_tile_anchor_equals_predict(
+        self, alpha_r, alpha_i, lam, s, theta_deg, material, paper_link, materials_db
+    ):
+        scene = paper_scene(material, theta_deg)
+        positions = [p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))]
+        pattern = build_pattern(scene, np.array(positions), paper_link, materials_db, 0.5)
+        # the receivers with no specular point: the +/-90 deg ones, in the wall plane
+        rows = np.flatnonzero(pattern.spec_power == 0.0)
+        assert rows.size == 8
+        sums, certified = pattern.tile_window_sums((alpha_r,), (alpha_i,), (lam,), rows, _CERTIFICATE_MARGIN)
+        sums, certified = sums.reshape(-1), certified.reshape(-1)
+        # mirror-image tiles tie exactly at delta_h 0; the tie band still certifies them
+        assert certified.all()
+        total_w = pattern.predict(dual(s, alpha_r, alpha_i, lam))[0][rows]
+        assert np.all(np.abs(s * s * sums - total_w) <= 1e-13 * total_w)
 
-        def screen(evaluate, s_value):
-            exact = np.array([evaluate(p) for p in _shape_candidates(LobeModel.DUAL_LOBE, s_value)])
+    @staticmethod
+    def exact_screen(jitter=0.0):
+        """Per-candidate ScanEvaluator.__call__ in place of the table screen, optionally perturbed."""
+
+        def screen(evaluate, candidates):
+            exact = np.array([evaluate(p) for p in candidates])
             return exact * (1.0 + jitter * np.random.default_rng(7).uniform(-1.0, 1.0, exact.size))
 
         return screen
@@ -302,23 +361,25 @@ class TestStageAScreen:
     )
     def test_fit_equals_all_exact_scoring(self, truth, seed, scene30, paper_link, materials_db, cfg, monkeypatch):
         scan = with_noise(synthetic_scan(scene30, truth, paper_link, materials_db), seed)
-        screened = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
-        monkeypatch.setattr(ScanEvaluator, "screen_dual_shapes", self.exact_screen(cfg))
-        exact = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
-        assert screened.best == exact.best
-        assert screened.fvu == exact.fvu
-        assert screened.converged == exact.converged
-        assert screened.trace[-1].round == exact.trace[-1].round
-        assert len(screened.trace) == len(exact.trace)
+        for model in (LobeModel.SINGLE_LOBE, LobeModel.DUAL_LOBE):
+            screened = grid_fit(scan, scene30, model, truth.s_coeff, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(ScanEvaluator, "screen", self.exact_screen())
+                exact = grid_fit(scan, scene30, model, truth.s_coeff, cfg)
+            assert screened.best == exact.best
+            assert screened.fvu == exact.fvu
+            assert screened.converged == exact.converged
+            assert screened.trace[-1].round == exact.trace[-1].round
+            assert len(screened.trace) == len(exact.trace)
 
     def test_screen_error_below_margin_cannot_change_the_fit(self, scene30, paper_link, materials_db, cfg, monkeypatch):
         # the lambda-0 truth ties all ten forward widths exactly; a screen error
         # far below CONFIRM_MARGIN must not decide the tie
         truth = dual(0.35, 5, 7, 0.0)
         scan = with_noise(synthetic_scan(scene30, truth, paper_link, materials_db), 3)
-        monkeypatch.setattr(ScanEvaluator, "screen_dual_shapes", self.exact_screen(cfg))
+        monkeypatch.setattr(ScanEvaluator, "screen", self.exact_screen())
         exact = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
-        monkeypatch.setattr(ScanEvaluator, "screen_dual_shapes", self.exact_screen(cfg, jitter=1e-12))
+        monkeypatch.setattr(ScanEvaluator, "screen", self.exact_screen(jitter=1e-12))
         perturbed = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
         assert exact.best.alpha_r == 1
         assert perturbed.best == exact.best
