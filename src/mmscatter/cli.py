@@ -15,6 +15,8 @@ import hashlib
 import math
 import sys
 
+import numpy as np
+
 from . import __version__, dbm_to_watts, watts_to_dbm, wavelength_for_frequency
 from .fileio import (
     FileFormatError,
@@ -26,7 +28,7 @@ from .fileio import (
     write_simulated_scan,
 )
 from .fitting import DegenerateScanError, SearchConfig, compare_models, grid_fit
-from .geometry import ScanSpec, paper_scene, scan_positions, patch_angles
+from .geometry import ScanSpec, SurfacePaths, paper_scene, scan_positions
 from .lobes import Direction, LobeModel, LobeParams, NormalizationMode, RadioLink, pattern_sweep
 from .materials import IncidenceContext, Polarization, initial_scattering_coefficient
 from .raytrace import simulate_scan
@@ -272,7 +274,7 @@ def _cmd_fit(args) -> int:
     )
     header = _header(args, _input_digests(args))
     if args.model == "both":
-        comparison = compare_models(scan, scene, link, s_initial, cfg, plane_only=args.plane_only)
+        comparison = compare_models(scan, scene, s_initial, cfg, plane_only=args.plane_only)
         stem, dot, suffix = args.out.rpartition(".")
         base = stem if dot else args.out
         ext = f".{suffix}" if dot else ""
@@ -295,13 +297,16 @@ def _cmd_angles(args) -> int:
     db = _materials_db(args)
     scene, inline_spec = _resolve_scene(args, db)
     spec = _resolve_scanspec(args, inline_spec)
+    # the path over the wall center, toward each receiver
+    paths = SurfacePaths(scene.tx, scene.wall.center[None], scene.wall.normal)
+    r_i, cos_ti = float(paths.r_i[0]), paths.cos_ti[0]
     rows = []
     for pos in scan_positions(scene, spec):
-        geom = patch_angles(scene.tx, pos.position, scene.wall.center, scene.wall.normal)
+        r_s, cos_ts, cos_psi_r, cos_psi_i = paths.receiver(pos.position)
+        angles = np.arccos([cos_ti, cos_ts[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
         rows.append(
-            f"{pos.azimuth_deg!r},{pos.delta_h!r},{geom.r_i!r},{geom.r_s!r},"
-            f"{math.degrees(geom.theta_i)!r},{math.degrees(geom.theta_s)!r},"
-            f"{math.degrees(geom.psi_r)!r},{math.degrees(geom.psi_i)!r}"
+            f"{pos.azimuth_deg!r},{pos.delta_h!r},{r_i!r},{float(r_s[0])!r},"
+            + ",".join(repr(math.degrees(a)) for a in angles)
         )
     _write_csv(
         args.out,

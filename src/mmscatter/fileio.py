@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 from .geometry import ScanSpec, Scene, Wall
 from .lobes import LobeModel, LobeParams
@@ -296,11 +296,7 @@ def read_materials(path) -> MaterialDatabase:
 
 def default_materials() -> MaterialDatabase:
     """The shipped four-surface database."""
-    text = resources.files("mmscatter").joinpath("data/materials.txt").read_text(encoding="utf-8")
-    raw = text.split("\n")
-    if raw and raw[-1] == "":
-        raw.pop()
-    return _parse_materials([(i + 1, ln) for i, ln in enumerate(raw)], "<builtin materials>")
+    return read_materials(Path(__file__).parent / "data" / "materials.txt")
 
 
 # --- scene files -------------------------------------------------------------

@@ -403,18 +403,12 @@ def grid_fit(
 
 
 def compare_models(
-    scan: Scan,
-    scene: Scene,
-    link: RadioLink,
-    s_initial: float,
-    search_cfg: SearchConfig | None = None,
-    plane_only: bool = False,
+    scan: Scan, scene: Scene, s_initial: float, search_cfg: SearchConfig, plane_only: bool = False
 ) -> ModelComparison:
     """Fit both models and report the lower-FVU one (ties go to single-lobe)."""
-    cfg = search_cfg if search_cfg is not None else SearchConfig(link=link)
     # both fits score candidates against the same pattern, built once
-    evaluate = _build_evaluator(scan, scene, cfg, plane_only)
-    single = grid_fit(scan, scene, LobeModel.SINGLE_LOBE, s_initial, cfg, plane_only, _evaluate=evaluate)
-    dual = grid_fit(scan, scene, LobeModel.DUAL_LOBE, s_initial, cfg, plane_only, _evaluate=evaluate)
+    evaluate = _build_evaluator(scan, scene, search_cfg, plane_only)
+    single = grid_fit(scan, scene, LobeModel.SINGLE_LOBE, s_initial, search_cfg, plane_only, _evaluate=evaluate)
+    dual = grid_fit(scan, scene, LobeModel.DUAL_LOBE, s_initial, search_cfg, plane_only, _evaluate=evaluate)
     winner = LobeModel.DUAL_LOBE if dual.fvu < single.fvu - FVU_TIE_TOL else LobeModel.SINGLE_LOBE
     return ModelComparison(single=single, dual=dual, winner=winner)

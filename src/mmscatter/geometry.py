@@ -21,11 +21,9 @@ __all__ = [
     "Scene",
     "ScanSpec",
     "RxPosition",
-    "ScatterGeometry",
     "SurfacePaths",
     "scan_positions",
     "specular_point",
-    "patch_angles",
     "paper_scene",
 ]
 
@@ -226,34 +224,6 @@ class SurfacePaths:
         cos_psi_r = np.clip((v_s * self._spec_dir).sum(axis=1), -1.0, 1.0)
         cos_psi_i = np.clip((v_s * -self._v_i).sum(axis=1), -1.0, 1.0)
         return r_s, cos_ts, cos_psi_r, cos_psi_i
-
-
-@dataclass(frozen=True)
-class ScatterGeometry:
-    """Distances (m) and angles (rad) of one Tx -> surface element -> Rx path.
-
-    theta_i and theta_s are measured from the surface normal; psi_r and
-    psi_i are the lobe angles of SurfacePaths.
-    """
-
-    r_i: float
-    r_s: float
-    theta_i: float
-    theta_s: float
-    psi_r: float
-    psi_i: float
-
-
-def patch_angles(tx: np.ndarray, rx: np.ndarray, patch_center: np.ndarray, wall_normal: np.ndarray) -> ScatterGeometry:
-    """Distances and angles of the path over one surface element (SurfacePaths for one point)."""
-    paths = SurfacePaths(
-        _as_vec3(tx, "tx"), _as_vec3(patch_center, "patch_center")[None, :], _as_vec3(wall_normal, "wall_normal")
-    )
-    r_s, cos_ts, cos_psi_r, cos_psi_i = paths.receiver(_as_vec3(rx, "rx"))
-    theta_i, theta_s, psi_r, psi_i = np.arccos([paths.cos_ti[0], cos_ts[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
-    return ScatterGeometry(
-        r_i=float(paths.r_i[0]), r_s=float(r_s[0]), theta_i=theta_i, theta_s=theta_s, psi_r=psi_r, psi_i=psi_i
-    )
 
 
 def paper_scene(

@@ -11,9 +11,8 @@ amplitude coefficient
 
     S = sqrt((1 - R^2) * Gamma^2)
 
-which preserves the energy split S^2 + (R*Gamma)^2 = Gamma^2. Transmission
-is treated as roughness-independent and is recorded only to complete the
-energy identity.
+which preserves the energy split S^2 + (R*Gamma)^2 = Gamma^2 of the
+reflected power.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "bessel_i0",
     "fresnel_gamma",
     "rayleigh_factor",
-    "rough_reflection",
     "initial_scattering_coefficient",
 ]
 
@@ -135,7 +133,6 @@ class ReflectionBundle:
     rayleigh_r: float
     gamma_rough: float
     s_coeff: float
-    transmission_t: float
 
     def __post_init__(self):
         if abs(self.gamma) > 1.0:
@@ -232,32 +229,15 @@ def rayleigh_factor(h_rms: float, theta_i: float, wavelength: float) -> float:
     return _i0_asymptotic_sum(g) / math.sqrt(2.0 * math.pi * g)
 
 
-def rough_reflection(gamma: float, rayleigh_r: float) -> float:
-    """Rough-surface reflection coefficient R * Gamma."""
-    if abs(gamma) > 1.0:
-        raise ValueError(f"|gamma| must be <= 1, got {gamma}")
-    if not 0.0 < rayleigh_r <= 1.0:
-        raise ValueError(f"rayleigh_r must be in (0, 1], got {rayleigh_r}")
-    return rayleigh_r * gamma
-
-
 def initial_scattering_coefficient(material: Material, ctx: IncidenceContext) -> ReflectionBundle:
     """Theoretical scattering coefficient S = sqrt((1 - R^2) * Gamma^2).
 
     S^2 is the fraction of the power incident on the surface element that is
     redistributed into all scattering directions. The returned bundle also
-    carries Gamma, R, Gamma_rough and a transmission coefficient
-    T = sqrt(max(0, 1 - Gamma^2)) recorded purely for the energy identity.
+    carries Gamma, R and the rough-surface reflection coefficient
+    Gamma_rough = R * Gamma.
     """
     gamma = fresnel_gamma(material.eps_r, ctx.theta_i, ctx.polarization)
     r = rayleigh_factor(material.h_rms, ctx.theta_i, ctx.wavelength)
-    gamma_rough = rough_reflection(gamma, r)
     s_coeff = math.sqrt((1.0 - r * r) * gamma * gamma)
-    transmission = math.sqrt(max(0.0, 1.0 - gamma * gamma))
-    return ReflectionBundle(
-        gamma=gamma,
-        rayleigh_r=r,
-        gamma_rough=gamma_rough,
-        s_coeff=s_coeff,
-        transmission_t=transmission,
-    )
+    return ReflectionBundle(gamma=gamma, rayleigh_r=r, gamma_rough=r * gamma, s_coeff=s_coeff)

@@ -33,18 +33,16 @@ from .lobes import (
     lobe_mix,
     single_lobe_norm,
 )
-from .materials import Material, MaterialDatabase, Polarization, fresnel_gamma, rayleigh_factor
+from .materials import MaterialDatabase, Polarization, fresnel_gamma, rayleigh_factor
 
 __all__ = [
     "PathKind",
     "PathContribution",
     "GatingReport",
-    "SimResult",
     "SimRecord",
     "ConvergenceReport",
     "ScanPattern",
     "build_pattern",
-    "simulate_point",
     "simulate_scan",
     "convergence_probe",
     "power_gate",
@@ -56,6 +54,8 @@ __all__ = [
 POWER_GATE_DB = 35.0
 LENGTH_GATE_M = 1.5
 DELAY_GATE_S = 5e-9
+# both gates implemented; the stricter one applies
+_LENGTH_GATE = min(LENGTH_GATE_M, DELAY_GATE_S * SPEED_OF_LIGHT)
 
 # path lengths closer than this count as one length when the strongest tile
 # anchors the delay window: far above the rounding of lengths of a few m, far
@@ -65,11 +65,6 @@ _ANCHOR_TIE_M = 1e-9
 DEFAULT_TILE_EDGE = 0.10
 CONVERGENCE_EDGES = (0.4, 0.2, 0.1, 0.05, 0.025)
 CONVERGENCE_TOL_DB = 0.1
-
-
-def _length_gate() -> float:
-    # both gates implemented; the stricter one applies
-    return min(LENGTH_GATE_M, DELAY_GATE_S * SPEED_OF_LIGHT)
 
 
 class PathKind(Enum):
@@ -94,15 +89,6 @@ class GatingReport:
 
 
 @dataclass(frozen=True)
-class SimResult:
-    total_power_dbm: float
-    specular_power_dbm: float
-    diffuse_power_dbm: float
-    contributions: tuple[PathContribution, ...]
-    gating_report: GatingReport
-
-
-@dataclass(frozen=True)
 class SimRecord:
     """One simulated scan sample; delta_h is carried in the scan-file unit (cm)."""
 
@@ -119,20 +105,14 @@ class ConvergenceReport:
     converged: bool
 
 
-def power_gate(spec_in_window, diff_sum, power_gate_db: float = POWER_GATE_DB):
-    """(spec_w, diff_w): each path family is dropped when more than power_gate_db below the stronger one.
+def power_gate(spec_in_window, diff_sum):
+    """(spec_w, diff_w): each path family is dropped when more than POWER_GATE_DB below the stronger one.
 
     The arguments are the in-window specular power and the delay-gated
     diffuse sum, in watts, as arrays of any one broadcastable shape.
     """
-    threshold = np.maximum(spec_in_window, diff_sum) * 10.0 ** (-power_gate_db / 10.0)
+    threshold = np.maximum(spec_in_window, diff_sum) * 10.0 ** (-POWER_GATE_DB / 10.0)
     return np.where(spec_in_window >= threshold, spec_in_window, 0.0), np.where(diff_sum >= threshold, diff_sum, 0.0)
-
-
-def _resolve_material(materials: MaterialDatabase | Material, name: str) -> Material:
-    if isinstance(materials, Material):
-        return materials
-    return materials.get(name)
 
 
 class ScanPattern:
@@ -156,9 +136,7 @@ class ScanPattern:
         self._lengths = lengths  # (P, T): r_i + r_s
         self.spec_power = spec_power  # (P,): specular power, 0 where no specular point
         self._spec_length = spec_length  # (P,)
-        self._norm_cache: dict[int, np.ndarray] = {}
-        self._u_pow: dict[int, np.ndarray] = {}
-        self._v_pow: dict[int, np.ndarray] = {}
+        self._width_cache: dict[tuple[str, int], np.ndarray] = {}
 
     @property
     def n_positions(self) -> int:
@@ -168,33 +146,30 @@ class ScanPattern:
     def n_tiles(self) -> int:
         return self._const.shape[1]
 
+    def _width_array(self, kind: str, alpha: int) -> np.ndarray:
+        """The array of lobe width alpha, computed once per pattern.
+
+        kind "norm" is the (T,) normalization, "u" and "v" the (P, T)
+        forward and backscatter lobe gains.
+        """
+        arr = self._width_cache.get((kind, alpha))
+        if arr is None:
+            if kind == "norm":
+                arr = single_lobe_norm(self.mode, alpha, self.tile_theta)
+            else:
+                arr = (self._u if kind == "u" else self._v) ** alpha
+            self._width_cache[kind, alpha] = arr
+        return arr
+
     def _norms(self, alpha: int) -> np.ndarray:
-        table = self._norm_cache.get(alpha)
-        if table is None:
-            table = single_lobe_norm(self.mode, alpha, self.tile_theta)
-            self._norm_cache[alpha] = table
-        return table
-
-    def _u_power(self, alpha: int) -> np.ndarray:
-        arr = self._u_pow.get(alpha)
-        if arr is None:
-            arr = self._u**alpha
-            self._u_pow[alpha] = arr
-        return arr
-
-    def _v_power(self, alpha: int) -> np.ndarray:
-        arr = self._v_pow.get(alpha)
-        if arr is None:
-            arr = self._v**alpha
-            self._v_pow[alpha] = arr
-        return arr
+        return self._width_array("norm", alpha)
 
     def tile_powers(self, params: LobeParams, rows=slice(None)) -> np.ndarray:
         """(R, T) diffuse power per tile before gating, watts, at the positions `rows` (default all)."""
         if params.model is LobeModel.DUAL_LOBE:
             return self.dual_tile_powers(params.s_coeff, params.alpha_r, params.alpha_i, params.lambda_mix, rows)
         alpha = params.alpha_r
-        return element_power(params.s_coeff, self._const[rows], self._u_power(alpha)[rows], self._norms(alpha))
+        return element_power(params.s_coeff, self._const[rows], self._width_array("u", alpha)[rows], self._norms(alpha))
 
     def dual_tile_powers(
         self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None), out=None
@@ -205,14 +180,15 @@ class ScanPattern:
         """
         lam = np.asarray(lambdas, dtype=float)[..., None]
         norm = lobe_mix(lam, self._norms(alpha_r), self._norms(alpha_i))
-        gain = lobe_mix(lam[..., None], self._u_power(alpha_r)[rows], self._v_power(alpha_i)[rows], out=out)
+        forward, backscatter = self._width_array("u", alpha_r)[rows], self._width_array("v", alpha_i)[rows]
+        gain = lobe_mix(lam[..., None], forward, backscatter, out=out)
         return element_power(s_value, self._const[rows], gain, norm[..., None, :], out=gain)
 
-    def predict(self, params: LobeParams, power_gate_db: float = POWER_GATE_DB):
+    def predict(self, params: LobeParams):
         """Gated per-position powers: (total_w, spec_w, diff_w, dropped_power, dropped_delay)."""
-        return self.gate(self.tile_powers(params), power_gate_db=power_gate_db)
+        return self.gate(self.tile_powers(params))
 
-    def gate(self, tile_p: np.ndarray, rows=slice(None), power_gate_db: float = POWER_GATE_DB):
+    def gate(self, tile_p: np.ndarray, rows=slice(None)):
         """Gate the tile powers `tile_p` (..., R, T) of the positions `rows`.
 
         Returns (total_w, spec_w, diff_w, dropped_power, dropped_delay) per
@@ -222,13 +198,13 @@ class ScanPattern:
         within the window around the strongest path contribute. The power
         gate then de-noises whole paths: the specular path and the
         aggregated diffuse path are each dropped when more than
-        power_gate_db below the stronger of the two; gating tiles
+        POWER_GATE_DB below the stronger of the two; gating tiles
         individually would make the diffuse sum depend on the tiling, so the
         aggregate carries the rule.
         """
-        return self._gate(tile_p, rows, power_gate_db)[0]
+        return self._gate(tile_p, rows)[0]
 
-    def _gate(self, tile_p: np.ndarray, rows, power_gate_db: float):
+    def _gate(self, tile_p: np.ndarray, rows):
         """gate's result plus the delay window it applied.
 
         Returns (gated, best_len, tile_in): gate's five arrays, the anchor
@@ -237,7 +213,6 @@ class ScanPattern:
         spec_p = self.spec_power[rows]
         spec_len = self._spec_length[rows]
         lengths = self._lengths[rows]
-        length_gate = _length_gate()
 
         # the strongest single contribution anchors the delay window
         tile_max = tile_p.max(axis=-1)
@@ -245,13 +220,13 @@ class ScanPattern:
         best_len = np.where(spec_p >= tile_max, spec_len, tile_best_len)
 
         tile_alive = tile_p > 0.0
-        tile_in = tile_alive & (np.abs(lengths - best_len[..., None]) <= length_gate)
+        tile_in = tile_alive & (np.abs(lengths - best_len[..., None]) <= _LENGTH_GATE)
         spec_alive = spec_p > 0.0
-        spec_in = spec_alive & (np.abs(spec_len - best_len) <= length_gate)
+        spec_in = spec_alive & (np.abs(spec_len - best_len) <= _LENGTH_GATE)
 
         diff_sum = np.where(tile_in, tile_p, 0.0).sum(axis=-1)
         spec_in_window = np.where(spec_in, spec_p, 0.0)
-        spec_w, diff_w = power_gate(spec_in_window, diff_sum, power_gate_db)
+        spec_w, diff_w = power_gate(spec_in_window, diff_sum)
 
         dropped_delay = (tile_alive & ~tile_in).sum(axis=-1) + (spec_alive & ~spec_in)
         dropped_power = np.where((diff_sum > 0.0) & (diff_w == 0.0), tile_in.sum(axis=-1), 0) + (
@@ -267,9 +242,12 @@ class ScanPattern:
         two pure ones, so for widths (a_r, a_i) and any mix no tile carries
         more than S^2 * max(forward[a_r], backscatter[a_i]).
         """
-        power = self._v_power if backscatter else self._u_power
+        kind = "v" if backscatter else "u"
         tile_p = np.empty_like(self._const)
-        peaks = [element_power(1.0, self._const, power(a), self._norms(a), out=tile_p).max(axis=1) for a in alphas]
+        peaks = [
+            element_power(1.0, self._const, self._width_array(kind, a), self._norms(a), out=tile_p).max(axis=1)
+            for a in alphas
+        ]
         return np.array(peaks)
 
     def specular_window_sums(self, alphas_r, alphas_i, lambdas) -> np.ndarray:
@@ -288,18 +266,18 @@ class ScanPattern:
         """
         norms_r = np.array([self._norms(a) for a in alphas_r])  # (Ar, T)
         norms_i = np.array([self._norms(a) for a in alphas_i])  # (Ai, T)
-        window = np.abs(self._lengths - self._spec_length[:, None]) <= _length_gate()
+        window = np.abs(self._lengths - self._spec_length[:, None]) <= _LENGTH_GATE
         const_in_window = np.where(window, self._const, 0.0)
         sums = np.zeros((const_in_window.shape[0], len(alphas_r), len(alphas_i), len(lambdas)))
         gain = np.empty_like(const_in_window)
         forward = [(m, lam) for m, lam in enumerate(lambdas) if lam > 0.0]
         backscatter = [(m, lam) for m, lam in enumerate(lambdas) if lam < 1.0]
         for k, a in enumerate(alphas_r if forward else ()):
-            np.multiply(const_in_window, self._u_power(a), out=gain)
+            np.multiply(const_in_window, self._width_array("u", a), out=gain)
             for m, lam in forward:
                 sums[:, k, :, m] += lam * (gain @ np.reciprocal(lobe_mix(lam, norms_r[k], norms_i)).T)
         for k, a in enumerate(alphas_i if backscatter else ()):
-            np.multiply(const_in_window, self._v_power(a), out=gain)
+            np.multiply(const_in_window, self._width_array("v", a), out=gain)
             for m, lam in backscatter:
                 sums[:, :, k, m] += (1.0 - lam) * (gain @ np.reciprocal(lobe_mix(lam, norms_r, norms_i[k])).T)
         return sums
@@ -327,7 +305,7 @@ class ScanPattern:
         lengths = self._lengths[rows]  # (R, T)
         n_rows, n_tiles = lengths.shape
         n_lam = len(lambdas)
-        gate = _length_gate()
+        gate = _LENGTH_GATE
         tie = _ANCHOR_TIE_M
         order = np.argsort(lengths, axis=-1, kind="stable")
         # per row and length rank of the anchor: the window [lo, hi), the tie
@@ -366,18 +344,11 @@ class ScanPattern:
                 certified[i, j] = (top >= (1.0 + margin) * rival) & (at_edge[row, k] == 0)
         return sums.transpose(3, 0, 1, 2), certified.transpose(3, 0, 1, 2)
 
-    def contributions(
-        self, params: LobeParams, position: int, power_gate_db: float = POWER_GATE_DB
-    ) -> tuple[tuple[PathContribution, ...], GatingReport]:
-        """Retained contributions at one receiver, in specular-then-tile order."""
-        return self._explain(params, position, power_gate_db)[1:]
-
-    def _explain(self, params: LobeParams, position: int, power_gate_db: float = POWER_GATE_DB):
-        """Gate one receiver: (gate's five arrays of shape (1,), retained contributions, GatingReport)."""
+    def contributions(self, params: LobeParams, position: int) -> tuple[tuple[PathContribution, ...], GatingReport]:
+        """Retained contributions at one receiver, in specular-then-tile order, and its gating report."""
         rows = slice(position, position + 1)
         tile_p = self.tile_powers(params, rows)
-        gated, best_len, tile_in = self._gate(tile_p, rows, power_gate_db)
-        _, spec_w, diff_w, dropped_power, dropped_delay = gated
+        (_, spec_w, diff_w, dropped_power, dropped_delay), best_len, tile_in = self._gate(tile_p, rows)
         anchor = float(best_len[0])
         kept: list[PathContribution] = []
         if spec_w[0] > 0.0:
@@ -406,7 +377,7 @@ class ScanPattern:
         report = GatingReport(
             dropped_power=int(dropped_power[0]), dropped_delay=int(dropped_delay[0]), retained=len(kept)
         )
-        return gated, tuple(kept), report
+        return tuple(kept), report
 
 
 def tile_centers(scene: Scene, tile_edge: float) -> tuple[np.ndarray, float]:
@@ -428,13 +399,13 @@ def build_pattern(
     scene: Scene,
     rx_positions: np.ndarray,
     link: RadioLink,
-    materials: MaterialDatabase | Material,
+    materials: MaterialDatabase,
     tile_edge: float = DEFAULT_TILE_EDGE,
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,
 ) -> ScanPattern:
     """Precompute per-tile geometry and constants for a set of receivers."""
-    material = _resolve_material(materials, scene.wall.material)
+    material = materials.get(scene.wall.material)
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     if rx.shape[1] != 3:
         raise ValueError("rx_positions must be (P, 3)")
@@ -493,34 +464,12 @@ def build_pattern(
     )
 
 
-def simulate_point(
-    scene: Scene,
-    rx: np.ndarray,
-    lobe_params: LobeParams,
-    link: RadioLink,
-    materials: MaterialDatabase | Material,
-    tile_edge: float = DEFAULT_TILE_EDGE,
-    mode: NormalizationMode = NormalizationMode.HEMISPHERE,
-    polarization: Polarization = Polarization.TE,
-) -> SimResult:
-    """Total, specular, and diffuse received power at one receiver position."""
-    pattern = build_pattern(scene, np.asarray(rx, dtype=float)[None, :], link, materials, tile_edge, mode, polarization)
-    (total_w, spec_w, diff_w, _, _), kept, report = pattern._explain(lobe_params, 0)
-    return SimResult(
-        total_power_dbm=watts_to_dbm(float(total_w[0])),
-        specular_power_dbm=watts_to_dbm(float(spec_w[0])),
-        diffuse_power_dbm=watts_to_dbm(float(diff_w[0])),
-        contributions=kept,
-        gating_report=report,
-    )
-
-
 def simulate_scan(
     scene: Scene,
     scanspec: ScanSpec,
     lobe_params: LobeParams,
     link: RadioLink,
-    materials: MaterialDatabase | Material,
+    materials: MaterialDatabase,
     tile_edge: float = DEFAULT_TILE_EDGE,
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,
@@ -550,7 +499,7 @@ def convergence_probe(
     rx: np.ndarray,
     params: LobeParams,
     link: RadioLink,
-    materials: MaterialDatabase | Material,
+    materials: MaterialDatabase,
     edges: tuple[float, ...] = CONVERGENCE_EDGES,
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,

@@ -205,28 +205,28 @@ class TestCompareModels:
     def test_dual_nests_single(self, scene30, paper_link, materials_db, cfg):
         truth = single(0.30, 4)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        comparison = compare_models(scan, scene30, paper_link, 0.30, cfg)
+        comparison = compare_models(scan, scene30, 0.30, cfg)
         assert comparison.dual.fvu <= comparison.single.fvu
 
     def test_dual_truth_prefers_dual(self, scene30, paper_link, materials_db, cfg):
         truth = dual(0.35, 1, 10, 0.1)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        comparison = compare_models(scan, scene30, paper_link, 0.35, cfg)
+        comparison = compare_models(scan, scene30, 0.35, cfg)
         assert comparison.dual.fvu < comparison.single.fvu
         assert comparison.winner is LobeModel.DUAL_LOBE
 
     def test_tie_goes_to_single(self, scene30, paper_link, materials_db, cfg):
         truth = single(0.30, 4)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        comparison = compare_models(scan, scene30, paper_link, 0.30, cfg)
+        comparison = compare_models(scan, scene30, 0.30, cfg)
         assert comparison.single.fvu == 0.0 and comparison.dual.fvu == 0.0
         assert comparison.winner is LobeModel.SINGLE_LOBE
 
     def test_repeat_runs_identical(self, scene30, paper_link, materials_db, cfg):
         truth = dual(0.35, 1, 10, 0.1)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        a = compare_models(scan, scene30, paper_link, 0.35, cfg)
-        b = compare_models(scan, scene30, paper_link, 0.35, cfg)
+        a = compare_models(scan, scene30, 0.35, cfg)
+        b = compare_models(scan, scene30, 0.35, cfg)
         assert a == b
 
 

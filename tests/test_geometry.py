@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from mmscatter.geometry import (
     DEFAULT_CYLINDER_HEIGHTS,
     ScanSpec,
     Scene,
+    SurfacePaths,
     Wall,
     paper_scene,
-    patch_angles,
     rx_position,
     scan_positions,
     specular_point,
@@ -89,33 +90,45 @@ class TestSpecularPoint:
             specular_point(np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), wall)
 
 
+def path_geometry(tx, rx, point, normal):
+    """Distances and angles (rad) of the path over one surface point, through SurfacePaths."""
+    paths = SurfacePaths(tx, point[None, :], normal)
+    r_s, cos_ts, cos_psi_r, cos_psi_i = paths.receiver(rx)
+    theta_i, theta_s, psi_r, psi_i = np.arccos([paths.cos_ti[0], cos_ts[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
+    return SimpleNamespace(
+        r_i=float(paths.r_i[0]), r_s=float(r_s[0]), theta_i=theta_i, theta_s=theta_s, psi_r=psi_r, psi_i=psi_i
+    )
+
+
 class TestPatchAngles:
+    """The path over one surface point, as the angles command computes it."""
+
     def test_specular_receiver_zeroes_psi_r(self, scene30):
         rx = rx_position(scene30, 1.5, 30.0, 0.0)
-        geom = patch_angles(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
+        geom = path_geometry(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
         assert geom.psi_r <= 1e-12
 
     def test_backscatter_receiver_zeroes_psi_i(self, scene30):
         # Rx back along the incoming ray, closer to the wall than the Tx
         patch = scene30.wall.center
         rx = patch + 0.6 * (scene30.tx - patch)
-        geom = patch_angles(scene30.tx, rx, patch, scene30.wall.normal)
+        geom = path_geometry(scene30.tx, rx, patch, scene30.wall.normal)
         assert geom.psi_i <= 1e-12
 
     def test_raised_receiver_breaks_specular_alignment(self, scene30):
         rx = rx_position(scene30, 1.5, 30.0, 0.30)
-        geom = patch_angles(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
+        geom = path_geometry(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
         assert geom.psi_r > 0.05
 
     def test_inplane_psi_r_equals_angle_difference(self, scene30):
         for az in (0.0, 10.0, 40.0, 80.0):
             rx = rx_position(scene30, 1.5, az, 0.0)
-            geom = patch_angles(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
+            geom = path_geometry(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
             assert abs(geom.psi_r - abs(geom.theta_s - geom.theta_i)) <= 1e-12
 
     def test_center_matches_scene_incidence(self, scene30):
         rx = rx_position(scene30, 1.5, 0.0, 0.0)
-        geom = patch_angles(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
+        geom = path_geometry(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
         assert abs(geom.theta_i - scene30.incidence_angle) <= 1e-12
 
     def test_mirror_symmetry_across_incidence_plane(self, scene30):
@@ -124,22 +137,22 @@ class TestPatchAngles:
         rx_up = rx_position(scene30, 1.5, 20.0, 0.25)
         rx_down = rx_up.copy()
         rx_down[2] = -rx_down[2]
-        g_up = patch_angles(scene30.tx, rx_up, scene30.wall.center, scene30.wall.normal)
-        g_down = patch_angles(scene30.tx, rx_down, scene30.wall.center, scene30.wall.normal)
+        g_up = path_geometry(scene30.tx, rx_up, scene30.wall.center, scene30.wall.normal)
+        g_down = path_geometry(scene30.tx, rx_down, scene30.wall.center, scene30.wall.normal)
         assert abs(g_up.psi_r - g_down.psi_r) <= 1e-12
         assert abs(g_up.psi_i - g_down.psi_i) <= 1e-12
 
     def test_distance_fields(self, scene30):
         rx = rx_position(scene30, 1.5, 30.0, 0.0)
-        geom = patch_angles(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
+        geom = path_geometry(scene30.tx, rx, scene30.wall.center, scene30.wall.normal)
         assert geom.r_i == pytest.approx(1.5, abs=1e-12)
         assert geom.r_s == pytest.approx(1.5, abs=1e-12)
 
     def test_degenerate_patch(self, scene30):
         with pytest.raises(ValueError):
-            patch_angles(scene30.tx, scene30.wall.center, scene30.wall.center, scene30.wall.normal)
+            path_geometry(scene30.tx, scene30.wall.center, scene30.wall.center, scene30.wall.normal)
         with pytest.raises(ValueError):
-            patch_angles(scene30.wall.center, scene30.tx, scene30.wall.center, scene30.wall.normal)
+            path_geometry(scene30.wall.center, scene30.tx, scene30.wall.center, scene30.wall.normal)
 
 
 class TestSceneValidation:

@@ -16,6 +16,7 @@ from mmscatter.lobes import (
     RadioLink,
     element_constant,
     element_power,
+    lobe_mix,
     normalization_f,
     pattern_sweep,
     single_lobe_norm,
@@ -367,3 +368,70 @@ class TestPatternSweep:
                     ) * gain
                     assert row.theta_i_deg == theta_deg and row.direction is direction
                     assert row.p_r_watts == pytest.approx(field_sq * rx_scale(paper_link), rel=1e-14)
+
+
+# a 5 x 5 grid of surface points on the wall plane x = 0, whose outward normal is +x
+WALL_NORMAL = np.array([1.0, 0.0, 0.0])
+WALL_POINTS = np.array([[0.0, y, z] for y in np.linspace(-1.0, 1.0, 5) for z in np.linspace(-1.0, 1.0, 5)])
+
+
+def antenna(distance, theta_deg, phi_deg):
+    """A point in front of the wall, theta_deg from its normal."""
+    theta, phi = math.radians(theta_deg), math.radians(phi_deg)
+    return distance * np.array([math.cos(theta), math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi)])
+
+
+def lobe_norm(params, mode, theta_i):
+    """Normalization F of params at the incidence angles theta_i (rad)."""
+    norm = single_lobe_norm(mode, params.alpha_r, theta_i)
+    if params.model is LobeModel.DUAL_LOBE:
+        norm = lobe_mix(params.lambda_mix, norm, single_lobe_norm(mode, params.alpha_i, theta_i))
+    return norm
+
+
+def element_powers(tx, rx, params, link, mode):
+    """Received power over each wall point from tx to rx, with cos(theta_i) and cos(theta_s)."""
+    paths = SurfacePaths(tx, WALL_POINTS, WALL_NORMAL)
+    r_s, cos_ts, cos_psi_r, cos_psi_i = paths.receiver(rx)
+    gain = ((1.0 + cos_psi_r) / 2.0) ** params.alpha_r
+    if params.model is LobeModel.DUAL_LOBE:
+        gain = lobe_mix(params.lambda_mix, gain, ((1.0 + cos_psi_i) / 2.0) ** params.alpha_i)
+    const = element_constant(link, paths.r_i, r_s, paths.cos_ti, 1.0)
+    power = element_power(params.s_coeff, const, gain, lobe_norm(params, mode, np.arccos(paths.cos_ti)))
+    return power, paths.cos_ti, cos_ts
+
+
+class TestReciprocity:
+    """Swapping Tx and Rx scales each element's power by cos(ti) F(ts) / (cos(ts) F(ti)).
+
+    The lobe gains and path lengths are symmetric in the two antennas; the
+    incidence cosine and the normalization F are taken on the Tx side only,
+    so the model is not reciprocal.
+    """
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        mode=st.sampled_from(list(NormalizationMode)),
+        dual_lobe=st.booleans(),
+        alpha_r=st.integers(1, 10),
+        alpha_i=st.integers(1, 10),
+        lam=st.floats(0.0, 1.0),
+        s=st.floats(0.05, 0.95),
+        tx=st.tuples(st.floats(0.5, 5.0), st.floats(0.0, 80.0), st.floats(0.0, 360.0)),
+        rx=st.tuples(st.floats(0.5, 5.0), st.floats(0.0, 80.0), st.floats(0.0, 360.0)),
+    )
+    def test_swap_ratio_identity(self, mode, dual_lobe, alpha_r, alpha_i, lam, s, tx, rx, paper_link):
+        params = dual(s, alpha_r, alpha_i, lam) if dual_lobe else single(s, alpha_r)
+        tx_pos, rx_pos = antenna(*tx), antenna(*rx)
+        forward, cos_ti, cos_ts = element_powers(tx_pos, rx_pos, params, paper_link, mode)
+        backward, _, _ = element_powers(rx_pos, tx_pos, params, paper_link, mode)
+        f_i = lobe_norm(params, mode, np.arccos(cos_ti))
+        f_s = lobe_norm(params, mode, np.arccos(cos_ts))
+        assert np.allclose(forward / backward, cos_ti * f_s / (cos_ts * f_i), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mode", list(NormalizationMode))
+    def test_model_is_not_reciprocal(self, mode, paper_link):
+        tx_pos, rx_pos = antenna(1.5, 30.0, 180.0), antenna(1.5, 70.0, 0.0)
+        forward, _, _ = element_powers(tx_pos, rx_pos, single(0.3, 4), paper_link, mode)
+        backward, _, _ = element_powers(rx_pos, tx_pos, single(0.3, 4), paper_link, mode)
+        assert np.all(np.abs(forward / backward - 1.0) > 0.01)

@@ -14,7 +14,6 @@ from mmscatter.materials import (
     fresnel_gamma,
     initial_scattering_coefficient,
     rayleigh_factor,
-    rough_reflection,
 )
 
 
@@ -110,28 +109,50 @@ class TestRayleighFactor:
             rayleigh_factor(1e-3, 0.3, 0.0)
 
 
+def bundle_for(gamma, r):
+    """ReflectionBundle of the split of initial_scattering_coefficient at the given Gamma and R."""
+    s_coeff = math.sqrt((1.0 - r * r) * gamma * gamma)
+    return ReflectionBundle(gamma=gamma, rayleigh_r=r, gamma_rough=r * gamma, s_coeff=s_coeff)
+
+
 class TestRoughReflection:
+    """Gamma_rough = R * Gamma, as initial_scattering_coefficient computes it and ReflectionBundle checks it."""
+
     def test_smooth_limit(self):
-        assert rough_reflection(-0.62, 1.0) == -0.62
+        mat = Material("mirror", eps_r=6.0, h_rms=0.0, thickness=0.01)
+        bundle = initial_scattering_coefficient(mat, IncidenceContext(math.radians(30.0), WAVELENGTH_28GHZ))
+        assert bundle.rayleigh_r == 1.0
+        assert bundle.gamma_rough == bundle.gamma
+        assert bundle_for(-0.62, 1.0).gamma_rough == -0.62
 
     def test_zero_gamma(self):
-        assert rough_reflection(0.0, 0.8) == 0.0
+        # eps_r = 1 has no dielectric contrast
+        mat = Material("void", eps_r=1.0, h_rms=1e-3, thickness=0.01)
+        bundle = initial_scattering_coefficient(mat, IncidenceContext(math.radians(30.0), WAVELENGTH_28GHZ))
+        assert bundle.gamma_rough == 0.0
+        assert bundle_for(0.0, 0.8).gamma_rough == 0.0
 
     def test_frozen_product(self):
-        assert rough_reflection(-0.4694, 0.9853) == pytest.approx(-0.46249982, rel=1e-12)
+        assert bundle_for(-0.4694, 0.9853).gamma_rough == pytest.approx(-0.46249982, rel=1e-12)
 
     def test_never_exceeds_gamma(self):
         rng = random.Random(3)
         for _ in range(200):
             gamma = rng.uniform(-1.0, 1.0)
             r = rng.uniform(1e-6, 1.0)
-            assert abs(rough_reflection(gamma, r)) <= abs(gamma)
+            assert abs(bundle_for(gamma, r).gamma_rough) <= abs(gamma)
+        for _ in range(200):
+            mat = Material("x", eps_r=1.0 + 14.0 * rng.random(), h_rms=rng.random() * 2e-3, thickness=0.1)
+            ctx = IncidenceContext(rng.random() * (math.pi / 2 - 1e-3), 5e-3 + rng.random() * 25e-3)
+            bundle = initial_scattering_coefficient(mat, ctx)
+            assert bundle.gamma_rough == bundle.rayleigh_r * bundle.gamma
+            assert abs(bundle.gamma_rough) <= abs(bundle.gamma)
 
     def test_precondition_errors(self):
         with pytest.raises(ValueError):
-            rough_reflection(1.2, 0.5)
+            bundle_for(1.2, 0.5)
         with pytest.raises(ValueError):
-            rough_reflection(0.5, 0.0)
+            bundle_for(0.5, 0.0)
 
 
 class TestInitialScatteringCoefficient:
@@ -202,6 +223,6 @@ class TestValidation:
 
     def test_reflection_bundle_invariants(self):
         with pytest.raises(ValueError):
-            ReflectionBundle(gamma=0.5, rayleigh_r=0.9, gamma_rough=0.40, s_coeff=0.1, transmission_t=0.0)
+            ReflectionBundle(gamma=0.5, rayleigh_r=0.9, gamma_rough=0.40, s_coeff=0.1)
         with pytest.raises(ValueError):
-            ReflectionBundle(gamma=0.5, rayleigh_r=0.9, gamma_rough=0.45, s_coeff=0.5, transmission_t=0.0)
+            ReflectionBundle(gamma=0.5, rayleigh_r=0.9, gamma_rough=0.45, s_coeff=0.5)
