@@ -13,21 +13,22 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import shutil
 import sys
 
 import numpy as np
 
 from . import __version__, dbm_to_watts, watts_to_dbm, wavelength_for_frequency
 from .fileio import (
-    FileFormatError,
     default_materials,
     read_materials,
     read_scan,
     read_scene,
+    write_lines,
     write_report,
     write_simulated_scan,
 )
-from .fitting import DegenerateScanError, SearchConfig, compare_models, grid_fit
+from .fitting import SearchConfig, compare_models, grid_fit
 from .geometry import ScanSpec, SurfacePaths, paper_scene, scan_positions
 from .lobes import Direction, LobeModel, LobeParams, NormalizationMode, RadioLink, pattern_sweep
 from .materials import IncidenceContext, Polarization, initial_scattering_coefficient
@@ -174,14 +175,6 @@ def _lobe_params(args, s_coeff: float) -> LobeParams:
     )
 
 
-def _write_csv(path, header_comment: str, columns: str, rows) -> None:
-    lines = [f"# {header_comment}", columns]
-    lines.extend(rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -200,12 +193,8 @@ def _cmd_theory(args) -> int:
                 f"{name},{theta_deg!r},{bundle.gamma!r},{bundle.rayleigh_r!r},"
                 f"{bundle.gamma_rough!r},{bundle.s_coeff!r}"
             )
-    _write_csv(
-        args.out,
-        _header(args, _input_digests(args)),
-        "material,theta_i_deg,gamma,rayleigh_r,gamma_rough,s_coeff",
-        rows,
-    )
+    columns = "material,theta_i_deg,gamma,rayleigh_r,gamma_rough,s_coeff"
+    write_lines(args.out, [columns, *rows], header_comment=_header(args, _input_digests(args)))
     return EXIT_OK
 
 
@@ -233,12 +222,8 @@ def _cmd_pattern(args) -> int:
                 f"{template.model.value},{name}"
                 for row in sweep
             )
-    _write_csv(
-        args.out,
-        _header(args, _input_digests(args)) + " | extent=unit-patch",
-        "theta_i_deg,direction,p_r_dbm,model,material",
-        rows,
-    )
+    header = _header(args, _input_digests(args)) + " | extent=unit-patch"
+    write_lines(args.out, ["theta_i_deg,direction,p_r_dbm,model,material", *rows], header_comment=header)
     return EXIT_OK
 
 
@@ -280,8 +265,8 @@ def _cmd_fit(args) -> int:
         ext = f".{suffix}" if dot else ""
         write_report(comparison.single, f"{base}.single{ext}", header_comment=header)
         write_report(comparison.dual, f"{base}.dual{ext}", header_comment=header)
-        winner = comparison.single if comparison.winner is LobeModel.SINGLE_LOBE else comparison.dual
-        write_report(winner, args.out, header_comment=header)
+        # the winner's report is its sibling's bytes
+        shutil.copyfile(f"{base}.{comparison.winner.value}{ext}", args.out)
         print(
             f"single FVU {comparison.single.fvu!r} | dual FVU {comparison.dual.fvu!r} | winner {comparison.winner.value}"
         )
@@ -308,12 +293,8 @@ def _cmd_angles(args) -> int:
             f"{pos.azimuth_deg!r},{pos.delta_h!r},{r_i!r},{float(r_s[0])!r},"
             + ",".join(repr(math.degrees(a)) for a in angles)
         )
-    _write_csv(
-        args.out,
-        _header(args, _input_digests(args)),
-        "azimuth_deg,delta_h_m,r_i_m,r_s_m,theta_i_deg,theta_s_deg,psi_r_deg,psi_i_deg",
-        rows,
-    )
+    columns = "azimuth_deg,delta_h_m,r_i_m,r_s_m,theta_i_deg,theta_s_deg,psi_r_deg,psi_i_deg"
+    write_lines(args.out, [columns, *rows], header_comment=_header(args, _input_digests(args)))
     return EXIT_OK
 
 
@@ -418,12 +399,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.freq_ghz is None and not getattr(args, "scene", None):
         args.freq_ghz = DEFAULT_FREQ_GHZ
+    # input errors, FileFormatError and DegenerateScanError among the ValueErrors, exit 2
     try:
         return args.func(args)
-    except (FileFormatError, FileNotFoundError, IsADirectoryError, DegenerateScanError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (FileNotFoundError, IsADirectoryError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -30,6 +30,7 @@ __all__ = [
     "read_scan",
     "write_scan",
     "write_simulated_scan",
+    "write_lines",
     "scan_from_records",
     "read_materials",
     "default_materials",
@@ -176,27 +177,21 @@ def read_scan(path) -> Scan:
 
 
 def write_scan(scan: Scan, path, header_comment: str | None = None) -> None:
-    lines = []
-    if header_comment is not None:
-        lines.append(f"# {header_comment}")
-    lines.append(SCAN_HEADER)
+    lines = [SCAN_HEADER]
     for pt in scan.points:
         lines.append(f"{_fmt(pt.azimuth_deg)},{_fmt(pt.delta_h_cm)},{_fmt(pt.power_dbm)}")
-    _write_text(path, lines)
+    write_lines(path, lines, header_comment)
 
 
 def write_simulated_scan(records, path, header_comment: str | None = None) -> None:
     """Write simulate() output; same shape as a measured scan plus the split columns."""
-    lines = []
-    if header_comment is not None:
-        lines.append(f"# {header_comment}")
-    lines.append(SIM_SCAN_HEADER)
+    lines = [SIM_SCAN_HEADER]
     for rec in records:
         lines.append(
             f"{_fmt(rec.azimuth_deg)},{_fmt(rec.delta_h_cm)},{_fmt(rec.power_dbm)},"
             f"{_fmt(rec.specular_dbm)},{_fmt(rec.diffuse_dbm)}"
         )
-    _write_text(path, lines)
+    write_lines(path, lines, header_comment)
 
 
 def scan_from_records(records) -> Scan:
@@ -208,8 +203,11 @@ def scan_from_records(records) -> Scan:
     )
 
 
-def _write_text(path, lines) -> None:
+def write_lines(path, lines, header_comment: str | None = None) -> None:
+    """Write lines with LF endings, after a `# header_comment` line if one is given."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header_comment is not None:
+            fh.write(f"# {header_comment}\n")
         fh.write("\n".join(lines))
         fh.write("\n")
 
@@ -301,9 +299,17 @@ def default_materials() -> MaterialDatabase:
 
 # --- scene files -------------------------------------------------------------
 
-_SCENE_SCALARS = {"frequency_ghz", "wall_width_m", "wall_height_m"}
+_SCENE_SCALARS = {
+    "frequency_ghz", "wall_width_m", "wall_height_m", "scan_radius_m", "scan_step_deg", "scan_range_deg"
+}
 _SCENE_VECTORS = {"wall_center", "wall_normal", "tx"}
-_SCENE_SCAN_KEYS = {"scan_radius_m", "scan_step_deg", "scan_range_deg", "scan_heights_m"}
+# the inline scan keys and the ScanSpec fields they set; ScanSpec supplies the rest
+_SCENE_SCAN_KEYS = {
+    "scan_radius_m": "radius",
+    "scan_step_deg": "azimuth_step_deg",
+    "scan_range_deg": "azimuth_range_deg",
+    "scan_heights_m": "height_offsets",
+}
 
 
 def read_scene(path) -> tuple[Scene, ScanSpec | None]:
@@ -318,7 +324,7 @@ def read_scene(path) -> tuple[Scene, ScanSpec | None]:
         rest = rest.strip()
         if key == "material":
             values[key] = rest
-        elif key in _SCENE_SCALARS or key in {"scan_radius_m", "scan_step_deg", "scan_range_deg"}:
+        elif key in _SCENE_SCALARS:
             values[key] = _parse_finite(rest, source, no, key)
         elif key in _SCENE_VECTORS or key == "scan_heights_m":
             tokens = rest.split()
@@ -343,18 +349,13 @@ def read_scene(path) -> tuple[Scene, ScanSpec | None]:
         scene = Scene(wall=wall, tx=values["tx"], carrier_frequency=values["frequency_ghz"] * 1e9)
     except ValueError as exc:
         raise FileFormatError(f"{source}: {exc}") from None
-    if values.keys() & _SCENE_SCAN_KEYS:
-        try:
-            spec = ScanSpec(
-                radius=values.get("scan_radius_m", 1.5),
-                azimuth_step_deg=values.get("scan_step_deg", 10.0),
-                azimuth_range_deg=values.get("scan_range_deg", 180.0),
-                height_offsets=tuple(values.get("scan_heights_m", (0.0,))),
-            )
-        except ValueError as exc:
-            raise FileFormatError(f"{source}: {exc}") from None
-        return scene, spec
-    return scene, None
+    spec_fields = {field: values[key] for key, field in _SCENE_SCAN_KEYS.items() if key in values}
+    if not spec_fields:
+        return scene, None
+    try:
+        return scene, ScanSpec(**spec_fields)
+    except ValueError as exc:
+        raise FileFormatError(f"{source}: {exc}") from None
 
 
 # --- fit reports --------------------------------------------------------------
@@ -392,8 +393,6 @@ def _params_from_tokens(tokens, source: str, lineno: int) -> LobeParams:
 def write_report(report, path, header_comment: str | None = None) -> None:
     """Serialize a FitReport; read_report(write_report(r)) == r."""
     lines = []
-    if header_comment is not None:
-        lines.append(f"# {header_comment}")
     best = report.best
     lines.append("best " + " ".join(_params_tokens(best)))
     lines.append(f"fvu {_fmt(report.fvu)}")
@@ -404,7 +403,7 @@ def write_report(report, path, header_comment: str | None = None) -> None:
     lines.append(_TRACE_HEADER)
     for entry in report.trace:
         lines.append(f"{entry.round} {entry.stage} " + " ".join(_params_tokens(entry.params)) + f" {_fmt(entry.fvu)}")
-    _write_text(path, lines)
+    write_lines(path, lines, header_comment)
 
 
 def read_report(path):

@@ -9,15 +9,16 @@ less than 1e-4 or the round budget is spent.
 
 The FVU that decides a fit always comes from the tiled single-bounce
 predictor that simulate_scan uses, so a scan generated by this package is
-reproduced bit-exactly. Every stage is first screened from per-pattern
-tables (ScanEvaluator.screen, accurate to about 1e-15); only the
-candidates within CONFIRM_MARGIN of the stage's screened best are then
-scored by the predictor, and only those exact FVUs take part in choosing
-the best. See docs/stage_a_screen.md.
+reproduced bit-exactly. Every stage is first screened from the pattern's
+tables (ScanEvaluator.screen over ScanPattern.shape_totals, accurate to
+about 1e-15); only the candidates within CONFIRM_MARGIN of the stage's
+screened best are then scored by the predictor, and only those exact
+FVUs take part in choosing the best. See docs/stage_a_screen.md.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,7 @@ from .fileio import Scan, default_materials
 from .geometry import Scene, rx_position
 from .lobes import ALPHA_MAX, ALPHA_MIN, LobeModel, LobeParams, NormalizationMode, RadioLink
 from .materials import MaterialDatabase, Polarization
-from .raytrace import DEFAULT_TILE_EDGE, build_pattern, power_gate
+from .raytrace import DEFAULT_TILE_EDGE, build_pattern
 
 __all__ = [
     "DegenerateScanError",
@@ -57,9 +58,6 @@ IMPROVEMENT_TOL = 1e-4
 # are scored exactly; far above FVU_TIE_TOL times the candidate count and the
 # ~1e-15 screen error, so every candidate that can become the best is confirmed
 CONFIRM_MARGIN = 1e-8
-# relative inflation of the anchor certificate, far above the few-ulp rounding
-# of the tile powers that predict compares with the specular power
-_CERTIFICATE_MARGIN = 1e-9
 
 
 class DegenerateScanError(ValueError):
@@ -192,17 +190,6 @@ class _Candidate:
         return self.key < other.key
 
 
-def _specular_anchor_certified(spec_power, s_value, peak):
-    """True where the specular path anchors predict's delay window.
-
-    peak bounds every tile power per unit S^2 (from ScanPattern.lobe_peaks:
-    by the mediant inequality, the larger of the two pure-lobe peaks of the
-    shape's widths). The bound is inflated by _CERTIFICATE_MARGIN so that
-    rounding in the tile powers cannot flip it.
-    """
-    return spec_power >= s_value * s_value * (1.0 + _CERTIFICATE_MARGIN) * peak
-
-
 def _shape_grid(model_kind: LobeModel):
     """(alphas_r, alphas_i, lambdas) whose product, in this order, is the model's stage-A shapes.
 
@@ -215,49 +202,22 @@ def _shape_grid(model_kind: LobeModel):
     return _ALPHAS, _ALPHAS, _LAMBDAS
 
 
-class _ScreenTables:
-    """Per-unit-S^2 tables of one model's stage-A shapes, built once per pattern.
+@functools.cache
+def _shape_columns(model_kind: LobeModel) -> dict[tuple, int]:
+    """Column of each stage-A shape in _shape_grid's product, by its LobeParams' (alpha_r, alpha_i, lambda_mix)."""
+    shapes = itertools.product(*_shape_grid(model_kind))
+    if model_kind is LobeModel.SINGLE_LOBE:
+        return {(alpha_r, None, None): n for n, (alpha_r, _, _) in enumerate(shapes)}
+    return {shape: n for n, shape in enumerate(shapes)}
 
-    Column n is shape n of _shape_candidates; shapes[n] is its (alpha_r,
-    alpha_i, lambda) on the grid of the dual-lobe formula. window[p, n] is
-    the diffuse sum in the delay window that predict anchors at position p:
-    on the specular path where there is one, else on the strongest tile.
-    peak[p, n] bounds every tile power (the specular certificate);
-    tile_certified[p, n] is the tile-anchor certificate of the positions
-    with no specular path.
-    """
 
-    def __init__(self, pattern, model_kind: LobeModel):
-        alphas_r, alphas_i, lambdas = _shape_grid(model_kind)
-        self.shapes = list(itertools.product(alphas_r, alphas_i, lambdas))
-        n_pos = pattern.n_positions
-        lam = np.asarray(lambdas)
-        # a lobe of weight zero bounds nothing
-        peak = np.where(lam > 0.0, pattern.lobe_peaks(alphas_r).T[:, :, None, None], 0.0)
-        if np.any(lam < 1.0):
-            backscatter = pattern.lobe_peaks(alphas_i, backscatter=True).T[:, None, :, None]
-            peak = np.maximum(peak, np.where(lam < 1.0, backscatter, 0.0))
-        self.peak = np.broadcast_to(peak, (n_pos, len(alphas_r), len(alphas_i), len(lambdas))).reshape(n_pos, -1)
-        self.window = pattern.specular_window_sums(alphas_r, alphas_i, lambdas).reshape(n_pos, -1)
-        self.spec_power = pattern.spec_power
-        self.no_spec = self.spec_power == 0.0
-        self.tile_certified = np.zeros(self.window.shape, dtype=bool)
-        rows = np.flatnonzero(self.no_spec)
-        if rows.size:
-            sums, certified = pattern.tile_window_sums(alphas_r, alphas_i, lambdas, rows, _CERTIFICATE_MARGIN)
-            self.window[rows] = sums.reshape(rows.size, -1)
-            self.tile_certified[rows] = certified.reshape(rows.size, -1)
-        self.columns = {
-            (p.alpha_r, p.alpha_i, p.lambda_mix): n for n, p in enumerate(_shape_candidates(model_kind, 0.5))
-        }
-
-    def certified(self, s_value, columns):
-        """(P, Q) mask of the table entries that equal predict's anchored sum at S s_value[q]."""
-        return np.where(
-            self.no_spec[:, None],
-            self.tile_certified[:, columns],
-            _specular_anchor_certified(self.spec_power[:, None], s_value, self.peak[:, columns]),
-        )
+def _shape_candidates(model_kind: LobeModel, s_value: float):
+    """The model's stage-A candidates at S s_value, in _shape_grid's product order."""
+    for alpha_r, alpha_i, lam in itertools.product(*_shape_grid(model_kind)):
+        if model_kind is LobeModel.SINGLE_LOBE:
+            yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r)
+        else:
+            yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
 
 
 class ScanEvaluator:
@@ -274,7 +234,6 @@ class ScanEvaluator:
         self.pattern = build_pattern(
             scene, positions, cfg.link, cfg.materials, cfg.tile_edge, cfg.mode, cfg.polarization
         )
-        self._tables: dict[LobeModel, _ScreenTables] = {}
 
     def __call__(self, params: LobeParams) -> float:
         total_w, _, _, _, _ = self.pattern.predict(params)
@@ -284,55 +243,25 @@ class ScanEvaluator:
     def screen(self, candidates) -> np.ndarray:
         """Screened FVU of candidates of one model (stage-A shapes at any S), in order.
 
-        At each position the diffuse sum is s^2 times the model's table entry
-        where a certificate says the table's delay window is predict's;
-        every other position goes through the gate of predict. The values
-        agree with __call__ to rounding (about 1e-15).
+        The powers come from ScanPattern.shape_totals, which agrees with
+        predict to rounding, so the values agree with __call__ to about
+        1e-15.
         """
         model_kind = candidates[0].model
-        tables = self._tables.get(model_kind)
-        if tables is None:
-            tables = self._tables[model_kind] = _ScreenTables(self.pattern, model_kind)
-        columns = np.array([tables.columns[(p.alpha_r, p.alpha_i, p.lambda_mix)] for p in candidates])
+        grid = _shape_grid(model_kind)
+        shape_columns = _shape_columns(model_kind)
+        columns = np.array([shape_columns[p.alpha_r, p.alpha_i, p.lambda_mix] for p in candidates])
         s_values = np.array([p.s_coeff for p in candidates])
-        return np.concatenate([
-            self._screen_block(tables, s_values[k : k + _SCREEN_BLOCK], columns[k : k + _SCREEN_BLOCK])
-            for k in range(0, len(candidates), _SCREEN_BLOCK)
-        ])
-
-    def _screen_block(self, tables: _ScreenTables, s_values, columns) -> np.ndarray:
-        pattern = self.pattern
-        spec = pattern.spec_power
-        s_sq = s_values * s_values
-        spec_w, diff_w = power_gate(spec[:, None], s_sq * tables.window[:, columns])
-        total_w = spec_w + diff_w  # (P, Q)
-        uncertified = ~tables.certified(s_values, columns)
-        # the gate of predict, once per S and width pair for all its mixes
-        groups: dict[tuple, list[tuple[int, float]]] = {}
-        for q in np.flatnonzero(uncertified.any(axis=0)).tolist():
-            a_r, a_i, lam = tables.shapes[columns[q]]
-            groups.setdefault((float(s_values[q]), a_r, a_i), []).append((q, lam))
-        for (s_value, a_r, a_i), members in groups.items():
-            qs, lambdas = map(list, zip(*members))
-            rows = np.flatnonzero(uncertified[:, qs].any(axis=1))
-            tile_p = pattern.dual_tile_powers(s_value, a_r, a_i, lambdas, rows)  # (G, R, T)
-            total_w[np.ix_(rows, qs)] = pattern.gate(tile_p, rows)[0].T
         measured = np.asarray(self.measured)
         denom = float(((measured - measured.mean()) ** 2).sum())
-        with np.errstate(divide="ignore"):
-            simulated = 10.0 * np.log10(total_w / DBM_REF_WATTS)
-        return np.sqrt(((measured[:, None] - simulated) ** 2).sum(axis=0) / denom)
-
-
-def _shape_candidates(model_kind: LobeModel, s_value: float):
-    if model_kind is LobeModel.SINGLE_LOBE:
-        for alpha_r in _ALPHAS:
-            yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r)
-        return
-    for alpha_r in _ALPHAS:
-        for alpha_i in _ALPHAS:
-            for lam in _LAMBDAS:
-                yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
+        screened = []
+        for k in range(0, len(candidates), _SCREEN_BLOCK):
+            block = slice(k, k + _SCREEN_BLOCK)
+            total_w = self.pattern.shape_totals(grid, s_values[block], columns[block])
+            with np.errstate(divide="ignore"):
+                simulated = 10.0 * np.log10(total_w / DBM_REF_WATTS)
+            screened.append(np.sqrt(((measured[:, None] - simulated) ** 2).sum(axis=0) / denom))
+        return np.concatenate(screened)
 
 
 def _build_evaluator(scan: Scan, scene: Scene, cfg: SearchConfig, plane_only: bool) -> ScanEvaluator:
@@ -383,6 +312,12 @@ def grid_fit(
         stage(rnd, "A", list(_shape_candidates(model_kind, current_s)))
         stage(rnd, "B", [replace(best.params, s_coeff=s_value) for s_value in s_grid(s_initial)])
         current_s = best.params.s_coeff
+        if math.isinf(best.fvu):
+            # inf - inf is nan, so no later round could converge either
+            raise DegenerateScanError(
+                "every candidate predicts 0 W at some scan position, so no FVU is finite;"
+                " check the link budget (transmit power and antenna gains)"
+            )
         if best.fvu == 0.0:
             converged = True
             break

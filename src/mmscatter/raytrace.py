@@ -14,6 +14,7 @@ bit-identical results.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -57,6 +58,9 @@ DELAY_GATE_S = 5e-9
 # both gates implemented; the stricter one applies
 _LENGTH_GATE = min(LENGTH_GATE_M, DELAY_GATE_S * SPEED_OF_LIGHT)
 
+# relative inflation of the anchor certificates, far above the few-ulp rounding
+# of the tile powers that predict compares
+_CERTIFICATE_MARGIN = 1e-9
 # path lengths closer than this count as one length when the strongest tile
 # anchors the delay window: far above the rounding of lengths of a few m, far
 # below the spacing of distinct tile path lengths
@@ -121,15 +125,14 @@ class ScanPattern:
     Evaluating a candidate LobeParams against the pattern is a handful of
     vectorized array operations, and the same evaluation path serves both
     scan simulation and fitting, so predicted powers are bit-identical
-    across the two.
+    across the two. The pattern also owns the fit's screen tables
+    (shape_totals), so predict's delay window is decided in this module
+    alone.
     """
 
-    def __init__(self, scene, link, mode, tile_theta, tile_area, const, u_base, v_base, lengths, spec_power, spec_length):
-        self.scene = scene
-        self.link = link
+    def __init__(self, mode, tile_theta, const, u_base, v_base, lengths, spec_power, spec_length):
         self.mode = mode
         self.tile_theta = tile_theta  # (T,)
-        self.tile_area = tile_area
         self._const = const  # (P, T): everything except S^2, lobe gain, normalization
         self._u = u_base  # (P, T): (1 + cos psi_r)/2
         self._v = v_base  # (P, T): (1 + cos psi_i)/2
@@ -137,6 +140,7 @@ class ScanPattern:
         self.spec_power = spec_power  # (P,): specular power, 0 where no specular point
         self._spec_length = spec_length  # (P,)
         self._width_cache: dict[tuple[str, int], np.ndarray] = {}
+        self._shape_tables: dict[tuple, _ShapeTable] = {}
 
     @property
     def n_positions(self) -> int:
@@ -234,115 +238,40 @@ class ScanPattern:
         )
         return (spec_w + diff_w, spec_w, diff_w, dropped_power, dropped_delay), best_len, tile_in
 
-    def lobe_peaks(self, alphas, backscatter: bool = False) -> np.ndarray:
-        """Largest tile power per unit S^2 of each pure lobe: (len(alphas), P).
+    def shape_totals(self, grid, s_values, columns) -> np.ndarray:
+        """Gated total watts (P, Q) of shape columns[q] of grid at S s_values[q].
 
-        The forward lobe (lambda 1) by default, the backscatter lobe (lambda
-        0) with backscatter=True. A dual-lobe tile power is a mediant of the
-        two pure ones, so for widths (a_r, a_i) and any mix no tile carries
-        more than S^2 * max(forward[a_r], backscatter[a_i]).
+        grid is (alphas_r, alphas_i, lambdas); column n is shape n of their
+        product, in the dual-lobe formula (the single lobe is its lambda-1
+        slice). Each entry equals predict's total for that candidate to
+        rounding (about 1e-15): at each position the diffuse sum is s^2 times
+        a per-grid table entry where a certificate says the table's delay
+        window is predict's, and every other position goes through gate,
+        once per S and width pair for all its mixes. See
+        docs/stage_a_screen.md.
         """
-        kind = "v" if backscatter else "u"
-        tile_p = np.empty_like(self._const)
-        peaks = [
-            element_power(1.0, self._const, self._width_array(kind, a), self._norms(a), out=tile_p).max(axis=1)
-            for a in alphas
-        ]
-        return np.array(peaks)
-
-    def specular_window_sums(self, alphas_r, alphas_i, lambdas) -> np.ndarray:
-        """Dual-lobe diffuse sums per unit S^2 in the specular delay window: (P, Ar, Ai, L).
-
-        Entry [p, i, j, l] sums the tile powers of forward width alphas_r[i],
-        backscatter width alphas_i[j] and mix lambdas[l] over the tiles whose
-        path length lies within the window around the specular path. Where
-        the specular path anchors the window this is the diffuse sum that
-        predict gates. With the window fixed the sum is linear in the two
-        lobe gains, so each lobe of each width and mix takes one matrix
-        product against the reciprocal mixed normalizations of all the
-        widths of the other lobe. A lobe of weight zero adds nothing and is
-        skipped, so the mix-1 slice (the single lobe) needs no backscatter
-        gains.
-        """
-        norms_r = np.array([self._norms(a) for a in alphas_r])  # (Ar, T)
-        norms_i = np.array([self._norms(a) for a in alphas_i])  # (Ai, T)
-        window = np.abs(self._lengths - self._spec_length[:, None]) <= _LENGTH_GATE
-        const_in_window = np.where(window, self._const, 0.0)
-        sums = np.zeros((const_in_window.shape[0], len(alphas_r), len(alphas_i), len(lambdas)))
-        gain = np.empty_like(const_in_window)
-        forward = [(m, lam) for m, lam in enumerate(lambdas) if lam > 0.0]
-        backscatter = [(m, lam) for m, lam in enumerate(lambdas) if lam < 1.0]
-        for k, a in enumerate(alphas_r if forward else ()):
-            np.multiply(const_in_window, self._width_array("u", a), out=gain)
-            for m, lam in forward:
-                sums[:, k, :, m] += lam * (gain @ np.reciprocal(lobe_mix(lam, norms_r[k], norms_i)).T)
-        for k, a in enumerate(alphas_i if backscatter else ()):
-            np.multiply(const_in_window, self._width_array("v", a), out=gain)
-            for m, lam in backscatter:
-                sums[:, :, k, m] += (1.0 - lam) * (gain @ np.reciprocal(lobe_mix(lam, norms_r, norms_i[k])).T)
-        return sums
-
-    def tile_window_sums(self, alphas_r, alphas_i, lambdas, rows, margin: float):
-        """Dual-lobe diffuse sums per unit S^2 in the strongest tile's delay window, with a certificate.
-
-        For receivers with no specular path (spec_power 0) predict anchors
-        the delay window on the strongest tile. Scaling by S^2 does not
-        move it, so one pass at unit S serves every S. Returns two
-        (R, Ar, Ai, L) arrays over the positions `rows`, indexed like
-        specular_window_sums: the window sums, and where they are certified.
-        An entry is certified when the strongest tile outweighs every tile
-        of a different path length (more than _ANCHOR_TIE_M apart) by
-        (1 + margin), and no tile lies within 2 _ANCHOR_TIE_M of the window
-        edge. Rounding of the S^2 scaling can then only move the anchor
-        among tiles of one path length (mirror images tie exactly), which
-        leaves the window unchanged, so s^2 times a certified entry is the
-        diffuse sum predict gates.
-
-        The pass runs one width pair at a time, on the tiles of each row in
-        path-length order: there the window and the tie band of an anchor
-        are index ranges, found once per row.
-        """
-        lengths = self._lengths[rows]  # (R, T)
-        n_rows, n_tiles = lengths.shape
-        n_lam = len(lambdas)
-        gate = _LENGTH_GATE
-        tie = _ANCHOR_TIE_M
-        order = np.argsort(lengths, axis=-1, kind="stable")
-        # per row and length rank of the anchor: the window [lo, hi), the tie
-        # band [band_lo, band_hi), and the count of tiles near the window edge
-        lo, hi, band_lo, band_hi, at_edge = (np.empty((n_rows, n_tiles), dtype=np.intp) for _ in range(5))
-        for r, ranked in enumerate(np.take_along_axis(lengths, order, axis=-1)):
-            lo[r], hi[r] = np.searchsorted(ranked, ranked - gate), np.searchsorted(ranked, ranked + gate, "right")
-            band_lo[r] = np.searchsorted(ranked, ranked - tie)
-            band_hi[r] = np.searchsorted(ranked, ranked + tie, "right")
-            at_edge[r] = sum(
-                np.searchsorted(ranked, edge + 2.0 * tie, "right") - np.searchsorted(ranked, edge - 2.0 * tie)
-                for edge in (ranked - gate, ranked + gate)
-            )
-        flat_order = (order + n_tiles * np.arange(n_rows)[:, None]).ravel()
-        base = n_tiles * np.arange(n_lam * n_rows).reshape(n_lam, n_rows)
-        row = np.arange(n_rows)
-        band = np.arange((band_hi - band_lo).max())
-        tile_p = np.empty((n_lam, n_rows, n_tiles))
-        # one spare zero past the end keeps every window end a valid index of reduceat
-        flat = np.zeros(tile_p.size + 1)
-        ranked_p = flat[:-1].reshape(n_lam, n_rows, n_tiles)
-        shape = (len(alphas_r), len(alphas_i), n_lam, n_rows)
-        sums = np.empty(shape)
-        certified = np.empty(shape, dtype=bool)
-        for i, a_r in enumerate(alphas_r):
-            for j, a_i in enumerate(alphas_i):
-                self.dual_tile_powers(1.0, a_r, a_i, lambdas, rows, out=tile_p)
-                np.take(tile_p.reshape(n_lam, -1), flat_order, axis=1, out=ranked_p.reshape(n_lam, -1), mode="clip")
-                k = ranked_p.argmax(axis=-1)  # (L, R): the anchor's length rank
-                top = np.take_along_axis(ranked_p, k[..., None], axis=-1)[..., 0]
-                windows = np.stack([base + lo[row, k], base + hi[row, k]], axis=-1)
-                sums[i, j] = np.add.reduceat(flat, windows.ravel())[::2].reshape(n_lam, n_rows)
-                # zero the anchor's tie band; the largest tile left is its rival
-                flat[base[..., None] + np.minimum(band_lo[row, k, None] + band, band_hi[row, k, None] - 1)] = 0.0
-                rival = ranked_p.max(axis=-1)
-                certified[i, j] = (top >= (1.0 + margin) * rival) & (at_edge[row, k] == 0)
-        return sums.transpose(3, 0, 1, 2), certified.transpose(3, 0, 1, 2)
+        table = self._shape_tables.get(grid)
+        if table is None:
+            table = self._shape_tables[grid] = _ShapeTable(self, *grid)
+        spec = self.spec_power
+        s_sq = s_values * s_values
+        spec_w, diff_w = power_gate(spec[:, None], s_sq * table.window[:, columns])
+        total_w = spec_w + diff_w
+        uncertified = ~np.where(
+            table.no_spec[:, None],
+            table.tile_certified[:, columns],
+            _specular_anchor_certified(spec[:, None], s_values, table.peak[:, columns]),
+        )
+        groups: dict[tuple, list[tuple[int, float]]] = {}
+        for q in np.flatnonzero(uncertified.any(axis=0)).tolist():
+            a_r, a_i, lam = table.shapes[columns[q]]
+            groups.setdefault((float(s_values[q]), a_r, a_i), []).append((q, lam))
+        for (s_value, a_r, a_i), members in groups.items():
+            qs, lambdas = map(list, zip(*members))
+            rows = np.flatnonzero(uncertified[:, qs].any(axis=1))
+            tile_p = self.dual_tile_powers(s_value, a_r, a_i, lambdas, rows)  # (G, R, T)
+            total_w[np.ix_(rows, qs)] = self.gate(tile_p, rows)[0].T
+        return total_w
 
     def contributions(self, params: LobeParams, position: int) -> tuple[tuple[PathContribution, ...], GatingReport]:
         """Retained contributions at one receiver, in specular-then-tile order, and its gating report."""
@@ -378,6 +307,159 @@ class ScanPattern:
             dropped_power=int(dropped_power[0]), dropped_delay=int(dropped_delay[0]), retained=len(kept)
         )
         return tuple(kept), report
+
+
+def _specular_anchor_certified(spec_power, s_value, peak):
+    """True where the specular path anchors predict's delay window.
+
+    peak bounds every tile power per unit S^2. The bound is inflated by
+    _CERTIFICATE_MARGIN so that rounding in the tile powers cannot flip it.
+    """
+    return spec_power >= s_value * s_value * (1.0 + _CERTIFICATE_MARGIN) * peak
+
+
+def _lobe_peaks(pattern: ScanPattern, alphas, kind: str) -> np.ndarray:
+    """Largest tile power per unit S^2 of each pure lobe: (len(alphas), P).
+
+    The forward lobe (lambda 1) for kind "u", the backscatter lobe (lambda
+    0) for kind "v". A dual-lobe tile power is a mediant of the two pure
+    ones, so for widths (a_r, a_i) and any mix no tile carries more than
+    S^2 * max(forward[a_r], backscatter[a_i]).
+    """
+    tile_p = np.empty_like(pattern._const)
+    peaks = [
+        element_power(1.0, pattern._const, pattern._width_array(kind, a), pattern._norms(a), out=tile_p).max(axis=1)
+        for a in alphas
+    ]
+    return np.array(peaks)
+
+
+def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas) -> np.ndarray:
+    """Dual-lobe diffuse sums per unit S^2 in the specular delay window: (P, Ar, Ai, L).
+
+    Entry [p, i, j, l] sums the tile powers of forward width alphas_r[i],
+    backscatter width alphas_i[j] and mix lambdas[l] over the tiles whose
+    path length lies within the window around the specular path. Where
+    the specular path anchors the window this is the diffuse sum that
+    predict gates. With the window fixed the sum is linear in the two
+    lobe gains, so each lobe of each width and mix takes one matrix
+    product against the reciprocal mixed normalizations of all the
+    widths of the other lobe. A lobe of weight zero adds nothing and is
+    skipped, so the mix-1 slice (the single lobe) needs no backscatter
+    gains.
+    """
+    norms_r = np.array([pattern._norms(a) for a in alphas_r])  # (Ar, T)
+    norms_i = np.array([pattern._norms(a) for a in alphas_i])  # (Ai, T)
+    window = np.abs(pattern._lengths - pattern._spec_length[:, None]) <= _LENGTH_GATE
+    const_in_window = np.where(window, pattern._const, 0.0)
+    sums = np.zeros((const_in_window.shape[0], len(alphas_r), len(alphas_i), len(lambdas)))
+    gain = np.empty_like(const_in_window)
+    forward = [(m, lam) for m, lam in enumerate(lambdas) if lam > 0.0]
+    backscatter = [(m, lam) for m, lam in enumerate(lambdas) if lam < 1.0]
+    for k, a in enumerate(alphas_r if forward else ()):
+        np.multiply(const_in_window, pattern._width_array("u", a), out=gain)
+        for m, lam in forward:
+            sums[:, k, :, m] += lam * (gain @ np.reciprocal(lobe_mix(lam, norms_r[k], norms_i)).T)
+    for k, a in enumerate(alphas_i if backscatter else ()):
+        np.multiply(const_in_window, pattern._width_array("v", a), out=gain)
+        for m, lam in backscatter:
+            sums[:, :, k, m] += (1.0 - lam) * (gain @ np.reciprocal(lobe_mix(lam, norms_r, norms_i[k])).T)
+    return sums
+
+
+def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
+    """Dual-lobe diffuse sums per unit S^2 in the strongest tile's delay window, with a certificate.
+
+    For receivers with no specular path (spec_power 0) predict anchors
+    the delay window on the strongest tile. Scaling by S^2 does not
+    move it, so one pass at unit S serves every S. Returns two
+    (R, Ar, Ai, L) arrays over the positions `rows`, indexed like
+    _specular_window_sums: the window sums, and where they are certified.
+    An entry is certified when the strongest tile outweighs every tile
+    of a different path length (more than _ANCHOR_TIE_M apart) by
+    (1 + _CERTIFICATE_MARGIN), and no tile lies within 2 _ANCHOR_TIE_M of
+    the window edge. Rounding of the S^2 scaling can then only move the
+    anchor among tiles of one path length (mirror images tie exactly),
+    which leaves the window unchanged, so s^2 times a certified entry is
+    the diffuse sum predict gates.
+
+    The pass runs one width pair at a time, on the tiles of each row in
+    path-length order: there the window and the tie band of an anchor
+    are index ranges, found once per row.
+    """
+    lengths = pattern._lengths[rows]  # (R, T)
+    n_rows, n_tiles = lengths.shape
+    n_lam = len(lambdas)
+    gate = _LENGTH_GATE
+    tie = _ANCHOR_TIE_M
+    order = np.argsort(lengths, axis=-1, kind="stable")
+    # per row and length rank of the anchor: the window [lo, hi), the tie
+    # band [band_lo, band_hi), and the count of tiles near the window edge
+    lo, hi, band_lo, band_hi, at_edge = (np.empty((n_rows, n_tiles), dtype=np.intp) for _ in range(5))
+    for r, ranked in enumerate(np.take_along_axis(lengths, order, axis=-1)):
+        lo[r], hi[r] = np.searchsorted(ranked, ranked - gate), np.searchsorted(ranked, ranked + gate, "right")
+        band_lo[r] = np.searchsorted(ranked, ranked - tie)
+        band_hi[r] = np.searchsorted(ranked, ranked + tie, "right")
+        at_edge[r] = sum(
+            np.searchsorted(ranked, edge + 2.0 * tie, "right") - np.searchsorted(ranked, edge - 2.0 * tie)
+            for edge in (ranked - gate, ranked + gate)
+        )
+    flat_order = (order + n_tiles * np.arange(n_rows)[:, None]).ravel()
+    base = n_tiles * np.arange(n_lam * n_rows).reshape(n_lam, n_rows)
+    row = np.arange(n_rows)
+    band = np.arange((band_hi - band_lo).max())
+    tile_p = np.empty((n_lam, n_rows, n_tiles))
+    # one spare zero past the end keeps every window end a valid index of reduceat
+    flat = np.zeros(tile_p.size + 1)
+    ranked_p = flat[:-1].reshape(n_lam, n_rows, n_tiles)
+    shape = (len(alphas_r), len(alphas_i), n_lam, n_rows)
+    sums = np.empty(shape)
+    certified = np.empty(shape, dtype=bool)
+    for i, a_r in enumerate(alphas_r):
+        for j, a_i in enumerate(alphas_i):
+            pattern.dual_tile_powers(1.0, a_r, a_i, lambdas, rows, out=tile_p)
+            np.take(tile_p.reshape(n_lam, -1), flat_order, axis=1, out=ranked_p.reshape(n_lam, -1), mode="clip")
+            k = ranked_p.argmax(axis=-1)  # (L, R): the anchor's length rank
+            top = np.take_along_axis(ranked_p, k[..., None], axis=-1)[..., 0]
+            windows = np.stack([base + lo[row, k], base + hi[row, k]], axis=-1)
+            sums[i, j] = np.add.reduceat(flat, windows.ravel())[::2].reshape(n_lam, n_rows)
+            # zero the anchor's tie band; the largest tile left is its rival
+            flat[base[..., None] + np.minimum(band_lo[row, k, None] + band, band_hi[row, k, None] - 1)] = 0.0
+            rival = ranked_p.max(axis=-1)
+            certified[i, j] = (top >= (1.0 + _CERTIFICATE_MARGIN) * rival) & (at_edge[row, k] == 0)
+    return sums.transpose(3, 0, 1, 2), certified.transpose(3, 0, 1, 2)
+
+
+class _ShapeTable:
+    """Per-unit-S^2 tables of a grid of dual-lobe shapes, built once per pattern and grid.
+
+    Column n is shape n of the product alphas_r x alphas_i x lambdas;
+    shapes[n] is its (alpha_r, alpha_i, lambda). window[p, n] is the
+    diffuse sum in the delay window that predict anchors at position p: on
+    the specular path where there is one, else on the strongest tile.
+    peak[p, n] bounds every tile power (the specular certificate);
+    tile_certified[p, n] is the tile-anchor certificate of the positions
+    with no specular path (no_spec).
+    """
+
+    def __init__(self, pattern: ScanPattern, alphas_r, alphas_i, lambdas):
+        self.shapes = list(itertools.product(alphas_r, alphas_i, lambdas))
+        n_pos = pattern.n_positions
+        lam = np.asarray(lambdas)
+        # a lobe of weight zero bounds nothing
+        peak = np.where(lam > 0.0, _lobe_peaks(pattern, alphas_r, "u").T[:, :, None, None], 0.0)
+        if np.any(lam < 1.0):
+            backscatter = _lobe_peaks(pattern, alphas_i, "v").T[:, None, :, None]
+            peak = np.maximum(peak, np.where(lam < 1.0, backscatter, 0.0))
+        self.peak = np.broadcast_to(peak, (n_pos, len(alphas_r), len(alphas_i), len(lambdas))).reshape(n_pos, -1)
+        self.window = _specular_window_sums(pattern, alphas_r, alphas_i, lambdas).reshape(n_pos, -1)
+        self.no_spec = pattern.spec_power == 0.0
+        self.tile_certified = np.zeros(self.window.shape, dtype=bool)
+        rows = np.flatnonzero(self.no_spec)
+        if rows.size:
+            sums, certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
+            self.window[rows] = sums.reshape(rows.size, -1)
+            self.tile_certified[rows] = certified.reshape(rows.size, -1)
 
 
 def tile_centers(scene: Scene, tile_edge: float) -> tuple[np.ndarray, float]:
@@ -450,11 +532,8 @@ def build_pattern(
                 spec_length[p] = path_len
 
     return ScanPattern(
-        scene=scene,
-        link=link,
         mode=mode,
         tile_theta=np.arccos(paths.cos_ti),
-        tile_area=area,
         const=const,
         u_base=u_base,
         v_base=v_base,

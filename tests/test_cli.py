@@ -76,6 +76,7 @@ def test_fit_both_writes_three_reports(tmp_path):
     assert dual_report.fvu == 0.0
     winner = read_report(out)
     assert winner == dual_report
+    assert out.read_bytes() == (tmp_path / "fit.dual.txt").read_bytes()
 
 
 def test_pattern_dual_lambda(tmp_path):
@@ -161,6 +162,18 @@ def test_non_finite_scan_value_is_data_error(tmp_path, capsys, record):
     assert code == EXIT_DATA
     assert f"{bad}:3:" in capsys.readouterr().err
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_fit_with_every_power_zero_is_data_error(tmp_path, capsys):
+    # at -3200 dBm every predicted power underflows to 0 W, so every FVU is inf
+    scan = tmp_path / "scan.csv"
+    scan.write_text("angle_deg,delta_h_cm,power_dbm\n0.0,0.0,-55.0\n10.0,0.0,-58.0\n20.0,0.0,-61.0\n", encoding="utf-8")
+    out = tmp_path / "r.txt"
+    code = run("fit", "--scan", str(scan), "--material", "rough_wall", "--p-t-dbm", "-3200",
+               "--s-initial", "0.3", "--tiles-m", "0.5", "--out", str(out))
+    assert code == EXIT_DATA
+    assert "input error: every candidate predicts 0 W" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SCENE_60GHZ = (

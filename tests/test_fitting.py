@@ -13,8 +13,6 @@ from mmscatter.fitting import (
     SearchConfig,
     ScanEvaluator,
     _shape_candidates,
-    _CERTIFICATE_MARGIN,
-    _specular_anchor_certified,
     compare_models,
     fvu,
     grid_fit,
@@ -24,7 +22,7 @@ from mmscatter.fitting import (
 )
 from mmscatter.geometry import DEFAULT_CYLINDER_HEIGHTS, ScanSpec, paper_scene, scan_positions
 from mmscatter.lobes import LobeModel, LobeParams
-from mmscatter.raytrace import build_pattern, simulate_scan
+from mmscatter.raytrace import _ShapeTable, _specular_anchor_certified, build_pattern, simulate_scan
 
 
 def single(s, alpha_r=4):
@@ -308,7 +306,7 @@ class TestStageAScreen:
         scene = paper_scene(material, theta_deg)
         positions = [p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))]
         pattern = build_pattern(scene, np.array(positions), paper_link, materials_db, 0.5)
-        peak = np.maximum(pattern.lobe_peaks((alpha_r,))[0], pattern.lobe_peaks((alpha_i,), backscatter=True)[0])
+        peak = _ShapeTable(pattern, (alpha_r,), (alpha_i,), (lam,)).peak[:, 0]
         certified = _specular_anchor_certified(pattern.spec_power, s, peak)
         # predict anchors the delay window on the specular path when no tile outweighs it
         tile_max = pattern.tile_powers(dual(s, alpha_r, alpha_i, lam)).max(axis=1)
@@ -332,8 +330,8 @@ class TestStageAScreen:
         # the receivers with no specular point: the +/-90 deg ones, in the wall plane
         rows = np.flatnonzero(pattern.spec_power == 0.0)
         assert rows.size == 8
-        sums, certified = pattern.tile_window_sums((alpha_r,), (alpha_i,), (lam,), rows, _CERTIFICATE_MARGIN)
-        sums, certified = sums.reshape(-1), certified.reshape(-1)
+        table = _ShapeTable(pattern, (alpha_r,), (alpha_i,), (lam,))
+        sums, certified = table.window[rows, 0], table.tile_certified[rows, 0]
         # mirror-image tiles tie exactly at delta_h 0; the tie band still certifies them
         assert certified.all()
         total_w = pattern.predict(dual(s, alpha_r, alpha_i, lam))[0][rows]
