@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import shutil
 import sys
 
@@ -260,9 +261,7 @@ def _cmd_fit(args) -> int:
     header = _header(args, _input_digests(args))
     if args.model == "both":
         comparison = compare_models(scan, scene, s_initial, cfg, plane_only=args.plane_only)
-        stem, dot, suffix = args.out.rpartition(".")
-        base = stem if dot else args.out
-        ext = f".{suffix}" if dot else ""
+        base, ext = os.path.splitext(args.out)
         write_report(comparison.single, f"{base}.single{ext}", header_comment=header)
         write_report(comparison.dual, f"{base}.dual{ext}", header_comment=header)
         # the winner's report is its sibling's bytes

@@ -74,6 +74,13 @@ def _parse_finite(token: str, source: str, lineno: int, what: str) -> float:
     return value
 
 
+def _parse_int(token: str, source: str, lineno: int, what: str) -> int:
+    # plain ASCII digits only: int() alone would also take "4_0" as 40
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise _err(source, lineno, f"non-integer {what}: {token!r}")
+    return int(token)
+
+
 def height_m_to_cm(delta_h_m: float) -> float:
     """Height offset in the scan-file unit; quantized to 1e-9 cm so the
     common decimal heights (0.1 m, 0.2 m, ...) convert without float dust."""
@@ -249,7 +256,6 @@ def _parse_materials(lines, source: str) -> MaterialDatabase:
                     name=current_name,
                     eps_r=fields["eps_r"],
                     h_rms=fields["h_rms_mm"],
-                    thickness=fields["thickness_cm"],
                 )
             )
         except ValueError as exc:
@@ -279,6 +285,10 @@ def _parse_materials(lines, source: str) -> MaterialDatabase:
                 fields[key] = _parse_finite(value, source, no, key)
             else:
                 fields[key] = _parse_length(value, unit, source, no, key)
+            # the half-space reflection model never reads the slab thickness,
+            # but a record must still give a valid one
+            if key == "thickness_cm" and fields[key] <= 0.0:
+                raise _err(source, no, f"thickness_cm must be > 0 m, got {fields[key]!r}")
         else:
             raise _err(source, no, f"unknown key {key!r}")
     finish()
@@ -322,6 +332,8 @@ def read_scene(path) -> tuple[Scene, ScanSpec | None]:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in values:
+            raise _err(source, no, f"duplicate key {key}")
         if key == "material":
             values[key] = rest
         elif key in _SCENE_SCALARS:
@@ -382,12 +394,15 @@ def _params_from_tokens(tokens, source: str, lineno: int) -> LobeParams:
     except ValueError:
         raise _err(source, lineno, f"unknown model {model_token!r}") from None
     s_value = _parse_float(s_token, source, lineno, "s_coeff")
-    alpha_r = int(_parse_float(ar_token, source, lineno, "alpha_r"))
-    if ai_token == "-":
-        return LobeParams(model=model, s_coeff=s_value, alpha_r=alpha_r)
-    alpha_i = int(_parse_float(ai_token, source, lineno, "alpha_i"))
-    lam = _parse_float(lam_token, source, lineno, "lambda_mix")
-    return LobeParams(model=model, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
+    alpha_r = _parse_int(ar_token, source, lineno, "alpha_r")
+    alpha_i = lam = None
+    if ai_token != "-":
+        alpha_i = _parse_int(ai_token, source, lineno, "alpha_i")
+        lam = _parse_float(lam_token, source, lineno, "lambda_mix")
+    try:
+        return LobeParams(model=model, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
+    except ValueError as exc:
+        raise _err(source, lineno, str(exc)) from None
 
 
 def write_report(report, path, header_comment: str | None = None) -> None:
@@ -419,6 +434,8 @@ def read_report(path):
         if not in_trace:
             key, _, rest = line.partition(" ")
             rest = rest.strip()
+            if key in fields:
+                raise _err(source, no, f"duplicate key {key}")
             if key == "best":
                 tokens = rest.split()
                 if len(tokens) != 5:
@@ -431,7 +448,7 @@ def read_report(path):
                     raise _err(source, no, f"{key} must be true or false, got {rest!r}")
                 fields[key] = rest == "true"
             elif key == "trace":
-                expect_trace = int(_parse_float(rest, source, no, "trace count"))
+                expect_trace = _parse_int(rest, source, no, "trace count")
                 in_trace = True
             else:
                 raise _err(source, no, f"unknown key {key!r}")
@@ -443,7 +460,7 @@ def read_report(path):
                 raise _err(source, no, f"expected 8 trace fields, got {len(tokens)}")
             trace_rows.append(
                 TraceEntry(
-                    round=int(tokens[0]),
+                    round=_parse_int(tokens[0], source, no, "round"),
                     stage=tokens[1],
                     params=_params_from_tokens(tokens[2:7], source, no),
                     fvu=_parse_float(tokens[7], source, no, "fvu"),

@@ -4,8 +4,9 @@ A single rectangular wall is illuminated by a fixed Tx; the Rx is stepped
 along a circular arc of configurable radius around the wall center (and
 optionally raised by a set of height offsets, sweeping a semicylinder).
 Azimuth 0 deg is the wall normal at the center; positive azimuth is the
-specular side of the Tx. SurfacePaths holds the geometry of the
-single-bounce paths over surface elements that the scattering model needs.
+specular side of the Tx. specular_paths runs the image method for every
+receiver at once; SurfacePaths holds the geometry of the single-bounce
+paths over surface elements that the scattering model needs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = [
     "RxPosition",
     "SurfacePaths",
     "scan_positions",
-    "specular_point",
+    "specular_paths",
     "paper_scene",
 ]
 
@@ -70,13 +71,6 @@ class Wall:
     def w_axis(self) -> np.ndarray:
         """Vertical in-wall axis (height direction), computed once per wall."""
         return np.cross(self.normal, self.u_axis)
-
-    def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
-        rel = point - self.center
-        return (
-            abs(float(np.dot(rel, self.u_axis))) <= self.width / 2.0 + tol
-            and abs(float(np.dot(rel, self.w_axis))) <= self.height / 2.0 + tol
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,27 +158,36 @@ def scan_positions(scene: Scene, spec: ScanSpec) -> list[RxPosition]:
     return positions
 
 
-def specular_point(tx: np.ndarray, rx: np.ndarray, wall: Wall) -> np.ndarray | None:
-    """Image-method reflection point on the wall, or None if it misses the rectangle."""
-    tx = _as_vec3(tx, "tx")
-    rx = _as_vec3(rx, "rx")
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a (P, 3) with b, (3,) or (P, 3), rounded as np.dot of two 3-vectors."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def specular_paths(tx: np.ndarray, rx: np.ndarray, wall: Wall) -> tuple[np.ndarray, np.ndarray]:
+    """Image-method specular path from tx to each receiver of rx (P, 3): (length, cos_theta), each (P,).
+
+    cos_theta is the cosine of the reflection angle at the wall. Both are 0
+    where the reflection point misses the wall rectangle, or where the
+    path is degenerate: a reflection point at either antenna, or grazing.
+    """
     n = wall.normal
     tx_height = float(np.dot(tx - wall.center, n))
-    rx_height = float(np.dot(rx - wall.center, n))
-    if tx_height <= 0.0 or rx_height <= 0.0:
+    if tx_height <= 0.0 or np.any(_row_dots(rx - wall.center, n) <= 0.0):
         raise ValueError("tx and rx must lie on the outward side of the wall plane")
     mirrored = tx - 2.0 * tx_height * n
     direction = rx - mirrored
-    denom = float(np.dot(direction, n))
-    if denom <= 0.0:
-        return None
-    t = -float(np.dot(mirrored - wall.center, n)) / denom
-    if not 0.0 < t < 1.0:
-        return None
-    point = mirrored + t * direction
-    if not wall.contains(point):
-        return None
-    return point
+    denom = _row_dots(direction, n)
+    # t is 0 where the mirrored ray does not run toward the wall, a miss below
+    t = -float(np.dot(mirrored - wall.center, n)) / np.where(denom > 0.0, denom, np.inf)
+    point = mirrored + t[:, None] * direction
+    d_in, d_out = point - tx, rx - point
+    len_in, len_out = np.sqrt(_row_dots(d_in, d_in)), np.sqrt(_row_dots(d_out, d_out))
+    cos_theta = -_row_dots(d_in, n) / np.where(len_in > 0.0, len_in, np.inf)
+    off_u, off_w = (np.abs(_row_dots(point - wall.center, axis)) for axis in (wall.u_axis, wall.w_axis))
+    hit = (0.0 < t) & (t < 1.0) & (off_u <= wall.width / 2.0 + 1e-9) & (off_w <= wall.height / 2.0 + 1e-9)
+    # a reflection point at either antenna, or at grazing, is degenerate
+    hit &= (np.minimum(len_in, len_out) > 1e-12) & (cos_theta > 1e-12)
+    return np.where(hit, len_in + len_out, 0.0), np.where(hit, cos_theta, 0.0)
 
 
 class SurfacePaths:

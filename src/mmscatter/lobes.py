@@ -123,6 +123,10 @@ class RadioLink:
         """Incident-field amplitude constant K = sqrt(60 P_t G_t)."""
         return math.sqrt(60.0 * self.p_t * self.g_t)
 
+    def friis_power(self, path_length: float) -> float:
+        """Free-space received power P_t G_t G_r (lambda / (4 pi d))^2 over a path of length d (m)."""
+        return self.p_t * self.g_t * self.g_r * (self.wavelength / (4.0 * math.pi * path_length)) ** 2
+
 
 @lru_cache(maxsize=None)
 def _phi_ring_coeffs(alpha: int) -> tuple[tuple[int, float], ...]:

@@ -46,16 +46,15 @@ class Polarization(Enum):
 
 @dataclass(frozen=True)
 class Material:
-    """One surface: relative permittivity, roughness, and slab thickness.
+    """One surface: relative permittivity and roughness.
 
     h_rms is the standard deviation of the surface height about its mean,
-    in meters. thickness is in meters.
+    in meters. The wall is a dielectric half-space, so it has no thickness.
     """
 
     name: str
     eps_r: float
     h_rms: float
-    thickness: float
 
     def __post_init__(self):
         if not self.name:
@@ -64,8 +63,6 @@ class Material:
             raise ValueError(f"{self.name}: eps_r must be >= 1, got {self.eps_r}")
         if self.h_rms < 0.0:
             raise ValueError(f"{self.name}: h_rms must be >= 0 m, got {self.h_rms}")
-        if self.thickness <= 0.0:
-            raise ValueError(f"{self.name}: thickness must be > 0 m, got {self.thickness}")
 
 
 class MaterialDatabase:
@@ -91,14 +88,8 @@ class MaterialDatabase:
     def names(self) -> list[str]:
         return list(self._by_name)
 
-    def __iter__(self):
-        return iter(self._by_name.values())
-
     def __len__(self) -> int:
         return len(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import SPEED_OF_LIGHT, watts_to_dbm
 from .fileio import height_m_to_cm
-from .geometry import Scene, ScanSpec, SurfacePaths, scan_positions, specular_point
+from .geometry import Scene, ScanSpec, SurfacePaths, scan_positions, specular_paths
 from .lobes import (
     LobeModel,
     LobeParams,
@@ -34,7 +34,7 @@ from .lobes import (
     lobe_mix,
     single_lobe_norm,
 )
-from .materials import MaterialDatabase, Polarization, fresnel_gamma, rayleigh_factor
+from .materials import IncidenceContext, MaterialDatabase, Polarization, initial_scattering_coefficient
 
 __all__ = [
     "PathKind",
@@ -491,11 +491,8 @@ def build_pattern(
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     if rx.shape[1] != 3:
         raise ValueError("rx_positions must be (P, 3)")
-    wall = scene.wall
-    n = wall.normal
-    tx = scene.tx
     centers, area = tile_centers(scene, tile_edge)
-    paths = SurfacePaths(tx, centers, n)
+    paths = SurfacePaths(scene.tx, centers, scene.wall.normal)
 
     n_pos = rx.shape[0]
     n_tiles = centers.shape[0]
@@ -503,33 +500,20 @@ def build_pattern(
     u_base = np.empty((n_pos, n_tiles))
     v_base = np.empty((n_pos, n_tiles))
     lengths = np.empty((n_pos, n_tiles))
-    spec_power = np.zeros(n_pos)
-    spec_length = np.zeros(n_pos)
-
     for p in range(n_pos):
-        rp = rx[p]
-        r_s, _, cos_psi_r, cos_psi_i = paths.receiver(rp)
+        r_s, _, cos_psi_r, cos_psi_i = paths.receiver(rx[p])
         u_base[p] = (1.0 + cos_psi_r) / 2.0
         v_base[p] = (1.0 + cos_psi_i) / 2.0
         lengths[p] = paths.r_i + r_s
         const[p] = element_constant(link, paths.r_i, r_s, paths.cos_ti, area)
 
-        sp = specular_point(tx, rp, wall)
-        if sp is not None:
-            d_in = sp - tx
-            d_out = rp - sp
-            len_in = float(np.linalg.norm(d_in))
-            len_out = float(np.linalg.norm(d_out))
-            cos_sp = -float(np.dot(d_in, n)) / len_in if len_in > 0.0 else 0.0
-            # a reflection point at either antenna, or at grazing, is degenerate
-            if len_in > 1e-12 and len_out > 1e-12 and cos_sp > 1e-12:
-                path_len = len_in + len_out
-                theta_sp = math.acos(min(1.0, cos_sp))
-                gamma = fresnel_gamma(material.eps_r, theta_sp, polarization)
-                rough = rayleigh_factor(material.h_rms, theta_sp, link.wavelength) * gamma
-                friis = link.p_t * link.g_t * link.g_r * (link.wavelength / (4.0 * math.pi * path_len)) ** 2
-                spec_power[p] = friis * rough * rough
-                spec_length[p] = path_len
+    spec_length, spec_cos = specular_paths(scene.tx, rx, scene.wall)
+    spec_power = np.zeros(n_pos)
+    for p in np.flatnonzero(spec_length).tolist():
+        length, cos_theta = float(spec_length[p]), float(spec_cos[p])
+        ctx = IncidenceContext(math.acos(min(1.0, cos_theta)), link.wavelength, polarization)
+        rough = initial_scattering_coefficient(material, ctx).gamma_rough
+        spec_power[p] = link.friis_power(length) * rough * rough
 
     return ScanPattern(
         mode=mode,

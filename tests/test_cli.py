@@ -78,6 +78,18 @@ def test_fit_both_writes_three_reports(tmp_path):
     assert winner == dual_report
     assert out.read_bytes() == (tmp_path / "fit.dual.txt").read_bytes()
 
+    # a file name without an extension, in a directory whose name has one:
+    # the siblings take the suffix after the file name
+    directory = tmp_path / "dot.d"
+    directory.mkdir()
+    code = run(
+        "fit", "--scan", str(sim), "--material", "rough_wall", "--theta-deg", "30",
+        "--model", "both", "--s-initial", "0.35", "--tiles-m", "0.5", "--out", str(directory / "report"),
+    )
+    assert code == EXIT_OK
+    assert sorted(p.name for p in directory.iterdir()) == ["report", "report.dual", "report.single"]
+    assert (directory / "report").read_bytes() == (directory / "report.dual").read_bytes()
+
 
 def test_pattern_dual_lambda(tmp_path):
     out = tmp_path / "pattern.csv"

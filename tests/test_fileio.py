@@ -226,19 +226,18 @@ class TestHeightConversion:
 
 class TestMaterialsFile:
     def test_shipped_table_values_exact(self, materials_db):
-        # all 16 shipped cells: names plus three numeric fields per row
+        # all 12 stored cells: names plus two numeric fields per row
         expected = {
-            "metal_sheet": (6.0, 0.170 * 1e-3, 0.3 * 1e-2),
-            "marble_wall": (6.2, 0.216 * 1e-3, 15.0 * 1e-2),
-            "smooth_wall": (5.8, 0.445 * 1e-3, 25.0 * 1e-2),
-            "rough_wall": (10.5, 0.715 * 1e-3, 32.0 * 1e-2),
+            "metal_sheet": (6.0, 0.170 * 1e-3),
+            "marble_wall": (6.2, 0.216 * 1e-3),
+            "smooth_wall": (5.8, 0.445 * 1e-3),
+            "rough_wall": (10.5, 0.715 * 1e-3),
         }
         assert sorted(materials_db.names()) == sorted(expected)
-        for name, (eps, h_rms, thickness) in expected.items():
+        for name, (eps, h_rms) in expected.items():
             material = materials_db.get(name)
             assert material.eps_r == eps
             assert material.h_rms == h_rms
-            assert material.thickness == thickness
 
     def test_explicit_unit_suffixes(self, tmp_path):
         path = tmp_path / "mat.txt"
@@ -247,15 +246,24 @@ class TestMaterialsFile:
         )
         db = read_materials(path)
         mat = db.get("demo")
-        assert mat.thickness == 32.0 * 1e-2
         assert mat.h_rms == 0.5 * 1e-3
 
     def test_meter_suffix(self, tmp_path):
         path = tmp_path / "mat.txt"
         path.write_text("material demo\neps_r 4.0\nh_rms_mm 0.0005 m\nthickness_cm 0.32 m\n", encoding="utf-8")
         mat = read_materials(path).get("demo")
-        assert mat.thickness == 0.32
         assert mat.h_rms == 0.0005
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [("thickness_cm 0", "thickness_cm must be > 0 m"), ("thickness_cm -3 mm", "thickness_cm must be > 0 m"),
+         ("thickness_cm 32 in", "unknown unit 'in' for thickness_cm")],
+    )
+    def test_unused_thickness_still_validated(self, tmp_path, record, message):
+        path = tmp_path / "mat.txt"
+        path.write_text(f"material demo\neps_r 4.0\nh_rms_mm 0.5\n{record}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=rf":4: {message}"):
+            read_materials(path)
 
     @pytest.mark.parametrize("lineno, record", [(2, "eps_r inf"), (3, "h_rms_mm -inf"), (4, "thickness_cm inf cm")])
     def test_infinite_value_rejected(self, tmp_path, lineno, record):
@@ -346,6 +354,34 @@ class TestReportRoundTrip:
             read_report(path)
 
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "report.txt"
+        write_report(self._report(LobeModel.DUAL_LOBE), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert(2, "fvu 0.5")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r"report\.txt:3: duplicate key fvu"):
+            read_report(path)
+
+    @pytest.mark.parametrize(
+        "lineno, line, message",
+        [
+            (1, "best dual 0.3 4.7 9 0.2", "non-integer alpha_r: '4.7'"),
+            (1, "best dual 0.3 4 1_0 0.2", "non-integer alpha_i: '1_0'"),
+            (1, "best dual 1.5 4 9 0.2", r"s_coeff must be in \[0, 1\)"),
+            (8, "1.5 A dual 0.25 7 2 0.7 0.4243", "non-integer round: '1.5'"),
+        ],
+    )
+    def test_bad_value_names_its_line(self, tmp_path, lineno, line, message):
+        path = tmp_path / "report.txt"
+        write_report(self._report(LobeModel.DUAL_LOBE), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[lineno - 1] = line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=rf"report\.txt:{lineno}: {message}"):
+            read_report(path)
+
+
 class TestSceneFile:
     def test_parse_with_scan_spec(self, tmp_path):
         path = tmp_path / "scene.txt"
@@ -405,6 +441,17 @@ class TestSceneFile:
         path = tmp_path / "scene.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match=rf":{lineno}: {key} must be finite"):
+            read_scene(path)
+
+    @pytest.mark.parametrize("line", ["frequency_ghz 60", "tx 1.3 0.75 0"])
+    def test_repeated_key_rejected(self, tmp_path, line):
+        path = tmp_path / "scene.txt"
+        path.write_text(
+            "material rough_wall\nfrequency_ghz 28\nwall_center 0 0 0\nwall_normal 1 0 0\n"
+            f"wall_width_m 3\nwall_height_m 3\ntx 1.3 -0.75 0\n{line}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(FileFormatError, match=rf"scene\.txt:8: duplicate key {line.split()[0]}"):
             read_scene(path)
 
     def test_bad_vector(self, tmp_path):

@@ -21,8 +21,15 @@ from mmscatter.fitting import (
     s_grid,
 )
 from mmscatter.geometry import DEFAULT_CYLINDER_HEIGHTS, ScanSpec, paper_scene, scan_positions
-from mmscatter.lobes import LobeModel, LobeParams
-from mmscatter.raytrace import _ShapeTable, _specular_anchor_certified, build_pattern, simulate_scan
+from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode
+from mmscatter.raytrace import (
+    _LENGTH_GATE,
+    ScanPattern,
+    _ShapeTable,
+    _specular_anchor_certified,
+    build_pattern,
+    simulate_scan,
+)
 
 
 def single(s, alpha_r=4):
@@ -336,6 +343,46 @@ class TestStageAScreen:
         assert certified.all()
         total_w = pattern.predict(dual(s, alpha_r, alpha_i, lam))[0][rows]
         assert np.all(np.abs(s * s * sums - total_w) <= 1e-13 * total_w)
+
+    def test_specular_certificate_misses_a_near_tie(self, scene30, paper_link, materials_db):
+        positions = [p.position for p in scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))]
+        pattern = build_pattern(scene30, np.array(positions), paper_link, materials_db, 0.5)
+        params = single(0.5, 4)
+        tile_p = pattern.tile_powers(params)
+        lengths = pattern._lengths
+        anchor_len = lengths[np.arange(len(lengths)), tile_p.argmax(axis=1)]
+        # specular rows where a tile anchor would gate other tiles than the specular anchor does
+        moved = np.any(
+            (np.abs(lengths - anchor_len[:, None]) <= _LENGTH_GATE)
+            != (np.abs(lengths - pattern._spec_length[:, None]) <= _LENGTH_GATE),
+            axis=1,
+        )
+        rows = np.flatnonzero(moved & (pattern.spec_power > 0.0))
+        assert rows.size > 0
+        # a specular power just below the strongest tile: predict anchors on the
+        # tile, so the certificate must not let the specular window stand
+        pattern.spec_power[rows] = tile_p.max(axis=1)[rows] * (1.0 - 1e-6)
+        total_w = pattern.shape_totals(((4,), (1,), (1.0,)), np.array([0.5]), np.array([0]))[:, 0]
+        exact = pattern.predict(params)[0]
+        assert np.all(np.abs(total_w - exact) <= 1e-13 * exact)
+
+    def test_tile_certificate_misses_a_tie_at_two_lengths(self):
+        # one receiver with no specular path; tiles 0 and 2 carry the same
+        # power at path lengths 2 m apart. predict anchors on tile 0 (the first
+        # index), whose window holds tile 1; the window of tile 2 does not
+        pattern = ScanPattern(
+            NormalizationMode.HEMISPHERE,
+            tile_theta=np.full(3, 0.5),
+            const=np.full((1, 3), 1e-6),
+            u_base=np.array([[0.9, 0.5, 0.9]]),
+            v_base=np.full((1, 3), 0.4),
+            lengths=np.array([[4.0, 4.8, 2.0]]),
+            spec_power=np.zeros(1),
+            spec_length=np.zeros(1),
+        )
+        total_w = pattern.shape_totals(((4,), (10,), (0.7,)), np.array([0.5]), np.array([0]))[:, 0]
+        exact = pattern.predict(dual(0.5, 4, 10, 0.7))[0]
+        assert np.all(np.abs(total_w - exact) <= 1e-13 * exact)
 
     @staticmethod
     def exact_screen(jitter=0.0):

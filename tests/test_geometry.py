@@ -13,7 +13,7 @@ from mmscatter.geometry import (
     paper_scene,
     rx_position,
     scan_positions,
-    specular_point,
+    specular_paths,
 )
 
 
@@ -42,11 +42,13 @@ class TestScanPositions:
         assert keys == sorted(keys)
 
     def test_specular_side_is_positive_azimuth(self, scene30):
-        # Tx sits at azimuth -30; its mirror direction is +30
-        pos = {p.azimuth_deg: p.position for p in scan_positions(scene30, ScanSpec())}
-        point = specular_point(scene30.tx, pos[30.0], scene30.wall)
-        assert point is not None
-        assert np.allclose(point, scene30.wall.center, atol=1e-12)
+        # Tx sits at azimuth -30; its mirror direction is +30, where the
+        # image path reflects at the wall center: two arc radii long
+        positions = scan_positions(scene30, ScanSpec())
+        length, _ = specular_paths(scene30.tx, np.array([p.position for p in positions]), scene30.wall)
+        by_azimuth = dict(zip((p.azimuth_deg for p in positions), length.tolist()))
+        assert by_azimuth[30.0] == pytest.approx(3.0, abs=1e-12)
+        assert by_azimuth[-30.0] != pytest.approx(3.0, abs=1e-3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -58,36 +60,44 @@ class TestScanPositions:
 
 
 class TestSpecularPoint:
+    """The image-method specular path of geometry.specular_paths."""
+
     def test_symmetric_pair_reflects_at_center(self, scene30):
         rx = rx_position(scene30, 1.5, 30.0, 0.0)
-        point = specular_point(scene30.tx, rx, scene30.wall)
-        assert point is not None
-        assert float(np.linalg.norm(point - scene30.wall.center)) <= 1e-12
+        length, cos_theta = specular_paths(scene30.tx, rx[None], scene30.wall)
+        # Tx and Rx both 1.5 m from the wall center, 30 deg either side of the normal
+        assert abs(float(length[0]) - 3.0) <= 1e-12
+        assert abs(float(cos_theta[0]) - math.cos(math.radians(30.0))) <= 1e-12
 
     def test_image_method_closed_form(self):
-        # wall plane x = 0, normal +x; closed form: t = h_tx / (h_tx + h_rx),
-        # p = mirror + t (rx - mirror) with mirror = tx - 2 h_tx n
+        # wall plane x = 0, normal +x; the path is as long as the straight
+        # line from the mirrored Tx, and meets the wall at the angle of that line
         wall = Wall(center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]), width=3.0, height=3.0, material="m")
         tx = np.array([1.2, -0.75, 0.2])
         rx = np.array([0.8, 0.75, 0.5])
-        t = 1.2 / (1.2 + 0.8)
         mirror = np.array([-1.2, -0.75, 0.2])
-        expected = mirror + t * (rx - mirror)
-        point = specular_point(tx, rx, wall)
-        assert point is not None
-        assert np.allclose(point, expected, atol=1e-14)
-        assert min(tx[2], rx[2]) < point[2] < max(tx[2], rx[2])
+        expected_length = float(np.linalg.norm(rx - mirror))
+        length, cos_theta = specular_paths(tx, np.array([rx, rx + [1.0, 0.0, 0.0]]), wall)
+        assert abs(float(length[0]) - expected_length) <= 1e-14
+        assert abs(float(cos_theta[0]) - (1.2 + 0.8) / expected_length) <= 1e-14
+        # every receiver of the batch gets its own path
+        assert abs(float(length[1]) - float(np.linalg.norm(rx + [1.0, 0.0, 0.0] - mirror))) <= 1e-14
 
     def test_misses_narrow_wall(self):
         wall = Wall(center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]), width=0.4, height=3.0, material="m")
         tx = np.array([1.0, -1.5, 0.0])
-        rx = np.array([1.0, -0.9, 0.0])
-        assert specular_point(tx, rx, wall) is None
+        rx = np.array([[1.0, -0.9, 0.0], [1.0, 1.5, 0.0]])
+        length, cos_theta = specular_paths(tx, rx, wall)
+        # the first reflection point lies 1.2 m off center, past the 0.2 m half width
+        assert length.tolist() == [0.0, pytest.approx(2.0 * math.hypot(1.0, 1.5))]
+        assert cos_theta[0] == 0.0
 
     def test_wrong_side_rejected(self):
         wall = Wall(center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]), width=3.0, height=3.0, material="m")
         with pytest.raises(ValueError):
-            specular_point(np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), wall)
+            specular_paths(np.array([-1.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0]]), wall)
+        with pytest.raises(ValueError):
+            specular_paths(np.array([1.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), wall)
 
 
 def path_geometry(tx, rx, point, normal):

@@ -54,7 +54,7 @@ class TestSimulatePoint:
 
     def test_dead_scene_has_no_contributions(self, paper_link, materials_db):
         # eps_r = 1 gives Gamma = 0; S = 0 kills the diffuse side
-        vacuum_wall = MaterialDatabase([Material("void", eps_r=1.0, h_rms=1e-4, thickness=0.1)])
+        vacuum_wall = MaterialDatabase([Material("void", eps_r=1.0, h_rms=1e-4)])
         scene = Scene(
             wall=Wall(center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]), width=3.0, height=3.0, material="void"),
             tx=np.array([1.3, -0.75, 0.0]),
