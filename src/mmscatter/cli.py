@@ -104,12 +104,12 @@ def _material_names(args, db) -> list[str]:
 
 
 def _theta_grid(args) -> list[float]:
-    grid = []
-    theta = args.theta_min
-    while theta <= args.theta_max + 1e-9:
-        grid.append(round(theta, 10))
-        theta += args.theta_step
-    return grid
+    lo, hi, step = args.theta_min, args.theta_max, args.theta_step
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf):
+        raise ValueError(f"--theta-min/--theta-max/--theta-step must be finite, the step > 0; got {lo}/{hi}/{step}")
+    # every angle from lo up to hi, with hi itself counted to 1e-9
+    count = max(0, math.floor((hi + 1e-9 - lo) / step) + 1)
+    return [round(lo + k * step, 10) for k in range(count)]
 
 
 def _resolve_scene(args, db):

@@ -3,8 +3,9 @@
 All formats are line-oriented UTF-8 text with LF line endings and
 locale-independent number formatting (shortest representation that parses
 back to the identical float, never fewer than the digits needed for an
-exact round trip). Comment lines start with '#'. Readers reject trailing
-garbage and report 1-based line numbers.
+exact round trip). Every reader sees the same data lines (_data_lines):
+blank lines and '#' comments are skipped, and whitespace around a line is
+ignored. Readers reject trailing garbage and report 1-based line numbers.
 
 Scan CSV: header `angle_deg,delta_h_cm,power_dbm`, one record per receiver
 position. Azimuth 0 is the wall normal at the wall center; positive angles
@@ -138,32 +139,34 @@ class Scan:
         return Scan(points=kept)
 
 
-def _read_lines(path) -> list[tuple[int, str]]:
+def _data_lines(path):
+    """Yield (1-based line number, line) for every line that is neither blank
+    nor a '#' comment, with surrounding whitespace stripped: the one line
+    grammar of every input format."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
-    raw = text.split("\n")
-    if raw and raw[-1] == "":
-        raw.pop()
-    return [(i + 1, line) for i, line in enumerate(raw)]
+    for no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield no, line
 
 
 def read_scan(path) -> Scan:
     """Parse and validate a scan CSV (measured 3-column or simulated 5-column)."""
     source = str(path)
-    lines = [(no, ln) for no, ln in _read_lines(path) if not ln.startswith("#")]
-    if not lines:
+    lines = _data_lines(path)
+    header_no, header = next(lines, (0, None))
+    if header is None:
         raise FileFormatError(f"{source}: empty scan file")
-    header_no, header = lines[0]
     if header not in (SCAN_HEADER, SIM_SCAN_HEADER):
         raise _err(source, header_no, f"bad header {header!r}; expected {SCAN_HEADER!r}")
-    n_cols = len(header.split(","))
+    names = header.split(",")
     points = []
     seen: dict[tuple[float, float], int] = {}
-    for no, line in lines[1:]:
+    for no, line in lines:
         fields = line.split(",")
-        if len(fields) != n_cols:
-            raise _err(source, no, f"expected {n_cols} fields, got {len(fields)}")
-        names = header.split(",")
+        if len(fields) != len(names):
+            raise _err(source, no, f"expected {len(names)} fields, got {len(fields)}")
         values = [_parse_finite(tok, source, no, name) for tok, name in zip(fields[:3], names)]
         # simulated scans write -inf to the split columns where a path family is empty
         values += [_parse_float(tok, source, no, name) for tok, name in zip(fields[3:], names[3:])]
@@ -237,49 +240,39 @@ def _parse_length(token: str, default_unit: str, source: str, lineno: int, what:
     return _parse_finite(parts[0], source, lineno, what) * _LENGTH_UNITS[unit]
 
 
-def _parse_materials(lines, source: str) -> MaterialDatabase:
+def _close_material(db: MaterialDatabase, record, source: str) -> None:
+    """Add the open record (name, line number, fields), if any, to db."""
+    if record is None:
+        return
+    name, lineno, fields = record
+    missing = [k for k in _MATERIAL_KEYS if k not in fields]
+    if missing:
+        raise _err(source, lineno, f"material {name!r} is missing {', '.join(missing)}")
+    try:
+        db.add(Material(name=name, eps_r=fields["eps_r"], h_rms=fields["h_rms_mm"]))
+    except ValueError as exc:
+        raise _err(source, lineno, str(exc)) from None
+
+
+def read_materials(path) -> MaterialDatabase:
+    """Parse a material database file (see data/materials.txt for the format)."""
+    source = str(path)
     db = MaterialDatabase()
-    current_name = None
-    current_line = 0
-    fields: dict[str, float] = {}
-
-    def finish():
-        nonlocal current_name, fields
-        if current_name is None:
-            return
-        missing = [k for k in _MATERIAL_KEYS if k not in fields]
-        if missing:
-            raise _err(source, current_line, f"material {current_name!r} is missing {', '.join(missing)}")
-        try:
-            db.add(
-                Material(
-                    name=current_name,
-                    eps_r=fields["eps_r"],
-                    h_rms=fields["h_rms_mm"],
-                )
-            )
-        except ValueError as exc:
-            raise _err(source, current_line, str(exc)) from None
-        current_name = None
-        fields = {}
-
-    for no, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    record = None  # the open `material` record: (name, line number, fields)
+    for no, line in _data_lines(path):
         key, _, value = line.partition(" ")
         value = value.strip()
         if key == "material":
-            finish()
+            _close_material(db, record, source)
             if not value:
                 raise _err(source, no, "material record needs a name")
-            current_name = value
-            current_line = no
+            record = (value, no, {})
         elif key in _MATERIAL_KEYS:
-            if current_name is None:
+            if record is None:
                 raise _err(source, no, f"{key} outside a material record")
+            name, _, fields = record
             if key in fields:
-                raise _err(source, no, f"duplicate key {key} for material {current_name!r}")
+                raise _err(source, no, f"duplicate key {key} for material {name!r}")
             unit = _MATERIAL_KEYS[key]
             if unit is None:
                 fields[key] = _parse_finite(value, source, no, key)
@@ -291,15 +284,10 @@ def _parse_materials(lines, source: str) -> MaterialDatabase:
                 raise _err(source, no, f"thickness_cm must be > 0 m, got {fields[key]!r}")
         else:
             raise _err(source, no, f"unknown key {key!r}")
-    finish()
+    _close_material(db, record, source)
     if len(db) == 0:
         raise FileFormatError(f"{source}: no material records found")
     return db
-
-
-def read_materials(path) -> MaterialDatabase:
-    """Parse a material database file (see data/materials.txt for the format)."""
-    return _parse_materials(_read_lines(path), str(path))
 
 
 def default_materials() -> MaterialDatabase:
@@ -326,10 +314,7 @@ def read_scene(path) -> tuple[Scene, ScanSpec | None]:
     """Parse a scene file; returns the scene and an optional inline scan spec."""
     source = str(path)
     values: dict[str, object] = {}
-    for no, raw in _read_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in _data_lines(path):
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key in values:
@@ -422,62 +407,58 @@ def write_report(report, path, header_comment: str | None = None) -> None:
 
 
 def read_report(path):
+    """Parse a fit report in write_report's layout: each header key once,
+    `trace N`, the trace column header, then the N trace rows."""
     from .fitting import FitReport, TraceEntry  # deferred: fitting imports this module
 
     source = str(path)
-    lines = [(no, ln) for no, ln in _read_lines(path) if not ln.startswith("#")]
+    lines = _data_lines(path)
     fields: dict[str, object] = {}
     trace_rows: list = []
     expect_trace = None
-    in_trace = False
     for no, line in lines:
-        if not in_trace:
-            key, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if key in fields:
-                raise _err(source, no, f"duplicate key {key}")
-            if key == "best":
-                tokens = rest.split()
-                if len(tokens) != 5:
-                    raise _err(source, no, "malformed best-parameters line")
-                fields["best"] = _params_from_tokens(tokens, source, no)
-            elif key in ("fvu", "s_initial"):
-                fields[key] = _parse_float(rest, source, no, key)
-            elif key in ("plane_only", "converged"):
-                if rest not in ("true", "false"):
-                    raise _err(source, no, f"{key} must be true or false, got {rest!r}")
-                fields[key] = rest == "true"
-            elif key == "trace":
-                expect_trace = _parse_int(rest, source, no, "trace count")
-                in_trace = True
-            else:
-                raise _err(source, no, f"unknown key {key!r}")
-        elif line == _TRACE_HEADER:
-            continue
+        key, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if key in fields:
+            raise _err(source, no, f"duplicate key {key}")
+        if key == "best":
+            tokens = rest.split()
+            if len(tokens) != 5:
+                raise _err(source, no, "malformed best-parameters line")
+            fields["best"] = _params_from_tokens(tokens, source, no)
+        elif key in ("fvu", "s_initial"):
+            fields[key] = _parse_float(rest, source, no, key)
+        elif key in ("plane_only", "converged"):
+            if rest not in ("true", "false"):
+                raise _err(source, no, f"{key} must be true or false, got {rest!r}")
+            fields[key] = rest == "true"
+        elif key == "trace":
+            expect_trace = _parse_int(rest, source, no, "trace count")
+            break
         else:
-            tokens = line.split()
-            if len(tokens) != 8:
-                raise _err(source, no, f"expected 8 trace fields, got {len(tokens)}")
-            trace_rows.append(
-                TraceEntry(
-                    round=_parse_int(tokens[0], source, no, "round"),
-                    stage=tokens[1],
-                    params=_params_from_tokens(tokens[2:7], source, no),
-                    fvu=_parse_float(tokens[7], source, no, "fvu"),
-                )
-            )
+            raise _err(source, no, f"unknown key {key!r}")
+    if expect_trace is not None:
+        # at end of file, the error names the `trace N` line
+        no, line = next(lines, (no, None))
+        if line != _TRACE_HEADER:
+            raise _err(source, no, f"expected the trace column header {_TRACE_HEADER!r}")
+    for no, line in lines:
+        if line == _TRACE_HEADER:
+            raise _err(source, no, "repeated trace column header")
+        tokens = line.split()
+        if len(tokens) != 8:
+            raise _err(source, no, f"expected 8 trace fields, got {len(tokens)}")
+        if tokens[1] not in ("A", "B"):
+            raise _err(source, no, f"trace stage must be A or B, got {tokens[1]!r}")
+        round_no = _parse_int(tokens[0], source, no, "round")
+        params = _params_from_tokens(tokens[2:7], source, no)
+        fvu = _parse_float(tokens[7], source, no, "fvu")
+        trace_rows.append(TraceEntry(round=round_no, stage=tokens[1], params=params, fvu=fvu))
     missing = sorted({"best", "fvu", "s_initial", "plane_only", "converged"} - fields.keys())
     if missing:
         raise FileFormatError(f"{source}: missing keys: {', '.join(missing)}")
     if expect_trace is None or expect_trace != len(trace_rows):
         raise FileFormatError(f"{source}: trace row count mismatch (declared {expect_trace}, got {len(trace_rows)})")
-    return FitReport(
-        best=fields["best"],
-        fvu=fields["fvu"],
-        s_initial=fields["s_initial"],
-        trace=tuple(trace_rows),
-        plane_only=fields["plane_only"],
-        converged=fields["converged"],
-    )
+    return FitReport(trace=tuple(trace_rows), **fields)
 
 

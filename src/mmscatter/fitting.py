@@ -79,6 +79,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if not 0.0 < self.scan_radius < math.inf:
+            raise ValueError(f"scan radius must be > 0 and finite, got {self.scan_radius}")
 
 
 @dataclass(frozen=True)

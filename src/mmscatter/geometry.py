@@ -83,8 +83,8 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "tx", _as_vec3(self.tx, "tx position"))
-        if self.carrier_frequency <= 0.0:
-            raise ValueError("carrier_frequency must be > 0 Hz")
+        if not 0.0 < self.carrier_frequency < math.inf:
+            raise ValueError(f"carrier_frequency must be > 0 Hz and finite, got {self.carrier_frequency}")
         if float(np.dot(self.tx - self.wall.center, self.wall.normal)) <= 0.0:
             raise ValueError("tx must lie strictly on the outward side of the wall plane")
 
@@ -112,18 +112,23 @@ class ScanSpec:
     height_offsets: tuple[float, ...] = DEFAULT_ARC_HEIGHTS
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("scan radius must be > 0")
-        if self.azimuth_step_deg <= 0.0 or self.azimuth_range_deg <= 0.0:
-            raise ValueError("azimuth step and range must be > 0")
-        steps = self.azimuth_range_deg / self.azimuth_step_deg
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"scan radius must be > 0 and finite, got {self.radius}")
+        step, span = self.azimuth_step_deg, self.azimuth_range_deg
+        if not (0.0 < step < math.inf and 0.0 < span < math.inf):
+            raise ValueError(f"azimuth step and range must be > 0 and finite, got {step} and {span}")
+        steps = span / step
         if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(
-                f"azimuth step {self.azimuth_step_deg} must divide range {self.azimuth_range_deg} evenly"
-            )
-        if len(self.height_offsets) == 0:
+            raise ValueError(f"azimuth step {step} must divide range {span} evenly")
+        heights = tuple(float(h) for h in self.height_offsets)
+        if len(heights) == 0:
             raise ValueError("at least one height offset is required")
-        object.__setattr__(self, "height_offsets", tuple(float(h) for h in self.height_offsets))
+        if not all(map(math.isfinite, heights)):
+            raise ValueError(f"height offsets must be finite, got {heights}")
+        # a repeated height would put every receiver of its arc in the scan twice
+        if len(set(heights)) != len(heights):
+            raise ValueError(f"height offsets must be distinct, got {heights}")
+        object.__setattr__(self, "height_offsets", heights)
 
     def azimuths_deg(self) -> list[float]:
         n = round(self.azimuth_range_deg / self.azimuth_step_deg)

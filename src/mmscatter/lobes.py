@@ -113,10 +113,10 @@ class RadioLink:
     wavelength: float
 
     def __post_init__(self):
-        if self.p_t <= 0.0 or self.g_t <= 0.0 or self.g_r <= 0.0:
-            raise ValueError("p_t, g_t, g_r must all be > 0")
-        if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be > 0 m, got {self.wavelength}")
+        if not all(0.0 < x < math.inf for x in (self.p_t, self.g_t, self.g_r)):
+            raise ValueError(f"p_t, g_t, g_r must all be > 0 and finite, got {self.p_t}, {self.g_t}, {self.g_r}")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError(f"wavelength must be > 0 m and finite, got {self.wavelength}")
 
     @property
     def k_const(self) -> float:

@@ -108,8 +108,8 @@ class IncidenceContext:
     def __post_init__(self):
         if not 0.0 <= self.theta_i < math.pi / 2:
             raise ValueError(f"theta_i must be in [0, pi/2), got {self.theta_i}")
-        if self.wavelength <= 0.0:
-            raise ValueError(f"wavelength must be > 0 m, got {self.wavelength}")
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError(f"wavelength must be > 0 m and finite, got {self.wavelength}")
 
 
 @dataclass(frozen=True)

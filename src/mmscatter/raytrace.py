@@ -464,8 +464,8 @@ class _ShapeTable:
 
 def tile_centers(scene: Scene, tile_edge: float) -> tuple[np.ndarray, float]:
     """Tile-center positions (T, 3) in row-major (height, width) order, plus tile area."""
-    if tile_edge <= 0.0:
-        raise ValueError(f"tile edge must be > 0 m, got {tile_edge}")
+    if not 0.0 < tile_edge < math.inf:
+        raise ValueError(f"tile edge must be > 0 m and finite, got {tile_edge}")
     wall = scene.wall
     n_u = max(1, math.ceil(wall.width / tile_edge))
     n_w = max(1, math.ceil(wall.height / tile_edge))

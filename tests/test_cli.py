@@ -360,3 +360,47 @@ def test_fit_header_has_no_lobe_shape_options(tmp_path):
     for key in ("alpha_r=", "alpha_i=", "lambda_mix="):
         assert key not in header
     assert run(*args, "--alpha-r", "4") == EXIT_USAGE
+
+
+_THETA_GRID = "--theta-min/--theta-max/--theta-step must be finite, the step > 0; got "
+_LINK = "p_t, g_t, g_r must all be > 0 and finite, got "
+_AZIMUTHS = "azimuth step and range must be > 0 and finite, got "
+# each case: the bad option and the message that names its value
+_BAD_NUMBERS = {
+    "simulate-p-t-dbm-nan": (["simulate", "--p-t-dbm", "nan"], _LINK + "nan,"),
+    "simulate-gain-dbi-nan": (["simulate", "--gain-dbi", "nan"], _LINK + "0.01, nan, nan"),
+    "simulate-radius-nan": (["simulate", "--radius", "nan"], "scan radius must be > 0 and finite, got nan"),
+    "simulate-heights-nan": (["simulate", "--heights", "nan"], "height offsets must be finite, got (nan,)"),
+    "simulate-p-t-dbm-inf": (["simulate", "--p-t-dbm", "inf"], _LINK + "inf,"),
+    "simulate-range-deg-inf": (["simulate", "--range-deg", "inf"], _AZIMUTHS + "10.0 and inf"),
+    "simulate-tiles-m-nan": (["simulate", "--tiles-m", "nan"], "tile edge must be > 0 m and finite, got nan"),
+    "simulate-step-deg-nan": (["simulate", "--step-deg", "nan"], _AZIMUTHS + "nan and 180.0"),
+    "simulate-freq-ghz-nan": (
+        ["simulate", "--freq-ghz", "nan"], "carrier_frequency must be > 0 Hz and finite, got nan"
+    ),
+    "simulate-heights-repeated": (
+        ["simulate", "--heights", "0,0.1,0"], "height offsets must be distinct, got (0.0, 0.1, 0.0)"
+    ),
+    "fit-radius-nan": (["fit", "--radius", "nan"], "scan radius must be > 0 and finite, got nan"),
+    "fit-p-t-dbm-nan": (["fit", "--p-t-dbm", "nan"], _LINK + "nan,"),
+    "theory-theta-step-nan": (["theory", "--theta-step", "nan"], _THETA_GRID + "1.0/89.0/nan"),
+    "theory-theta-step-0": (["theory", "--theta-step", "0"], _THETA_GRID + "1.0/89.0/0.0"),
+    "theory-theta-step-negative": (["theory", "--theta-step", "-1"], _THETA_GRID + "1.0/89.0/-1.0"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(_BAD_NUMBERS.values()), ids=list(_BAD_NUMBERS))
+def test_bad_number_is_data_error_naming_it(tmp_path, capsys, argv, message):
+    # each bad option comes last, so it overrides the base arguments
+    base = {
+        "simulate": ["--tiles-m", "0.5"],
+        "fit": ["--scan", str(tmp_path / "scan.csv"), "--model", "single", "--s-initial", "0.3", "--tiles-m", "0.5"],
+        "theory": [],
+    }[argv[0]]
+    (tmp_path / "scan.csv").write_text(
+        "angle_deg,delta_h_cm,power_dbm\n0.0,0.0,-55.0\n10.0,0.0,-58.0\n20.0,0.0,-61.0\n", encoding="utf-8"
+    )
+    out = tmp_path / "out.txt"
+    assert run(argv[0], *base, *argv[1:], "--out", str(out)) == EXIT_DATA
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not out.exists()

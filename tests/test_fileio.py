@@ -465,3 +465,106 @@ class TestDefaultDatabase:
     def test_loads_and_counts(self):
         db = default_materials()
         assert len(db) == 4
+
+
+class TestReportLayout:
+    """read_report reads exactly write_report's layout: the keys, `trace N`,
+    one column header, then the rows."""
+
+    def _lines(self, tmp_path, trace_len=2):
+        params = LobeParams(model=LobeModel.SINGLE_LOBE, s_coeff=0.3, alpha_r=4)
+        trace = tuple(TraceEntry(round=1, stage="AB"[k % 2], params=params, fvu=0.25) for k in range(trace_len))
+        report = FitReport(best=params, fvu=0.25, s_initial=0.35, trace=trace, plane_only=False, converged=True)
+        path = tmp_path / "report.txt"
+        write_report(report, path)
+        return path, path.read_text(encoding="utf-8").splitlines()
+
+    # lines 1-5 are the keys, 6 is `trace 2`, 7 the column header, 8 and 9 the rows
+    @pytest.mark.parametrize(
+        "edit, lineno, message",
+        [
+            (lambda ls: ls[:6] + ls[7:], 7, "expected the trace column header"),
+            (lambda ls: ls[:7] + ls[6:7] * 2 + ls[7:], 8, "repeated trace column header"),
+            (lambda ls: ls[:8] + ls[6:7] + ls[8:], 9, "repeated trace column header"),
+            (lambda ls: ls[:5] + ls[6:7] + ls[5:6] + ls[7:], 6, "unknown key 'round'"),
+            (lambda ls: ls[:7] + [ls[7].replace(" A ", " Q ")] + ls[8:], 8, "trace stage must be A or B, got 'Q'"),
+        ],
+        ids=["header-missing", "header-three-times", "header-mid-trace", "header-before-trace", "stage-Q"],
+    )
+    def test_layout_error_names_its_line(self, tmp_path, edit, lineno, message):
+        path, lines = self._lines(tmp_path)
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=rf"report\.txt:{lineno}: {message}"):
+            read_report(path)
+
+    def test_header_missing_after_empty_trace(self, tmp_path):
+        path, lines = self._lines(tmp_path, trace_len=0)
+        assert lines[-2:] == ["trace 0", "round stage model s_coeff alpha_r alpha_i lambda_mix fvu"]
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r"report\.txt:6: expected the trace column header"):
+            read_report(path)
+
+
+SCENE_TEXT = (
+    "material rough_wall\nfrequency_ghz 28\nwall_center 0 0 0\nwall_normal 1 0 0\n"
+    "wall_width_m 3\nwall_height_m 3\ntx 1.3 -0.75 0\nscan_heights_m 0 0.1\n"
+)
+
+
+def _scene_view(path):
+    scene, spec = read_scene(path)
+    return scene.wall.material, scene.carrier_frequency, scene.tx.tolist(), scene.wall.normal.tolist(), spec
+
+
+class TestLineGrammar:
+    """Every reader skips blank lines and `#` comments, indented or not, and
+    counts them in its line numbers."""
+
+    def _write(self, fmt, path):
+        if fmt == "scan":
+            write_scan(make_scan(n=3), path)
+            return read_scan
+        if fmt == "report":
+            params = LobeParams(model=LobeModel.SINGLE_LOBE, s_coeff=0.3, alpha_r=4)
+            trace = (TraceEntry(round=1, stage="A", params=params, fvu=0.5),) * 2
+            write_report(FitReport(params, 0.5, 0.35, trace, plane_only=False, converged=True), path)
+            return read_report
+        if fmt == "materials":
+            path.write_text("material demo\neps_r 4.0\nh_rms_mm 0.5\nthickness_cm 32\n", encoding="utf-8")
+            return lambda p: read_materials(p).get("demo")
+        path.write_text(SCENE_TEXT, encoding="utf-8")
+        return _scene_view
+
+    @pytest.mark.parametrize("fmt", ["scan", "materials", "scene", "report"])
+    def test_blank_lines_and_indented_comments_are_skipped(self, tmp_path, fmt):
+        plain, padded = tmp_path / "plain.txt", tmp_path / "padded.txt"
+        read = self._write(fmt, plain)
+        lines = plain.read_text(encoding="utf-8").splitlines()
+        lines = [lines[0], "", "   # an indented note", *lines[1:-1], " \t", "\t# a tabbed note", lines[-1], ""]
+        padded.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read(padded) == read(plain)
+
+    @pytest.mark.parametrize(
+        "fmt, bad, message",
+        [
+            ("scan", "10.0,0.0", "expected 3 fields, got 2"),
+            ("materials", "wibble 3", "unknown key 'wibble'"),
+            ("scene", "wibble 3", "unknown key 'wibble'"),
+            ("report", "1 A single 0.3 4 - -", "expected 8 trace fields, got 7"),
+        ],
+    )
+    def test_line_numbers_count_skipped_lines(self, tmp_path, fmt, bad, message):
+        path = tmp_path / "file.txt"
+        self._write(fmt, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines, "", "  # note", bad]) + "\n", encoding="utf-8")
+        read = {"scan": read_scan, "materials": read_materials, "scene": read_scene, "report": read_report}[fmt]
+        with pytest.raises(FileFormatError, match=rf"file\.txt:{len(lines) + 3}: {message}"):
+            read(path)
+
+
+def test_scene_with_repeated_scan_height_rejected(tmp_path):
+    path = tmp_path / "scene.txt"
+    path.write_text(SCENE_TEXT.replace("scan_heights_m 0 0.1", "scan_heights_m 0 0.1 0"), encoding="utf-8")
+    with pytest.raises(FileFormatError, match=r"scene\.txt: height offsets must be distinct, got \(0\.0, 0\.1, 0\.0\)"):
+        read_scene(path)
