@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, dbm_to_watts, watts_to_dbm, wavelength_for_frequency
+from . import __version__, db_to_linear, dbm_to_watts, watts_to_dbm, wavelength_for_frequency
 from .fileio import (
     default_materials,
     read_materials,
@@ -87,7 +87,7 @@ def _input_digests(args) -> dict[str, str]:
 
 
 def _link(args, frequency_hz: float) -> RadioLink:
-    gain = 10.0 ** (args.gain_dbi / 10.0)
+    gain = db_to_linear(args.gain_dbi)
     return RadioLink(
         p_t=dbm_to_watts(args.p_t_dbm),
         g_t=gain,

@@ -10,15 +10,16 @@ less than 1e-4 or the round budget is spent.
 The FVU that decides a fit always comes from the tiled single-bounce
 predictor that simulate_scan uses, so a scan generated by this package is
 reproduced bit-exactly. Every stage is first screened from the pattern's
-tables (ScanEvaluator.screen over ScanPattern.shape_totals, accurate to
-about 1e-15); only the candidates within CONFIRM_MARGIN of the stage's
+tables: ScanEvaluator.screen passes the stage's candidates to one
+ScanPattern.shape_totals call, which places them by LobeParams.shape and
+returns their powers (accurate to about 1e-15), and scores all of them
+with fvu. Only the candidates within CONFIRM_MARGIN of the stage's
 screened best are then scored by the predictor, and only those exact
 FVUs take part in choosing the best. See docs/stage_a_screen.md.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -108,23 +109,29 @@ class ModelComparison:
     winner: LobeModel
 
 
-def fvu(measured, simulated) -> float:
-    """Fraction of variance unexplained between dB power vectors.
+def fvu(measured, simulated):
+    """Fraction of variance unexplained between dB powers.
 
     sqrt( sum |m_i - s_i|^2 / sum |m_i - mean(m)|^2 ); 0 for a perfect
     match, 1 when the simulation does no better than the measured mean.
+    measured is a vector of P powers. simulated is a (P,) vector, giving a
+    float, or a (P, Q) array of Q simulations by column, giving their Q
+    FVUs.
     """
-    m = np.asarray(list(measured), dtype=float)
-    s = np.asarray(list(simulated), dtype=float)
-    if m.shape != s.shape or m.ndim != 1:
-        raise ValueError(f"measured and simulated must be equal-length vectors, got {m.shape} vs {s.shape}")
+    m = np.asarray(measured, dtype=float)
+    # no copy: each column sum runs in the memory layout of simulated (the
+    # screen's, as ScanPattern.shape_totals returns it), and a re-laid-out
+    # copy would round its last digit differently
+    s = np.asarray(simulated, dtype=float)
+    if m.ndim != 1 or s.ndim not in (1, 2) or s.shape[0] != m.size:
+        raise ValueError(f"simulated must be (P,) or (P, Q) for P measured powers, got {m.shape} vs {s.shape}")
     if m.size < 2:
         raise ValueError(f"need at least 2 samples, got {m.size}")
     denom = float(((m - m.mean()) ** 2).sum())
     if denom == 0.0:
         raise DegenerateScanError("measured powers are constant; FVU denominator is zero")
-    num = float(((m - s) ** 2).sum())
-    return math.sqrt(num / denom)
+    ratio = np.sqrt(((m[:, None] - s.reshape(m.size, -1)) ** 2).sum(axis=0) / denom)
+    return float(ratio[0]) if s.ndim == 1 else ratio
 
 
 def s_grid(s_initial: float) -> list[float]:
@@ -154,8 +161,6 @@ def lambda_grid() -> list[float]:
 # the stage-A widths and mixes, built once
 _ALPHAS = tuple(range(ALPHA_MIN, ALPHA_MAX + 1))
 _LAMBDAS = tuple(lambda_grid())
-# screen candidates in blocks of this many, so its (P, block) temporaries stay small
-_SCREEN_BLOCK = 128
 
 
 def lambda_prior(theta_i: float) -> float:
@@ -169,18 +174,10 @@ class _Candidate:
     def __init__(self, params: LobeParams, fvu_value: float, s_initial: float, prior: float):
         self.params = params
         self.fvu = fvu_value
-        lam = params.lambda_mix if params.lambda_mix is not None else -1.0
-        alpha_i = params.alpha_i if params.alpha_i is not None else 0
+        alpha_r, alpha_i, lam = params.shape
         # tie-break: smaller alpha_r, smaller alpha_i, mix nearest the prior,
         # S nearest the theoretical start; trailing fields make it total
-        self.key = (
-            params.alpha_r,
-            alpha_i,
-            abs(lam - prior),
-            abs(params.s_coeff - s_initial),
-            lam,
-            params.s_coeff,
-        )
+        self.key = (alpha_r, alpha_i, abs(lam - prior), abs(params.s_coeff - s_initial), lam, params.s_coeff)
 
     def beats(self, other: "_Candidate | None") -> bool:
         if other is None:
@@ -193,24 +190,10 @@ class _Candidate:
 
 
 def _shape_grid(model_kind: LobeModel):
-    """(alphas_r, alphas_i, lambdas) whose product, in this order, is the model's stage-A shapes.
-
-    The single lobe is the mix-1 slice of the dual lobe: at lambda 1 the
-    backscatter lobe has weight zero and its width drops out, so one
-    nominal width stands for it.
-    """
+    """(alphas_r, alphas_i, lambdas) whose product, in this order, is the model's stage-A LobeParams.shape values."""
     if model_kind is LobeModel.SINGLE_LOBE:
         return _ALPHAS, (ALPHA_MIN,), (1.0,)
     return _ALPHAS, _ALPHAS, _LAMBDAS
-
-
-@functools.cache
-def _shape_columns(model_kind: LobeModel) -> dict[tuple, int]:
-    """Column of each stage-A shape in _shape_grid's product, by its LobeParams' (alpha_r, alpha_i, lambda_mix)."""
-    shapes = itertools.product(*_shape_grid(model_kind))
-    if model_kind is LobeModel.SINGLE_LOBE:
-        return {(alpha_r, None, None): n for n, (alpha_r, _, _) in enumerate(shapes)}
-    return {shape: n for n, shape in enumerate(shapes)}
 
 
 def _shape_candidates(model_kind: LobeModel, s_value: float):
@@ -227,9 +210,6 @@ class ScanEvaluator:
 
     def __init__(self, scan: Scan, scene: Scene, cfg: SearchConfig):
         self.measured = [pt.power_dbm for pt in scan.points]
-        m = np.asarray(self.measured)
-        if float(((m - m.mean()) ** 2).sum()) == 0.0:
-            raise DegenerateScanError("measured powers are constant; FVU denominator is zero")
         positions = np.array(
             [rx_position(scene, cfg.scan_radius, pt.azimuth_deg, pt.delta_h_m) for pt in scan.points]
         )
@@ -249,21 +229,10 @@ class ScanEvaluator:
         predict to rounding, so the values agree with __call__ to about
         1e-15.
         """
-        model_kind = candidates[0].model
-        grid = _shape_grid(model_kind)
-        shape_columns = _shape_columns(model_kind)
-        columns = np.array([shape_columns[p.alpha_r, p.alpha_i, p.lambda_mix] for p in candidates])
-        s_values = np.array([p.s_coeff for p in candidates])
-        measured = np.asarray(self.measured)
-        denom = float(((measured - measured.mean()) ** 2).sum())
-        screened = []
-        for k in range(0, len(candidates), _SCREEN_BLOCK):
-            block = slice(k, k + _SCREEN_BLOCK)
-            total_w = self.pattern.shape_totals(grid, s_values[block], columns[block])
-            with np.errstate(divide="ignore"):
-                simulated = 10.0 * np.log10(total_w / DBM_REF_WATTS)
-            screened.append(np.sqrt(((measured[:, None] - simulated) ** 2).sum(axis=0) / denom))
-        return np.concatenate(screened)
+        total_w = self.pattern.shape_totals(_shape_grid(candidates[0].model), candidates)
+        with np.errstate(divide="ignore"):
+            simulated = 10.0 * np.log10(total_w / DBM_REF_WATTS)
+        return fvu(self.measured, simulated)
 
 
 def _build_evaluator(scan: Scan, scene: Scene, cfg: SearchConfig, plane_only: bool) -> ScanEvaluator:

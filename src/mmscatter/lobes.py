@@ -95,6 +95,17 @@ class LobeParams:
             if self.lambda_mix is None or not 0.0 <= self.lambda_mix <= 1.0:
                 raise ValueError(f"lambda_mix must be in [0, 1], got {self.lambda_mix}")
 
+    @property
+    def shape(self) -> tuple[int, int, float]:
+        """(alpha_r, alpha_i, lambda_mix) in the dual-lobe formula.
+
+        The single lobe is its lambda-1 case: the backscatter lobe has weight
+        zero and its width drops out, so ALPHA_MIN stands for it.
+        """
+        if self.model is LobeModel.SINGLE_LOBE:
+            return self.alpha_r, ALPHA_MIN, 1.0
+        return self.alpha_r, self.alpha_i, self.lambda_mix
+
 
 def _check_alpha(name: str, value) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
@@ -289,11 +300,9 @@ def pattern_sweep(
         s_value = replace(params, s_coeff=fixed_s).s_coeff
     off_axis = (1.0 + np.cos(2.0 * theta)) / 2.0
     forward, backscatter = (1.0, off_axis) if direction is Direction.SPECULAR else (off_axis, 1.0)
-    gain = forward**params.alpha_r
-    norm = single_lobe_norm(mode, params.alpha_r, theta)
-    if params.model is LobeModel.DUAL_LOBE:
-        gain = lobe_mix(params.lambda_mix, gain, backscatter**params.alpha_i)
-        norm = lobe_mix(params.lambda_mix, norm, single_lobe_norm(mode, params.alpha_i, theta))
+    alpha_r, alpha_i, lam = params.shape
+    gain = lobe_mix(lam, forward**alpha_r, backscatter**alpha_i)
+    norm = lobe_mix(lam, single_lobe_norm(mode, alpha_r, theta), single_lobe_norm(mode, alpha_i, theta))
     const = element_constant(link, SWEEP_RANGE_M, SWEEP_RANGE_M, np.cos(theta), 1.0)
     powers = element_power(s_value, const, gain, norm).tolist()
     return [PatternRow(theta_i_deg=t, direction=direction, p_r_watts=p) for t, p in zip(grid, powers)]

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import SPEED_OF_LIGHT, watts_to_dbm
+from . import SPEED_OF_LIGHT, db_to_linear, watts_to_dbm
 from .fileio import height_m_to_cm
 from .geometry import Scene, ScanSpec, SurfacePaths, scan_positions, specular_paths
 from .lobes import (
@@ -65,6 +65,11 @@ _CERTIFICATE_MARGIN = 1e-9
 # anchors the delay window: far above the rounding of lengths of a few m, far
 # below the spacing of distinct tile path lengths
 _ANCHOR_TIE_M = 1e-9
+# shape_totals gates the mixes of one S and width pair together, over every
+# row that any of them needs, so a candidate's last bits depend on its group.
+# Groups also stop at every multiple of this many candidates: the screened
+# trace values of fit reports are pinned to this grouping
+_FALLBACK_BLOCK = 128
 
 DEFAULT_TILE_EDGE = 0.10
 CONVERGENCE_EDGES = (0.4, 0.2, 0.1, 0.05, 0.025)
@@ -115,7 +120,7 @@ def power_gate(spec_in_window, diff_sum):
     The arguments are the in-window specular power and the delay-gated
     diffuse sum, in watts, as arrays of any one broadcastable shape.
     """
-    threshold = np.maximum(spec_in_window, diff_sum) * 10.0 ** (-POWER_GATE_DB / 10.0)
+    threshold = np.maximum(spec_in_window, diff_sum) * db_to_linear(-POWER_GATE_DB)
     return np.where(spec_in_window >= threshold, spec_in_window, 0.0), np.where(diff_sum >= threshold, diff_sum, 0.0)
 
 
@@ -238,21 +243,22 @@ class ScanPattern:
         )
         return (spec_w + diff_w, spec_w, diff_w, dropped_power, dropped_delay), best_len, tile_in
 
-    def shape_totals(self, grid, s_values, columns) -> np.ndarray:
-        """Gated total watts (P, Q) of shape columns[q] of grid at S s_values[q].
+    def shape_totals(self, grid, candidates) -> np.ndarray:
+        """Gated total watts (P, Q) of the Q candidates, whose shapes lie on grid.
 
-        grid is (alphas_r, alphas_i, lambdas); column n is shape n of their
-        product, in the dual-lobe formula (the single lobe is its lambda-1
-        slice). Each entry equals predict's total for that candidate to
-        rounding (about 1e-15): at each position the diffuse sum is s^2 times
-        a per-grid table entry where a certificate says the table's delay
-        window is predict's, and every other position goes through gate,
-        once per S and width pair for all its mixes. See
-        docs/stage_a_screen.md.
+        grid is (alphas_r, alphas_i, lambdas), a grid of LobeParams.shape
+        values; its tables are built once per pattern. Each entry equals
+        predict's total for that candidate to rounding (about 1e-15): at
+        each position the diffuse sum is s^2 times a per-grid table entry
+        where a certificate says the table's delay window is predict's, and
+        every other position goes through gate, once per S and width pair
+        for all its mixes. See docs/stage_a_screen.md.
         """
         table = self._shape_tables.get(grid)
         if table is None:
             table = self._shape_tables[grid] = _ShapeTable(self, *grid)
+        columns = [table.columns[p.shape] for p in candidates]
+        s_values = np.array([p.s_coeff for p in candidates])
         spec = self.spec_power
         s_sq = s_values * s_values
         spec_w, diff_w = power_gate(spec[:, None], s_sq * table.window[:, columns])
@@ -264,9 +270,9 @@ class ScanPattern:
         )
         groups: dict[tuple, list[tuple[int, float]]] = {}
         for q in np.flatnonzero(uncertified.any(axis=0)).tolist():
-            a_r, a_i, lam = table.shapes[columns[q]]
-            groups.setdefault((float(s_values[q]), a_r, a_i), []).append((q, lam))
-        for (s_value, a_r, a_i), members in groups.items():
+            a_r, a_i, lam = candidates[q].shape
+            groups.setdefault((candidates[q].s_coeff, a_r, a_i, q // _FALLBACK_BLOCK), []).append((q, lam))
+        for (s_value, a_r, a_i, _), members in groups.items():
             qs, lambdas = map(list, zip(*members))
             rows = np.flatnonzero(uncertified[:, qs].any(axis=1))
             tile_p = self.dual_tile_powers(s_value, a_r, a_i, lambdas, rows)  # (G, R, T)
@@ -433,17 +439,17 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
 class _ShapeTable:
     """Per-unit-S^2 tables of a grid of dual-lobe shapes, built once per pattern and grid.
 
-    Column n is shape n of the product alphas_r x alphas_i x lambdas;
-    shapes[n] is its (alpha_r, alpha_i, lambda). window[p, n] is the
-    diffuse sum in the delay window that predict anchors at position p: on
-    the specular path where there is one, else on the strongest tile.
-    peak[p, n] bounds every tile power (the specular certificate);
-    tile_certified[p, n] is the tile-anchor certificate of the positions
-    with no specular path (no_spec).
+    Column n is shape n of the product alphas_r x alphas_i x lambdas, and
+    columns maps each LobeParams.shape (alpha_r, alpha_i, lambda) to its
+    column. window[p, n] is the diffuse sum in the delay window that
+    predict anchors at position p: on the specular path where there is
+    one, else on the strongest tile. peak[p, n] bounds every tile power
+    (the specular certificate); tile_certified[p, n] is the tile-anchor
+    certificate of the positions with no specular path (no_spec).
     """
 
     def __init__(self, pattern: ScanPattern, alphas_r, alphas_i, lambdas):
-        self.shapes = list(itertools.product(alphas_r, alphas_i, lambdas))
+        self.columns = {shape: n for n, shape in enumerate(itertools.product(alphas_r, alphas_i, lambdas))}
         n_pos = pattern.n_positions
         lam = np.asarray(lambdas)
         # a lobe of weight zero bounds nothing

@@ -381,6 +381,10 @@ _BAD_NUMBERS = {
     "simulate-heights-repeated": (
         ["simulate", "--heights", "0,0.1,0"], "height offsets must be distinct, got (0.0, 0.1, 0.0)"
     ),
+    # dB values whose linear value overflows a float read as inf
+    "simulate-gain-dbi-overflow": (["simulate", "--gain-dbi", "4000"], _LINK + "0.01, inf, inf"),
+    "simulate-p-t-dbm-overflow": (["simulate", "--p-t-dbm", "1e6"], _LINK + "inf,"),
+    "pattern-gain-dbi-overflow": (["pattern", "--gain-dbi", "4000"], _LINK + "0.01, inf, inf"),
     "fit-radius-nan": (["fit", "--radius", "nan"], "scan radius must be > 0 and finite, got nan"),
     "fit-p-t-dbm-nan": (["fit", "--p-t-dbm", "nan"], _LINK + "nan,"),
     "theory-theta-step-nan": (["theory", "--theta-step", "nan"], _THETA_GRID + "1.0/89.0/nan"),
@@ -396,6 +400,7 @@ def test_bad_number_is_data_error_naming_it(tmp_path, capsys, argv, message):
         "simulate": ["--tiles-m", "0.5"],
         "fit": ["--scan", str(tmp_path / "scan.csv"), "--model", "single", "--s-initial", "0.3", "--tiles-m", "0.5"],
         "theory": [],
+        "pattern": [],
     }[argv[0]]
     (tmp_path / "scan.csv").write_text(
         "angle_deg,delta_h_cm,power_dbm\n0.0,0.0,-55.0\n10.0,0.0,-58.0\n20.0,0.0,-61.0\n", encoding="utf-8"

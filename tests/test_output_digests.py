@@ -1,0 +1,62 @@
+"""Byte-identity guard: small CLI calls whose every output file keeps its SHA-256 digest.
+
+The fits at 0.5 m and 0.2 m tiles start at S 0.8, where many stage-A
+candidates miss the screen's certificates and take its exact-gate
+fallback. The digests in output_digests.json come from these calls; a
+change that alters outputs on purpose regenerates them with
+
+    PYTHONPATH=src python tests/test_output_digests.py
+
+and commits the new file with the change.
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from mmscatter.cli import EXIT_OK, main
+
+DIGESTS = Path(__file__).with_name("output_digests.json")
+
+_SCENE = ["--material", "rough_wall", "--theta-deg", "30"]
+CALLS = [
+    *(
+        argv
+        for edge in ("0.5", "0.2")
+        for argv in (
+            ["simulate", *_SCENE, "--model", "dual", "--s", "0.35", "--lambda", "0.3", "--heights", "0,0.3",
+             "--tiles-m", edge, "--out", f"sim_{edge}.csv"],
+            ["fit", "--scan", f"sim_{edge}.csv", *_SCENE, "--s-initial", "0.8", "--tiles-m", edge,
+             "--out", f"fit_{edge}.txt"],
+        )
+    ),
+    ["theory", "--out", "theory.csv"],
+    ["pattern", "--out", "pattern_single.csv"],
+    ["pattern", "--model", "dual", "--out", "pattern_dual.csv"],
+    ["angles", *_SCENE, "--heights", "0,0.3", "--out", "angles.csv"],
+]
+
+
+def output_digests(directory) -> dict[str, str]:
+    """Run CALLS in directory, with their relative --out names; the SHA-256 of every file written, by name."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for argv in CALLS:
+            assert main(argv) == EXIT_OK, argv
+    finally:
+        os.chdir(cwd)
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(Path(directory).iterdir())}
+
+
+def test_outputs_keep_their_digests(tmp_path):
+    assert output_digests(tmp_path) == json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        digests = output_digests(scratch)
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {DIGESTS}")
