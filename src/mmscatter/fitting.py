@@ -209,7 +209,7 @@ class ScanEvaluator:
     """Shared predictor: maps candidate parameters to an FVU against the scan."""
 
     def __init__(self, scan: Scan, scene: Scene, cfg: SearchConfig):
-        self.measured = [pt.power_dbm for pt in scan.points]
+        self.measured = scan.powers_dbm()
         positions = np.array(
             [rx_position(scene, cfg.scan_radius, pt.azimuth_deg, pt.delta_h_m) for pt in scan.points]
         )
@@ -218,7 +218,7 @@ class ScanEvaluator:
         )
 
     def __call__(self, params: LobeParams) -> float:
-        total_w, _, _, _, _ = self.pattern.predict(params)
+        total_w, _, _ = self.pattern.predict(params)
         simulated = [watts_to_dbm(float(w)) for w in total_w]
         return fvu(self.measured, simulated)
 

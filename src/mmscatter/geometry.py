@@ -32,6 +32,9 @@ _UP = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_ARC_HEIGHTS = (0.0,)
 DEFAULT_CYLINDER_HEIGHTS = (0.0, 0.10, 0.20, 0.30)
+# a receiver this close to the wall plane, on either side, lies in it: the
+# +-90 deg scan positions do, up to rounding of about 1e-16 m
+_IN_PLANE_M = 1e-9
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
@@ -177,7 +180,7 @@ def specular_paths(tx: np.ndarray, rx: np.ndarray, wall: Wall) -> tuple[np.ndarr
     """
     n = wall.normal
     tx_height = float(np.dot(tx - wall.center, n))
-    if tx_height <= 0.0 or np.any(_row_dots(rx - wall.center, n) <= 0.0):
+    if tx_height <= 0.0 or np.any(_row_dots(rx - wall.center, n) < -_IN_PLANE_M):
         raise ValueError("tx and rx must lie on the outward side of the wall plane")
     mirrored = tx - 2.0 * tx_height * n
     direction = rx - mirrored
@@ -225,10 +228,10 @@ class SurfacePaths:
         r_s = np.linalg.norm(from_point, axis=1)
         if np.any(r_s == 0.0):
             raise ValueError("degenerate geometry: rx coincides with a surface point")
+        if np.any(from_point @ self.normal < -_IN_PLANE_M):
+            raise ValueError("rx lies behind the wall plane")
         v_s = from_point / r_s[:, None]
         cos_ts = np.clip(v_s @ self.normal, -1.0, 1.0)
-        if np.any(cos_ts < 0.0):
-            raise ValueError("rx lies behind the wall plane")
         cos_psi_r = np.clip((v_s * self._spec_dir).sum(axis=1), -1.0, 1.0)
         cos_psi_i = np.clip((v_s * -self._v_i).sum(axis=1), -1.0, 1.0)
         return r_s, cos_ts, cos_psi_r, cos_psi_i

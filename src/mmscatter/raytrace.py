@@ -8,8 +8,10 @@ window around the strongest path are cut individually (the 5 ns and 1.5 m
 readings coincide at the wavelength convention used here; the stricter one
 applies), and a whole path family (the specular path, or the aggregated
 diffuse sum) is dropped when it falls more than 35 dB below the stronger
-one. Tile sums always run in tile-index order, so identical inputs give
-bit-identical results.
+one. ScanPattern.gate is the one place these rules live: it turns tile
+powers into (total, specular, diffuse) watts per receiver, for predict and
+for the fit's screen alike. Tile sums always run in tile-index order, so
+identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -37,15 +38,10 @@ from .lobes import (
 from .materials import IncidenceContext, MaterialDatabase, Polarization, initial_scattering_coefficient
 
 __all__ = [
-    "PathKind",
-    "PathContribution",
-    "GatingReport",
     "SimRecord",
-    "ConvergenceReport",
     "ScanPattern",
     "build_pattern",
     "simulate_scan",
-    "convergence_probe",
     "power_gate",
     "POWER_GATE_DB",
     "LENGTH_GATE_M",
@@ -72,29 +68,6 @@ _ANCHOR_TIE_M = 1e-9
 _FALLBACK_BLOCK = 128
 
 DEFAULT_TILE_EDGE = 0.10
-CONVERGENCE_EDGES = (0.4, 0.2, 0.1, 0.05, 0.025)
-CONVERGENCE_TOL_DB = 0.1
-
-
-class PathKind(Enum):
-    SPECULAR = "specular"
-    DIFFUSE = "diffuse"
-
-
-@dataclass(frozen=True)
-class PathContribution:
-    kind: PathKind
-    patch_id: int | None
-    power: float
-    path_length: float
-    excess_delay: float
-
-
-@dataclass(frozen=True)
-class GatingReport:
-    dropped_power: int
-    dropped_delay: int
-    retained: int
 
 
 @dataclass(frozen=True)
@@ -106,12 +79,6 @@ class SimRecord:
     power_dbm: float
     specular_dbm: float
     diffuse_dbm: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    entries: tuple[tuple[float, float], ...]
-    converged: bool
 
 
 def power_gate(spec_in_window, diff_sum):
@@ -170,15 +137,12 @@ class ScanPattern:
             self._width_cache[kind, alpha] = arr
         return arr
 
-    def _norms(self, alpha: int) -> np.ndarray:
-        return self._width_array("norm", alpha)
-
-    def tile_powers(self, params: LobeParams, rows=slice(None)) -> np.ndarray:
-        """(R, T) diffuse power per tile before gating, watts, at the positions `rows` (default all)."""
+    def tile_powers(self, params: LobeParams) -> np.ndarray:
+        """(P, T) diffuse power per tile before gating, watts."""
         if params.model is LobeModel.DUAL_LOBE:
-            return self.dual_tile_powers(params.s_coeff, params.alpha_r, params.alpha_i, params.lambda_mix, rows)
-        alpha = params.alpha_r
-        return element_power(params.s_coeff, self._const[rows], self._width_array("u", alpha)[rows], self._norms(alpha))
+            return self.dual_tile_powers(params.s_coeff, params.alpha_r, params.alpha_i, params.lambda_mix)
+        gain, norm = self._width_array("u", params.alpha_r), self._width_array("norm", params.alpha_r)
+        return element_power(params.s_coeff, self._const, gain, norm)
 
     def dual_tile_powers(
         self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None), out=None
@@ -188,20 +152,20 @@ class ScanPattern:
         out, an array of that shape, receives the powers if given.
         """
         lam = np.asarray(lambdas, dtype=float)[..., None]
-        norm = lobe_mix(lam, self._norms(alpha_r), self._norms(alpha_i))
+        norm = lobe_mix(lam, self._width_array("norm", alpha_r), self._width_array("norm", alpha_i))
         forward, backscatter = self._width_array("u", alpha_r)[rows], self._width_array("v", alpha_i)[rows]
         gain = lobe_mix(lam[..., None], forward, backscatter, out=out)
         return element_power(s_value, self._const[rows], gain, norm[..., None, :], out=gain)
 
     def predict(self, params: LobeParams):
-        """Gated per-position powers: (total_w, spec_w, diff_w, dropped_power, dropped_delay)."""
+        """Gated per-position powers: (total_w, spec_w, diff_w)."""
         return self.gate(self.tile_powers(params))
 
     def gate(self, tile_p: np.ndarray, rows=slice(None)):
         """Gate the tile powers `tile_p` (..., R, T) of the positions `rows`.
 
-        Returns (total_w, spec_w, diff_w, dropped_power, dropped_delay) per
-        row, each of shape (..., R); leading axes of tile_p batch several
+        Returns (total_w, spec_w, diff_w) per row, each of shape (..., R),
+        with total_w = spec_w + diff_w; leading axes of tile_p batch several
         candidates over the same rows. The path-length (delay) gate cuts
         individual tiles: only surface elements whose path length sits
         within the window around the strongest path contribute. The power
@@ -210,14 +174,6 @@ class ScanPattern:
         POWER_GATE_DB below the stronger of the two; gating tiles
         individually would make the diffuse sum depend on the tiling, so the
         aggregate carries the rule.
-        """
-        return self._gate(tile_p, rows)[0]
-
-    def _gate(self, tile_p: np.ndarray, rows):
-        """gate's result plus the delay window it applied.
-
-        Returns (gated, best_len, tile_in): gate's five arrays, the anchor
-        path length (..., R), and the live tiles inside the window (..., R, T).
         """
         spec_p = self.spec_power[rows]
         spec_len = self._spec_length[rows]
@@ -228,20 +184,12 @@ class ScanPattern:
         tile_best_len = lengths[np.arange(lengths.shape[0]), tile_p.argmax(axis=-1)]
         best_len = np.where(spec_p >= tile_max, spec_len, tile_best_len)
 
-        tile_alive = tile_p > 0.0
-        tile_in = tile_alive & (np.abs(lengths - best_len[..., None]) <= _LENGTH_GATE)
-        spec_alive = spec_p > 0.0
-        spec_in = spec_alive & (np.abs(spec_len - best_len) <= _LENGTH_GATE)
+        tile_in = (tile_p > 0.0) & (np.abs(lengths - best_len[..., None]) <= _LENGTH_GATE)
+        spec_in = (spec_p > 0.0) & (np.abs(spec_len - best_len) <= _LENGTH_GATE)
 
         diff_sum = np.where(tile_in, tile_p, 0.0).sum(axis=-1)
-        spec_in_window = np.where(spec_in, spec_p, 0.0)
-        spec_w, diff_w = power_gate(spec_in_window, diff_sum)
-
-        dropped_delay = (tile_alive & ~tile_in).sum(axis=-1) + (spec_alive & ~spec_in)
-        dropped_power = np.where((diff_sum > 0.0) & (diff_w == 0.0), tile_in.sum(axis=-1), 0) + (
-            (spec_in_window > 0.0) & (spec_w == 0.0)
-        )
-        return (spec_w + diff_w, spec_w, diff_w, dropped_power, dropped_delay), best_len, tile_in
+        spec_w, diff_w = power_gate(np.where(spec_in, spec_p, 0.0), diff_sum)
+        return spec_w + diff_w, spec_w, diff_w
 
     def shape_totals(self, grid, candidates) -> np.ndarray:
         """Gated total watts (P, Q) of the Q candidates, whose shapes lie on grid.
@@ -279,41 +227,6 @@ class ScanPattern:
             total_w[np.ix_(rows, qs)] = self.gate(tile_p, rows)[0].T
         return total_w
 
-    def contributions(self, params: LobeParams, position: int) -> tuple[tuple[PathContribution, ...], GatingReport]:
-        """Retained contributions at one receiver, in specular-then-tile order, and its gating report."""
-        rows = slice(position, position + 1)
-        tile_p = self.tile_powers(params, rows)
-        (_, spec_w, diff_w, dropped_power, dropped_delay), best_len, tile_in = self._gate(tile_p, rows)
-        anchor = float(best_len[0])
-        kept: list[PathContribution] = []
-        if spec_w[0] > 0.0:
-            length = float(self._spec_length[position])
-            kept.append(
-                PathContribution(
-                    kind=PathKind.SPECULAR,
-                    patch_id=None,
-                    power=float(spec_w[0]),
-                    path_length=length,
-                    excess_delay=(length - anchor) / SPEED_OF_LIGHT,
-                )
-            )
-        if diff_w[0] > 0.0:
-            for t in np.flatnonzero(tile_in[0]).tolist():
-                length = float(self._lengths[position, t])
-                kept.append(
-                    PathContribution(
-                        kind=PathKind.DIFFUSE,
-                        patch_id=t,
-                        power=float(tile_p[0, t]),
-                        path_length=length,
-                        excess_delay=(length - anchor) / SPEED_OF_LIGHT,
-                    )
-                )
-        report = GatingReport(
-            dropped_power=int(dropped_power[0]), dropped_delay=int(dropped_delay[0]), retained=len(kept)
-        )
-        return tuple(kept), report
-
 
 def _specular_anchor_certified(spec_power, s_value, peak):
     """True where the specular path anchors predict's delay window.
@@ -333,9 +246,9 @@ def _lobe_peaks(pattern: ScanPattern, alphas, kind: str) -> np.ndarray:
     S^2 * max(forward[a_r], backscatter[a_i]).
     """
     tile_p = np.empty_like(pattern._const)
+    width = pattern._width_array
     peaks = [
-        element_power(1.0, pattern._const, pattern._width_array(kind, a), pattern._norms(a), out=tile_p).max(axis=1)
-        for a in alphas
+        element_power(1.0, pattern._const, width(kind, a), width("norm", a), out=tile_p).max(axis=1) for a in alphas
     ]
     return np.array(peaks)
 
@@ -354,8 +267,8 @@ def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas) -> 
     skipped, so the mix-1 slice (the single lobe) needs no backscatter
     gains.
     """
-    norms_r = np.array([pattern._norms(a) for a in alphas_r])  # (Ar, T)
-    norms_i = np.array([pattern._norms(a) for a in alphas_i])  # (Ai, T)
+    norms_r = np.array([pattern._width_array("norm", a) for a in alphas_r])  # (Ar, T)
+    norms_i = np.array([pattern._width_array("norm", a) for a in alphas_i])  # (Ai, T)
     window = np.abs(pattern._lengths - pattern._spec_length[:, None]) <= _LENGTH_GATE
     const_in_window = np.where(window, pattern._const, 0.0)
     sums = np.zeros((const_in_window.shape[0], len(alphas_r), len(alphas_i), len(lambdas)))
@@ -548,7 +461,7 @@ def simulate_scan(
     pattern = build_pattern(
         scene, np.array([p.position for p in positions]), link, materials, tile_edge, mode, polarization
     )
-    total_w, spec_w, diff_w, _, _ = pattern.predict(lobe_params)
+    total_w, spec_w, diff_w = pattern.predict(lobe_params)
     records = []
     for i, pos in enumerate(positions):
         records.append(
@@ -561,30 +474,3 @@ def simulate_scan(
             )
         )
     return records
-
-
-def convergence_probe(
-    scene: Scene,
-    rx: np.ndarray,
-    params: LobeParams,
-    link: RadioLink,
-    materials: MaterialDatabase,
-    edges: tuple[float, ...] = CONVERGENCE_EDGES,
-    mode: NormalizationMode = NormalizationMode.HEMISPHERE,
-    polarization: Polarization = Polarization.TE,
-) -> ConvergenceReport:
-    """Total power versus tile edge; converged when the last halving moves < 0.1 dB."""
-    entries = []
-    rx_arr = np.asarray(rx, dtype=float)[None, :]
-    for edge in edges:
-        pattern = build_pattern(scene, rx_arr, link, materials, edge, mode, polarization)
-        total_w, _, _, _, _ = pattern.predict(params)
-        entries.append((edge, float(total_w[0])))
-    last, prev = entries[-1][1], entries[-2][1]
-    if last == 0.0 and prev == 0.0:
-        converged = True
-    elif last == 0.0 or prev == 0.0:
-        converged = False
-    else:
-        converged = abs(10.0 * math.log10(prev / last)) < CONVERGENCE_TOL_DB
-    return ConvergenceReport(entries=tuple(entries), converged=converged)

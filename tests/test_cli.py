@@ -132,6 +132,24 @@ def test_simulate_respects_scene_file(tmp_path):
     assert len(scan) == 38  # two heights from the scene file
 
 
+def test_oblique_wall_matches_the_paper_scene(tmp_path):
+    # the same layout with the wall normal turned from +x to (0.6, 0.8, 0):
+    # the default +-90 deg receivers lie in the wall plane up to rounding, on
+    # either side of it, and must still be scanned
+    scene_body = "material rough_wall\nfrequency_ghz 28\nwall_center 0 0 0\nwall_width_m 3\nwall_height_m 3\n"
+    layouts = {"paper": "wall_normal 1 0 0\ntx 1.2 -0.6 0\n", "oblique": "wall_normal 0.6 0.8 0\ntx 1.2 0.6 0\n"}
+    rows = {}
+    for name, layout in layouts.items():
+        scene, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+        scene.write_text(scene_body + layout + "scan_heights_m 0 0.3\n", encoding="utf-8")
+        assert run("simulate", "--scene", str(scene), "--s", "0.3", "--tiles-m", "0.25", "--out", str(out)) == EXIT_OK
+        rows[name] = [[float(v) for v in ln.split(",")] for ln in _data_rows(out)[1:]]
+    assert len(rows["oblique"]) == len(rows["paper"]) == 38
+    for paper, oblique in zip(rows["paper"], rows["oblique"]):
+        assert oblique[:2] == paper[:2]
+        assert oblique[2:] == pytest.approx(paper[2:], rel=0.0, abs=1e-9)
+
+
 def test_fit_uses_scene_scan_radius(tmp_path):
     # fit places the receivers on the scene file's scan radius, as simulate does
     scene = tmp_path / "scene.txt"

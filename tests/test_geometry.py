@@ -99,6 +99,21 @@ class TestSpecularPoint:
         with pytest.raises(ValueError):
             specular_paths(np.array([1.0, 0.0, 0.0]), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), wall)
 
+    def test_receiver_in_the_wall_plane_up_to_rounding(self):
+        # 1e-16 m behind the plane is in it: no specular path, but a receiver;
+        # 1e-6 m behind is not
+        wall = Wall(center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]), width=3.0, height=3.0, material="m")
+        tx, points = np.array([1.0, -1.0, 0.0]), np.array([[0.0, 0.5, 0.0], [0.0, -0.5, 0.2]])
+        in_plane = np.array([-1e-16, 1.5, 0.0])
+        length, cos_theta = specular_paths(tx, in_plane[None, :], wall)
+        assert (length.tolist(), cos_theta.tolist()) == ([0.0], [0.0])
+        SurfacePaths(tx, points, wall.normal).receiver(in_plane)
+        behind = np.array([-1e-6, 1.5, 0.0])
+        with pytest.raises(ValueError):
+            specular_paths(tx, behind[None, :], wall)
+        with pytest.raises(ValueError):
+            SurfacePaths(tx, points, wall.normal).receiver(behind)
+
 
 def path_geometry(tx, rx, point, normal):
     """Distances and angles (rad) of the path over one surface point, through SurfacePaths."""

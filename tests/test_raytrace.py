@@ -1,11 +1,12 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmscatter import watts_to_dbm
+from mmscatter import SPEED_OF_LIGHT, watts_to_dbm
 from mmscatter.fileio import default_materials, read_scan, write_simulated_scan
 from mmscatter.geometry import (
     DEFAULT_CYLINDER_HEIGHTS,
@@ -27,13 +28,15 @@ from mmscatter.materials import (
     initial_scattering_coefficient,
 )
 from mmscatter.raytrace import (
+    DELAY_GATE_S,
     LENGTH_GATE_M,
-    PathKind,
     build_pattern,
-    convergence_probe,
     simulate_scan,
     tile_centers,
 )
+
+CONVERGENCE_EDGES = (0.4, 0.2, 0.1, 0.05, 0.025)
+CONVERGENCE_TOL_DB = 0.1
 
 
 def single(s, alpha_r=4):
@@ -50,15 +53,39 @@ def scene30():
 
 
 def at_receiver(scene, rx, params, link, materials, tile_edge):
-    """predict's (total_w, spec_w, diff_w) and the contributions with their report, at one receiver."""
+    """predict's (total_w, spec_w, diff_w) at one receiver, as floats."""
     pattern = build_pattern(scene, rx[None, :], link, materials, tile_edge)
-    total_w, spec_w, diff_w, _, _ = pattern.predict(params)
-    kept, report = pattern.contributions(params, 0)
-    return float(total_w[0]), float(spec_w[0]), float(diff_w[0]), kept, report
+    return tuple(float(w[0]) for w in pattern.predict(params))
+
+
+def window_tiles(pattern, tile_p, p):
+    """The live tiles of receiver p within the delay window around its strongest path, written out for p alone."""
+    if pattern.spec_power[p] >= tile_p.max():
+        anchor = pattern._spec_length[p]
+    else:
+        anchor = pattern._lengths[p, tile_p.argmax()]
+    return np.flatnonzero((tile_p > 0.0) & (np.abs(pattern._lengths[p] - anchor) <= LENGTH_GATE_M))
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    entries: tuple[tuple[float, float], ...]
+    converged: bool
+
+
+def convergence_probe(scene, rx, params, link, materials, edges=CONVERGENCE_EDGES):
+    """Total power at one receiver versus tile edge; converged when the last halving moves < 0.1 dB."""
+    entries = tuple((edge, at_receiver(scene, rx, params, link, materials, edge)[0]) for edge in edges)
+    last, prev = entries[-1][1], entries[-2][1]
+    if last == 0.0 or prev == 0.0:
+        converged = last == prev
+    else:
+        converged = abs(10.0 * math.log10(prev / last)) < CONVERGENCE_TOL_DB
+    return ConvergenceReport(entries=entries, converged=converged)
 
 
 class TestSimulatePoint:
-    """One receiver through build_pattern: predict's powers and the retained contributions."""
+    """One receiver through build_pattern: predict's gated powers."""
 
     def test_dead_scene_has_no_contributions(self, paper_link, materials_db):
         # eps_r = 1 gives Gamma = 0; S = 0 kills the diffuse side
@@ -69,10 +96,9 @@ class TestSimulatePoint:
             carrier_frequency=28e9,
         )
         rx = np.array([1.3, 0.75, 0.0])
-        total_w, _, _, kept, report = at_receiver(scene, rx, single(0.0), paper_link, vacuum_wall, 0.5)
-        assert kept == ()
-        assert report.retained == 0
-        assert watts_to_dbm(total_w) == float("-inf")
+        powers = at_receiver(scene, rx, single(0.0), paper_link, vacuum_wall, 0.5)
+        assert powers == (0.0, 0.0, 0.0)
+        assert watts_to_dbm(powers[0]) == float("-inf")
 
     def test_metal_specular_dominates_at_specular_position(self, paper_link, materials_db):
         scene = paper_scene("metal_sheet", 30.0)
@@ -80,7 +106,7 @@ class TestSimulatePoint:
             materials_db.get("metal_sheet"), IncidenceContext(scene.incidence_angle, paper_link.wavelength)
         ).s_coeff
         rx = rx_position(scene, 1.5, 30.0, 0.0)
-        _, spec_w, diff_w, _, _ = at_receiver(scene, rx, single(s_theory), paper_link, materials_db, 0.2)
+        _, spec_w, diff_w = at_receiver(scene, rx, single(s_theory), paper_link, materials_db, 0.2)
         assert watts_to_dbm(spec_w) > watts_to_dbm(diff_w)
 
     def test_inverse_square_on_specular(self, paper_link, materials_db):
@@ -95,35 +121,29 @@ class TestSimulatePoint:
     def test_linear_total_identity(self, paper_link, materials_db, scene30):
         rx = rx_position(scene30, 1.5, 20.0, 0.0)
         params = dual(0.4, 2, 9, 0.3)
-        total_w, spec_w, diff_w, kept, _ = at_receiver(scene30, rx, params, paper_link, materials_db, 0.25)
-        kept_sum = sum(c.power for c in kept)
-        assert kept_sum == pytest.approx(total_w, rel=1e-12)
-        spec_sum = sum(c.power for c in kept if c.kind is PathKind.SPECULAR)
-        diff_sum = sum(c.power for c in kept if c.kind is PathKind.DIFFUSE)
-        assert spec_sum == pytest.approx(spec_w, rel=1e-12)
-        assert diff_sum == pytest.approx(diff_w, rel=1e-12)
+        pattern = build_pattern(scene30, rx[None, :], paper_link, materials_db, 0.25)
+        total_w, spec_w, diff_w = (float(w[0]) for w in pattern.predict(params))
+        tile_p = pattern.tile_powers(params)[0]
+        assert spec_w == pattern.spec_power[0] > 0.0
+        assert diff_w == pytest.approx(math.fsum(tile_p[window_tiles(pattern, tile_p, 0)]), rel=1e-12)
+        assert total_w == spec_w + diff_w
 
     def test_path_lengths_and_delays(self, paper_link, materials_db, scene30):
+        # at the specular position the specular path is the strongest, so it
+        # anchors the window: the diffuse sum takes every live tile whose
+        # delay lies within 5 ns of it
         rx = rx_position(scene30, 1.5, 30.0, 0.0)
-        *_, kept, _ = at_receiver(scene30, rx, single(0.3), paper_link, materials_db, 0.5)
-        strongest = max(kept, key=lambda c: c.power)
-        assert strongest.excess_delay == 0.0
-        gate_seconds = LENGTH_GATE_M / 3.0e8
-        for c in kept:
-            assert abs(c.excess_delay) <= gate_seconds + 1e-15
+        pattern = build_pattern(scene30, rx[None, :], paper_link, materials_db, 0.5)
+        _, spec_w, diff_w = (float(w[0]) for w in pattern.predict(single(0.3)))
+        tile_p = pattern.tile_powers(single(0.3))[0]
+        assert spec_w == pattern.spec_power[0] >= tile_p.max()
+        excess_delay = (pattern._lengths[0] - pattern._spec_length[0]) / SPEED_OF_LIGHT
+        in_window = (tile_p > 0.0) & (np.abs(excess_delay) <= DELAY_GATE_S)
+        assert 0 < np.count_nonzero(in_window) < tile_p.size
+        assert diff_w == pytest.approx(math.fsum(tile_p[in_window]), rel=1e-12)
 
 
 class TestGating:
-    def test_delay_gate_drops_far_tiles(self, paper_link, materials_db):
-        # a wide wall has tiles whose path length exceeds the 1.5 m window
-        scene = paper_scene("rough_wall", 30.0, wall_width=8.0)
-        rx = rx_position(scene, 1.5, 30.0, 0.0)
-        *_, kept, report = at_receiver(scene, rx, single(0.3), paper_link, materials_db, 0.5)
-        assert report.dropped_delay > 0
-        anchor = max(kept, key=lambda c: c.power).path_length
-        for c in kept:
-            assert abs(c.path_length - anchor) <= LENGTH_GATE_M + 1e-12
-
     def test_batched_gate_equals_per_mix_gate(self, paper_link, materials_db, scene30):
         rx = np.array([p.position for p in scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))])
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.25)
@@ -131,13 +151,13 @@ class TestGating:
         rows = np.array([0, 5, 9, 18, 19, 37, 75])
         batched = pattern.gate(pattern.dual_tile_powers(0.4, 2, 9, lambdas, rows), rows)
         for k, lam in enumerate(lambdas):
-            per_mix = pattern.gate(pattern.tile_powers(dual(0.4, 2, 9, lam), rows), rows)
+            per_mix = pattern.gate(pattern.tile_powers(dual(0.4, 2, 9, lam))[rows], rows)
             for b, m in zip(batched, per_mix):
                 assert np.array_equal(b[k], m)
 
 
 class TestContributions:
-    """The per-path view of one receiver against the gated powers of predict."""
+    """The tile contributions in each receiver's delay window against the gated powers of predict."""
 
     @pytest.mark.parametrize(
         "material, theta_deg, params, wall_width",
@@ -146,31 +166,27 @@ class TestContributions:
             ("metal_sheet", 20.0, dual(0.3, 3, 8, 0.35), 3.0),
             # a wide wall has tiles outside the delay window
             ("rough_wall", 30.0, single(0.3), 8.0),
+            # at S 0.9 and width 1 a tile outweighs the specular path at some
+            # positions and anchors the window there
+            ("smooth_wall", 45.0, dual(0.9, 1, 1, 0.5), 3.0),
         ],
     )
     def test_contributions_agree_with_predict(self, material, theta_deg, params, wall_width, paper_link, materials_db):
         scene = paper_scene(material, theta_deg, wall_width=wall_width)
         rx = np.array([p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))])
         pattern = build_pattern(scene, rx, paper_link, materials_db, 0.25)
-        total_w, spec_w, diff_w, dropped_power, dropped_delay = pattern.predict(params)
+        total_w, spec_w, diff_w = pattern.predict(params)
+        assert np.array_equal(total_w, spec_w + diff_w)
         all_tile_p = pattern.tile_powers(params)
+        left_out = 0
         for p in range(len(rx)):
-            kept, report = pattern.contributions(params, p)
-            assert report.dropped_power == dropped_power[p]
-            assert report.dropped_delay == dropped_delay[p]
-            assert math.fsum(c.power for c in kept) == pytest.approx(total_w[p], rel=1e-12)
-            # the window around the strongest path, written out for this one receiver
             tile_p = all_tile_p[p]
-            if pattern.spec_power[p] >= tile_p.max():
-                anchor = pattern._spec_length[p]
-            else:
-                anchor = pattern._lengths[p, tile_p.argmax()]
-            window = np.flatnonzero((tile_p > 0.0) & (np.abs(pattern._lengths[p] - anchor) <= LENGTH_GATE_M))
-            diffuse_ids = [c.patch_id for c in kept if c.kind is PathKind.DIFFUSE]
-            assert diffuse_ids == (window.tolist() if diff_w[p] > 0.0 else [])
-            assert report.retained == len(diffuse_ids) + int(spec_w[p] > 0.0)
+            window = window_tiles(pattern, tile_p, p)
+            if diff_w[p] > 0.0:
+                assert diff_w[p] == pytest.approx(math.fsum(tile_p[window]), rel=1e-12)
+            left_out += np.count_nonzero(tile_p > 0.0) - window.size
         if wall_width > 3.0:
-            assert np.any(dropped_delay > 0)
+            assert left_out > 0
 
 
 class TestTileCenters:
@@ -238,7 +254,7 @@ class TestNormTable:
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.1, mode)
         for alpha in range(1, 11):
             scalar = [normalization_f(single(0.3, alpha), float(t), mode) for t in pattern.tile_theta]
-            assert pattern._norms(alpha).tolist() == scalar
+            assert pattern._width_array("norm", alpha).tolist() == scalar
 
 
 class TestDeterminism:
@@ -318,7 +334,7 @@ class TestConvergenceProbe:
         report = convergence_probe(scene30, rx, single(0.0), paper_link, materials_db)
         powers = {p for _, p in report.entries}
         assert len(powers) == 1
-        _, spec_w, *_ = at_receiver(scene30, rx, single(0.0), paper_link, materials_db, 0.1)
+        _, spec_w, _ = at_receiver(scene30, rx, single(0.0), paper_link, materials_db, 0.1)
         assert next(iter(powers)) == pytest.approx(spec_w, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -347,7 +363,7 @@ class TestConvergenceProbe:
         rx = rx_position(scene30, 1.5, 30.0, 0.0)
         spec_values = set()
         for edge in (0.4, 0.1, 0.025):
-            _, spec_w, *_ = at_receiver(scene30, rx, single(0.4), paper_link, materials_db, edge)
+            _, spec_w, _ = at_receiver(scene30, rx, single(0.4), paper_link, materials_db, edge)
             spec_values.add(spec_w)
         assert len(spec_values) == 1
 
