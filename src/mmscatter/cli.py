@@ -107,8 +107,10 @@ def _theta_grid(args) -> list[float]:
     lo, hi, step = args.theta_min, args.theta_max, args.theta_step
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf):
         raise ValueError(f"--theta-min/--theta-max/--theta-step must be finite, the step > 0; got {lo}/{hi}/{step}")
+    if lo > hi:
+        raise ValueError(f"--theta-min {lo} exceeds --theta-max {hi}")
     # every angle from lo up to hi, with hi itself counted to 1e-9
-    count = max(0, math.floor((hi + 1e-9 - lo) / step) + 1)
+    count = math.floor((hi + 1e-9 - lo) / step) + 1
     return [round(lo + k * step, 10) for k in range(count)]
 
 
@@ -140,18 +142,11 @@ def _resolve_scanspec(args, inline_spec) -> ScanSpec:
     if args.heights is not None:
         heights = tuple(float(tok) for tok in args.heights.split(","))
     return ScanSpec(
-        radius=_scan_radius(args, inline_spec),
+        radius=args.radius if args.radius is not None else base.radius,
         azimuth_step_deg=args.step_deg if args.step_deg is not None else base.azimuth_step_deg,
         azimuth_range_deg=args.range_deg if args.range_deg is not None else base.azimuth_range_deg,
         height_offsets=heights,
     )
-
-
-def _scan_radius(args, inline_spec) -> float:
-    """--radius, else the scene file's scan_radius_m, else the default radius."""
-    if args.radius is not None:
-        return args.radius
-    return (inline_spec if inline_spec is not None else ScanSpec()).radius
 
 
 def _theoretical_s(scene, db, args) -> float:
@@ -252,11 +247,10 @@ def _cmd_fit(args) -> int:
     cfg = SearchConfig(
         link=link,
         materials=db,
-        scan_radius=_scan_radius(args, inline_spec),
+        scan_radius=args.radius if args.radius is not None else (inline_spec or ScanSpec()).radius,
         tile_edge=args.tiles_m,
         mode=_MODES[args.mode],
         polarization=Polarization[args.pol],
-        max_rounds=args.max_rounds,
     )
     header = _header(args, _input_digests(args))
     if args.model == "both":
@@ -373,7 +367,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s-initial", type=float, default=None, help="initial scattering coefficient (default: theory)")
     p.add_argument("--plane-only", action="store_true", help="fit only delta_h = 0 records")
     p.add_argument("--tiles-m", type=float, default=0.1, help="wall tile edge, m (default 0.1)")
-    p.add_argument("--max-rounds", type=int, default=10, help="alternation round budget (default 10)")
     p.add_argument("--model", choices=("single", "dual", "both"), default="both")
     p.add_argument("--mode", choices=tuple(_MODES), default="hemisphere", help="lobe normalization mode")
     p.add_argument("--radius", type=float, default=None, help="scan radius, m (default 1.5)")
@@ -398,10 +391,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args.freq_ghz is None and not getattr(args, "scene", None):
         args.freq_ghz = DEFAULT_FREQ_GHZ
-    # input errors, FileFormatError and DegenerateScanError among the ValueErrors, exit 2
+    # input errors, exit 2: FileFormatError and DegenerateScanError among the
+    # ValueErrors, and every OSError of a path that cannot be read or written
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -35,6 +35,8 @@ __all__ = [
     "scan_from_records",
     "read_materials",
     "default_materials",
+    "TraceEntry",
+    "FitReport",
     "write_report",
     "read_report",
     "read_scene",
@@ -360,6 +362,24 @@ def read_scene(path) -> tuple[Scene, ScanSpec | None]:
 _TRACE_HEADER = "round stage model s_coeff alpha_r alpha_i lambda_mix fvu"
 
 
+@dataclass(frozen=True)
+class TraceEntry:
+    round: int
+    stage: str
+    params: LobeParams
+    fvu: float
+
+
+@dataclass(frozen=True)
+class FitReport:
+    best: LobeParams
+    fvu: float
+    s_initial: float
+    trace: tuple[TraceEntry, ...]
+    plane_only: bool
+    converged: bool
+
+
 def _params_tokens(params) -> list[str]:
     if params.alpha_i is None:
         return [params.model.value, _fmt(params.s_coeff), str(params.alpha_r), "-", "-"]
@@ -390,7 +410,7 @@ def _params_from_tokens(tokens, source: str, lineno: int) -> LobeParams:
         raise _err(source, lineno, str(exc)) from None
 
 
-def write_report(report, path, header_comment: str | None = None) -> None:
+def write_report(report: FitReport, path, header_comment: str | None = None) -> None:
     """Serialize a FitReport; read_report(write_report(r)) == r."""
     lines = []
     best = report.best
@@ -406,11 +426,9 @@ def write_report(report, path, header_comment: str | None = None) -> None:
     write_lines(path, lines, header_comment)
 
 
-def read_report(path):
+def read_report(path) -> FitReport:
     """Parse a fit report in write_report's layout: each header key once,
     `trace N`, the trace column header, then the N trace rows."""
-    from .fitting import FitReport, TraceEntry  # deferred: fitting imports this module
-
     source = str(path)
     lines = _data_lines(path)
     fields: dict[str, object] = {}

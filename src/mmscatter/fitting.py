@@ -5,7 +5,7 @@ coefficient fixed and searches the lobe shape (alpha_r, and alpha_i with
 the mix weight for the dual-lobe model); stage B holds the shape and sweeps
 the scattering coefficient on a +/- 0.15 grid in 0.05 steps around the
 theoretical initial value. Rounds alternate until the best FVU improves by
-less than 1e-4 or the round budget is spent.
+less than IMPROVEMENT_TOL or MAX_ROUNDS rounds are spent.
 
 The FVU that decides a fit always comes from the tiled single-bounce
 predictor that simulate_scan uses, so a scan generated by this package is
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import DBM_REF_WATTS, watts_to_dbm
-from .fileio import Scan, default_materials
+from .fileio import FitReport, Scan, TraceEntry, default_materials
 from .geometry import Scene, rx_position
 from .lobes import ALPHA_MAX, ALPHA_MIN, LobeModel, LobeParams, NormalizationMode, RadioLink
 from .materials import MaterialDatabase, Polarization
@@ -53,8 +53,9 @@ FVU_TIE_TOL = 1e-12
 S_SPAN = 0.15
 S_STEP = 0.05
 LAMBDA_STEP = 0.1
-# rounds stop once the best FVU improves by less than this
+# rounds stop once the best FVU improves by less than this, or after MAX_ROUNDS
 IMPROVEMENT_TOL = 1e-4
+MAX_ROUNDS = 10
 # candidates whose screened FVU lies within this of their stage's screened best
 # are scored exactly; far above FVU_TIE_TOL times the candidate count and the
 # ~1e-15 screen error, so every candidate that can become the best is confirmed
@@ -67,7 +68,7 @@ class DegenerateScanError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SearchConfig:
-    """Fit configuration: link budget, material database, scan and tiling, and the round budget."""
+    """Fit configuration: link budget, material database, scan and tiling."""
 
     link: RadioLink
     materials: MaterialDatabase = field(default_factory=default_materials)
@@ -75,31 +76,10 @@ class SearchConfig:
     tile_edge: float = DEFAULT_TILE_EDGE
     mode: NormalizationMode = NormalizationMode.HEMISPHERE
     polarization: Polarization = Polarization.TE
-    max_rounds: int = 10
 
     def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
         if not 0.0 < self.scan_radius < math.inf:
             raise ValueError(f"scan radius must be > 0 and finite, got {self.scan_radius}")
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    round: int
-    stage: str
-    params: LobeParams
-    fvu: float
-
-
-@dataclass(frozen=True)
-class FitReport:
-    best: LobeParams
-    fvu: float
-    s_initial: float
-    trace: tuple[TraceEntry, ...]
-    plane_only: bool
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -147,15 +127,7 @@ def s_grid(s_initial: float) -> list[float]:
 
 def lambda_grid() -> list[float]:
     """Forward/backscatter mixes 0 to 1 in LAMBDA_STEP steps."""
-    values = []
-    k = 0
-    while True:
-        lam = round(k * LAMBDA_STEP, 10)
-        if lam > 1.0:
-            break
-        values.append(lam)
-        k += 1
-    return values
+    return [round(k * LAMBDA_STEP, 10) for k in range(round(1.0 / LAMBDA_STEP) + 1)]
 
 
 # the stage-A widths and mixes, built once
@@ -206,9 +178,14 @@ def _shape_candidates(model_kind: LobeModel, s_value: float):
 
 
 class ScanEvaluator:
-    """Shared predictor: maps candidate parameters to an FVU against the scan."""
+    """Shared predictor: maps candidate parameters to an FVU against the scan (its in-plane points if plane_only)."""
 
-    def __init__(self, scan: Scan, scene: Scene, cfg: SearchConfig):
+    def __init__(self, scan: Scan, scene: Scene, cfg: SearchConfig, plane_only: bool = False):
+        if plane_only:
+            try:
+                scan = scan.plane_only()
+            except ValueError as exc:
+                raise DegenerateScanError(str(exc)) from None
         self.measured = scan.powers_dbm()
         positions = np.array(
             [rx_position(scene, cfg.scan_radius, pt.azimuth_deg, pt.delta_h_m) for pt in scan.points]
@@ -235,15 +212,6 @@ class ScanEvaluator:
         return fvu(self.measured, simulated)
 
 
-def _build_evaluator(scan: Scan, scene: Scene, cfg: SearchConfig, plane_only: bool) -> ScanEvaluator:
-    if plane_only:
-        try:
-            scan = scan.plane_only()
-        except ValueError as exc:
-            raise DegenerateScanError(str(exc)) from None
-    return ScanEvaluator(scan, scene, cfg)
-
-
 def grid_fit(
     scan: Scan,
     scene: Scene,
@@ -257,7 +225,7 @@ def grid_fit(
     """Staged exhaustive search for the lobe parameters minimizing FVU."""
     if not 0.0 < s_initial < 1.0:
         raise ValueError(f"s_initial must be in (0, 1), got {s_initial}")
-    evaluate = _evaluate if _evaluate is not None else _build_evaluator(scan, scene, search_cfg, plane_only)
+    evaluate = _evaluate if _evaluate is not None else ScanEvaluator(scan, scene, search_cfg, plane_only)
     prior = lambda_prior(scene.incidence_angle)
 
     trace: list[TraceEntry] = []
@@ -279,7 +247,7 @@ def grid_fit(
     current_s = s_initial
     previous_round_fvu = math.inf
     converged = False
-    for rnd in range(1, search_cfg.max_rounds + 1):
+    for rnd in range(1, MAX_ROUNDS + 1):
         stage(rnd, "A", list(_shape_candidates(model_kind, current_s)))
         stage(rnd, "B", [replace(best.params, s_coeff=s_value) for s_value in s_grid(s_initial)])
         current_s = best.params.s_coeff
@@ -313,7 +281,7 @@ def compare_models(
 ) -> ModelComparison:
     """Fit both models and report the lower-FVU one (ties go to single-lobe)."""
     # both fits score candidates against the same pattern, built once
-    evaluate = _build_evaluator(scan, scene, search_cfg, plane_only)
+    evaluate = ScanEvaluator(scan, scene, search_cfg, plane_only)
     single = grid_fit(scan, scene, LobeModel.SINGLE_LOBE, s_initial, search_cfg, plane_only, _evaluate=evaluate)
     dual = grid_fit(scan, scene, LobeModel.DUAL_LOBE, s_initial, search_cfg, plane_only, _evaluate=evaluate)
     winner = LobeModel.DUAL_LOBE if dual.fvu < single.fvu - FVU_TIE_TOL else LobeModel.SINGLE_LOBE

@@ -4,11 +4,10 @@ The wall is split into near-square tiles; every tile contributes incoherent
 diffuse power through the active lobe model, and the image-method specular
 path contributes Friis power weighted by |Gamma_rough|^2. Two gates emulate
 the measurement's path selection: tiles whose path length leaves the delay
-window around the strongest path are cut individually (the 5 ns and 1.5 m
-readings coincide at the wavelength convention used here; the stricter one
-applies), and a whole path family (the specular path, or the aggregated
-diffuse sum) is dropped when it falls more than 35 dB below the stronger
-one. ScanPattern.gate is the one place these rules live: it turns tile
+window around the strongest path are cut individually (5 ns, which is 1.5 m
+of path length at SPEED_OF_LIGHT), and a whole path family (the specular
+path, or the aggregated diffuse sum) is dropped when it falls more than
+35 dB below the stronger one. ScanPattern.gate is the one place these rules live: it turns tile
 powers into (total, specular, diffuse) watts per receiver, for predict and
 for the fit's screen alike. Tile sums always run in tile-index order, so
 identical inputs give bit-identical results.
@@ -44,15 +43,13 @@ __all__ = [
     "simulate_scan",
     "power_gate",
     "POWER_GATE_DB",
-    "LENGTH_GATE_M",
     "DELAY_GATE_S",
 ]
 
 POWER_GATE_DB = 35.0
-LENGTH_GATE_M = 1.5
 DELAY_GATE_S = 5e-9
-# both gates implemented; the stricter one applies
-_LENGTH_GATE = min(LENGTH_GATE_M, DELAY_GATE_S * SPEED_OF_LIGHT)
+# the delay window as a path-length difference, m
+_LENGTH_GATE = DELAY_GATE_S * SPEED_OF_LIGHT
 
 # relative inflation of the anchor certificates, far above the few-ulp rounding
 # of the tile powers that predict compares
@@ -184,8 +181,9 @@ class ScanPattern:
         tile_best_len = lengths[np.arange(lengths.shape[0]), tile_p.argmax(axis=-1)]
         best_len = np.where(spec_p >= tile_max, spec_len, tile_best_len)
 
-        tile_in = (tile_p > 0.0) & (np.abs(lengths - best_len[..., None]) <= _LENGTH_GATE)
-        spec_in = (spec_p > 0.0) & (np.abs(spec_len - best_len) <= _LENGTH_GATE)
+        # a path of zero power adds nothing, in the window or out of it
+        tile_in = np.abs(lengths - best_len[..., None]) <= _LENGTH_GATE
+        spec_in = np.abs(spec_len - best_len) <= _LENGTH_GATE
 
         diff_sum = np.where(tile_in, tile_p, 0.0).sum(axis=-1)
         spec_w, diff_w = power_gate(np.where(spec_in, spec_p, 0.0), diff_sum)

@@ -2,6 +2,7 @@
 PASS line (run with `pytest tests/test_acceptance.py -v -s` to see them)
 and enforcing its runtime budget."""
 
+import itertools
 import math
 import random
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import WAVELENGTH_28GHZ, series_i0
+from conftest import WAVELENGTH_28GHZ, dual_scores_by_mix, series_i0
 from mmscatter.cli import EXIT_OK, main as cli_main
 from mmscatter.fileio import FileFormatError, default_materials, read_materials, read_scan, scan_from_records
 from mmscatter.fitting import ScanEvaluator, SearchConfig, fvu, grid_fit, lambda_grid, s_grid
@@ -176,16 +177,17 @@ def test_criterion_5_exact_fit_recovery():
         for s_value in s_grid(truth.s_coeff):
             if truth.model is LobeModel.SINGLE_LOBE:
                 shapes = [LobeParams(truth.model, s_value, a) for a in range(1, 11)]
-            else:
-                shapes = [
+                zero_set += [params for params in shapes if evaluate(params) <= 1e-12]
+                continue
+            # the 11 mixes of each width pair are scored together, bit for bit as
+            # ScanEvaluator.__call__ scores each (test_fitting.py::TestBatchedScoring)
+            for ar, ai in itertools.product(range(1, 11), repeat=2):
+                _, values = dual_scores_by_mix(evaluate, s_value, ar, ai)
+                zero_set += [
                     LobeParams(truth.model, s_value, ar, alpha_i=ai, lambda_mix=lam_mix)
-                    for ar in range(1, 11)
-                    for ai in range(1, 11)
-                    for lam_mix in lambda_grid()
+                    for lam_mix, value in zip(lambda_grid(), values.tolist())
+                    if value <= 1e-12
                 ]
-            for params in shapes:
-                if evaluate(params) <= 1e-12:
-                    zero_set.append(params)
         assert zero_set == [truth], f"minimum not unique for {truth}: {zero_set}"
     _passed(5, "20 random on-grid truths (10 single, 10 dual) recovered with FVU = 0; "
                "exhaustive grid confirms each minimum unique", started, 60.0)

@@ -1,8 +1,9 @@
+import errno
 import math
 
 import pytest
 
-from mmscatter import wavelength_for_frequency
+from mmscatter import fitting, wavelength_for_frequency
 from mmscatter.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mmscatter.fileio import read_report, read_scan, write_scan
 from mmscatter.materials import rayleigh_factor
@@ -275,6 +276,23 @@ def test_missing_scan_is_data_error(tmp_path):
     )
 
 
+@pytest.mark.parametrize("role", ["input", "output"])
+def test_path_under_a_regular_file_is_data_error(tmp_path, capsys, role):
+    # opening afile/x.csv, where afile is a regular file, raises NotADirectoryError
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    out = tmp_path / "r.txt"
+    if role == "input":
+        argv = ["fit", "--scan", str(afile / "x.csv"), "--tiles-m", "0.5", "--out", str(out)]
+    else:
+        out = afile / "x.csv"
+        argv = ["simulate", "--tiles-m", "0.5", "--out", str(out)]
+    assert run(*argv) == EXIT_DATA
+    assert f"input error: [Errno {errno.ENOTDIR}]" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 def test_unknown_material_is_data_error(tmp_path):
     assert run("theory", "--material", "kryptonite", "--out", str(tmp_path / "t.csv")) == EXIT_DATA
 
@@ -287,9 +305,10 @@ def test_malformed_scan_is_data_error(tmp_path):
     )
 
 
-def test_nonconvergence_exit_code(tmp_path):
+def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     # a scan the model cannot reproduce, with a round budget too small to
     # observe the improvement threshold, reports numerical non-convergence
+    monkeypatch.setattr(fitting, "MAX_ROUNDS", 1)
     sim = tmp_path / "sim.csv"
     run(
         "simulate", "--material", "rough_wall", "--theta-deg", "30", "--model", "dual",
@@ -305,7 +324,7 @@ def test_nonconvergence_exit_code(tmp_path):
     write_scan(type(scan)(points=noisy_points), noisy)
     code = run(
         "fit", "--scan", str(noisy), "--material", "rough_wall", "--theta-deg", "30",
-        "--model", "dual", "--s-initial", "0.35", "--tiles-m", "0.5", "--max-rounds", "1",
+        "--model", "dual", "--s-initial", "0.35", "--tiles-m", "0.5",
         "--out", str(tmp_path / "r.txt"),
     )
     assert code == EXIT_NUMERIC
@@ -383,6 +402,7 @@ def test_fit_header_has_no_lobe_shape_options(tmp_path):
 _THETA_GRID = "--theta-min/--theta-max/--theta-step must be finite, the step > 0; got "
 _LINK = "p_t, g_t, g_r must all be > 0 and finite, got "
 _AZIMUTHS = "azimuth step and range must be > 0 and finite, got "
+_INVERTED = "--theta-min 50.0 exceeds --theta-max 10.0"
 # each case: the bad option and the message that names its value
 _BAD_NUMBERS = {
     "simulate-p-t-dbm-nan": (["simulate", "--p-t-dbm", "nan"], _LINK + "nan,"),
@@ -408,6 +428,9 @@ _BAD_NUMBERS = {
     "theory-theta-step-nan": (["theory", "--theta-step", "nan"], _THETA_GRID + "1.0/89.0/nan"),
     "theory-theta-step-0": (["theory", "--theta-step", "0"], _THETA_GRID + "1.0/89.0/0.0"),
     "theory-theta-step-negative": (["theory", "--theta-step", "-1"], _THETA_GRID + "1.0/89.0/-1.0"),
+    # an inverted range would write the header and no rows
+    "theory-theta-inverted": (["theory", "--theta-min", "50", "--theta-max", "10"], _INVERTED),
+    "pattern-theta-inverted": (["pattern", "--theta-min", "50", "--theta-max", "10"], _INVERTED),
 }
 
 

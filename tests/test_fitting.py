@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dual_scores_by_mix
+from mmscatter import watts_to_dbm
 from mmscatter.fileio import Scan, ScanPoint, default_materials, scan_from_records
 from mmscatter.fitting import (
     FVU_TIE_TOL,
@@ -227,6 +230,24 @@ class TestGridMinimum:
         # every shape at every S of the fit's own S grid
         grid = [p for s in s_grid(s_initial) for p in _shape_candidates(LobeModel.DUAL_LOBE, s)]
         assert report.fvu <= evaluate.screen(grid).min() + FVU_TIE_TOL
+
+
+class TestBatchedScoring:
+    def test_mixes_scored_together_equal_call(self, scene30, paper_link, materials_db, cfg):
+        # acceptance criterion 5 scores its exhaustive dual grid through
+        # dual_scores_by_mix; every dB power and FVU must be ScanEvaluator.__call__'s
+        scan = with_noise(synthetic_scan(scene30, dual(0.35, 3, 8, 0.3), paper_link, materials_db), 1)
+        evaluate = ScanEvaluator(scan, scene30, cfg)
+        mismatches = []
+        for s_value in (0.2, 0.35, 0.5):
+            for alpha_r, alpha_i in itertools.product(range(1, 11), repeat=2):
+                simulated, values = dual_scores_by_mix(evaluate, s_value, alpha_r, alpha_i)
+                for k, lam in enumerate(lambda_grid()):
+                    params = dual(s_value, alpha_r, alpha_i, lam)
+                    powers = [watts_to_dbm(float(w)) for w in evaluate.pattern.predict(params)[0]]
+                    if simulated[:, k].tolist() != powers or values[k] != evaluate(params):
+                        mismatches.append(params)
+        assert mismatches == []
 
 
 class TestCompareModels:

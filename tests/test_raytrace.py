@@ -29,7 +29,6 @@ from mmscatter.materials import (
 )
 from mmscatter.raytrace import (
     DELAY_GATE_S,
-    LENGTH_GATE_M,
     build_pattern,
     simulate_scan,
     tile_centers,
@@ -64,7 +63,7 @@ def window_tiles(pattern, tile_p, p):
         anchor = pattern._spec_length[p]
     else:
         anchor = pattern._lengths[p, tile_p.argmax()]
-    return np.flatnonzero((tile_p > 0.0) & (np.abs(pattern._lengths[p] - anchor) <= LENGTH_GATE_M))
+    return np.flatnonzero((tile_p > 0.0) & (np.abs(pattern._lengths[p] - anchor) <= DELAY_GATE_S * SPEED_OF_LIGHT))
 
 
 @dataclass(frozen=True)
