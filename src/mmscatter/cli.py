@@ -280,8 +280,8 @@ def _cmd_angles(args) -> int:
     r_i, cos_ti = float(paths.r_i[0]), paths.cos_ti[0]
     rows = []
     for pos in scan_positions(scene, spec):
-        r_s, cos_ts, cos_psi_r, cos_psi_i = paths.receiver(pos.position)
-        angles = np.arccos([cos_ti, cos_ts[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
+        r_s, cos_psi_r, cos_psi_i = paths.receiver(pos.position)
+        angles = np.arccos([cos_ti, paths.cos_ts(pos.position)[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
         rows.append(
             f"{pos.azimuth_deg!r},{pos.delta_h!r},{r_i!r},{float(r_s[0])!r},"
             + ",".join(repr(math.degrees(a)) for a in angles)

@@ -207,6 +207,12 @@ class SurfacePaths:
     direction, psi_i between the Rx direction and the reverse-incident
     direction; both are 3D angles, so the same values serve in-plane and
     raised receivers. Every cosine is clipped to [-1, 1].
+
+    The points and the mirrored and reverse-incident directions are kept
+    as contiguous (3, T) component rows. receiver forms r_s and both lobe
+    cosines as three-term sums of (T,) rows, added in axis order as a
+    row reduction of (T, 3) arrays adds them, so they are bit for bit the
+    same. cos_ts(rx) keeps the matrix product with the normal.
     """
 
     def __init__(self, tx: np.ndarray, points: np.ndarray, normal: np.ndarray):
@@ -216,25 +222,36 @@ class SurfacePaths:
         self.r_i = np.linalg.norm(to_point, axis=1)
         if np.any(self.r_i == 0.0):
             raise ValueError("degenerate geometry: tx coincides with a surface point")
-        self._v_i = to_point / self.r_i[:, None]
-        self.cos_ti = np.clip(-(self._v_i @ normal), -1.0, 1.0)
+        v_i = to_point / self.r_i[:, None]
+        self.cos_ti = np.clip(-(v_i @ normal), -1.0, 1.0)
         if np.any(self.cos_ti <= 0.0):
             raise ValueError("tx does not illuminate the surface from the outward side")
-        self._spec_dir = self._v_i - 2.0 * (self._v_i @ normal)[:, None] * normal
+        spec_dir = v_i - 2.0 * (v_i @ normal)[:, None] * normal
+        self._point_rows, self._spec_rows, self._back_rows = (a.T.copy() for a in (points, spec_dir, -v_i))
 
-    def receiver(self, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(r_s, cos_ts, cos_psi_r, cos_psi_i) per point for the receiver at rx."""
-        from_point = rx - self.points
-        r_s = np.linalg.norm(from_point, axis=1)
+    def receiver(self, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(r_s, cos_psi_r, cos_psi_i) per point for the receiver at rx."""
+        with np.errstate(over="ignore"):
+            d = [c - row for c, row in zip(rx.tolist(), self._point_rows)]
+            r_s = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        if not np.all(np.isfinite(r_s)):
+            raise ValueError(f"path length to the receiver at {rx.tolist()} m is not finite")
         if np.any(r_s == 0.0):
             raise ValueError("degenerate geometry: rx coincides with a surface point")
-        if np.any(from_point @ self.normal < -_IN_PLANE_M):
+        n = self.normal.tolist()
+        if np.any(d[0] * n[0] + d[1] * n[1] + d[2] * n[2] < -_IN_PLANE_M):
             raise ValueError("rx lies behind the wall plane")
-        v_s = from_point / r_s[:, None]
-        cos_ts = np.clip(v_s @ self.normal, -1.0, 1.0)
-        cos_psi_r = np.clip((v_s * self._spec_dir).sum(axis=1), -1.0, 1.0)
-        cos_psi_i = np.clip((v_s * -self._v_i).sum(axis=1), -1.0, 1.0)
-        return r_s, cos_ts, cos_psi_r, cos_psi_i
+        v = [dk / r_s for dk in d]
+        s, b = self._spec_rows, self._back_rows
+        cos_psi_r = np.clip(v[0] * s[0] + v[1] * s[1] + v[2] * s[2], -1.0, 1.0)
+        cos_psi_i = np.clip(v[0] * b[0] + v[1] * b[1] + v[2] * b[2], -1.0, 1.0)
+        return r_s, cos_psi_r, cos_psi_i
+
+    def cos_ts(self, rx: np.ndarray) -> np.ndarray:
+        """Cosine of the scattering angle theta_s per point, toward the receiver at rx."""
+        from_point = rx - self.points
+        v_s = from_point / np.linalg.norm(from_point, axis=1)[:, None]
+        return np.clip(v_s @ self.normal, -1.0, 1.0)
 
 
 def paper_scene(

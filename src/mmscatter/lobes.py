@@ -126,8 +126,8 @@ class RadioLink:
     def __post_init__(self):
         if not all(0.0 < x < math.inf for x in (self.p_t, self.g_t, self.g_r)):
             raise ValueError(f"p_t, g_t, g_r must all be > 0 and finite, got {self.p_t}, {self.g_t}, {self.g_r}")
-        if not 0.0 < self.wavelength < math.inf:
-            raise ValueError(f"wavelength must be > 0 m and finite, got {self.wavelength}")
+        if not (0.0 < self.wavelength and self.wavelength * self.wavelength < math.inf):
+            raise ValueError(f"wavelength must be > 0 m with a finite square, got {self.wavelength}")
 
     @property
     def k_const(self) -> float:

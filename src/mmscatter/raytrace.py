@@ -182,10 +182,13 @@ class ScanPattern:
         best_len = np.where(spec_p >= tile_max, spec_len, tile_best_len)
 
         # a path of zero power adds nothing, in the window or out of it
-        tile_in = np.abs(lengths - best_len[..., None]) <= _LENGTH_GATE
+        work = np.subtract(lengths, best_len[..., None])
+        tile_in = np.abs(work, out=work) <= _LENGTH_GATE
         spec_in = np.abs(spec_len - best_len) <= _LENGTH_GATE
 
-        diff_sum = np.where(tile_in, tile_p, 0.0).sum(axis=-1)
+        work.fill(0.0)
+        np.copyto(work, tile_p, where=tile_in)
+        diff_sum = work.sum(axis=-1)
         spec_w, diff_w = power_gate(np.where(spec_in, spec_p, 0.0), diff_sum)
         return spec_w + diff_w, spec_w, diff_w
 
@@ -418,10 +421,10 @@ def build_pattern(
     v_base = np.empty((n_pos, n_tiles))
     lengths = np.empty((n_pos, n_tiles))
     for p in range(n_pos):
-        r_s, _, cos_psi_r, cos_psi_i = paths.receiver(rx[p])
-        u_base[p] = (1.0 + cos_psi_r) / 2.0
-        v_base[p] = (1.0 + cos_psi_i) / 2.0
-        lengths[p] = paths.r_i + r_s
+        r_s, cos_psi_r, cos_psi_i = paths.receiver(rx[p])
+        for row, cos_psi in ((u_base[p], cos_psi_r), (v_base[p], cos_psi_i)):
+            np.divide(np.add(1.0, cos_psi, out=row), 2.0, out=row)
+        np.add(paths.r_i, r_s, out=lengths[p])
         const[p] = element_constant(link, paths.r_i, r_s, paths.cos_ti, area)
 
     spec_length, spec_cos = specular_paths(scene.tx, rx, scene.wall)

@@ -403,6 +403,10 @@ _THETA_GRID = "--theta-min/--theta-max/--theta-step must be finite, the step > 0
 _LINK = "p_t, g_t, g_r must all be > 0 and finite, got "
 _AZIMUTHS = "azimuth step and range must be > 0 and finite, got "
 _INVERTED = "--theta-min 50.0 exceeds --theta-max 10.0"
+_WAVELENGTH = "wavelength must be > 0 m with a finite square, got "
+_PATH_LENGTH = "path length to the receiver at "
+# the first receiver of the default scan at radius 1e170: azimuth -90 deg
+_FAR_RX = "[6.1232339957367664e+153, -1e+170, 0.0] m is not finite"
 # each case: the bad option and the message that names its value
 _BAD_NUMBERS = {
     "simulate-p-t-dbm-nan": (["simulate", "--p-t-dbm", "nan"], _LINK + "nan,"),
@@ -423,6 +427,14 @@ _BAD_NUMBERS = {
     "simulate-gain-dbi-overflow": (["simulate", "--gain-dbi", "4000"], _LINK + "0.01, inf, inf"),
     "simulate-p-t-dbm-overflow": (["simulate", "--p-t-dbm", "1e6"], _LINK + "inf,"),
     "pattern-gain-dbi-overflow": (["pattern", "--gain-dbi", "4000"], _LINK + "0.01, inf, inf"),
+    # a wavelength whose square overflows a float
+    "simulate-freq-ghz-tiny": (["simulate", "--freq-ghz", "1e-300"], _WAVELENGTH + "3e+299"),
+    "pattern-freq-ghz-tiny": (["pattern", "--freq-ghz", "1e-300"], _WAVELENGTH + "3e+299"),
+    "fit-freq-ghz-tiny": (["fit", "--freq-ghz", "1e-300"], _WAVELENGTH + "3e+299"),
+    # a radius whose receivers' path lengths overflow a float
+    "simulate-radius-huge": (["simulate", "--radius", "1e170"], _PATH_LENGTH + _FAR_RX),
+    "angles-radius-huge": (["angles", "--radius", "1e170"], _PATH_LENGTH + _FAR_RX),
+    "fit-radius-huge": (["fit", "--radius", "1e170"], _PATH_LENGTH + "[1e+170, 0.0, 0.0] m is not finite"),
     "fit-radius-nan": (["fit", "--radius", "nan"], "scan radius must be > 0 and finite, got nan"),
     "fit-p-t-dbm-nan": (["fit", "--p-t-dbm", "nan"], _LINK + "nan,"),
     "theory-theta-step-nan": (["theory", "--theta-step", "nan"], _THETA_GRID + "1.0/89.0/nan"),
@@ -442,6 +454,7 @@ def test_bad_number_is_data_error_naming_it(tmp_path, capsys, argv, message):
         "fit": ["--scan", str(tmp_path / "scan.csv"), "--model", "single", "--s-initial", "0.3", "--tiles-m", "0.5"],
         "theory": [],
         "pattern": [],
+        "angles": [],
     }[argv[0]]
     (tmp_path / "scan.csv").write_text(
         "angle_deg,delta_h_cm,power_dbm\n0.0,0.0,-55.0\n10.0,0.0,-58.0\n20.0,0.0,-61.0\n", encoding="utf-8"

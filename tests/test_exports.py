@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -31,3 +32,20 @@ def test_no_relative_import_inside_a_function():
                     if isinstance(node, ast.ImportFrom) and node.level > 0
                 )
     assert sorted(deferred) == []
+
+
+def test_benchmark_hooks_resolve():
+    # the traced benchmark swaps these package attributes for timing wrappers;
+    # a renamed one would break `perfbench/run.py --trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.instrument()
+        patched = list(tracer._saved)
+    finally:
+        tracer.restore()
+    assert patched
+    assert [name for owner, name, original in patched if getattr(owner, name) is not original] == []

@@ -118,8 +118,9 @@ class TestSpecularPoint:
 def path_geometry(tx, rx, point, normal):
     """Distances and angles (rad) of the path over one surface point, through SurfacePaths."""
     paths = SurfacePaths(tx, point[None, :], normal)
-    r_s, cos_ts, cos_psi_r, cos_psi_i = paths.receiver(rx)
-    theta_i, theta_s, psi_r, psi_i = np.arccos([paths.cos_ti[0], cos_ts[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
+    r_s, cos_psi_r, cos_psi_i = paths.receiver(rx)
+    cosines = [paths.cos_ti[0], paths.cos_ts(rx)[0], cos_psi_r[0], cos_psi_i[0]]
+    theta_i, theta_s, psi_r, psi_i = np.arccos(cosines).tolist()
     return SimpleNamespace(
         r_i=float(paths.r_i[0]), r_s=float(r_s[0]), theta_i=theta_i, theta_s=theta_s, psi_r=psi_r, psi_i=psi_i
     )

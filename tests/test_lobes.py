@@ -392,7 +392,8 @@ def lobe_norm(params, mode, theta_i):
 def element_powers(tx, rx, params, link, mode):
     """Received power over each wall point from tx to rx, with cos(theta_i) and cos(theta_s)."""
     paths = SurfacePaths(tx, WALL_POINTS, WALL_NORMAL)
-    r_s, cos_ts, cos_psi_r, cos_psi_i = paths.receiver(rx)
+    r_s, cos_psi_r, cos_psi_i = paths.receiver(rx)
+    cos_ts = paths.cos_ts(rx)
     gain = ((1.0 + cos_psi_r) / 2.0) ** params.alpha_r
     if params.model is LobeModel.DUAL_LOBE:
         gain = lobe_mix(params.lambda_mix, gain, ((1.0 + cos_psi_i) / 2.0) ** params.alpha_i)

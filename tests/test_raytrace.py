@@ -18,7 +18,7 @@ from mmscatter.geometry import (
     rx_position,
     scan_positions,
 )
-from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, normalization_f
+from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, element_constant, normalization_f
 from mmscatter.materials import (
     IncidenceContext,
     Material,
@@ -30,6 +30,7 @@ from mmscatter.materials import (
 from mmscatter.raytrace import (
     DELAY_GATE_S,
     build_pattern,
+    power_gate,
     simulate_scan,
     tile_centers,
 )
@@ -153,6 +154,95 @@ class TestGating:
             per_mix = pattern.gate(pattern.tile_powers(dual(0.4, 2, 9, lam))[rows], rows)
             for b, m in zip(batched, per_mix):
                 assert np.array_equal(b[k], m)
+
+
+def row_form_pattern(scene, rx, link, tile_edge):
+    """const, u, v, lengths and cos_ts (P, T) as a loop over receivers computes them on (T, 3) rows."""
+    centers, area = tile_centers(scene, tile_edge)
+    normal = scene.wall.normal
+    to_point = centers - scene.tx
+    r_i = np.linalg.norm(to_point, axis=1)
+    v_i = to_point / r_i[:, None]
+    cos_ti = np.clip(-(v_i @ normal), -1.0, 1.0)
+    spec_dir = v_i - 2.0 * (v_i @ normal)[:, None] * normal
+    rows = {"const": [], "u": [], "v": [], "lengths": [], "cos_ts": []}
+    for point in rx:
+        from_point = point - centers
+        r_s = np.linalg.norm(from_point, axis=1)
+        v_s = from_point / r_s[:, None]
+        rows["u"].append((1.0 + np.clip((v_s * spec_dir).sum(axis=1), -1.0, 1.0)) / 2.0)
+        rows["v"].append((1.0 + np.clip((v_s * -v_i).sum(axis=1), -1.0, 1.0)) / 2.0)
+        rows["lengths"].append(r_i + r_s)
+        rows["cos_ts"].append(np.clip(v_s @ normal, -1.0, 1.0))
+        rows["const"].append(element_constant(link, r_i, r_s, cos_ti, area))
+    return {name: np.array(values) for name, values in rows.items()}
+
+
+def where_gate(pattern, tile_p, rows=slice(None)):
+    """ScanPattern.gate with the delay window applied by np.where on fresh arrays."""
+    spec_p, spec_len, lengths = pattern.spec_power[rows], pattern._spec_length[rows], pattern._lengths[rows]
+    tile_best_len = lengths[np.arange(lengths.shape[0]), tile_p.argmax(axis=-1)]
+    best_len = np.where(spec_p >= tile_p.max(axis=-1), spec_len, tile_best_len)
+    window = DELAY_GATE_S * SPEED_OF_LIGHT
+    tile_in = np.abs(lengths - best_len[..., None]) <= window
+    spec_in = np.abs(spec_len - best_len) <= window
+    spec_w, diff_w = power_gate(np.where(spec_in, spec_p, 0.0), np.where(tile_in, tile_p, 0.0).sum(axis=-1))
+    return spec_w + diff_w, spec_w, diff_w
+
+
+def _oblique_scene():
+    # the oblique layout of test_cli.py::test_oblique_wall_matches_the_paper_scene
+    wall = Wall(center=np.zeros(3), normal=np.array([0.6, 0.8, 0.0]), width=3.0, height=3.0, material="rough_wall")
+    return Scene(wall=wall, tx=np.array([1.2, 0.6, 0.0]), carrier_frequency=28e9)
+
+
+def _tilted_scene():
+    # every component of the normal nonzero, so every term of each sum rounds
+    normal = np.array([math.cos(0.5) * math.cos(0.35), math.sin(0.5) * math.cos(0.35), math.sin(0.35)])
+    wall = Wall(center=np.array([0.3, -1.7, 1.1]), normal=normal, width=3.7, height=3.0, material="rough_wall")
+    return Scene(wall=wall, tx=wall.center + 1.5 * normal + 0.4 * wall.u_axis, carrier_frequency=28e9)
+
+
+class TestComponentForm:
+    """build_pattern and gate against the row form and the np.where gate, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_scene, heights, tile_edge",
+        [
+            (lambda: paper_scene("rough_wall", 10.0), (0.0,), 0.1),
+            (lambda: paper_scene("rough_wall", 30.0), (0.0,), 0.1),
+            (lambda: paper_scene("rough_wall", 60.0), (0.0,), 0.1),
+            (_oblique_scene, (0.0, 0.3), 0.1),
+            (_tilted_scene, (0.0, 0.3), 0.1),
+            (lambda: paper_scene("rough_wall", 30.0), DEFAULT_CYLINDER_HEIGHTS, 0.1),
+            (lambda: paper_scene("rough_wall", 30.0), DEFAULT_CYLINDER_HEIGHTS, 0.05),
+        ],
+        ids=["paper-10", "paper-30", "paper-60", "oblique", "tilted", "raised-0.1", "raised-0.05"],
+    )
+    def test_pattern_and_gate_equal_row_form(self, make_scene, heights, tile_edge, paper_link, materials_db):
+        scene = make_scene()
+        rx = np.array([p.position for p in scan_positions(scene, ScanSpec(height_offsets=heights))])
+        pattern = build_pattern(scene, rx, paper_link, materials_db, tile_edge)
+        former = row_form_pattern(scene, rx, paper_link, tile_edge)
+        for name, attr in (("const", "_const"), ("u", "_u"), ("v", "_v"), ("lengths", "_lengths")):
+            assert np.array_equal(getattr(pattern, attr), former[name]), name
+        # the matrix product, which a three-term sum does not reproduce on an oblique wall
+        paths = SurfacePaths(scene.tx, tile_centers(scene, tile_edge)[0], scene.wall.normal)
+        assert np.array_equal([paths.cos_ts(point) for point in rx], former["cos_ts"])
+        for params in (single(0.3), dual(0.4, 2, 9, 0.3), dual(0.9, 1, 1, 0.5)):
+            tile_p = pattern.tile_powers(params)
+            for new, old in zip(pattern.gate(tile_p), where_gate(pattern, tile_p)):
+                assert np.array_equal(new, old)
+
+    def test_batched_gate_equals_where_gate(self, paper_link, materials_db, scene30):
+        rx = np.array([p.position for p in scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))])
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.1)
+        rows = np.array([0, 5, 9, 18, 19, 37, 75])
+        tile_p = pattern.dual_tile_powers(0.9, 1, 9, [k / 10 for k in range(11)], rows)  # (G, R, T)
+        assert tile_p.shape == (11, rows.size, pattern.n_tiles)
+        for new, old in zip(pattern.gate(tile_p, rows), where_gate(pattern, tile_p, rows)):
+            assert new.shape == (11, rows.size)
+            assert np.array_equal(new, old)
 
 
 class TestContributions:
@@ -465,7 +555,7 @@ class TestPhysicalOptics:
         gamma = np.interp(theta, table, [fresnel_gamma(6.0, t, pol) for t in table.tolist()])
         k = 2.0 * math.pi / wavelength
         for p, power in zip(inside.tolist(), spec_power.tolist()):
-            r_s, cos_ts, _, _ = paths.receiver(rx[p])
+            r_s, cos_ts = paths.receiver(rx[p])[0], paths.cos_ts(rx[p])
             # (1 / (j lambda)) sum Gamma e^(-jk(r_i + r_s)) / (r_i r_s) (cos theta_i + cos theta_s) / 2 dA,
             # which is Gamma e^(-jkL) / L for the image path of length L off an infinite wall
             terms = gamma * np.exp(-1j * k * (paths.r_i + r_s)) / (paths.r_i * r_s) * (paths.cos_ti + cos_ts) / 2.0
