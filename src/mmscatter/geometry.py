@@ -88,6 +88,10 @@ class Scene:
         object.__setattr__(self, "tx", _as_vec3(self.tx, "tx position"))
         if not 0.0 < self.carrier_frequency < math.inf:
             raise ValueError(f"carrier_frequency must be > 0 Hz and finite, got {self.carrier_frequency}")
+        # in Python floats, which overflow to inf without a warning
+        offset = [t - c for t, c in zip(self.tx.tolist(), self.wall.center.tolist())]
+        if not sum(d * d for d in offset) < math.inf:
+            raise ValueError(f"tx at {self.tx.tolist()} m is too far from the wall center: its offset squared is inf")
         if float(np.dot(self.tx - self.wall.center, self.wall.normal)) <= 0.0:
             raise ValueError("tx must lie strictly on the outward side of the wall plane")
 
@@ -220,6 +224,7 @@ class SurfacePaths:
         self.normal = normal
         to_point = points - tx
         self.r_i = np.linalg.norm(to_point, axis=1)
+        self._r_i_max = float(self.r_i.max())
         if np.any(self.r_i == 0.0):
             raise ValueError("degenerate geometry: tx coincides with a surface point")
         v_i = to_point / self.r_i[:, None]
@@ -234,8 +239,10 @@ class SurfacePaths:
         with np.errstate(over="ignore"):
             d = [c - row for c, row in zip(rx.tolist(), self._point_rows)]
             r_s = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        if not np.all(np.isfinite(r_s)):
-            raise ValueError(f"path length to the receiver at {rx.tolist()} m is not finite")
+        # element_constant divides by (r_i r_s)^2, which the largest r_i and r_s bound
+        reach = self._r_i_max * float(r_s.max())
+        if not reach * reach < math.inf:
+            raise ValueError(f"path length to the receiver at {rx.tolist()} m is too long: (r_i r_s)^2 is not finite")
         if np.any(r_s == 0.0):
             raise ValueError("degenerate geometry: rx coincides with a surface point")
         n = self.normal.tolist()

@@ -25,7 +25,6 @@ from . import SPEED_OF_LIGHT, db_to_linear, watts_to_dbm
 from .fileio import height_m_to_cm
 from .geometry import Scene, ScanSpec, SurfacePaths, scan_positions, specular_paths
 from .lobes import (
-    LobeModel,
     LobeParams,
     NormalizationMode,
     RadioLink,
@@ -123,30 +122,24 @@ class ScanPattern:
         """The array of lobe width alpha, computed once per pattern.
 
         kind "norm" is the (T,) normalization, "u" and "v" the (P, T)
-        forward and backscatter lobe gains.
+        forward and backscatter lobe gains; width 1 is the base array itself, as x ** 1 == x.
         """
         arr = self._width_cache.get((kind, alpha))
         if arr is None:
             if kind == "norm":
                 arr = single_lobe_norm(self.mode, alpha, self.tile_theta)
             else:
-                arr = (self._u if kind == "u" else self._v) ** alpha
+                base = self._u if kind == "u" else self._v
+                arr = base if alpha == 1 else base**alpha
             self._width_cache[kind, alpha] = arr
         return arr
 
-    def tile_powers(self, params: LobeParams) -> np.ndarray:
-        """(P, T) diffuse power per tile before gating, watts."""
-        if params.model is LobeModel.DUAL_LOBE:
-            return self.dual_tile_powers(params.s_coeff, params.alpha_r, params.alpha_i, params.lambda_mix)
-        gain, norm = self._width_array("u", params.alpha_r), self._width_array("norm", params.alpha_r)
-        return element_power(params.s_coeff, self._const, gain, norm)
+    def tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None), out=None):
+        """(..., R, T) tile powers before gating, watts, of mixes `lambdas` of any shape (...) at the rows `rows`.
 
-    def dual_tile_powers(
-        self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None), out=None
-    ) -> np.ndarray:
-        """(..., R, T) dual-lobe tile powers, watts, for mixes `lambdas` of any shape (...) at the positions `rows`.
-
-        out, an array of that shape, receives the powers if given.
+        (alpha_r, alpha_i, lambda) is a LobeParams.shape, so the single
+        lobe is the mix-1 case. out, an array of the result's shape,
+        receives the powers if given.
         """
         lam = np.asarray(lambdas, dtype=float)[..., None]
         norm = lobe_mix(lam, self._width_array("norm", alpha_r), self._width_array("norm", alpha_i))
@@ -156,7 +149,7 @@ class ScanPattern:
 
     def predict(self, params: LobeParams):
         """Gated per-position powers: (total_w, spec_w, diff_w)."""
-        return self.gate(self.tile_powers(params))
+        return self.gate(self.tile_powers(params.s_coeff, *params.shape))
 
     def gate(self, tile_p: np.ndarray, rows=slice(None)):
         """Gate the tile powers `tile_p` (..., R, T) of the positions `rows`.
@@ -198,25 +191,19 @@ class ScanPattern:
         grid is (alphas_r, alphas_i, lambdas), a grid of LobeParams.shape
         values; its tables are built once per pattern. Each entry equals
         predict's total for that candidate to rounding (about 1e-15): at
-        each position the diffuse sum is s^2 times a per-grid table entry
-        where a certificate says the table's delay window is predict's, and
-        every other position goes through gate, once per S and width pair
-        for all its mixes. See docs/stage_a_screen.md.
+        each position the diffuse sum is s^2 times the table's window
+        entry where s^2 is within the table's limit, and every other
+        position goes through gate, once per S and width pair for all its
+        mixes. See docs/stage_a_screen.md.
         """
         table = self._shape_tables.get(grid)
         if table is None:
             table = self._shape_tables[grid] = _ShapeTable(self, *grid)
         columns = [table.columns[p.shape] for p in candidates]
-        s_values = np.array([p.s_coeff for p in candidates])
-        spec = self.spec_power
-        s_sq = s_values * s_values
-        spec_w, diff_w = power_gate(spec[:, None], s_sq * table.window[:, columns])
+        s_sq = np.square([p.s_coeff for p in candidates])
+        spec_w, diff_w = power_gate(self.spec_power[:, None], s_sq * table.window[:, columns])
         total_w = spec_w + diff_w
-        uncertified = ~np.where(
-            table.no_spec[:, None],
-            table.tile_certified[:, columns],
-            _specular_anchor_certified(spec[:, None], s_values, table.peak[:, columns]),
-        )
+        uncertified = s_sq > table.limit[:, columns]
         groups: dict[tuple, list[tuple[int, float]]] = {}
         for q in np.flatnonzero(uncertified.any(axis=0)).tolist():
             a_r, a_i, lam = candidates[q].shape
@@ -224,18 +211,9 @@ class ScanPattern:
         for (s_value, a_r, a_i, _), members in groups.items():
             qs, lambdas = map(list, zip(*members))
             rows = np.flatnonzero(uncertified[:, qs].any(axis=1))
-            tile_p = self.dual_tile_powers(s_value, a_r, a_i, lambdas, rows)  # (G, R, T)
+            tile_p = self.tile_powers(s_value, a_r, a_i, lambdas, rows)  # (G, R, T)
             total_w[np.ix_(rows, qs)] = self.gate(tile_p, rows)[0].T
         return total_w
-
-
-def _specular_anchor_certified(spec_power, s_value, peak):
-    """True where the specular path anchors predict's delay window.
-
-    peak bounds every tile power per unit S^2. The bound is inflated by
-    _CERTIFICATE_MARGIN so that rounding in the tile powers cannot flip it.
-    """
-    return spec_power >= s_value * s_value * (1.0 + _CERTIFICATE_MARGIN) * peak
 
 
 def _lobe_peaks(pattern: ScanPattern, alphas, kind: str) -> np.ndarray:
@@ -337,7 +315,7 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
     certified = np.empty(shape, dtype=bool)
     for i, a_r in enumerate(alphas_r):
         for j, a_i in enumerate(alphas_i):
-            pattern.dual_tile_powers(1.0, a_r, a_i, lambdas, rows, out=tile_p)
+            pattern.tile_powers(1.0, a_r, a_i, lambdas, rows, out=tile_p)
             np.take(tile_p.reshape(n_lam, -1), flat_order, axis=1, out=ranked_p.reshape(n_lam, -1), mode="clip")
             k = ranked_p.argmax(axis=-1)  # (L, R): the anchor's length rank
             top = np.take_along_axis(ranked_p, k[..., None], axis=-1)[..., 0]
@@ -357,29 +335,32 @@ class _ShapeTable:
     columns maps each LobeParams.shape (alpha_r, alpha_i, lambda) to its
     column. window[p, n] is the diffuse sum in the delay window that
     predict anchors at position p: on the specular path where there is
-    one, else on the strongest tile. peak[p, n] bounds every tile power
-    (the specular certificate); tile_certified[p, n] is the tile-anchor
-    certificate of the positions with no specular path (no_spec).
+    one, else on the strongest tile. limit[p, n] is the largest S^2 at
+    which s^2 * window[p, n] is the diffuse sum that predict gates: the
+    specular power over (1 + _CERTIFICATE_MARGIN) times a bound on every
+    tile power, or with no specular path +inf or -inf as the tile-anchor
+    certificate holds or not.
     """
 
     def __init__(self, pattern: ScanPattern, alphas_r, alphas_i, lambdas):
         self.columns = {shape: n for n, shape in enumerate(itertools.product(alphas_r, alphas_i, lambdas))}
-        n_pos = pattern.n_positions
         lam = np.asarray(lambdas)
         # a lobe of weight zero bounds nothing
-        peak = np.where(lam > 0.0, _lobe_peaks(pattern, alphas_r, "u").T[:, :, None, None], 0.0)
+        bound = np.where(lam > 0.0, _lobe_peaks(pattern, alphas_r, "u").T[:, :, None, None], 0.0)
         if np.any(lam < 1.0):
             backscatter = _lobe_peaks(pattern, alphas_i, "v").T[:, None, :, None]
-            peak = np.maximum(peak, np.where(lam < 1.0, backscatter, 0.0))
-        self.peak = np.broadcast_to(peak, (n_pos, len(alphas_r), len(alphas_i), len(lambdas))).reshape(n_pos, -1)
-        self.window = _specular_window_sums(pattern, alphas_r, alphas_i, lambdas).reshape(n_pos, -1)
-        self.no_spec = pattern.spec_power == 0.0
-        self.tile_certified = np.zeros(self.window.shape, dtype=bool)
-        rows = np.flatnonzero(self.no_spec)
+            bound = np.maximum(bound, np.where(lam < 1.0, backscatter, 0.0))
+        window = _specular_window_sums(pattern, alphas_r, alphas_i, lambdas)  # (P, Ar, Ai, L)
+        spec = pattern.spec_power[:, None, None, None]
+        # the rows with no specular path are set below; a bound of 0 certifies every S
+        with np.errstate(divide="ignore"):
+            limit = np.divide(spec, (1.0 + _CERTIFICATE_MARGIN) * bound, out=np.zeros_like(window), where=spec > 0.0)
+        self.window, self.limit = window.reshape(len(window), -1), limit.reshape(len(limit), -1)
+        rows = np.flatnonzero(pattern.spec_power == 0.0)
         if rows.size:
             sums, certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
             self.window[rows] = sums.reshape(rows.size, -1)
-            self.tile_certified[rows] = certified.reshape(rows.size, -1)
+            self.limit[rows] = np.where(certified.reshape(rows.size, -1), np.inf, -np.inf)
 
 
 def tile_centers(scene: Scene, tile_edge: float) -> tuple[np.ndarray, float]:

@@ -27,12 +27,12 @@ def series_i0(x: float, terms: int = 30) -> float:
 
 def dual_scores_by_mix(evaluate, s_value, alpha_r, alpha_i):
     """dB powers (P, L) and FVUs (L,) of the dual-lobe candidates (s_value, alpha_r, alpha_i, lambda)
-    for the L mixes of lambda_grid, in that order, from one dual_tile_powers and one gate call.
+    for the L mixes of lambda_grid, in that order, from one tile_powers and one gate call.
 
     evaluate is a ScanEvaluator. The dB conversion is watts_to_dbm, the math.log10 that
     ScanEvaluator.__call__ uses: np.log10 differs from it in the last bit of some powers.
     """
-    tile_p = evaluate.pattern.dual_tile_powers(s_value, alpha_r, alpha_i, lambda_grid())
+    tile_p = evaluate.pattern.tile_powers(s_value, alpha_r, alpha_i, lambda_grid())
     total_w, _, _ = evaluate.pattern.gate(tile_p)
     simulated = np.array([[watts_to_dbm(w) for w in row] for row in total_w.tolist()]).T
     return simulated, fvu(evaluate.measured, simulated)

@@ -255,6 +255,16 @@ def test_infinite_scene_value_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_far_scene_tx_is_data_error(tmp_path, capsys):
+    # the squared offset of this Tx from the wall center overflows a float
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE_60GHZ.replace("tx 1.299038105676658 -0.75 0", "tx 1e170 -0.6 0"), encoding="utf-8")
+    out = tmp_path / "sim.csv"
+    assert run("simulate", "--scene", str(scene), "--tiles-m", "0.5", "--out", str(out)) == EXIT_DATA
+    assert f"{scene}: tx at [1e+170, -0.6, 0.0] m is too far from the wall center" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infinite_material_value_is_data_error(tmp_path, capsys):
     materials = tmp_path / "materials.txt"
     materials.write_text("material rough_wall\neps_r inf\nh_rms_mm 0.715\nthickness_cm 32\n", encoding="utf-8")
@@ -405,8 +415,9 @@ _AZIMUTHS = "azimuth step and range must be > 0 and finite, got "
 _INVERTED = "--theta-min 50.0 exceeds --theta-max 10.0"
 _WAVELENGTH = "wavelength must be > 0 m with a finite square, got "
 _PATH_LENGTH = "path length to the receiver at "
+_TOO_LONG = " m is too long: (r_i r_s)^2 is not finite"
 # the first receiver of the default scan at radius 1e170: azimuth -90 deg
-_FAR_RX = "[6.1232339957367664e+153, -1e+170, 0.0] m is not finite"
+_FAR_RX = "[6.1232339957367664e+153, -1e+170, 0.0]"
 # each case: the bad option and the message that names its value
 _BAD_NUMBERS = {
     "simulate-p-t-dbm-nan": (["simulate", "--p-t-dbm", "nan"], _LINK + "nan,"),
@@ -432,9 +443,14 @@ _BAD_NUMBERS = {
     "pattern-freq-ghz-tiny": (["pattern", "--freq-ghz", "1e-300"], _WAVELENGTH + "3e+299"),
     "fit-freq-ghz-tiny": (["fit", "--freq-ghz", "1e-300"], _WAVELENGTH + "3e+299"),
     # a radius whose receivers' path lengths overflow a float
-    "simulate-radius-huge": (["simulate", "--radius", "1e170"], _PATH_LENGTH + _FAR_RX),
-    "angles-radius-huge": (["angles", "--radius", "1e170"], _PATH_LENGTH + _FAR_RX),
-    "fit-radius-huge": (["fit", "--radius", "1e170"], _PATH_LENGTH + "[1e+170, 0.0, 0.0] m is not finite"),
+    "simulate-radius-huge": (["simulate", "--radius", "1e170"], _PATH_LENGTH + _FAR_RX + _TOO_LONG),
+    "angles-radius-huge": (["angles", "--radius", "1e170"], _PATH_LENGTH + _FAR_RX + _TOO_LONG),
+    "fit-radius-huge": (["fit", "--radius", "1e170"], _PATH_LENGTH + "[1e+170, 0.0, 0.0]" + _TOO_LONG),
+    # a radius whose path lengths are finite but whose (r_i r_s)^2, the divisor of element_constant, overflows
+    "simulate-radius-1e154": (
+        ["simulate", "--radius", "1e154"], _PATH_LENGTH + "[6.123233995736766e+137, -1e+154, 0.0]" + _TOO_LONG
+    ),
+    "fit-radius-1e154": (["fit", "--radius", "1e154"], _PATH_LENGTH + "[1e+154, 0.0, 0.0]" + _TOO_LONG),
     "fit-radius-nan": (["fit", "--radius", "nan"], "scan radius must be > 0 and finite, got nan"),
     "fit-p-t-dbm-nan": (["fit", "--p-t-dbm", "nan"], _LINK + "nan,"),
     "theory-theta-step-nan": (["theory", "--theta-step", "nan"], _THETA_GRID + "1.0/89.0/nan"),

@@ -49,3 +49,24 @@ def test_benchmark_hooks_resolve():
         tracer.restore()
     assert patched
     assert [name for owner, name, original in patched if getattr(owner, name) is not original] == []
+
+
+def _module_imports(tree):
+    """(name, lineno) of every name that a module-level import statement binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias.asname or alias.name, node.lineno) for alias in node.names)
+
+
+def test_no_unused_module_import():
+    # a module-level import is read somewhere in its module, or re-exported through __all__
+    unused = []
+    for path in sorted(Path(mmscatter.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = importlib.import_module(f"mmscatter.{path.stem}" if path.stem != "__init__" else "mmscatter")
+        exported = set(getattr(module, "__all__", ()))
+        unused += [f"{path.name}:{line}: {name}" for name, line in _module_imports(tree) if name not in read | exported]
+    assert unused == []

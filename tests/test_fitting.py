@@ -17,6 +17,7 @@ from mmscatter.fitting import (
     SearchConfig,
     ScanEvaluator,
     _shape_candidates,
+    _shape_grid,
     compare_models,
     fvu,
     grid_fit,
@@ -28,10 +29,12 @@ from mmscatter.geometry import DEFAULT_CYLINDER_HEIGHTS, ScanSpec, paper_scene, 
 from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode
 from mmscatter.materials import IncidenceContext, initial_scattering_coefficient
 from mmscatter.raytrace import (
+    _CERTIFICATE_MARGIN,
     _LENGTH_GATE,
     ScanPattern,
+    _lobe_peaks,
     _ShapeTable,
-    _specular_anchor_certified,
+    _tile_window_sums,
     build_pattern,
     simulate_scan,
 )
@@ -300,6 +303,32 @@ SCREEN_SCANS = [
 ]
 
 
+def three_array_certificate(pattern, alphas_r, alphas_i, lambdas):
+    """The screen's former certificate, from a peak bound, a no-specular mask and a tile certificate.
+
+    Returns a function of S giving the (P, N) cells of the grid, in _ShapeTable column
+    order, where s^2 times the table's window sum is the diffuse sum predict gates.
+    """
+    n_pos = pattern.n_positions
+    lam = np.asarray(lambdas)
+    peak = np.where(lam > 0.0, _lobe_peaks(pattern, alphas_r, "u").T[:, :, None, None], 0.0)
+    if np.any(lam < 1.0):
+        backscatter = _lobe_peaks(pattern, alphas_i, "v").T[:, None, :, None]
+        peak = np.maximum(peak, np.where(lam < 1.0, backscatter, 0.0))
+    peak = np.broadcast_to(peak, (n_pos, len(alphas_r), len(alphas_i), len(lambdas))).reshape(n_pos, -1)
+    no_spec = pattern.spec_power == 0.0
+    tile_certified = np.zeros(peak.shape, dtype=bool)
+    rows = np.flatnonzero(no_spec)
+    if rows.size:
+        tile_certified[rows] = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)[1].reshape(rows.size, -1)
+
+    def certified(s_value):
+        specular = pattern.spec_power[:, None] >= s_value * s_value * (1.0 + _CERTIFICATE_MARGIN) * peak
+        return np.where(no_spec[:, None], tile_certified, specular)
+
+    return certified
+
+
 class TestStageAScreen:
     """The table-driven screen of every stage against exact per-candidate scoring."""
 
@@ -357,10 +386,10 @@ class TestStageAScreen:
         scene = paper_scene(material, theta_deg)
         positions = [p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))]
         pattern = build_pattern(scene, np.array(positions), paper_link, materials_db, 0.5)
-        peak = _ShapeTable(pattern, (alpha_r,), (alpha_i,), (lam,)).peak[:, 0]
-        certified = _specular_anchor_certified(pattern.spec_power, s, peak)
+        limit = _ShapeTable(pattern, (alpha_r,), (alpha_i,), (lam,)).limit[:, 0]
+        certified = (pattern.spec_power > 0.0) & (s * s <= limit)
         # predict anchors the delay window on the specular path when no tile outweighs it
-        tile_max = pattern.tile_powers(dual(s, alpha_r, alpha_i, lam)).max(axis=1)
+        tile_max = pattern.tile_powers(s, alpha_r, alpha_i, lam).max(axis=1)
         assert np.all(pattern.spec_power[certified] >= tile_max[certified])
 
     @settings(deadline=None, max_examples=40)
@@ -382,17 +411,48 @@ class TestStageAScreen:
         rows = np.flatnonzero(pattern.spec_power == 0.0)
         assert rows.size == 8
         table = _ShapeTable(pattern, (alpha_r,), (alpha_i,), (lam,))
-        sums, certified = table.window[rows, 0], table.tile_certified[rows, 0]
+        sums, certified = table.window[rows, 0], table.limit[rows, 0] == np.inf
         # mirror-image tiles tie exactly at delta_h 0; the tie band still certifies them
         assert certified.all()
         total_w = pattern.predict(dual(s, alpha_r, alpha_i, lam))[0][rows]
         assert np.all(np.abs(s * s * sums - total_w) <= 1e-13 * total_w)
 
+    @pytest.mark.parametrize(
+        "heights, tile_edge, s_initial, falls_back",
+        [
+            # the digest scenes: at S 0.8 many cells fall back
+            ((0.0, 0.3), 0.5, 0.8, True),
+            ((0.0, 0.3), 0.2, 0.8, True),
+            # the default 0.1 m arc and semicylinder, at the theory S: every cell is certified
+            ((0.0,), 0.1, None, False),
+            (DEFAULT_CYLINDER_HEIGHTS, 0.1, None, False),
+        ],
+    )
+    def test_limit_equals_the_three_array_certificate(
+        self, heights, tile_edge, s_initial, falls_back, paper_link, materials_db
+    ):
+        scene = paper_scene("rough_wall", 30.0)
+        if s_initial is None:
+            ctx = IncidenceContext(theta_i=scene.incidence_angle, wavelength=paper_link.wavelength)
+            s_initial = initial_scattering_coefficient(materials_db.get("rough_wall"), ctx).s_coeff
+        positions = [p.position for p in scan_positions(scene, ScanSpec(height_offsets=heights))]
+        pattern = build_pattern(scene, np.array(positions), paper_link, materials_db, tile_edge)
+        fallbacks = 0
+        for model in (LobeModel.SINGLE_LOBE, LobeModel.DUAL_LOBE):
+            grid = _shape_grid(model)
+            limit = _ShapeTable(pattern, *grid).limit
+            former = three_array_certificate(pattern, *grid)
+            for s in s_grid(s_initial):
+                uncertified = s * s > limit
+                assert np.array_equal(uncertified, ~former(s))
+                fallbacks += np.count_nonzero(uncertified)
+        assert (fallbacks > 0) == falls_back
+
     def test_specular_certificate_misses_a_near_tie(self, scene30, paper_link, materials_db):
         positions = [p.position for p in scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))]
         pattern = build_pattern(scene30, np.array(positions), paper_link, materials_db, 0.5)
         params = single(0.5, 4)
-        tile_p = pattern.tile_powers(params)
+        tile_p = pattern.tile_powers(params.s_coeff, *params.shape)
         lengths = pattern._lengths
         anchor_len = lengths[np.arange(len(lengths)), tile_p.argmax(axis=1)]
         # specular rows where a tile anchor would gate other tiles than the specular anchor does

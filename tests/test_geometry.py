@@ -195,6 +195,11 @@ class TestSceneValidation:
         with pytest.raises(ValueError):
             Scene(wall=wall, tx=np.array([-1.0, 0.0, 0.0]), carrier_frequency=28e9)
 
+    def test_tx_offset_squared_must_be_finite(self):
+        wall = Wall(center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]), width=3.0, height=3.0, material="m")
+        with pytest.raises(ValueError, match=r"tx at \[1e\+170, -0.6, 0.0\] m is too far from the wall center"):
+            Scene(wall=wall, tx=np.array([1e170, -0.6, 0.0]), carrier_frequency=28e9)
+
     def test_paper_scene_angle(self):
         for theta in (0.0, 20.0, 45.0, 80.0):
             scene = paper_scene("rough_wall", theta)

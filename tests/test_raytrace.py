@@ -123,7 +123,7 @@ class TestSimulatePoint:
         params = dual(0.4, 2, 9, 0.3)
         pattern = build_pattern(scene30, rx[None, :], paper_link, materials_db, 0.25)
         total_w, spec_w, diff_w = (float(w[0]) for w in pattern.predict(params))
-        tile_p = pattern.tile_powers(params)[0]
+        tile_p = pattern.tile_powers(params.s_coeff, *params.shape)[0]
         assert spec_w == pattern.spec_power[0] > 0.0
         assert diff_w == pytest.approx(math.fsum(tile_p[window_tiles(pattern, tile_p, 0)]), rel=1e-12)
         assert total_w == spec_w + diff_w
@@ -135,7 +135,7 @@ class TestSimulatePoint:
         rx = rx_position(scene30, 1.5, 30.0, 0.0)
         pattern = build_pattern(scene30, rx[None, :], paper_link, materials_db, 0.5)
         _, spec_w, diff_w = (float(w[0]) for w in pattern.predict(single(0.3)))
-        tile_p = pattern.tile_powers(single(0.3))[0]
+        tile_p = pattern.tile_powers(0.3, *single(0.3).shape)[0]
         assert spec_w == pattern.spec_power[0] >= tile_p.max()
         excess_delay = (pattern._lengths[0] - pattern._spec_length[0]) / SPEED_OF_LIGHT
         in_window = (tile_p > 0.0) & (np.abs(excess_delay) <= DELAY_GATE_S)
@@ -149,9 +149,9 @@ class TestGating:
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.25)
         lambdas = [k / 10 for k in range(11)]
         rows = np.array([0, 5, 9, 18, 19, 37, 75])
-        batched = pattern.gate(pattern.dual_tile_powers(0.4, 2, 9, lambdas, rows), rows)
+        batched = pattern.gate(pattern.tile_powers(0.4, 2, 9, lambdas, rows), rows)
         for k, lam in enumerate(lambdas):
-            per_mix = pattern.gate(pattern.tile_powers(dual(0.4, 2, 9, lam))[rows], rows)
+            per_mix = pattern.gate(pattern.tile_powers(0.4, 2, 9, lam)[rows], rows)
             for b, m in zip(batched, per_mix):
                 assert np.array_equal(b[k], m)
 
@@ -230,7 +230,7 @@ class TestComponentForm:
         paths = SurfacePaths(scene.tx, tile_centers(scene, tile_edge)[0], scene.wall.normal)
         assert np.array_equal([paths.cos_ts(point) for point in rx], former["cos_ts"])
         for params in (single(0.3), dual(0.4, 2, 9, 0.3), dual(0.9, 1, 1, 0.5)):
-            tile_p = pattern.tile_powers(params)
+            tile_p = pattern.tile_powers(params.s_coeff, *params.shape)
             for new, old in zip(pattern.gate(tile_p), where_gate(pattern, tile_p)):
                 assert np.array_equal(new, old)
 
@@ -238,7 +238,7 @@ class TestComponentForm:
         rx = np.array([p.position for p in scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))])
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.1)
         rows = np.array([0, 5, 9, 18, 19, 37, 75])
-        tile_p = pattern.dual_tile_powers(0.9, 1, 9, [k / 10 for k in range(11)], rows)  # (G, R, T)
+        tile_p = pattern.tile_powers(0.9, 1, 9, [k / 10 for k in range(11)], rows)  # (G, R, T)
         assert tile_p.shape == (11, rows.size, pattern.n_tiles)
         for new, old in zip(pattern.gate(tile_p, rows), where_gate(pattern, tile_p, rows)):
             assert new.shape == (11, rows.size)
@@ -266,7 +266,7 @@ class TestContributions:
         pattern = build_pattern(scene, rx, paper_link, materials_db, 0.25)
         total_w, spec_w, diff_w = pattern.predict(params)
         assert np.array_equal(total_w, spec_w + diff_w)
-        all_tile_p = pattern.tile_powers(params)
+        all_tile_p = pattern.tile_powers(params.s_coeff, *params.shape)
         left_out = 0
         for p in range(len(rx)):
             tile_p = all_tile_p[p]
@@ -333,7 +333,7 @@ class TestKernelAgreement:
             return field_sq * rx_scale
 
         per_path = np.array([[per_path_power(r, c) for c in centers.tolist()] for r in rx.tolist()])
-        assert np.allclose(pattern.tile_powers(params), per_path, rtol=1e-12, atol=0.0)
+        assert np.allclose(pattern.tile_powers(params.s_coeff, *params.shape), per_path, rtol=1e-12, atol=0.0)
 
 
 class TestNormTable:
@@ -472,7 +472,7 @@ def scattered_and_intercepted(material, theta_deg, params, link, materials):
     # the wall normal is +x
     directions = np.stack([np.cos(t), np.sin(t) * np.cos(p), np.sin(t) * np.sin(p)], axis=-1).reshape(-1, 3)
     pattern = build_pattern(scene, scene.wall.center + radius * directions, link, materials, 0.25)
-    diff_w = pattern.tile_powers(params).sum(axis=1)
+    diff_w = pattern.tile_powers(params.s_coeff, *params.shape).sum(axis=1)
     aperture = link.g_r * link.wavelength**2 / (4.0 * math.pi)
     d_omega = (math.pi / 2 / n_theta) * (2.0 * math.pi / n_phi)
     scattered = float((diff_w / aperture * radius**2 * np.sin(t).reshape(-1) * d_omega).sum())
