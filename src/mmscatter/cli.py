@@ -160,15 +160,7 @@ def _theoretical_s(scene, db, args) -> float:
 
 
 def _lobe_params(args, s_coeff: float) -> LobeParams:
-    if args.model == "single":
-        return LobeParams(model=LobeModel.SINGLE_LOBE, s_coeff=s_coeff, alpha_r=args.alpha_r)
-    return LobeParams(
-        model=LobeModel.DUAL_LOBE,
-        s_coeff=s_coeff,
-        alpha_r=args.alpha_r,
-        alpha_i=args.alpha_i,
-        lambda_mix=args.lambda_mix,
-    )
+    return LobeParams.from_shape(LobeModel(args.model), s_coeff, (args.alpha_r, args.alpha_i, args.lambda_mix))
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -264,7 +256,7 @@ def _cmd_fit(args) -> int:
             f"single FVU {comparison.single.fvu!r} | dual FVU {comparison.dual.fvu!r} | winner {comparison.winner.value}"
         )
         return EXIT_OK if (comparison.single.converged and comparison.dual.converged) else EXIT_NUMERIC
-    kind = LobeModel.SINGLE_LOBE if args.model == "single" else LobeModel.DUAL_LOBE
+    kind = LobeModel(args.model)
     report = grid_fit(scan, scene, kind, s_initial, cfg, plane_only=args.plane_only)
     write_report(report, args.out, header_comment=header)
     print(f"{kind.value} FVU {report.fvu!r} (converged={report.converged})")

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .geometry import ScanSpec, Scene, Wall
+from .geometry import ScanSpec, Scene, Wall, height_m_to_cm
 from .lobes import LobeModel, LobeParams
 from .materials import Material, MaterialDatabase
 
@@ -82,12 +82,6 @@ def _parse_int(token: str, source: str, lineno: int, what: str) -> int:
     if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise _err(source, lineno, f"non-integer {what}: {token!r}")
     return int(token)
-
-
-def height_m_to_cm(delta_h_m: float) -> float:
-    """Height offset in the scan-file unit; quantized to 1e-9 cm so the
-    common decimal heights (0.1 m, 0.2 m, ...) convert without float dust."""
-    return round(delta_h_m * 100.0, 9)
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,21 @@ less than IMPROVEMENT_TOL or MAX_ROUNDS rounds are spent.
 The FVU that decides a fit always comes from the tiled single-bounce
 predictor that simulate_scan uses, so a scan generated by this package is
 reproduced bit-exactly. Every stage is first screened from the pattern's
-tables: ScanEvaluator.screen passes the stage's candidates to one
-ScanPattern.shape_totals call, which places them by LobeParams.shape and
-returns their powers (accurate to about 1e-15), and scores all of them
-with fvu. Only the candidates within CONFIRM_MARGIN of the stage's
-screened best are then scored by the predictor, and only those exact
-FVUs take part in choosing the best. See docs/stage_a_screen.md.
+tables: ScanEvaluator.screen passes the stage's candidates, as columns
+of the model's shape grid with one S each (stage A: every column at the
+round's S; stage B: the best shape's column at each S of its grid), to
+one ScanPattern.shape_totals call, which returns their powers (accurate
+to about 1e-15), and scores all of them with fvu. Only the candidates
+within CONFIRM_MARGIN of the stage's screened best are then scored by
+the predictor, and only those exact FVUs take part in choosing the best.
+See docs/stage_a_screen.md.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,15 +170,6 @@ def _shape_grid(model_kind: LobeModel):
     return _ALPHAS, _ALPHAS, _LAMBDAS
 
 
-def _shape_candidates(model_kind: LobeModel, s_value: float):
-    """The model's stage-A candidates at S s_value, in _shape_grid's product order."""
-    for alpha_r, alpha_i, lam in itertools.product(*_shape_grid(model_kind)):
-        if model_kind is LobeModel.SINGLE_LOBE:
-            yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r)
-        else:
-            yield LobeParams(model=model_kind, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
-
-
 class ScanEvaluator:
     """Shared predictor: maps candidate parameters to an FVU against the scan (its in-plane points if plane_only)."""
 
@@ -199,14 +192,14 @@ class ScanEvaluator:
         simulated = [watts_to_dbm(float(w)) for w in total_w]
         return fvu(self.measured, simulated)
 
-    def screen(self, candidates) -> np.ndarray:
-        """Screened FVU of candidates of one model (stage-A shapes at any S), in order.
+    def screen(self, model_kind: LobeModel, s_values, columns) -> np.ndarray:
+        """Screened FVU of candidate q: column columns[q] of the model's _shape_grid product at S s_values[q].
 
         The powers come from ScanPattern.shape_totals, which agrees with
         predict to rounding, so the values agree with __call__ to about
         1e-15.
         """
-        total_w = self.pattern.shape_totals(_shape_grid(candidates[0].model), candidates)
+        total_w = self.pattern.shape_totals(_shape_grid(model_kind), s_values, columns)
         with np.errstate(divide="ignore"):
             simulated = 10.0 * np.log10(total_w / DBM_REF_WATTS)
         return fvu(self.measured, simulated)
@@ -227,16 +220,18 @@ def grid_fit(
         raise ValueError(f"s_initial must be in (0, 1), got {s_initial}")
     evaluate = _evaluate if _evaluate is not None else ScanEvaluator(scan, scene, search_cfg, plane_only)
     prior = lambda_prior(scene.incidence_angle)
+    shapes = list(itertools.product(*_shape_grid(model_kind)))
 
     trace: list[TraceEntry] = []
     best: _Candidate | None = None
 
-    def stage(rnd: int, name: str, candidates: list[LobeParams]) -> None:
-        """Screen every candidate; score exactly, and let compete, those near the screened minimum."""
+    def stage(rnd: int, name: str, s_values, columns) -> None:
+        """Screen shapes[columns[q]] at S s_values[q] for each q; confirm those near the screened minimum."""
         nonlocal best
-        screened = evaluate.screen(candidates)
+        screened = evaluate.screen(model_kind, s_values, columns)
         cutoff = screened.min() + CONFIRM_MARGIN
-        for params, value in zip(candidates, screened.tolist()):
+        for s_value, n, value in zip(s_values, columns, screened.tolist()):
+            params = LobeParams.from_shape(model_kind, s_value, shapes[n])
             if value <= cutoff:
                 value = evaluate(params)
                 candidate = _Candidate(params, value, s_initial, prior)
@@ -244,12 +239,13 @@ def grid_fit(
                     best = candidate
             trace.append(TraceEntry(round=rnd, stage=name, params=params, fvu=value))
 
+    s_steps = s_grid(s_initial)
     current_s = s_initial
     previous_round_fvu = math.inf
     converged = False
     for rnd in range(1, MAX_ROUNDS + 1):
-        stage(rnd, "A", list(_shape_candidates(model_kind, current_s)))
-        stage(rnd, "B", [replace(best.params, s_coeff=s_value) for s_value in s_grid(s_initial)])
+        stage(rnd, "A", [current_s] * len(shapes), range(len(shapes)))
+        stage(rnd, "B", s_steps, [shapes.index(best.params.shape)] * len(s_steps))
         current_s = best.params.s_coeff
         if math.isinf(best.fvu):
             # inf - inf is nan, so no later round could converge either

@@ -26,6 +26,7 @@ __all__ = [
     "scan_positions",
     "specular_paths",
     "paper_scene",
+    "height_m_to_cm",
 ]
 
 _UP = np.array([0.0, 0.0, 1.0])
@@ -42,6 +43,12 @@ def _as_vec3(value, name: str) -> np.ndarray:
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     return arr
+
+
+def height_m_to_cm(delta_h_m: float) -> float:
+    """Height offset in the scan-file unit; quantized to 1e-9 cm so the
+    common decimal heights (0.1 m, 0.2 m, ...) convert without float dust."""
+    return round(delta_h_m * 100.0, 9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +139,14 @@ class ScanSpec:
             raise ValueError("at least one height offset is required")
         if not all(map(math.isfinite, heights)):
             raise ValueError(f"height offsets must be finite, got {heights}")
-        # a repeated height would put every receiver of its arc in the scan twice
-        if len(set(heights)) != len(heights):
-            raise ValueError(f"height offsets must be distinct, got {heights}")
+        # a scan file keys receivers by height in cm: heights equal in cm would repeat their arc's receivers
+        first: dict[float, float] = {}
+        for h in heights:
+            cm = height_m_to_cm(h)
+            if cm in first:
+                twins = f"{first[cm]!r} and {h!r} m are both {cm!r} cm in a scan file"
+                raise ValueError(f"height offsets must be distinct, got {heights}: {twins}")
+            first[cm] = h
         object.__setattr__(self, "height_offsets", heights)
 
     def azimuths_deg(self) -> list[float]:

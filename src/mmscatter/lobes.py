@@ -106,6 +106,14 @@ class LobeParams:
             return self.alpha_r, ALPHA_MIN, 1.0
         return self.alpha_r, self.alpha_i, self.lambda_mix
 
+    @classmethod
+    def from_shape(cls, model: LobeModel, s_coeff: float, shape) -> "LobeParams":
+        """The inverse of .shape: model's parameters at S s_coeff; a single lobe takes only alpha_r of shape."""
+        alpha_r, alpha_i, lambda_mix = shape
+        if model is LobeModel.SINGLE_LOBE:
+            return cls(model, s_coeff, alpha_r)
+        return cls(model, s_coeff, alpha_r, alpha_i, lambda_mix)
+
 
 def _check_alpha(name: str, value) -> None:
     if not isinstance(value, int) or isinstance(value, bool):

@@ -15,15 +15,13 @@ identical inputs give bit-identical results.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import SPEED_OF_LIGHT, db_to_linear, watts_to_dbm
-from .fileio import height_m_to_cm
-from .geometry import Scene, ScanSpec, SurfacePaths, scan_positions, specular_paths
+from .geometry import Scene, ScanSpec, SurfacePaths, height_m_to_cm, scan_positions, specular_paths
 from .lobes import (
     LobeParams,
     NormalizationMode,
@@ -94,8 +92,8 @@ class ScanPattern:
     vectorized array operations, and the same evaluation path serves both
     scan simulation and fitting, so predicted powers are bit-identical
     across the two. The pattern also owns the fit's screen tables
-    (shape_totals), so predict's delay window is decided in this module
-    alone.
+    (shape_totals, which takes each candidate as a table column and an S
+    value), so predict's delay window is decided in this module alone.
     """
 
     def __init__(self, mode, tile_theta, const, u_base, v_base, lengths, spec_power, spec_length):
@@ -185,33 +183,33 @@ class ScanPattern:
         spec_w, diff_w = power_gate(np.where(spec_in, spec_p, 0.0), diff_sum)
         return spec_w + diff_w, spec_w, diff_w
 
-    def shape_totals(self, grid, candidates) -> np.ndarray:
-        """Gated total watts (P, Q) of the Q candidates, whose shapes lie on grid.
+    def shape_totals(self, grid, s_values, columns) -> np.ndarray:
+        """Gated total watts (P, Q) of Q candidates: candidate q is shape columns[q] of grid at S s_values[q].
 
         grid is (alphas_r, alphas_i, lambdas), a grid of LobeParams.shape
-        values; its tables are built once per pattern. Each entry equals
-        predict's total for that candidate to rounding (about 1e-15): at
-        each position the diffuse sum is s^2 times the table's window
-        entry where s^2 is within the table's limit, and every other
-        position goes through gate, once per S and width pair for all its
-        mixes. See docs/stage_a_screen.md.
+        values whose product, in this order, numbers the columns; its
+        tables are built once per pattern. Each entry equals predict's
+        total for that candidate to rounding (about 1e-15): at each
+        position the diffuse sum is s^2 times the table's window entry
+        where s^2 is within the table's limit, and every other position
+        goes through gate, once per S and width pair for all its mixes; see docs/stage_a_screen.md.
         """
         table = self._shape_tables.get(grid)
         if table is None:
             table = self._shape_tables[grid] = _ShapeTable(self, *grid)
-        columns = [table.columns[p.shape] for p in candidates]
-        s_sq = np.square([p.s_coeff for p in candidates])
+        s_sq = np.square(s_values)
         spec_w, diff_w = power_gate(self.spec_power[:, None], s_sq * table.window[:, columns])
         total_w = spec_w + diff_w
         uncertified = s_sq > table.limit[:, columns]
-        groups: dict[tuple, list[tuple[int, float]]] = {}
+        alphas_r, alphas_i, lambdas = grid
+        groups: dict[tuple, list[tuple[int, int]]] = {}
         for q in np.flatnonzero(uncertified.any(axis=0)).tolist():
-            a_r, a_i, lam = candidates[q].shape
-            groups.setdefault((candidates[q].s_coeff, a_r, a_i, q // _FALLBACK_BLOCK), []).append((q, lam))
-        for (s_value, a_r, a_i, _), members in groups.items():
-            qs, lambdas = map(list, zip(*members))
+            i_r, i_i, m = np.unravel_index(columns[q], (len(alphas_r), len(alphas_i), len(lambdas)))
+            groups.setdefault((s_values[q], i_r, i_i, q // _FALLBACK_BLOCK), []).append((q, m))
+        for (s_value, i_r, i_i, _), members in groups.items():
+            qs, ms = map(list, zip(*members))
             rows = np.flatnonzero(uncertified[:, qs].any(axis=1))
-            tile_p = self.tile_powers(s_value, a_r, a_i, lambdas, rows)  # (G, R, T)
+            tile_p = self.tile_powers(s_value, alphas_r[i_r], alphas_i[i_i], [lambdas[m] for m in ms], rows)
             total_w[np.ix_(rows, qs)] = self.gate(tile_p, rows)[0].T
         return total_w
 
@@ -331,9 +329,9 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
 class _ShapeTable:
     """Per-unit-S^2 tables of a grid of dual-lobe shapes, built once per pattern and grid.
 
-    Column n is shape n of the product alphas_r x alphas_i x lambdas, and
-    columns maps each LobeParams.shape (alpha_r, alpha_i, lambda) to its
-    column. window[p, n] is the diffuse sum in the delay window that
+    Column n is shape n of the product alphas_r x alphas_i x lambdas, in
+    that order; each shape is a LobeParams.shape (alpha_r, alpha_i, lambda).
+    window[p, n] is the diffuse sum in the delay window that
     predict anchors at position p: on the specular path where there is
     one, else on the strongest tile. limit[p, n] is the largest S^2 at
     which s^2 * window[p, n] is the diffuse sum that predict gates: the
@@ -343,7 +341,6 @@ class _ShapeTable:
     """
 
     def __init__(self, pattern: ScanPattern, alphas_r, alphas_i, lambdas):
-        self.columns = {shape: n for n, shape in enumerate(itertools.product(alphas_r, alphas_i, lambdas))}
         lam = np.asarray(lambdas)
         # a lobe of weight zero bounds nothing
         bound = np.where(lam > 0.0, _lobe_peaks(pattern, alphas_r, "u").T[:, :, None, None], 0.0)

@@ -416,6 +416,7 @@ _INVERTED = "--theta-min 50.0 exceeds --theta-max 10.0"
 _WAVELENGTH = "wavelength must be > 0 m with a finite square, got "
 _PATH_LENGTH = "path length to the receiver at "
 _TOO_LONG = " m is too long: (r_i r_s)^2 is not finite"
+_EQUAL_IN_CM = "height offsets must be distinct, got (0.0, 1e-12): 0.0 and 1e-12 m are both 0.0 cm in a scan file"
 # the first receiver of the default scan at radius 1e170: azimuth -90 deg
 _FAR_RX = "[6.1232339957367664e+153, -1e+170, 0.0]"
 # each case: the bad option and the message that names its value
@@ -434,6 +435,9 @@ _BAD_NUMBERS = {
     "simulate-heights-repeated": (
         ["simulate", "--heights", "0,0.1,0"], "height offsets must be distinct, got (0.0, 0.1, 0.0)"
     ),
+    # heights equal in cm, the scan-file unit, would write each receiver twice
+    "simulate-heights-equal-in-cm": (["simulate", "--heights", "0,1e-12"], _EQUAL_IN_CM),
+    "angles-heights-equal-in-cm": (["angles", "--heights", "0,1e-12"], _EQUAL_IN_CM),
     # dB values whose linear value overflows a float read as inf
     "simulate-gain-dbi-overflow": (["simulate", "--gain-dbi", "4000"], _LINK + "0.01, inf, inf"),
     "simulate-p-t-dbm-overflow": (["simulate", "--p-t-dbm", "1e6"], _LINK + "inf,"),

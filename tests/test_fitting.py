@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from mmscatter.fitting import (
     DegenerateScanError,
     SearchConfig,
     ScanEvaluator,
-    _shape_candidates,
     _shape_grid,
     compare_models,
     fvu,
@@ -46,6 +44,17 @@ def single(s, alpha_r=4):
 
 def dual(s, alpha_r, alpha_i, lam):
     return LobeParams(model=LobeModel.DUAL_LOBE, s_coeff=s, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
+
+
+def shapes_of(model):
+    """The model's stage-A shapes; the screen's column n is shape n."""
+    return list(itertools.product(*_shape_grid(model)))
+
+
+def stage_a(model, s):
+    """(s_values, columns) of every stage-A shape of the model at S s."""
+    n = len(shapes_of(model))
+    return [s] * n, range(n)
 
 
 @pytest.fixture
@@ -230,9 +239,11 @@ class TestGridMinimum:
         s_initial = initial_scattering_coefficient(materials_db.get("rough_wall"), ctx).s_coeff
         evaluate = ScanEvaluator(scan, scene, cfg)
         report = grid_fit(scan, scene, LobeModel.DUAL_LOBE, s_initial, cfg, _evaluate=evaluate)
-        # every shape at every S of the fit's own S grid
-        grid = [p for s in s_grid(s_initial) for p in _shape_candidates(LobeModel.DUAL_LOBE, s)]
-        assert report.fvu <= evaluate.screen(grid).min() + FVU_TIE_TOL
+        # every shape at every S of the fit's own S grid, in one screen call
+        n = len(shapes_of(LobeModel.DUAL_LOBE))
+        s_values = [s for s in s_grid(s_initial) for _ in range(n)]
+        columns = list(range(n)) * len(s_grid(s_initial))
+        assert report.fvu <= evaluate.screen(LobeModel.DUAL_LOBE, s_values, columns).min() + FVU_TIE_TOL
 
 
 class TestBatchedScoring:
@@ -287,9 +298,15 @@ def scan_for(material, theta_deg, heights, paper_link, materials_db):
     return scene, synthetic_scan(scene, dual(0.3, 3, 8, 0.35), paper_link, materials_db, heights=heights)
 
 
-def assert_matches_exact(evaluate, candidates):
-    screened = evaluate.screen(candidates)
-    exact = np.array([evaluate(p) for p in candidates])
+def exact_scores(evaluate, model, s_values, columns):
+    """ScanEvaluator.__call__ of each candidate that screen(model, s_values, columns) scores."""
+    shapes = shapes_of(model)
+    return np.array([evaluate(LobeParams.from_shape(model, s, shapes[n])) for s, n in zip(s_values, columns)])
+
+
+def assert_matches_exact(evaluate, model, s_values, columns):
+    screened = evaluate.screen(model, s_values, columns)
+    exact = exact_scores(evaluate, model, s_values, columns)
     assert screened.shape == exact.shape
     finite = np.isfinite(exact)
     assert np.array_equal(screened[~finite], exact[~finite])
@@ -347,11 +364,11 @@ class TestStageAScreen:
 
         with monkeypatch.context() as patch:
             patch.setattr(evaluate.pattern, "gate", spy)
-            evaluate.screen(list(_shape_candidates(LobeModel.DUAL_LOBE, 0.9)))
+            evaluate.screen(LobeModel.DUAL_LOBE, *stage_a(LobeModel.DUAL_LOBE, 0.9))
         # at s 0.9 on 0.5 m tiles the specular certificate misses for many shapes
         assert fallback_rows
         for s in (0.3, 0.9):
-            assert_matches_exact(evaluate, list(_shape_candidates(LobeModel.DUAL_LOBE, s)))
+            assert_matches_exact(evaluate, LobeModel.DUAL_LOBE, *stage_a(LobeModel.DUAL_LOBE, s))
 
     @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
     @pytest.mark.parametrize("s", [0.3, 0.9])
@@ -359,7 +376,8 @@ class TestStageAScreen:
         self, material, theta_deg, heights, s, paper_link, materials_db, cfg
     ):
         scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
-        assert_matches_exact(ScanEvaluator(scan, scene, cfg), list(_shape_candidates(LobeModel.SINGLE_LOBE, s)))
+        evaluate = ScanEvaluator(scan, scene, cfg)
+        assert_matches_exact(evaluate, LobeModel.SINGLE_LOBE, *stage_a(LobeModel.SINGLE_LOBE, s))
 
     @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
     @pytest.mark.parametrize("shape", [single(0.3, 1), single(0.3, 10), dual(0.3, 2, 9, 0.0), dual(0.3, 7, 3, 0.6)])
@@ -369,7 +387,8 @@ class TestStageAScreen:
         scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
         # a grid reaching s 0.9, where the specular certificate misses
         grid = s_grid(0.3) + s_grid(0.8)
-        assert_matches_exact(ScanEvaluator(scan, scene, cfg), [replace(shape, s_coeff=s) for s in grid])
+        column = shapes_of(shape.model).index(shape.shape)
+        assert_matches_exact(ScanEvaluator(scan, scene, cfg), shape.model, grid, [column] * len(grid))
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -466,7 +485,7 @@ class TestStageAScreen:
         # a specular power just below the strongest tile: predict anchors on the
         # tile, so the certificate must not let the specular window stand
         pattern.spec_power[rows] = tile_p.max(axis=1)[rows] * (1.0 - 1e-6)
-        total_w = pattern.shape_totals(((4,), (1,), (1.0,)), [params])[:, 0]
+        total_w = pattern.shape_totals(((4,), (1,), (1.0,)), [params.s_coeff], [0])[:, 0]
         exact = pattern.predict(params)[0]
         assert np.all(np.abs(total_w - exact) <= 1e-13 * exact)
 
@@ -485,7 +504,7 @@ class TestStageAScreen:
             spec_length=np.zeros(1),
         )
         params = dual(0.5, 4, 10, 0.7)
-        total_w = pattern.shape_totals(((4,), (10,), (0.7,)), [params])[:, 0]
+        total_w = pattern.shape_totals(((4,), (10,), (0.7,)), [params.s_coeff], [0])[:, 0]
         exact = pattern.predict(params)[0]
         assert np.all(np.abs(total_w - exact) <= 1e-13 * exact)
 
@@ -493,8 +512,8 @@ class TestStageAScreen:
     def exact_screen(jitter=0.0):
         """Per-candidate ScanEvaluator.__call__ in place of the table screen, optionally perturbed."""
 
-        def screen(evaluate, candidates):
-            exact = np.array([evaluate(p) for p in candidates])
+        def screen(evaluate, model, s_values, columns):
+            exact = exact_scores(evaluate, model, s_values, columns)
             return exact * (1.0 + jitter * np.random.default_rng(7).uniform(-1.0, 1.0, exact.size))
 
         return screen

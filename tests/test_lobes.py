@@ -112,6 +112,18 @@ class TestLobeParams:
         with pytest.raises(ValueError):
             single(-0.1, 4)
 
+    @settings(max_examples=200)
+    @given(
+        s=st.floats(0.0, 1.0, exclude_max=True),
+        alpha_r=st.integers(1, 10),
+        alpha_i=st.integers(1, 10),
+        lam=st.floats(0.0, 1.0),
+        model=st.sampled_from(LobeModel),
+    )
+    def test_from_shape_inverts_shape(self, s, alpha_r, alpha_i, lam, model):
+        params = single(s, alpha_r) if model is LobeModel.SINGLE_LOBE else dual(s, alpha_r, alpha_i, lam)
+        assert LobeParams.from_shape(params.model, params.s_coeff, params.shape) == params
+
 
 class TestLobeGain:
     # the lobe shape ((1 + cos psi) / 2)^alpha as pattern_sweep applies it

@@ -2,8 +2,10 @@
 
 The fits at 0.5 m and 0.2 m tiles start at S 0.8, where many stage-A
 candidates miss the screen's certificates and take its exact-gate
-fallback. The digests in output_digests.json come from these calls; a
-change that alters outputs on purpose regenerates them with
+fallback. The last call fits one model, through the CLI's direct
+grid_fit call, to the in-plane points alone. The digests in
+output_digests.json come from these calls; a change that alters outputs
+on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
@@ -36,6 +38,9 @@ CALLS = [
     ["pattern", "--out", "pattern_single.csv"],
     ["pattern", "--model", "dual", "--out", "pattern_dual.csv"],
     ["angles", *_SCENE, "--heights", "0,0.3", "--out", "angles.csv"],
+    # one model, in-plane points only: the direct grid_fit call of the CLI
+    ["fit", "--scan", "sim_0.5.csv", *_SCENE, "--model", "dual", "--plane-only", "--s-initial", "0.8",
+     "--tiles-m", "0.5", "--out", "fit_plane_0.5.txt"],
 ]
 
 
