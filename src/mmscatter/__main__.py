@@ -1,0 +1,11 @@
+"""`mmscatter` and `python -m mmscatter`: run `mmscatter.cli` as the main program, which its BLAS setting needs."""
+
+import runpy
+
+
+def main() -> None:
+    runpy.run_module("mmscatter.cli", run_name="__main__")
+
+
+if __name__ == "__main__":
+    main()

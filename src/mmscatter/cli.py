@@ -17,6 +17,11 @@ import os
 import shutil
 import sys
 
+if __name__ == "__main__":
+    # before numpy loads OpenBLAS: idle workers sleep after 2^20 cycles, not 2^28 (~0.13 s of
+    # CPU a process); a caller's value wins, and an importer's environment stays untouched
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 import numpy as np
 
 from . import __version__, db_to_linear, dbm_to_watts, watts_to_dbm, wavelength_for_frequency
@@ -30,7 +35,7 @@ from .fileio import (
     write_simulated_scan,
 )
 from .fitting import SearchConfig, compare_models, grid_fit
-from .geometry import ScanSpec, SurfacePaths, paper_scene, scan_positions
+from .geometry import MAX_ANGLES, ScanSpec, SurfacePaths, paper_scene, scan_positions
 from .lobes import Direction, LobeModel, LobeParams, NormalizationMode, RadioLink, pattern_sweep
 from .materials import IncidenceContext, Polarization, initial_scattering_coefficient
 from .raytrace import simulate_scan
@@ -110,8 +115,13 @@ def _theta_grid(args) -> list[float]:
     if lo > hi:
         raise ValueError(f"--theta-min {lo} exceeds --theta-max {hi}")
     # every angle from lo up to hi, with hi itself counted to 1e-9
-    count = math.floor((hi + 1e-9 - lo) / step) + 1
-    return [round(lo + k * step, 10) for k in range(count)]
+    steps = (hi + 1e-9 - lo) / step
+    if not steps < MAX_ANGLES:
+        raise ValueError(f"--theta-step {step} gives {steps + 1:.6g} angles, more than {MAX_ANGLES:,}")
+    grid = [round(lo + k * step, 10) for k in range(math.floor(steps) + 1)]
+    if not (lo >= 0.0 and grid[-1] < 90.0):
+        raise ValueError(f"--theta-min/--theta-max must give angles in [0, 90) degrees, got {lo} to {grid[-1]}")
+    return grid
 
 
 def _resolve_scene(args, db):

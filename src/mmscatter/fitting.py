@@ -109,9 +109,14 @@ def fvu(measured, simulated):
         raise ValueError(f"simulated must be (P,) or (P, Q) for P measured powers, got {m.shape} vs {s.shape}")
     if m.size < 2:
         raise ValueError(f"need at least 2 samples, got {m.size}")
-    denom = float(((m - m.mean()) ** 2).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a spread past about 1e154 dB overflows: refused below, without a numpy warning
+        denom = float(((m - m.mean()) ** 2).sum())
     if denom == 0.0:
         raise DegenerateScanError("measured powers are constant; FVU denominator is zero")
+    if not math.isfinite(denom):
+        # every FVU would be inf / inf = nan, and no candidate could win
+        raise DegenerateScanError("measured powers spread too widely; FVU denominator overflows")
     ratio = np.sqrt(((m[:, None] - s.reshape(m.size, -1)) ** 2).sum(axis=0) / denom)
     return float(ratio[0]) if s.ndim == 1 else ratio
 

@@ -27,12 +27,15 @@ __all__ = [
     "specular_paths",
     "paper_scene",
     "height_m_to_cm",
+    "MAX_ANGLES",
 ]
 
 _UP = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_ARC_HEIGHTS = (0.0,)
 DEFAULT_CYLINDER_HEIGHTS = (0.0, 0.10, 0.20, 0.30)
+# the most angles one azimuth sweep or CLI theta grid may hold
+MAX_ANGLES = 100_000
 # a receiver this close to the wall plane, on either side, lies in it: the
 # +-90 deg scan positions do, up to rounding of about 1e-16 m
 _IN_PLANE_M = 1e-9
@@ -132,6 +135,10 @@ class ScanSpec:
         if not (0.0 < step < math.inf and 0.0 < span < math.inf):
             raise ValueError(f"azimuth step and range must be > 0 and finite, got {step} and {span}")
         steps = span / step
+        if not steps < MAX_ANGLES:
+            raise ValueError(
+                f"azimuth step {step} over range {span} gives {steps + 1:.6g} azimuths, more than {MAX_ANGLES:,}"
+            )
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"azimuth step {step} must divide range {span} evenly")
         heights = tuple(float(h) for h in self.height_offsets)

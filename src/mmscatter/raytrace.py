@@ -41,6 +41,7 @@ __all__ = [
     "power_gate",
     "POWER_GATE_DB",
     "DELAY_GATE_S",
+    "MAX_PATHS",
 ]
 
 POWER_GATE_DB = 35.0
@@ -62,6 +63,8 @@ _ANCHOR_TIE_M = 1e-9
 _FALLBACK_BLOCK = 128
 
 DEFAULT_TILE_EDGE = 0.10
+# the most receiver-tile paths one pattern may hold: receivers x wall area / tile edge^2
+MAX_PATHS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -360,13 +363,21 @@ class _ShapeTable:
             self.limit[rows] = np.where(certified.reshape(rows.size, -1), np.inf, -np.inf)
 
 
-def tile_centers(scene: Scene, tile_edge: float) -> tuple[np.ndarray, float]:
-    """Tile-center positions (T, 3) in row-major (height, width) order, plus tile area."""
+def tile_centers(scene: Scene, tile_edge: float, receivers: int = 1) -> tuple[np.ndarray, float]:
+    """Tile-center positions (T, 3) in row-major (height, width) order, plus tile area.
+
+    A tiling that would give the receivers more than MAX_PATHS paths is an input error.
+    """
     if not 0.0 < tile_edge < math.inf:
         raise ValueError(f"tile edge must be > 0 m and finite, got {tile_edge}")
     wall = scene.wall
-    n_u = max(1, math.ceil(wall.width / tile_edge))
-    n_w = max(1, math.ceil(wall.height / tile_edge))
+    # counted in floats, which a tiny edge takes to inf where math.ceil would raise
+    across, up = wall.width / tile_edge, wall.height / tile_edge
+    if not receivers * across * up <= MAX_PATHS:
+        tiles = f"{receivers} receivers x {across * up:.6g} tiles"
+        raise ValueError(f"tile edge {tile_edge} m gives {tiles}, more than {MAX_PATHS:,} paths")
+    n_u = max(1, math.ceil(across))
+    n_w = max(1, math.ceil(up))
     du = wall.width / n_u
     dw = wall.height / n_w
     off_u = -wall.width / 2.0 + (np.arange(n_u) + 0.5) * du
@@ -389,10 +400,10 @@ def build_pattern(
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     if rx.shape[1] != 3:
         raise ValueError("rx_positions must be (P, 3)")
-    centers, area = tile_centers(scene, tile_edge)
+    n_pos = rx.shape[0]
+    centers, area = tile_centers(scene, tile_edge, n_pos)
     paths = SurfacePaths(scene.tx, centers, scene.wall.normal)
 
-    n_pos = rx.shape[0]
     n_tiles = centers.shape[0]
     const = np.empty((n_pos, n_tiles))
     u_base = np.empty((n_pos, n_tiles))

@@ -355,6 +355,20 @@ def test_constant_scan_is_data_error(tmp_path):
     )
 
 
+@pytest.mark.parametrize("power", ["1e160", "1e308", "-1e308"])
+def test_overflowing_scan_spread_is_data_error(tmp_path, capsys, power):
+    # read_scan accepts these finite powers; the FVU of every candidate would be nan
+    scan = tmp_path / "wide.csv"
+    scan.write_text(
+        f"angle_deg,delta_h_cm,power_dbm\n0.0,0.0,-55.0\n10.0,0.0,{power}\n20.0,0.0,-61.0\n", encoding="utf-8"
+    )
+    out = tmp_path / "r.txt"
+    args = ("--model", "single", "--s-initial", "0.3", "--tiles-m", "0.5", "--out", str(out))
+    assert run("fit", "--scan", str(scan), *args) == EXIT_DATA
+    assert "input error: measured powers spread too widely; FVU denominator overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         run("--help")
@@ -413,6 +427,9 @@ _THETA_GRID = "--theta-min/--theta-max/--theta-step must be finite, the step > 0
 _LINK = "p_t, g_t, g_r must all be > 0 and finite, got "
 _AZIMUTHS = "azimuth step and range must be > 0 and finite, got "
 _INVERTED = "--theta-min 50.0 exceeds --theta-max 10.0"
+_THETA_RANGE = "--theta-min/--theta-max must give angles in [0, 90) degrees, got "
+_TINY_STEP = "azimuth step 5e-324 over range 180.0 gives inf azimuths, more than 100,000"
+_TOO_MANY_TILES = " receivers x inf tiles, more than 10,000,000 paths"
 _WAVELENGTH = "wavelength must be > 0 m with a finite square, got "
 _PATH_LENGTH = "path length to the receiver at "
 _TOO_LONG = " m is too long: (r_i r_s)^2 is not finite"
@@ -463,6 +480,20 @@ _BAD_NUMBERS = {
     # an inverted range would write the header and no rows
     "theory-theta-inverted": (["theory", "--theta-min", "50", "--theta-max", "10"], _INVERTED),
     "pattern-theta-inverted": (["pattern", "--theta-min", "50", "--theta-max", "10"], _INVERTED),
+    # an angle option outside [0, 90) is named in degrees
+    "theory-theta-max-95": (["theory", "--theta-max", "95"], _THETA_RANGE + "1.0 to 95.0"),
+    "theory-theta-min-negative": (["theory", "--theta-min", "-5"], _THETA_RANGE + "-5.0 to 89.0"),
+    "pattern-theta-max-95": (["pattern", "--theta-max", "95"], _THETA_RANGE + "1.0 to 95.0"),
+    # grids past their limits are refused before they are built
+    "theory-theta-step-over-limit": (
+        ["theory", "--material", "metal_sheet", "--theta-max", "11", "--theta-step", "1e-4"],
+        "--theta-step 0.0001 gives 100001 angles, more than 100,000",
+    ),
+    "theory-theta-step-subnormal": (["theory", "--theta-step", "5e-324"], "--theta-step 5e-324 gives inf angles"),
+    "simulate-step-deg-subnormal": (["simulate", "--step-deg", "5e-324"], _TINY_STEP),
+    "angles-step-deg-subnormal": (["angles", "--step-deg", "5e-324"], _TINY_STEP),
+    "simulate-tiles-m-tiny": (["simulate", "--tiles-m", "1e-308"], "tile edge 1e-308 m gives 19" + _TOO_MANY_TILES),
+    "fit-tiles-m-tiny": (["fit", "--tiles-m", "1e-308"], "tile edge 1e-308 m gives 3" + _TOO_MANY_TILES),
 }
 
 

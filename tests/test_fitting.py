@@ -110,6 +110,12 @@ class TestFvu:
         with pytest.raises(DegenerateScanError):
             fvu([-60.0, -60.0, -60.0], [-59.0, -61.0, -60.0])
 
+    def test_overflowing_spread_rejected(self):
+        # finite powers whose squared spread overflows: every FVU would be inf / inf = nan
+        for measured in ([-60.0, 1e160, -61.0], [1e308, -1e308, -60.0], [1e308, 1e308, -1e308, -1e308]):
+            with pytest.raises(DegenerateScanError, match="FVU denominator overflows"):
+                fvu(measured, [-60.0] * len(measured))
+
     def test_shape_errors(self):
         with pytest.raises(ValueError):
             fvu([1.0, 2.0], [1.0])

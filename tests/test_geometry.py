@@ -58,6 +58,15 @@ class TestScanPositions:
         with pytest.raises(ValueError):
             ScanSpec(height_offsets=())
 
+    def test_azimuth_count_is_bounded(self):
+        # counted, never built
+        message = r"^azimuth step 1e-300 over range 180.0 gives 1.8e\+302 azimuths, more than 100,000$"
+        with pytest.raises(ValueError, match=message):
+            ScanSpec(azimuth_step_deg=1e-300)
+        with pytest.raises(ValueError, match=r"gives inf azimuths"):
+            ScanSpec(azimuth_step_deg=5e-324)
+        assert len(ScanSpec(azimuth_step_deg=180.0 / 99_999).azimuths_deg()) == 100_000
+
 
 class TestSpecularPoint:
     """The image-method specular path of geometry.specular_paths."""

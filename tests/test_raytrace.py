@@ -301,6 +301,14 @@ class TestTileCenters:
                 assert np.array_equal(centers, np.array(loop))
                 assert area == du * dw
 
+    def test_too_many_paths_is_refused(self, scene30):
+        # counted before anything is built, so neither call allocates; the wall is 3 x 3 m
+        with pytest.raises(ValueError, match=r"^tile edge 1e-308 m gives 1 receivers x inf tiles, more than 10,000,0"):
+            tile_centers(scene30, 1e-308)
+        with pytest.raises(ValueError, match=r"^tile edge 0\.01 m gives 112 receivers x 90000 tiles, more than"):
+            tile_centers(scene30, 0.01, receivers=112)
+        assert tile_centers(scene30, 0.01, receivers=111)[0].shape == (90_000, 3)
+
 
 class TestKernelAgreement:
     @pytest.mark.parametrize("mode", list(NormalizationMode))
