@@ -11,6 +11,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import math
 import os
@@ -108,7 +109,8 @@ def _material_names(args, db) -> list[str]:
     return [args.material]
 
 
-def _theta_grid(args) -> list[float]:
+def _theta_grid(args, *, zero_ok: bool) -> list[float]:
+    """The --theta-min/--theta-max/--theta-step angles: in [0, 90) degrees if zero_ok, else in (0, 90)."""
     lo, hi, step = args.theta_min, args.theta_max, args.theta_step
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < step < math.inf):
         raise ValueError(f"--theta-min/--theta-max/--theta-step must be finite, the step > 0; got {lo}/{hi}/{step}")
@@ -119,8 +121,9 @@ def _theta_grid(args) -> list[float]:
     if not steps < MAX_ANGLES:
         raise ValueError(f"--theta-step {step} gives {steps + 1:.6g} angles, more than {MAX_ANGLES:,}")
     grid = [round(lo + k * step, 10) for k in range(math.floor(steps) + 1)]
-    if not (lo >= 0.0 and grid[-1] < 90.0):
-        raise ValueError(f"--theta-min/--theta-max must give angles in [0, 90) degrees, got {lo} to {grid[-1]}")
+    if not ((lo >= 0.0 if zero_ok else lo > 0.0) and grid[-1] < 90.0):
+        bounds = "[0, 90)" if zero_ok else "(0, 90)"
+        raise ValueError(f"--theta-min/--theta-max must give angles in {bounds} degrees, got {lo} to {grid[-1]}")
     return grid
 
 
@@ -182,7 +185,7 @@ def _cmd_theory(args) -> int:
     rows = []
     for name in _material_names(args, db):
         material = db.get(name)
-        for theta_deg in _theta_grid(args):
+        for theta_deg in _theta_grid(args, zero_ok=True):
             ctx = IncidenceContext(
                 theta_i=math.radians(theta_deg), wavelength=wavelength, polarization=Polarization[args.pol]
             )
@@ -199,7 +202,8 @@ def _cmd_theory(args) -> int:
 def _cmd_pattern(args) -> int:
     db = _materials_db(args)
     link = _link(args, args.freq_ghz * 1e9)
-    theta_grid = _theta_grid(args)
+    # lobes.pattern_sweep takes angles in (0, 90) only
+    theta_grid = _theta_grid(args, zero_ok=False)
     template = _lobe_params(args, 0.0)
     rows = []
     for name in _material_names(args, db):
@@ -403,4 +407,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # the interpreter's final collections skip frozen objects; outputs are closed already
+    sys.exit(code)

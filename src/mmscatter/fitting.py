@@ -62,10 +62,13 @@ MAX_ROUNDS = 10
 # are scored exactly; far above FVU_TIE_TOL times the candidate count and the
 # ~1e-15 screen error, so every candidate that can become the best is confirmed
 CONFIRM_MARGIN = 1e-8
+# bound on |measured power| in dB: every power a float holds in watts lies
+# within about -3,200 to +3,110 dBm, so no FVU sum of squared dB residuals can overflow
+MAX_POWER_DB = 1e4
 
 
 class DegenerateScanError(ValueError):
-    """Scan cannot support a fit (too few points or constant powers)."""
+    """Scan cannot support a fit (too few points, constant powers, or powers past MAX_POWER_DB)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +112,15 @@ def fvu(measured, simulated):
         raise ValueError(f"simulated must be (P,) or (P, Q) for P measured powers, got {m.shape} vs {s.shape}")
     if m.size < 2:
         raise ValueError(f"need at least 2 samples, got {m.size}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a spread past about 1e154 dB overflows: refused below, without a numpy warning
-        denom = float(((m - m.mean()) ** 2).sum())
+    if not np.abs(m).max() <= MAX_POWER_DB:
+        # past about 1e154 dB the squared sums overflow, and no candidate could win
+        raise DegenerateScanError(
+            f"measured powers spread too widely: {m.min():g} to {m.max():g} dB,"
+            f" past the +/-{MAX_POWER_DB:,.0f} dB within which FVU sums stay finite"
+        )
+    denom = float(((m - m.mean()) ** 2).sum())
     if denom == 0.0:
         raise DegenerateScanError("measured powers are constant; FVU denominator is zero")
-    if not math.isfinite(denom):
-        # every FVU would be inf / inf = nan, and no candidate could win
-        raise DegenerateScanError("measured powers spread too widely; FVU denominator overflows")
     ratio = np.sqrt(((m[:, None] - s.reshape(m.size, -1)) ** 2).sum(axis=0) / denom)
     return float(ratio[0]) if s.ndim == 1 else ratio
 

@@ -355,9 +355,10 @@ def test_constant_scan_is_data_error(tmp_path):
     )
 
 
-@pytest.mark.parametrize("power", ["1e160", "1e308", "-1e308"])
+@pytest.mark.parametrize("power", ["1e160", "1e308", "-1e308", "1.5e154"])
 def test_overflowing_scan_spread_is_data_error(tmp_path, capsys, power):
-    # read_scan accepts these finite powers; the FVU of every candidate would be nan
+    # read_scan accepts these finite powers; the FVU of every candidate would be nan,
+    # or at 1.5e154 inf: the denominator (1.5e308) is finite, every residual sum is not
     scan = tmp_path / "wide.csv"
     scan.write_text(
         f"angle_deg,delta_h_cm,power_dbm\n0.0,0.0,-55.0\n10.0,0.0,{power}\n20.0,0.0,-61.0\n", encoding="utf-8"
@@ -365,7 +366,10 @@ def test_overflowing_scan_spread_is_data_error(tmp_path, capsys, power):
     out = tmp_path / "r.txt"
     args = ("--model", "single", "--s-initial", "0.3", "--tiles-m", "0.5", "--out", str(out))
     assert run("fit", "--scan", str(scan), *args) == EXIT_DATA
-    assert "input error: measured powers spread too widely; FVU denominator overflows" in capsys.readouterr().err
+    spread = {
+        "1e160": "-61 to 1e+160", "1e308": "-61 to 1e+308", "-1e308": "-1e+308 to -55", "1.5e154": "-61 to 1.5e+154"
+    }[power]
+    assert f"input error: measured powers spread too widely: {spread} dB, past the" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -428,6 +432,7 @@ _LINK = "p_t, g_t, g_r must all be > 0 and finite, got "
 _AZIMUTHS = "azimuth step and range must be > 0 and finite, got "
 _INVERTED = "--theta-min 50.0 exceeds --theta-max 10.0"
 _THETA_RANGE = "--theta-min/--theta-max must give angles in [0, 90) degrees, got "
+_PATTERN_THETA_RANGE = "--theta-min/--theta-max must give angles in (0, 90) degrees, got "
 _TINY_STEP = "azimuth step 5e-324 over range 180.0 gives inf azimuths, more than 100,000"
 _TOO_MANY_TILES = " receivers x inf tiles, more than 10,000,000 paths"
 _WAVELENGTH = "wavelength must be > 0 m with a finite square, got "
@@ -483,7 +488,9 @@ _BAD_NUMBERS = {
     # an angle option outside [0, 90) is named in degrees
     "theory-theta-max-95": (["theory", "--theta-max", "95"], _THETA_RANGE + "1.0 to 95.0"),
     "theory-theta-min-negative": (["theory", "--theta-min", "-5"], _THETA_RANGE + "-5.0 to 89.0"),
-    "pattern-theta-max-95": (["pattern", "--theta-max", "95"], _THETA_RANGE + "1.0 to 95.0"),
+    "pattern-theta-max-95": (["pattern", "--theta-max", "95"], _PATTERN_THETA_RANGE + "1.0 to 95.0"),
+    # theory takes 0 degrees; lobes.pattern_sweep does not
+    "pattern-theta-min-0": (["pattern", "--theta-min", "0"], _PATTERN_THETA_RANGE + "0.0 to 89.0"),
     # grids past their limits are refused before they are built
     "theory-theta-step-over-limit": (
         ["theory", "--material", "metal_sheet", "--theta-max", "11", "--theta-step", "1e-4"],

@@ -12,6 +12,7 @@ from mmscatter import watts_to_dbm
 from mmscatter.fileio import Scan, ScanPoint, default_materials, scan_from_records
 from mmscatter.fitting import (
     FVU_TIE_TOL,
+    MAX_POWER_DB,
     DegenerateScanError,
     SearchConfig,
     ScanEvaluator,
@@ -111,10 +112,21 @@ class TestFvu:
             fvu([-60.0, -60.0, -60.0], [-59.0, -61.0, -60.0])
 
     def test_overflowing_spread_rejected(self):
-        # finite powers whose squared spread overflows: every FVU would be inf / inf = nan
-        for measured in ([-60.0, 1e160, -61.0], [1e308, -1e308, -60.0], [1e308, 1e308, -1e308, -1e308]):
-            with pytest.raises(DegenerateScanError, match="FVU denominator overflows"):
+        # finite powers whose squared spread overflows: every FVU would be inf / inf = nan;
+        # at 1.5e154 the denominator (1.5e308) is finite, but every residual sum overflows
+        for measured in (
+            [-60.0, 1e160, -61.0], [1e308, -1e308, -60.0], [1e308, 1e308, -1e308, -1e308], [-60.0, 1.5e154, -61.0]
+        ):
+            with pytest.raises(DegenerateScanError, match="measured powers spread too widely"):
                 fvu(measured, [-60.0] * len(measured))
+
+    def test_power_bound_is_inclusive(self):
+        m = [-MAX_POWER_DB, MAX_POWER_DB]
+        assert fvu(m, m) == 0.0
+        with pytest.raises(DegenerateScanError):
+            fvu([-60.0, math.nextafter(MAX_POWER_DB, math.inf)], [-60.0, -60.0])
+        with pytest.raises(DegenerateScanError):
+            fvu([-60.0, math.nan], [-60.0, -60.0])
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
