@@ -217,53 +217,43 @@ class ScanPattern:
         return total_w
 
 
-def _lobe_peaks(pattern: ScanPattern, alphas, kind: str) -> np.ndarray:
-    """Largest tile power per unit S^2 of each pure lobe: (len(alphas), P).
+def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas):
+    """(sums, peaks_r, peaks_i) per unit S^2 of a dual-lobe shape grid, one pass per lobe width.
 
-    The forward lobe (lambda 1) for kind "u", the backscatter lobe (lambda
-    0) for kind "v". A dual-lobe tile power is a mediant of the two pure
-    ones, so for widths (a_r, a_i) and any mix no tile carries more than
-    S^2 * max(forward[a_r], backscatter[a_i]).
-    """
-    tile_p = np.empty_like(pattern._const)
-    width = pattern._width_array
-    peaks = [
-        element_power(1.0, pattern._const, width(kind, a), width("norm", a), out=tile_p).max(axis=1) for a in alphas
-    ]
-    return np.array(peaks)
-
-
-def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas) -> np.ndarray:
-    """Dual-lobe diffuse sums per unit S^2 in the specular delay window: (P, Ar, Ai, L).
-
-    Entry [p, i, j, l] sums the tile powers of forward width alphas_r[i],
-    backscatter width alphas_i[j] and mix lambdas[l] over the tiles whose
-    path length lies within the window around the specular path. Where
-    the specular path anchors the window this is the diffuse sum that
-    predict gates. With the window fixed the sum is linear in the two
-    lobe gains, so each lobe of each width and mix takes one matrix
-    product against the reciprocal mixed normalizations of all the
-    widths of the other lobe. A lobe of weight zero adds nothing and is
-    skipped, so the mix-1 slice (the single lobe) needs no backscatter
-    gains.
+    sums[p, i, j, l] sums the tile powers of forward width alphas_r[i],
+    backscatter width alphas_i[j] and mix lambdas[l] over the tiles within
+    the delay window around the specular path: where that path anchors
+    the window, the diffuse sum that predict gates. With the window fixed
+    the sum is linear in the two lobe gains, so each lobe of each width
+    and mix takes one matrix product against the reciprocal mixed
+    normalizations of all the widths of the other lobe. peaks_r (P, Ar)
+    and peaks_i (P, Ai) are each pure lobe's largest tile power over all
+    tiles, from the same product C * gain before the tiles outside the
+    window are zeroed. A lobe of weight zero is skipped and its peaks
+    left 0, so the mix-1 slice (the single lobe) needs no backscatter gains.
     """
     norms_r = np.array([pattern._width_array("norm", a) for a in alphas_r])  # (Ar, T)
     norms_i = np.array([pattern._width_array("norm", a) for a in alphas_i])  # (Ai, T)
-    window = np.abs(pattern._lengths - pattern._spec_length[:, None]) <= _LENGTH_GATE
-    const_in_window = np.where(window, pattern._const, 0.0)
-    sums = np.zeros((const_in_window.shape[0], len(alphas_r), len(alphas_i), len(lambdas)))
-    gain = np.empty_like(const_in_window)
+    outside = np.abs(pattern._lengths - pattern._spec_length[:, None]) > _LENGTH_GATE
+    n_pos = outside.shape[0]
+    sums = np.zeros((n_pos, len(alphas_r), len(alphas_i), len(lambdas)))
+    peaks_r, peaks_i = np.zeros((n_pos, len(alphas_r))), np.zeros((n_pos, len(alphas_i)))
+    gain, tile_p = np.empty_like(pattern._const), np.empty_like(pattern._const)
     forward = [(m, lam) for m, lam in enumerate(lambdas) if lam > 0.0]
     backscatter = [(m, lam) for m, lam in enumerate(lambdas) if lam < 1.0]
     for k, a in enumerate(alphas_r if forward else ()):
-        np.multiply(const_in_window, pattern._width_array("u", a), out=gain)
+        np.multiply(pattern._const, pattern._width_array("u", a), out=gain)
+        peaks_r[:, k] = np.divide(gain, norms_r[k], out=tile_p).max(axis=1)
+        np.copyto(gain, 0.0, where=outside)
         for m, lam in forward:
             sums[:, k, :, m] += lam * (gain @ np.reciprocal(lobe_mix(lam, norms_r[k], norms_i)).T)
     for k, a in enumerate(alphas_i if backscatter else ()):
-        np.multiply(const_in_window, pattern._width_array("v", a), out=gain)
+        np.multiply(pattern._const, pattern._width_array("v", a), out=gain)
+        peaks_i[:, k] = np.divide(gain, norms_i[k], out=tile_p).max(axis=1)
+        np.copyto(gain, 0.0, where=outside)
         for m, lam in backscatter:
             sums[:, :, k, m] += (1.0 - lam) * (gain @ np.reciprocal(lobe_mix(lam, norms_r, norms_i[k])).T)
-    return sums
+    return sums, peaks_r, peaks_i
 
 
 def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
@@ -345,12 +335,11 @@ class _ShapeTable:
 
     def __init__(self, pattern: ScanPattern, alphas_r, alphas_i, lambdas):
         lam = np.asarray(lambdas)
-        # a lobe of weight zero bounds nothing
-        bound = np.where(lam > 0.0, _lobe_peaks(pattern, alphas_r, "u").T[:, :, None, None], 0.0)
-        if np.any(lam < 1.0):
-            backscatter = _lobe_peaks(pattern, alphas_i, "v").T[:, None, :, None]
-            bound = np.maximum(bound, np.where(lam < 1.0, backscatter, 0.0))
-        window = _specular_window_sums(pattern, alphas_r, alphas_i, lambdas)  # (P, Ar, Ai, L)
+        window, peaks_r, peaks_i = _specular_window_sums(pattern, alphas_r, alphas_i, lambdas)  # (P, Ar, Ai, L)
+        # a dual-lobe tile power is a mediant of the two pure ones; a lobe of weight zero bounds nothing
+        bound = np.maximum(
+            np.where(lam > 0.0, peaks_r[:, :, None, None], 0.0), np.where(lam < 1.0, peaks_i[:, None, :, None], 0.0)
+        )
         spec = pattern.spec_power[:, None, None, None]
         # the rows with no specular path are set below; a bound of 0 certifies every S
         with np.errstate(divide="ignore"):

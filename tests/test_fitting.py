@@ -25,13 +25,12 @@ from mmscatter.fitting import (
     s_grid,
 )
 from mmscatter.geometry import DEFAULT_CYLINDER_HEIGHTS, ScanSpec, paper_scene, scan_positions
-from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode
+from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, element_power
 from mmscatter.materials import IncidenceContext, initial_scattering_coefficient
 from mmscatter.raytrace import (
     _CERTIFICATE_MARGIN,
     _LENGTH_GATE,
     ScanPattern,
-    _lobe_peaks,
     _ShapeTable,
     _tile_window_sums,
     build_pattern,
@@ -338,6 +337,12 @@ SCREEN_SCANS = [
 ]
 
 
+def pure_lobe_peaks(pattern, alphas, kind):
+    """Largest tile power per unit S^2 of each pure lobe, (len(alphas), P): forward for kind "u", backscatter for "v"."""
+    width = pattern._width_array
+    return np.array([element_power(1.0, pattern._const, width(kind, a), width("norm", a)).max(axis=1) for a in alphas])
+
+
 def three_array_certificate(pattern, alphas_r, alphas_i, lambdas):
     """The screen's former certificate, from a peak bound, a no-specular mask and a tile certificate.
 
@@ -346,9 +351,9 @@ def three_array_certificate(pattern, alphas_r, alphas_i, lambdas):
     """
     n_pos = pattern.n_positions
     lam = np.asarray(lambdas)
-    peak = np.where(lam > 0.0, _lobe_peaks(pattern, alphas_r, "u").T[:, :, None, None], 0.0)
+    peak = np.where(lam > 0.0, pure_lobe_peaks(pattern, alphas_r, "u").T[:, :, None, None], 0.0)
     if np.any(lam < 1.0):
-        backscatter = _lobe_peaks(pattern, alphas_i, "v").T[:, None, :, None]
+        backscatter = pure_lobe_peaks(pattern, alphas_i, "v").T[:, None, :, None]
         peak = np.maximum(peak, np.where(lam < 1.0, backscatter, 0.0))
     peak = np.broadcast_to(peak, (n_pos, len(alphas_r), len(alphas_i), len(lambdas))).reshape(n_pos, -1)
     no_spec = pattern.spec_power == 0.0
