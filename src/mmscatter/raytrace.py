@@ -56,11 +56,6 @@ _CERTIFICATE_MARGIN = 1e-9
 # anchors the delay window: far above the rounding of lengths of a few m, far
 # below the spacing of distinct tile path lengths
 _ANCHOR_TIE_M = 1e-9
-# shape_totals gates the mixes of one S and width pair together, over every
-# row that any of them needs, so a candidate's last bits depend on its group.
-# Groups also stop at every multiple of this many candidates: the screened
-# trace values of fit reports are pinned to this grouping
-_FALLBACK_BLOCK = 128
 
 DEFAULT_TILE_EDGE = 0.10
 # the most receiver-tile paths one pattern may hold: receivers x wall area / tile edge^2
@@ -194,8 +189,10 @@ class ScanPattern:
         tables are built once per pattern. Each entry equals predict's
         total for that candidate to rounding (about 1e-15): at each
         position the diffuse sum is s^2 times the table's window entry
-        where s^2 is within the table's limit, and every other position
-        goes through gate, once per S and width pair for all its mixes; see docs/stage_a_screen.md.
+        where s^2 is within the table's limit, and every other cell takes
+        gate's total. One gate call serves the candidates of one S and
+        width pair, but only their uncertified cells take its values, so
+        column q depends on candidate q alone; see docs/stage_a_screen.md.
         """
         table = self._shape_tables.get(grid)
         if table is None:
@@ -208,34 +205,28 @@ class ScanPattern:
         groups: dict[tuple, list[tuple[int, int]]] = {}
         for q in np.flatnonzero(uncertified.any(axis=0)).tolist():
             i_r, i_i, m = np.unravel_index(columns[q], (len(alphas_r), len(alphas_i), len(lambdas)))
-            groups.setdefault((s_values[q], i_r, i_i, q // _FALLBACK_BLOCK), []).append((q, m))
-        for (s_value, i_r, i_i, _), members in groups.items():
+            groups.setdefault((s_values[q], i_r, i_i), []).append((q, m))
+        for (s_value, i_r, i_i), members in groups.items():
             qs, ms = map(list, zip(*members))
             rows = np.flatnonzero(uncertified[:, qs].any(axis=1))
             tile_p = self.tile_powers(s_value, alphas_r[i_r], alphas_i[i_i], [lambdas[m] for m in ms], rows)
-            total_w[np.ix_(rows, qs)] = self.gate(tile_p, rows)[0].T
+            cells = np.ix_(rows, qs)
+            total_w[cells] = np.where(uncertified[cells], self.gate(tile_p, rows)[0].T, total_w[cells])
         return total_w
 
 
 def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas):
-    """(sums, peaks_r, peaks_i) per unit S^2 of a dual-lobe shape grid, one pass per lobe width.
+    """Specular-window sums and pure-lobe peaks per unit S^2 of a dual-lobe shape grid, one pass per lobe width.
 
-    sums[p, i, j, l] sums the tile powers of forward width alphas_r[i],
-    backscatter width alphas_i[j] and mix lambdas[l] over the tiles within
-    the delay window around the specular path: where that path anchors
-    the window, the diffuse sum that predict gates. With the window fixed
-    the sum is linear in the two lobe gains, so each lobe of each width
-    and mix takes one matrix product against the reciprocal mixed
-    normalizations of all the widths of the other lobe. peaks_r (P, Ar)
-    and peaks_i (P, Ai) are each pure lobe's largest tile power over all
-    tiles, from the same product C * gain before the tiles outside the
-    window are zeroed. A lobe of weight zero is skipped and its peaks
-    left 0, so the mix-1 slice (the single lobe) needs no backscatter gains.
+    Returns sums (P, Ar, Ai, L), each shape's diffuse sum over the tiles in
+    the delay window around the specular path, and peaks_r (P, Ar) and
+    peaks_i (P, Ai), each pure lobe's largest tile power over all tiles
+    (0 for a lobe of weight zero in every mix); see docs/stage_a_screen.md.
     """
     norms_r = np.array([pattern._width_array("norm", a) for a in alphas_r])  # (Ar, T)
     norms_i = np.array([pattern._width_array("norm", a) for a in alphas_i])  # (Ai, T)
     outside = np.abs(pattern._lengths - pattern._spec_length[:, None]) > _LENGTH_GATE
-    n_pos = outside.shape[0]
+    n_pos = pattern.n_positions
     sums = np.zeros((n_pos, len(alphas_r), len(alphas_i), len(lambdas)))
     peaks_r, peaks_i = np.zeros((n_pos, len(alphas_r))), np.zeros((n_pos, len(alphas_i)))
     gain, tile_p = np.empty_like(pattern._const), np.empty_like(pattern._const)

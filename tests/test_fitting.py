@@ -338,7 +338,7 @@ SCREEN_SCANS = [
 
 
 def pure_lobe_peaks(pattern, alphas, kind):
-    """Largest tile power per unit S^2 of each pure lobe, (len(alphas), P): forward for kind "u", backscatter for "v"."""
+    """Largest tile power per unit S^2 of each pure lobe, (len(alphas), P): kind "u" forward, "v" backscatter."""
     width = pattern._width_array
     return np.array([element_power(1.0, pattern._const, width(kind, a), width("norm", a)).max(axis=1) for a in alphas])
 
@@ -489,6 +489,19 @@ class TestStageAScreen:
                 assert np.array_equal(uncertified, ~former(s))
                 fallbacks += np.count_nonzero(uncertified)
         assert (fallbacks > 0) == falls_back
+
+    @pytest.mark.parametrize("tile_edge", [0.5, 0.2])
+    def test_screened_cell_depends_on_its_own_candidate_only(self, scene30, tile_edge, paper_link, materials_db):
+        # the digest scenes at S 0.8, where many cells take the exact-gate fallback
+        positions = [p.position for p in scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))]
+        pattern = build_pattern(scene30, np.array(positions), paper_link, materials_db, tile_edge)
+        grid = _shape_grid(LobeModel.DUAL_LOBE)
+        s_values, columns = stage_a(LobeModel.DUAL_LOBE, 0.8)
+        together = pattern.shape_totals(grid, s_values, columns)
+        reversed_order = pattern.shape_totals(grid, s_values[::-1], columns[::-1])[:, ::-1]
+        alone = np.column_stack([pattern.shape_totals(grid, [s], [n]) for s, n in zip(s_values, columns)])
+        assert np.array_equal(together, reversed_order)
+        assert np.array_equal(together, alone)
 
     def test_specular_certificate_misses_a_near_tie(self, scene30, paper_link, materials_db):
         positions = [p.position for p in scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))]

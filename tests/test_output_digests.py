@@ -9,7 +9,8 @@ on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
-and commits the new file with the change.
+which prints the names whose digests changed, appeared or vanished
+against the file it overwrites, and commits the new file with the change.
 """
 
 import hashlib
@@ -61,7 +62,14 @@ def test_outputs_keep_their_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    before = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as scratch:
         digests = output_digests(scratch)
     DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {DIGESTS}")
+    for label, names in (
+        ("changed", [name for name in digests if name in before and before[name] != digests[name]]),
+        ("appeared", [name for name in digests if name not in before]),
+        ("vanished", [name for name in before if name not in digests]),
+    ):
+        print(f"{label}: {', '.join(names) or 'none'}")
