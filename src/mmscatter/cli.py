@@ -153,7 +153,10 @@ def _resolve_scanspec(args, inline_spec) -> ScanSpec:
     base = inline_spec if inline_spec is not None else ScanSpec()
     heights = base.height_offsets
     if args.heights is not None:
-        heights = tuple(float(tok) for tok in args.heights.split(","))
+        try:
+            heights = tuple(float(tok) for tok in args.heights.split(","))
+        except ValueError as exc:
+            raise ValueError(f"--heights takes comma-separated numbers in m, got {args.heights!r}: {exc}") from None
     return ScanSpec(
         radius=args.radius if args.radius is not None else base.radius,
         azimuth_step_deg=args.step_deg if args.step_deg is not None else base.azimuth_step_deg,

@@ -439,6 +439,7 @@ _WAVELENGTH = "wavelength must be > 0 m with a finite square, got "
 _PATH_LENGTH = "path length to the receiver at "
 _TOO_LONG = " m is too long: (r_i r_s)^2 is not finite"
 _EQUAL_IN_CM = "height offsets must be distinct, got (0.0, 1e-12): 0.0 and 1e-12 m are both 0.0 cm in a scan file"
+_HEIGHTS = "--heights takes comma-separated numbers in m, got "
 # the first receiver of the default scan at radius 1e170: azimuth -90 deg
 _FAR_RX = "[6.1232339957367664e+153, -1e+170, 0.0]"
 # each case: the bad option and the message that names its value
@@ -453,6 +454,13 @@ _BAD_NUMBERS = {
     "simulate-step-deg-nan": (["simulate", "--step-deg", "nan"], _AZIMUTHS + "nan and 180.0"),
     "simulate-freq-ghz-nan": (
         ["simulate", "--freq-ghz", "nan"], "carrier_frequency must be > 0 Hz and finite, got nan"
+    ),
+    # each item of --heights must be a number; the message names the option and the bad item
+    "simulate-heights-not-a-number": (
+        ["simulate", "--heights", "a"], _HEIGHTS + "'a': could not convert string to float: 'a'"
+    ),
+    "angles-heights-empty-item": (
+        ["angles", "--heights", "0,,0.1"], _HEIGHTS + "'0,,0.1': could not convert string to float: ''"
     ),
     "simulate-heights-repeated": (
         ["simulate", "--heights", "0,0.1,0"], "height offsets must be distinct, got (0.0, 0.1, 0.0)"
