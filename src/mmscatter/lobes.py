@@ -12,10 +12,9 @@ with K = sqrt(60 P_t G_t) and F the lobe-pattern normalization. Two
 normalizations are supported: PAPER_LINE integrates the lobe over the
 in-plane scattering angle with |sin theta_s| weighting, HEMISPHERE (the
 default) integrates the lobe over the upward hemisphere in solid angle.
-Both integrals are evaluated exactly, for an array of incidence angles at
-once: PAPER_LINE by its closed form (a cosine series in theta_i), and
-HEMISPHERE by Gauss-Legendre in cos(theta_s), where the azimuthally
-integrated lobe is a polynomial of degree alpha.
+Both integrals have closed forms, cosine series sum_m c_m cos(m theta_i)
+with m <= alpha, evaluated for an array of incidence angles at once; the
+HEMISPHERE coefficients follow from the Funk-Hecke theorem as exact rationals.
 Receiver power in a given direction is P_r = G_r lambda^2 / (480 pi^2) * |E_s|^2.
 element_constant and element_power evaluate P_r for arrays of surface
 elements; the scan simulator, the fit and pattern_sweep all use them.
@@ -26,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -148,28 +148,6 @@ class RadioLink:
 
 
 @lru_cache(maxsize=None)
-def _phi_ring_coeffs(alpha: int) -> tuple[tuple[int, float], ...]:
-    # Closed form of the azimuthal integral: with a = cos(ti)cos(ts),
-    # b = sin(ti)sin(ts),
-    #   int_0^{2pi} ((1 + a + b cos phi)/2)^alpha dphi
-    #     = 2^-alpha * sum_{k even} C(alpha,k) (1+a)^(alpha-k) b^k * 2pi C(k,k/2)/2^k
-    coeffs = []
-    for k in range(0, alpha + 1, 2):
-        c = math.comb(alpha, k) * math.comb(k, k // 2) * 2.0 * math.pi / (2.0**k * 2.0**alpha)
-        coeffs.append((k, c))
-    return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre_01(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
-    from numpy.polynomial.legendre import leggauss  # deferred: keeps numpy.polynomial out of package import
-
-    nodes, weights = leggauss(n)
-    return tuple(((nodes + 1.0) / 2.0).tolist()), tuple((weights / 2.0).tolist())
-
-
-@lru_cache(maxsize=None)
 def _line_cos_coeffs(alpha: int) -> tuple[float, ...]:
     # ((1 + cos u)/2)^alpha = 4^-alpha [C(2alpha,alpha) + 2 sum_{m>=1} C(2alpha,alpha-m) cos(m u)];
     # against |sin ts| on [-pi/2, pi/2] the sin(m ts) parts of cos(m (ts - ti))
@@ -184,6 +162,29 @@ def _line_cos_coeffs(alpha: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
+def _hemisphere_cos_fractions(alpha: int) -> list[Fraction]:
+    """Exact q_m with F_hemi(alpha, ti) = 2 pi sum_m q_m cos(m ti)."""
+    # Funk-Hecke: F / 2pi = 1/(alpha+1) + sum_{odd l <= alpha} e_l P_l(cos ti), with
+    #   e_l = (2l+1) P_{l-1}(0) alpha!^2 / ((l+1) (alpha-l)! (alpha+l+1)!),  P_{2n}(0) = (-1)^n g_n,
+    #   P_l(cos t) = sum_{k=0..l} g_k g_{l-k} cos((l-2k) t),  g_k = C(2k,k) / 4^k;
+    # odd l gives odd m only, so every even m >= 2 stays exactly 0
+    g = [Fraction(math.comb(2 * k, k), 4**k) for k in range(alpha + 1)]
+    q = [Fraction(1, alpha + 1)] + [Fraction(0)] * alpha
+    fac = math.factorial
+    for l in range(1, alpha + 1, 2):
+        p_at_0 = (-1) ** (l // 2) * g[l // 2]  # P_{l-1}(0)
+        e = (2 * l + 1) * p_at_0 * Fraction(fac(alpha) ** 2, (l + 1) * fac(alpha - l) * fac(alpha + l + 1))
+        for k in range(l + 1):
+            q[abs(l - 2 * k)] += e * g[k] * g[l - k]
+    return q
+
+
+@lru_cache(maxsize=None)
+def _hemisphere_cos_coeffs(alpha: int) -> tuple[float, ...]:
+    # each exact q_m rounded once, then scaled by 2 pi
+    return tuple(2.0 * math.pi * float(q) for q in _hemisphere_cos_fractions(alpha))
+
+
 def single_lobe_norm(mode: NormalizationMode, alpha: int, theta_i) -> np.ndarray:
     """Normalization of one lobe centered on the specular direction, per theta_i.
 
@@ -194,24 +195,12 @@ def single_lobe_norm(mode: NormalizationMode, alpha: int, theta_i) -> np.ndarray
     """
     _check_alpha("alpha", alpha)
     theta = np.asarray(theta_i, dtype=float)
-    flat = theta.reshape(-1)
-    total = np.zeros_like(flat)
-    if mode is NormalizationMode.PAPER_LINE:
-        for m, c in enumerate(_line_cos_coeffs(alpha)):
-            total += c * np.cos(m * flat)
-        return total.reshape(theta.shape)
-
-    coeffs = _phi_ring_coeffs(alpha)
-    # only even powers of sin(ts) survive the ring integral, so in x = cos(ts)
-    # the integrand is a polynomial of degree alpha: alpha // 2 + 1 nodes are exact
-    nodes, weights = _gauss_legendre_01(alpha // 2 + 1)
-    x = np.array(nodes)[:, None]
-    a = 1.0 + x * np.cos(flat)  # (nodes, T)
-    b_sq = (1.0 - x * x) * np.sin(flat) ** 2
-    ring = sum(c * a ** (alpha - k) * b_sq ** (k // 2) for k, c in coeffs)
-    for w, row in zip(weights, ring):
-        total += w * row
-    return total.reshape(theta.shape)
+    coeffs = _line_cos_coeffs(alpha) if mode is NormalizationMode.PAPER_LINE else _hemisphere_cos_coeffs(alpha)
+    total = np.zeros_like(theta)
+    for m, c in enumerate(coeffs):
+        if c:  # the hemisphere's zero even terms
+            total += c * np.cos(m * theta)
+    return total
 
 
 def normalization_f(params: LobeParams, theta_i: float, mode: NormalizationMode = NormalizationMode.HEMISPHERE) -> float:
