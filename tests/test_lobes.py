@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mmscatter.lobes import (
     LobeParams,
     NormalizationMode,
     RadioLink,
+    _hemisphere_cos_fractions,
     element_constant,
     element_power,
     lobe_mix,
@@ -146,11 +148,43 @@ class TestLobeGain:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def hemisphere_power_series(alpha):
+    """Exact q_m of F_hemi / 2pi = sum_m q_m cos(m theta_i), by a second derivation.
+
+    With c = cos(theta_i) and x = cos(theta_s), the azimuthal ring integral
+    of ((1 + c x + sqrt(1-c^2) sqrt(1-x^2) cos phi)/2)^alpha over 2pi is
+        2pi 2^-alpha sum_{k even} C(alpha,k) C(k,k/2) 2^-k (1 + c x)^(alpha-k) ((1-c^2)(1-x^2))^(k/2);
+    integrating over x in [0, 1] leaves a polynomial in c, and
+    c^p = 2^-p sum_j C(p,j) cos((p-2j) theta_i) turns it into the cosine basis.
+    """
+    in_c = [Fraction(0)] * (alpha + 1)
+    for k in range(0, alpha + 1, 2):
+        n = k // 2
+        ring = Fraction(math.comb(alpha, k) * math.comb(k, n), 2 ** (alpha + k))
+        for j in range(alpha - k + 1):
+            # int_0^1 x^j (1-x^2)^n dx, times the c^j coefficient of (1 + c x)^(alpha-k)
+            x_integral = sum(Fraction((-1) ** i * math.comb(n, i), j + 2 * i + 1) for i in range(n + 1))
+            for i in range(n + 1):
+                in_c[j + 2 * i] += ring * math.comb(alpha - k, j) * x_integral * (-1) ** i * math.comb(n, i)
+    q = [Fraction(0)] * (alpha + 1)
+    for p, coeff in enumerate(in_c):
+        for j in range(p + 1):
+            q[abs(p - 2 * j)] += coeff * Fraction(math.comb(p, j), 2**p)
+    return q
+
+
 class TestNormalization:
-    def test_hemisphere_alpha1_normal_incidence(self):
-        # closed form for the hemisphere integral of (1+cos)/2: 3*pi/2
-        got = normalization_f(single(0.1, 1), 0.0, NormalizationMode.HEMISPHERE)
-        assert got == pytest.approx(3.0 * math.pi / 2.0, rel=1e-14)
+    @pytest.mark.parametrize("alpha", range(1, 11))
+    def test_hemisphere_normal_incidence(self, alpha):
+        # 2pi int_0^1 ((1+x)/2)^alpha dx = 4pi (1 - 2^-(alpha+1)) / (alpha+1)
+        got = normalization_f(single(0.1, alpha), 0.0, NormalizationMode.HEMISPHERE)
+        assert got == pytest.approx(4.0 * math.pi * (1.0 - 2.0 ** -(alpha + 1)) / (alpha + 1), rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", range(1, 11))
+    def test_hemisphere_coefficients_equal_the_power_series(self, alpha):
+        exact = _hemisphere_cos_fractions(alpha)
+        assert exact == hemisphere_power_series(alpha)
+        assert all(exact[m] == 0 for m in range(2, alpha + 1, 2))
 
     @pytest.mark.parametrize(
         ("mode", "reference"),
