@@ -28,6 +28,8 @@ import numpy as np
 from . import __version__, db_to_linear, dbm_to_watts, watts_to_dbm, wavelength_for_frequency
 from .fileio import (
     default_materials,
+    parse_float,
+    parse_int,
     read_materials,
     read_scan,
     read_scene,
@@ -56,6 +58,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # type=float and type=int options read numbers in the grammar of the input files
+        self.register("type", float, parse_float)
+        self.register("type", int, parse_int)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -154,7 +162,7 @@ def _resolve_scanspec(args, inline_spec) -> ScanSpec:
     heights = base.height_offsets
     if args.heights is not None:
         try:
-            heights = tuple(float(tok) for tok in args.heights.split(","))
+            heights = tuple(parse_float(tok) for tok in args.heights.split(","))
         except ValueError as exc:
             raise ValueError(f"--heights takes comma-separated numbers in m, got {args.heights!r}: {exc}") from None
     return ScanSpec(

@@ -32,6 +32,8 @@ __all__ = [
     "write_scan",
     "write_simulated_scan",
     "write_lines",
+    "parse_float",
+    "parse_int",
     "scan_from_records",
     "read_materials",
     "default_materials",
@@ -60,9 +62,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def parse_float(token: str) -> float:
+    """float(token) in the one number grammar of input files and CLI options.
+
+    float() alone would also read "1_0" as 10 and non-ASCII digits; both are refused.
+    """
+    if "_" in token or not token.isascii():
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
+def parse_int(token: str) -> int:
+    """int(token) of plain ASCII digits with an optional leading '-', the integer grammar of files and options."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
 def _parse_float(token: str, source: str, lineno: int, what: str) -> float:
     try:
-        value = float(token)
+        value = parse_float(token)
     except ValueError:
         raise _err(source, lineno, f"non-numeric {what}: {token!r}") from None
     if math.isnan(value):
@@ -78,10 +97,10 @@ def _parse_finite(token: str, source: str, lineno: int, what: str) -> float:
 
 
 def _parse_int(token: str, source: str, lineno: int, what: str) -> int:
-    # plain ASCII digits only: int() alone would also take "4_0" as 40
-    if not (token.isascii() and token.removeprefix("-").isdigit()):
-        raise _err(source, lineno, f"non-integer {what}: {token!r}")
-    return int(token)
+    try:
+        return parse_int(token)
+    except ValueError:
+        raise _err(source, lineno, f"non-integer {what}: {token!r}") from None
 
 
 @dataclass(frozen=True)

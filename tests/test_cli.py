@@ -427,6 +427,27 @@ def test_fit_header_has_no_lobe_shape_options(tmp_path):
     assert run(*args, "--alpha-r", "4") == EXIT_USAGE
 
 
+# a float or int option reads a number as the input files do: no underscores, ASCII only
+_BAD_NUMBER_OPTIONS = {
+    "simulate-radius-not-a-number": ["simulate", "--radius", "a"],
+    "simulate-radius-underscore": ["simulate", "--radius", "1_0"],
+    "simulate-alpha-r-underscore": ["simulate", "--alpha-r", "1_0"],
+    "simulate-alpha-r-plus": ["simulate", "--alpha-r", "+4"],
+    "fit-s-initial-underscore": ["fit", "--scan", "scan.csv", "--s-initial", "0_3"],
+    "theory-theta-step-underscore": ["theory", "--theta-step", "1_0"],
+    "pattern-lambda-underscore": ["pattern", "--lambda", "0_2"],
+    "pattern-s-arabic-indic-digit": ["pattern", "--s", "\u0660.3"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_BAD_NUMBER_OPTIONS.values()), ids=list(_BAD_NUMBER_OPTIONS))
+def test_number_option_outside_the_file_grammar_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert run(*argv, "--out", str(out)) == EXIT_USAGE
+    assert f"argument {argv[-2]}: invalid " in capsys.readouterr().err
+    assert not out.exists()
+
+
 _THETA_GRID = "--theta-min/--theta-max/--theta-step must be finite, the step > 0; got "
 _LINK = "p_t, g_t, g_r must all be > 0 and finite, got "
 _AZIMUTHS = "azimuth step and range must be > 0 and finite, got "
@@ -461,6 +482,13 @@ _BAD_NUMBERS = {
     ),
     "angles-heights-empty-item": (
         ["angles", "--heights", "0,,0.1"], _HEIGHTS + "'0,,0.1': could not convert string to float: ''"
+    ),
+    # float() alone would read 1_0 as 10: the items use the number grammar of the input files
+    "simulate-heights-underscore": (
+        ["simulate", "--heights", "1_0"], _HEIGHTS + "'1_0': could not convert string to float: '1_0'"
+    ),
+    "angles-heights-underscore": (
+        ["angles", "--heights", "0,0_3"], _HEIGHTS + "'0,0_3': could not convert string to float: '0_3'"
     ),
     "simulate-heights-repeated": (
         ["simulate", "--heights", "0,0.1,0"], "height offsets must be distinct, got (0.0, 0.1, 0.0)"

@@ -83,6 +83,21 @@ class TestScanValidation:
         with pytest.raises(FileFormatError, match=r":3: non-numeric"):
             read_scan(path)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("0.0,1_0,-55.0", "non-numeric delta_h_cm: '1_0'"),
+            ("0.0,0.0,-5_5.0", "non-numeric power_dbm: '-5_5.0'"),
+            ("\u0661\u0660.0,0.0,-55.0", "non-numeric angle_deg: '\u0661\u0660.0'"),
+        ],
+    )
+    def test_number_grammar_names_line(self, tmp_path, record, message):
+        # float() alone would read 1_0 as 10 and Arabic-Indic digits as ASCII ones
+        path = tmp_path / "scan.csv"
+        path.write_text(f"angle_deg,delta_h_cm,power_dbm\n30.0,0.0,-60.0\n{record}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=rf":3: {message}"):
+            read_scan(path)
+
     def test_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "scan.csv"
         path.write_text(
@@ -295,6 +310,11 @@ class TestMaterialsFile:
         with pytest.raises(FileFormatError, match="non-numeric"):
             read_materials(non_numeric)
 
+        underscore = tmp_path / "d2.txt"
+        underscore.write_text("material demo\neps_r 4_0\nh_rms_mm 0.5\nthickness_cm 32\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r":2: non-numeric eps_r: '4_0'"):
+            read_materials(underscore)
+
         duplicate = tmp_path / "e.txt"
         duplicate.write_text(
             "material demo\neps_r 4.0\nh_rms_mm 0.5\nthickness_cm 32\n"
@@ -368,6 +388,8 @@ class TestReportRoundTrip:
         [
             (1, "best dual 0.3 4.7 9 0.2", "non-integer alpha_r: '4.7'"),
             (1, "best dual 0.3 4 1_0 0.2", "non-integer alpha_i: '1_0'"),
+            (1, "best dual 0_3 4 9 0.2", "non-numeric s_coeff: '0_3'"),
+            (8, "1 A dual 0.25 7 2 0.7 0.4_243", "non-numeric fvu: '0.4_243'"),
             (1, "best dual 1.5 4 9 0.2", r"s_coeff must be in \[0, 1\)"),
             (8, "1.5 A dual 0.25 7 2 0.7 0.4243", "non-integer round: '1.5'"),
         ],
