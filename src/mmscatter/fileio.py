@@ -232,7 +232,8 @@ def write_lines(path, lines, header_comment: str | None = None) -> None:
     """Write lines with LF endings, after a `# header_comment` line if one is given."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
+            # escaped, a line break in a value (an --out path, say) cannot end the comment line
+            fh.write("# " + header_comment.replace("\r", "\\r").replace("\n", "\\n") + "\n")
         fh.write("\n".join(lines))
         fh.write("\n")
 

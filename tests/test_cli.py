@@ -448,6 +448,17 @@ def test_number_option_outside_the_file_grammar_is_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_line_break_in_out_path_keeps_outputs_readable(tmp_path):
+    # the header comment records --out; a line break in it must not split the comment
+    sim = tmp_path / "a\nb.csv"
+    assert run("simulate", "--s", "0.3", "--tiles-m", "0.5", "--out", str(sim)) == EXIT_OK
+    report = tmp_path / "g\nh.txt"
+    fit_args = ("--model", "single", "--s-initial", "0.3", "--tiles-m", "0.5", "--out", str(report))
+    assert run("fit", "--scan", str(sim), *fit_args) == EXIT_OK
+    assert len(read_scan(sim)) == 19
+    assert read_report(report).best.model.value == "single"
+
+
 _THETA_GRID = "--theta-min/--theta-max/--theta-step must be finite, the step > 0; got "
 _LINK = "p_t, g_t, g_r must all be > 0 and finite, got "
 _AZIMUTHS = "azimuth step and range must be > 0 and finite, got "

@@ -403,6 +403,26 @@ class TestReportRoundTrip:
         with pytest.raises(FileFormatError, match=rf"report\.txt:{lineno}: {message}"):
             read_report(path)
 
+    @pytest.mark.parametrize("value", ["a\nb.csv", "a\r\nb.csv", "a\rb.csv"])
+    def test_line_break_stays_inside_the_header_comment(self, tmp_path, value):
+        # a path with a line break, written into the header comment, must not start a data line
+        comment = f"mmscatter | out={value} | extent=tile-area"
+        scan_path, report_path = tmp_path / "scan.csv", tmp_path / "report.txt"
+        write_scan(make_scan(), scan_path, header_comment=comment)
+        report = self._report(LobeModel.DUAL_LOBE)
+        write_report(report, report_path, header_comment=comment)
+        assert read_scan(scan_path) == make_scan()
+        assert read_report(report_path) == report
+        escaped = comment.replace("\r", "\\r").replace("\n", "\\n")
+        for path in (scan_path, report_path):
+            assert path.read_bytes().split(b"\n")[0] == f"# {escaped}".encode()
+
+    def test_header_comment_without_line_break_keeps_its_bytes(self, tmp_path):
+        comment = "mmscatter | out=C:\\scans\\a.csv | tab\there"
+        path = tmp_path / "scan.csv"
+        write_scan(make_scan(), path, header_comment=comment)
+        assert path.read_bytes().split(b"\n")[0] == f"# {comment}".encode()
+
 
 class TestSceneFile:
     def test_parse_with_scan_spec(self, tmp_path):
