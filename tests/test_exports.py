@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,26 @@ def test_no_unused_module_import():
         exported = set(getattr(module, "__all__", ()))
         unused += [f"{path.name}:{line}: {name}" for name, line in _module_imports(tree) if name not in read | exported]
     assert unused == []
+
+
+# the modules that importing the CLI and one default (hemisphere-mode) simulate load, in a fresh interpreter
+_LOADED_BY_SIMULATE = """
+import sys
+before = set(sys.modules)
+from mmscatter.cli import main
+code = main(["simulate", "--out", {out!r}])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+def test_simulate_loads_only_stdlib_numpy_and_the_package(tmp_path):
+    # numpy is the one runtime dependency, and the closed-form normalization needs no numpy.polynomial
+    env = dict(os.environ, PYTHONPATH=str(Path(mmscatter.__file__).resolve().parents[1]))
+    code = _LOADED_BY_SIMULATE.format(out=str(tmp_path / "sim.csv"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    exit_code, *loaded = proc.stdout.split()
+    assert exit_code == "0"
+    allowed = {*sys.stdlib_module_names, "numpy", "mmscatter"}
+    assert [name for name in loaded if name.split(".")[0] not in allowed] == []
+    assert "mmscatter.lobes" in loaded
+    assert [name for name in loaded if name.startswith("numpy.polynomial")] == []
