@@ -37,7 +37,7 @@ from .fileio import (
     write_report,
     write_simulated_scan,
 )
-from .fitting import SearchConfig, compare_models, grid_fit
+from .fitting import ScanEvaluator, compare_models, grid_fit
 from .geometry import MAX_ANGLES, ScanSpec, SurfacePaths, paper_scene, scan_positions
 from .lobes import Direction, LobeModel, LobeParams, NormalizationMode, RadioLink, pattern_sweep
 from .materials import IncidenceContext, Polarization, initial_scattering_coefficient
@@ -231,9 +231,8 @@ def _cmd_pattern(args) -> int:
                 fixed_s=args.s,
             )
             rows.extend(
-                f"{row.theta_i_deg!r},{row.direction.value},{watts_to_dbm(row.p_r_watts)!r},"
-                f"{template.model.value},{name}"
-                for row in sweep
+                f"{theta_deg!r},{direction.value},{watts_to_dbm(p_r)!r},{template.model.value},{name}"
+                for theta_deg, p_r in zip(theta_grid, sweep)
             )
     header = _header(args, _input_digests(args)) + " | extent=unit-patch"
     write_lines(args.out, ["theta_i_deg,direction,p_r_dbm,model,material", *rows], header_comment=header)
@@ -261,17 +260,21 @@ def _cmd_fit(args) -> int:
     scan = read_scan(args.scan)
     link = _link(args, scene.carrier_frequency)
     s_initial = args.s_initial if args.s_initial is not None else _theoretical_s(scene, db, args)
-    cfg = SearchConfig(
-        link=link,
-        materials=db,
+    # one pattern per call, which every --model path fits against
+    evaluate = ScanEvaluator(
+        scan,
+        scene,
+        link,
+        db,
         scan_radius=args.radius if args.radius is not None else (inline_spec or ScanSpec()).radius,
         tile_edge=args.tiles_m,
         mode=_MODES[args.mode],
         polarization=Polarization[args.pol],
+        plane_only=args.plane_only,
     )
     header = _header(args, _input_digests(args))
     if args.model == "both":
-        comparison = compare_models(scan, scene, s_initial, cfg, plane_only=args.plane_only)
+        comparison = compare_models(evaluate, s_initial)
         base, ext = os.path.splitext(args.out)
         write_report(comparison.single, f"{base}.single{ext}", header_comment=header)
         write_report(comparison.dual, f"{base}.dual{ext}", header_comment=header)
@@ -282,7 +285,7 @@ def _cmd_fit(args) -> int:
         )
         return EXIT_OK if (comparison.single.converged and comparison.dual.converged) else EXIT_NUMERIC
     kind = LobeModel(args.model)
-    report = grid_fit(scan, scene, kind, s_initial, cfg, plane_only=args.plane_only)
+    report = grid_fit(evaluate, kind, s_initial)
     write_report(report, args.out, header_comment=header)
     print(f"{kind.value} FVU {report.fvu!r} (converged={report.converged})")
     return EXIT_OK if report.converged else EXIT_NUMERIC
@@ -296,11 +299,12 @@ def _cmd_angles(args) -> int:
     paths = SurfacePaths(scene.tx, scene.wall.center[None], scene.wall.normal)
     r_i, cos_ti = float(paths.r_i[0]), paths.cos_ti[0]
     rows = []
-    for pos in scan_positions(scene, spec):
-        r_s, cos_psi_r, cos_psi_i = paths.receiver(pos.position)
-        angles = np.arccos([cos_ti, paths.cos_ts(pos.position)[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
+    keys, positions = scan_positions(scene, spec)
+    for (azimuth_deg, delta_h), rx in zip(keys, positions):
+        r_s, cos_psi_r, cos_psi_i = paths.receiver(rx)
+        angles = np.arccos([cos_ti, paths.cos_ts(rx)[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
         rows.append(
-            f"{pos.azimuth_deg!r},{pos.delta_h!r},{r_i!r},{float(r_s[0])!r},"
+            f"{azimuth_deg!r},{delta_h!r},{r_i!r},{float(r_s[0])!r},"
             + ",".join(repr(math.degrees(a)) for a in angles)
         )
     columns = "azimuth_deg,delta_h_m,r_i_m,r_s_m,theta_i_deg,theta_s_deg,psi_r_deg,psi_i_deg"

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import DBM_REF_WATTS, watts_to_dbm
-from .fileio import FitReport, Scan, TraceEntry, default_materials
+from .fileio import FitReport, Scan, TraceEntry
 from .geometry import Scene, rx_position
 from .lobes import ALPHA_MAX, ALPHA_MIN, LobeModel, LobeParams, NormalizationMode, RadioLink
 from .materials import MaterialDatabase, Polarization
@@ -37,7 +37,6 @@ from .raytrace import DEFAULT_TILE_EDGE, build_pattern
 
 __all__ = [
     "DegenerateScanError",
-    "SearchConfig",
     "TraceEntry",
     "FitReport",
     "ModelComparison",
@@ -69,22 +68,6 @@ MAX_POWER_DB = 1e4
 
 class DegenerateScanError(ValueError):
     """Scan cannot support a fit (too few points, constant powers, or powers past MAX_POWER_DB)."""
-
-
-@dataclass(frozen=True, eq=False)
-class SearchConfig:
-    """Fit configuration: link budget, material database, scan and tiling."""
-
-    link: RadioLink
-    materials: MaterialDatabase = field(default_factory=default_materials)
-    scan_radius: float = 1.5
-    tile_edge: float = DEFAULT_TILE_EDGE
-    mode: NormalizationMode = NormalizationMode.HEMISPHERE
-    polarization: Polarization = Polarization.TE
-
-    def __post_init__(self):
-        if not 0.0 < self.scan_radius < math.inf:
-            raise ValueError(f"scan radius must be > 0 and finite, got {self.scan_radius}")
 
 
 @dataclass(frozen=True)
@@ -180,21 +163,40 @@ def _shape_grid(model_kind: LobeModel):
 
 
 class ScanEvaluator:
-    """Shared predictor: maps candidate parameters to an FVU against the scan (its in-plane points if plane_only)."""
+    """One scan's predictor: candidate parameters to an FVU against the scan (its in-plane points if plane_only).
 
-    def __init__(self, scan: Scan, scene: Scene, cfg: SearchConfig, plane_only: bool = False):
+    The receivers sit on the scan cylinder of radius scan_radius; the other
+    settings are build_pattern's. It is the fit's one input: it also keeps
+    the scene's mix prior for the tie-break and plane_only for the report.
+    """
+
+    def __init__(
+        self,
+        scan: Scan,
+        scene: Scene,
+        link: RadioLink,
+        materials: MaterialDatabase,
+        *,
+        scan_radius: float = 1.5,
+        tile_edge: float = DEFAULT_TILE_EDGE,
+        mode: NormalizationMode = NormalizationMode.HEMISPHERE,
+        polarization: Polarization = Polarization.TE,
+        plane_only: bool = False,
+    ):
+        if not 0.0 < scan_radius < math.inf:
+            raise ValueError(f"scan radius must be > 0 and finite, got {scan_radius}")
         if plane_only:
             try:
                 scan = scan.plane_only()
             except ValueError as exc:
                 raise DegenerateScanError(str(exc)) from None
+        self.plane_only = plane_only
+        self.prior = lambda_prior(scene.incidence_angle)
         self.measured = scan.powers_dbm()
         positions = np.array(
-            [rx_position(scene, cfg.scan_radius, pt.azimuth_deg, pt.delta_h_m) for pt in scan.points]
+            [rx_position(scene, scan_radius, pt.azimuth_deg, pt.delta_h_m) for pt in scan.points]
         )
-        self.pattern = build_pattern(
-            scene, positions, cfg.link, cfg.materials, cfg.tile_edge, cfg.mode, cfg.polarization
-        )
+        self.pattern = build_pattern(scene, positions, link, materials, tile_edge, mode, polarization)
 
     def __call__(self, params: LobeParams) -> float:
         total_w, _, _ = self.pattern.predict(params)
@@ -214,21 +216,10 @@ class ScanEvaluator:
         return fvu(self.measured, simulated)
 
 
-def grid_fit(
-    scan: Scan,
-    scene: Scene,
-    model_kind: LobeModel,
-    s_initial: float,
-    search_cfg: SearchConfig,
-    plane_only: bool = False,
-    *,
-    _evaluate: ScanEvaluator | None = None,
-) -> FitReport:
-    """Staged exhaustive search for the lobe parameters minimizing FVU."""
+def grid_fit(evaluate: ScanEvaluator, model_kind: LobeModel, s_initial: float) -> FitReport:
+    """Staged exhaustive search for the lobe parameters minimizing the FVU that evaluate scores."""
     if not 0.0 < s_initial < 1.0:
         raise ValueError(f"s_initial must be in (0, 1), got {s_initial}")
-    evaluate = _evaluate if _evaluate is not None else ScanEvaluator(scan, scene, search_cfg, plane_only)
-    prior = lambda_prior(scene.incidence_angle)
     shapes = list(itertools.product(*_shape_grid(model_kind)))
 
     trace: list[TraceEntry] = []
@@ -243,7 +234,7 @@ def grid_fit(
             params = LobeParams.from_shape(model_kind, s_value, shapes[n])
             if value <= cutoff:
                 value = evaluate(params)
-                candidate = _Candidate(params, value, s_initial, prior)
+                candidate = _Candidate(params, value, s_initial, evaluate.prior)
                 if candidate.beats(best):
                     best = candidate
             trace.append(TraceEntry(round=rnd, stage=name, params=params, fvu=value))
@@ -276,18 +267,14 @@ def grid_fit(
         fvu=best.fvu,
         s_initial=s_initial,
         trace=tuple(trace),
-        plane_only=plane_only,
+        plane_only=evaluate.plane_only,
         converged=converged,
     )
 
 
-def compare_models(
-    scan: Scan, scene: Scene, s_initial: float, search_cfg: SearchConfig, plane_only: bool = False
-) -> ModelComparison:
-    """Fit both models and report the lower-FVU one (ties go to single-lobe)."""
-    # both fits score candidates against the same pattern, built once
-    evaluate = ScanEvaluator(scan, scene, search_cfg, plane_only)
-    single = grid_fit(scan, scene, LobeModel.SINGLE_LOBE, s_initial, search_cfg, plane_only, _evaluate=evaluate)
-    dual = grid_fit(scan, scene, LobeModel.DUAL_LOBE, s_initial, search_cfg, plane_only, _evaluate=evaluate)
+def compare_models(evaluate: ScanEvaluator, s_initial: float) -> ModelComparison:
+    """Fit both models against evaluate's one pattern and report the lower-FVU one (ties go to single-lobe)."""
+    single = grid_fit(evaluate, LobeModel.SINGLE_LOBE, s_initial)
+    dual = grid_fit(evaluate, LobeModel.DUAL_LOBE, s_initial)
     winner = LobeModel.DUAL_LOBE if dual.fvu < single.fvu - FVU_TIE_TOL else LobeModel.SINGLE_LOBE
     return ModelComparison(single=single, dual=dual, winner=winner)

@@ -21,7 +21,6 @@ __all__ = [
     "Wall",
     "Scene",
     "ScanSpec",
-    "RxPosition",
     "SurfacePaths",
     "scan_positions",
     "specular_paths",
@@ -162,13 +161,6 @@ class ScanSpec:
         return [-half + k * self.azimuth_step_deg for k in range(n + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class RxPosition:
-    azimuth_deg: float
-    delta_h: float
-    position: np.ndarray
-
-
 def rx_position(scene: Scene, radius: float, azimuth_deg: float, delta_h: float) -> np.ndarray:
     """Rx location on the scan cylinder: azimuth from the wall normal, specular side positive."""
     az = math.radians(azimuth_deg)
@@ -180,13 +172,10 @@ def rx_position(scene: Scene, radius: float, azimuth_deg: float, delta_h: float)
     )
 
 
-def scan_positions(scene: Scene, spec: ScanSpec) -> list[RxPosition]:
-    """Ordered receiver positions, sorted by (delta_h, azimuth)."""
-    positions = []
-    for dh in sorted(spec.height_offsets):
-        for az in spec.azimuths_deg():
-            positions.append(RxPosition(azimuth_deg=az, delta_h=dh, position=rx_position(scene, spec.radius, az, dh)))
-    return positions
+def scan_positions(scene: Scene, spec: ScanSpec) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """Receiver keys (azimuth_deg, delta_h), sorted by (delta_h, azimuth), and their positions (P, 3)."""
+    keys = [(az, dh) for dh in sorted(spec.height_offsets) for az in spec.azimuths_deg()]
+    return keys, np.array([rx_position(scene, spec.radius, az, dh) for az, dh in keys])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,7 +251,7 @@ class SurfacePaths:
         reach = self._r_i_max * float(r_s.max())
         if not reach * reach < math.inf:
             raise ValueError(f"path length to the receiver at {rx.tolist()} m is too long: (r_i r_s)^2 is not finite")
-        if np.any(r_s == 0.0):
+        if np.any(r_s <= _IN_PLANE_M):
             raise ValueError("degenerate geometry: rx coincides with a surface point")
         n = self.normal.tolist()
         if np.any(d[0] * n[0] + d[1] * n[1] + d[2] * n[2] < -_IN_PLANE_M):

@@ -38,7 +38,6 @@ __all__ = [
     "Direction",
     "LobeParams",
     "RadioLink",
-    "PatternRow",
     "normalization_f",
     "lobe_mix",
     "element_constant",
@@ -255,13 +254,6 @@ def element_power(s_value, const, gain, norm, out=None):
     return out
 
 
-@dataclass(frozen=True)
-class PatternRow:
-    theta_i_deg: float
-    direction: Direction
-    p_r_watts: float
-
-
 def pattern_sweep(
     material: Material,
     params: LobeParams,
@@ -271,8 +263,8 @@ def pattern_sweep(
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,
     fixed_s: float | None = None,
-) -> list[PatternRow]:
-    """Received scattered power versus incidence angle, in one direction.
+) -> list[float]:
+    """Received scattered power in watts at each incidence angle of theta_grid_deg, in one direction.
 
     A unit-area surface element sits SWEEP_RANGE_M from both antennas; the
     receiver lies in either the specular direction (psi_r = 0,
@@ -301,5 +293,4 @@ def pattern_sweep(
     gain = lobe_mix(lam, forward**alpha_r, backscatter**alpha_i)
     norm = lobe_mix(lam, single_lobe_norm(mode, alpha_r, theta), single_lobe_norm(mode, alpha_i, theta))
     const = element_constant(link, SWEEP_RANGE_M, SWEEP_RANGE_M, np.cos(theta), 1.0)
-    powers = element_power(s_value, const, gain, norm).tolist()
-    return [PatternRow(theta_i_deg=t, direction=direction, p_r_watts=p) for t, p in zip(grid, powers)]
+    return element_power(s_value, const, gain, norm).tolist()

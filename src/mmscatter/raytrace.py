@@ -427,20 +427,16 @@ def simulate_scan(
     polarization: Polarization = Polarization.TE,
 ) -> list[SimRecord]:
     """Simulated scan over the arc/semicylinder, ordered by (delta_h, azimuth)."""
-    positions = scan_positions(scene, scanspec)
-    pattern = build_pattern(
-        scene, np.array([p.position for p in positions]), link, materials, tile_edge, mode, polarization
-    )
+    keys, positions = scan_positions(scene, scanspec)
+    pattern = build_pattern(scene, positions, link, materials, tile_edge, mode, polarization)
     total_w, spec_w, diff_w = pattern.predict(lobe_params)
-    records = []
-    for i, pos in enumerate(positions):
-        records.append(
-            SimRecord(
-                azimuth_deg=pos.azimuth_deg,
-                delta_h_cm=height_m_to_cm(pos.delta_h),
-                power_dbm=watts_to_dbm(float(total_w[i])),
-                specular_dbm=watts_to_dbm(float(spec_w[i])),
-                diffuse_dbm=watts_to_dbm(float(diff_w[i])),
-            )
+    return [
+        SimRecord(
+            azimuth_deg=az,
+            delta_h_cm=height_m_to_cm(dh),
+            power_dbm=watts_to_dbm(float(total)),
+            specular_dbm=watts_to_dbm(float(spec)),
+            diffuse_dbm=watts_to_dbm(float(diff)),
         )
-    return records
+        for (az, dh), total, spec, diff in zip(keys, total_w, spec_w, diff_w)
+    ]

@@ -15,7 +15,7 @@ import pytest
 from conftest import WAVELENGTH_28GHZ, dual_scores_by_mix, series_i0
 from mmscatter.cli import EXIT_OK, main as cli_main
 from mmscatter.fileio import FileFormatError, default_materials, read_materials, read_scan, scan_from_records
-from mmscatter.fitting import ScanEvaluator, SearchConfig, fvu, grid_fit, lambda_grid, s_grid
+from mmscatter.fitting import ScanEvaluator, fvu, grid_fit, lambda_grid, s_grid
 from mmscatter.geometry import ScanSpec, paper_scene
 from mmscatter.lobes import Direction, LobeModel, LobeParams, RadioLink, pattern_sweep
 from mmscatter.materials import (
@@ -146,7 +146,6 @@ def test_criterion_5_exact_fit_recovery():
     db = default_materials()
     link = RadioLink(p_t=0.01, g_t=10**1.5, g_r=10**1.5, wavelength=WAVELENGTH_28GHZ)
     scene = paper_scene("rough_wall", 30.0)
-    cfg = SearchConfig(link=link, materials=db, tile_edge=0.5)
     spec = ScanSpec()
     rng = random.Random(2024)
     s_choices = [0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50]
@@ -167,12 +166,12 @@ def test_criterion_5_exact_fit_recovery():
 
     for truth in truths:
         scan = scan_from_records(simulate_scan(scene, spec, truth, link, db, 0.5))
-        report = grid_fit(scan, scene, truth.model, truth.s_coeff, cfg)
+        evaluate = ScanEvaluator(scan, scene, link, db, tile_edge=0.5)
+        report = grid_fit(evaluate, truth.model, truth.s_coeff)
         assert report.fvu == 0.0, truth
         assert report.best == truth, (report.best, truth)
         assert report.converged
 
-        evaluate = ScanEvaluator(scan, scene, cfg)
         zero_set = []
         for s_value in s_grid(truth.s_coeff):
             if truth.model is LobeModel.SINGLE_LOBE:
@@ -219,13 +218,12 @@ def test_criterion_7_pattern_trend_suite():
 
     grid = [float(t) for t in range(60, 86)]
     for name, shape in shapes.items():
-        rows = pattern_sweep(db.get(name), shape, link, Direction.SPECULAR, grid)
-        powers = [row.p_r_watts for row in rows]
+        powers = pattern_sweep(db.get(name), shape, link, Direction.SPECULAR, grid)
         assert all(a > b for a, b in zip(powers, powers[1:])), name
 
     for direction in (Direction.SPECULAR, Direction.INCIDENT):
         at30 = {
-            name: pattern_sweep(db.get(name), shape, link, direction, [30.0])[0].p_r_watts
+            name: pattern_sweep(db.get(name), shape, link, direction, [30.0])[0]
             for name, shape in shapes.items()
         }
         assert at30["rough_wall"] > at30["smooth_wall"] >= at30["marble_wall"] > at30["metal_sheet"], direction
@@ -234,8 +232,8 @@ def test_criterion_7_pattern_trend_suite():
     single4 = shapes["smooth_wall"]
 
     def gap_db(theta_deg):
-        spec = pattern_sweep(smooth, single4, link, Direction.SPECULAR, [theta_deg])[0].p_r_watts
-        inc = pattern_sweep(smooth, single4, link, Direction.INCIDENT, [theta_deg])[0].p_r_watts
+        spec = pattern_sweep(smooth, single4, link, Direction.SPECULAR, [theta_deg])[0]
+        inc = pattern_sweep(smooth, single4, link, Direction.INCIDENT, [theta_deg])[0]
         return abs(10.0 * math.log10(spec / inc))
 
     assert gap_db(10.0) < gap_db(40.0)
@@ -269,7 +267,6 @@ def test_criterion_9_plane_only_vs_3d_fit():
     db = default_materials()
     link = RadioLink(p_t=0.01, g_t=10**1.5, g_r=10**1.5, wavelength=WAVELENGTH_28GHZ)
     scene = paper_scene("rough_wall", 30.0)
-    cfg = SearchConfig(link=link, materials=db, tile_edge=0.5)
     # off the mix grid, so neither fit can be exact and the two weightings
     # of the out-of-plane records pull the compromise apart
     truth = LobeParams(LobeModel.DUAL_LOBE, 0.45, 3, alpha_i=8, lambda_mix=0.35)
@@ -277,11 +274,13 @@ def test_criterion_9_plane_only_vs_3d_fit():
     scan = scan_from_records(simulate_scan(scene, spec, truth, link, db, 0.5))
     assert len(scan) == 76
 
-    plane_report = grid_fit(scan, scene, LobeModel.DUAL_LOBE, truth.s_coeff, cfg, plane_only=True)
-    full_report = grid_fit(scan, scene, LobeModel.DUAL_LOBE, truth.s_coeff, cfg, plane_only=False)
+    plane_report = grid_fit(ScanEvaluator(scan, scene, link, db, tile_edge=0.5, plane_only=True),
+                            LobeModel.DUAL_LOBE, truth.s_coeff)
+    full_report = grid_fit(ScanEvaluator(scan, scene, link, db, tile_edge=0.5, plane_only=False),
+                           LobeModel.DUAL_LOBE, truth.s_coeff)
     assert plane_report.best != full_report.best
 
-    in_plane = ScanEvaluator(scan.plane_only(), scene, cfg)
+    in_plane = ScanEvaluator(scan.plane_only(), scene, link, db, tile_edge=0.5)
     assert abs(in_plane(full_report.best) - plane_report.fvu) <= 0.1
     _passed(9, "plane-only and 3D fits select different parameters while the 3D fit "
                "stays within 0.1 in-plane FVU of the plane-only optimum", started, 120.0)

@@ -92,6 +92,34 @@ def test_fit_both_writes_three_reports(tmp_path):
     assert (directory / "report").read_bytes() == (directory / "report.dual").read_bytes()
 
 
+@pytest.mark.parametrize("model", ["both", "dual"])
+def test_fit_builds_one_pattern(tmp_path, monkeypatch, model):
+    # every --model path, both fits of "both" included, scores against one pattern
+    sim = tmp_path / "sim.csv"
+    assert run("simulate", "--s", "0.35", "--tiles-m", "0.5", "--out", str(sim)) == EXIT_OK
+    built = []
+    build = fitting.build_pattern
+
+    def counting_build(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(fitting, "build_pattern", counting_build)
+    out = tmp_path / "fit.txt"
+    assert run("fit", "--scan", str(sim), "--model", model, "--s-initial", "0.35", "--tiles-m", "0.5",
+               "--out", str(out)) == EXIT_OK
+    assert len(built) == 1
+
+
+def test_receiver_on_a_tile_center_up_to_rounding_is_data_error(tmp_path, capsys):
+    # at radius 1.45 and height 0.05 m the +/-90 deg receivers sit about 1e-16 m
+    # from the centers of two 0.1 m tiles, where the tile powers blow up
+    out = tmp_path / "sim.csv"
+    assert run("simulate", "--radius", "1.45", "--heights", "0.05", "--out", str(out)) == EXIT_DATA
+    assert "input error: degenerate geometry: rx coincides with a surface point" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pattern_dual_lambda(tmp_path):
     out = tmp_path / "pattern.csv"
     assert (

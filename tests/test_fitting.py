@@ -14,7 +14,6 @@ from mmscatter.fitting import (
     FVU_TIE_TOL,
     MAX_POWER_DB,
     DegenerateScanError,
-    SearchConfig,
     ScanEvaluator,
     _shape_grid,
     compare_models,
@@ -30,6 +29,7 @@ from mmscatter.materials import IncidenceContext, initial_scattering_coefficient
 from mmscatter.raytrace import (
     _CERTIFICATE_MARGIN,
     _LENGTH_GATE,
+    DEFAULT_TILE_EDGE,
     ScanPattern,
     _ShapeTable,
     _tile_window_sums,
@@ -63,8 +63,13 @@ def scene30():
 
 
 @pytest.fixture
-def cfg(paper_link, materials_db):
-    return SearchConfig(link=paper_link, materials=materials_db, tile_edge=0.5)
+def evaluator(paper_link, materials_db):
+    """ScanEvaluator of a scan on 0.5 m tiles."""
+
+    def make(scan, scene, plane_only=False):
+        return ScanEvaluator(scan, scene, paper_link, materials_db, tile_edge=0.5, plane_only=plane_only)
+
+    return make
 
 
 def synthetic_scan(scene, params, link, db, heights=(0.0,), tile_edge=0.5):
@@ -153,18 +158,18 @@ class TestGrids:
 
 
 class TestGridFit:
-    def test_exact_recovery_single(self, scene30, paper_link, materials_db, cfg):
+    def test_exact_recovery_single(self, scene30, paper_link, materials_db, evaluator):
         truth = single(0.30, 4)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        report = grid_fit(scan, scene30, LobeModel.SINGLE_LOBE, 0.30, cfg)
+        report = grid_fit(evaluator(scan, scene30), LobeModel.SINGLE_LOBE, 0.30)
         assert report.fvu == 0.0
         assert report.best == truth
         assert report.converged
 
-    def test_exhaustive_oracle_confirms_unique_minimum(self, scene30, paper_link, materials_db, cfg):
+    def test_exhaustive_oracle_confirms_unique_minimum(self, scene30, paper_link, materials_db, evaluator):
         truth = single(0.30, 4)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        evaluate = ScanEvaluator(scan, scene30, cfg)
+        evaluate = evaluator(scan, scene30)
         zero_candidates = []
         for s_value in s_grid(0.30):
             for alpha in range(1, 11):
@@ -173,32 +178,32 @@ class TestGridFit:
                     zero_candidates.append(params)
         assert zero_candidates == [truth]
 
-    def test_dual_lambda_containment(self, scene30, paper_link, materials_db, cfg):
+    def test_dual_lambda_containment(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.35, 2, 9, 0.2)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        report = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, 0.35, cfg)
+        report = grid_fit(evaluator(scan, scene30), LobeModel.DUAL_LOBE, 0.35)
         assert report.fvu == 0.0
         assert report.best.lambda_mix == 0.2
         assert report.best == truth
 
-    def test_best_attains_trace_minimum(self, scene30, paper_link, materials_db, cfg):
+    def test_best_attains_trace_minimum(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.40, 3, 8, 0.35)  # off the mix grid, so the fit cannot reach zero
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        report = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, 0.40, cfg)
+        report = grid_fit(evaluator(scan, scene30), LobeModel.DUAL_LOBE, 0.40)
         assert report.fvu > 0.0
         assert all(entry.fvu >= report.fvu - 1e-12 for entry in report.trace)
 
-    def test_fvu_recomputes_from_best(self, scene30, paper_link, materials_db, cfg):
+    def test_fvu_recomputes_from_best(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.40, 3, 8, 0.35)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        report = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, 0.40, cfg)
-        evaluate = ScanEvaluator(scan, scene30, cfg)
+        report = grid_fit(evaluator(scan, scene30), LobeModel.DUAL_LOBE, 0.40)
+        evaluate = evaluator(scan, scene30)
         assert abs(evaluate(report.best) - report.fvu) <= 1e-12
 
-    def test_monotone_rounds(self, scene30, paper_link, materials_db, cfg):
+    def test_monotone_rounds(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.40, 3, 8, 0.35)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        report = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, 0.40, cfg)
+        report = grid_fit(evaluator(scan, scene30), LobeModel.DUAL_LOBE, 0.40)
         per_round = {}
         running = math.inf
         for entry in report.trace:
@@ -207,37 +212,37 @@ class TestGridFit:
         values = [per_round[r] for r in sorted(per_round)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
-    def test_repeat_runs_identical(self, scene30, paper_link, materials_db, cfg):
+    def test_repeat_runs_identical(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.40, 1, 10, 0.2)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        a = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, 0.40, cfg)
-        b = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, 0.40, cfg)
+        a = grid_fit(evaluator(scan, scene30), LobeModel.DUAL_LOBE, 0.40)
+        b = grid_fit(evaluator(scan, scene30), LobeModel.DUAL_LOBE, 0.40)
         assert a == b
 
-    def test_plane_only_vs_3d_differ_on_off_grid_truth(self, scene30, paper_link, materials_db, cfg):
+    def test_plane_only_vs_3d_differ_on_off_grid_truth(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.45, 3, 8, 0.35)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db, heights=(0.0, 0.10, 0.20, 0.30))
-        plane = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, 0.45, cfg, plane_only=True)
-        full = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, 0.45, cfg, plane_only=False)
+        plane = grid_fit(evaluator(scan, scene30, plane_only=True), LobeModel.DUAL_LOBE, 0.45)
+        full = grid_fit(evaluator(scan, scene30, plane_only=False), LobeModel.DUAL_LOBE, 0.45)
         assert plane.plane_only and not full.plane_only
         assert plane.best != full.best
-        evaluate_plane = ScanEvaluator(scan.plane_only(), scene30, cfg)
+        evaluate_plane = evaluator(scan.plane_only(), scene30)
         assert abs(evaluate_plane(full.best) - plane.fvu) <= 0.1
 
-    def test_plane_only_needs_inplane_points(self, scene30, cfg):
+    def test_plane_only_needs_inplane_points(self, scene30, evaluator):
         points = (ScanPoint(0.0, 10.0, -60.0), ScanPoint(10.0, 10.0, -61.0), ScanPoint(20.0, 10.0, -63.0))
         with pytest.raises(DegenerateScanError):
-            grid_fit(Scan(points), scene30, LobeModel.SINGLE_LOBE, 0.3, cfg, plane_only=True)
+            grid_fit(evaluator(Scan(points), scene30, plane_only=True), LobeModel.SINGLE_LOBE, 0.3)
 
-    def test_s_initial_validation(self, scene30, cfg):
+    def test_s_initial_validation(self, scene30, evaluator):
         points = (ScanPoint(0.0, 0.0, -60.0), ScanPoint(10.0, 0.0, -61.0))
         with pytest.raises(ValueError):
-            grid_fit(Scan(points), scene30, LobeModel.SINGLE_LOBE, 0.0, cfg)
+            grid_fit(evaluator(Scan(points), scene30), LobeModel.SINGLE_LOBE, 0.0)
 
-    def test_constant_scan_rejected(self, scene30, cfg):
+    def test_constant_scan_rejected(self, scene30, evaluator):
         points = (ScanPoint(0.0, 0.0, -60.0), ScanPoint(10.0, 0.0, -60.0))
         with pytest.raises(DegenerateScanError):
-            grid_fit(Scan(points), scene30, LobeModel.SINGLE_LOBE, 0.3, cfg)
+            grid_fit(evaluator(Scan(points), scene30), LobeModel.SINGLE_LOBE, 0.3)
 
 
 class TestGridMinimum:
@@ -249,13 +254,12 @@ class TestGridMinimum:
     )
     def test_fit_reaches_grid_minimum(self, paper_link, materials_db):
         scene = paper_scene("rough_wall", 37.0)
-        cfg = SearchConfig(link=paper_link, materials=materials_db)
         truth = dual(0.3, 3, 8, 0.3)
-        scan = synthetic_scan(scene, truth, paper_link, materials_db, DEFAULT_CYLINDER_HEIGHTS, cfg.tile_edge)
+        scan = synthetic_scan(scene, truth, paper_link, materials_db, DEFAULT_CYLINDER_HEIGHTS, DEFAULT_TILE_EDGE)
         ctx = IncidenceContext(theta_i=scene.incidence_angle, wavelength=paper_link.wavelength)
         s_initial = initial_scattering_coefficient(materials_db.get("rough_wall"), ctx).s_coeff
-        evaluate = ScanEvaluator(scan, scene, cfg)
-        report = grid_fit(scan, scene, LobeModel.DUAL_LOBE, s_initial, cfg, _evaluate=evaluate)
+        evaluate = ScanEvaluator(scan, scene, paper_link, materials_db)
+        report = grid_fit(evaluate, LobeModel.DUAL_LOBE, s_initial)
         # every shape at every S of the fit's own S grid, in one screen call
         n = len(shapes_of(LobeModel.DUAL_LOBE))
         s_values = [s for s in s_grid(s_initial) for _ in range(n)]
@@ -263,12 +267,44 @@ class TestGridMinimum:
         assert report.fvu <= evaluate.screen(LobeModel.DUAL_LOBE, s_values, columns).min() + FVU_TIE_TOL
 
 
+# dual truths (theta_i deg, S, alpha_r, alpha_i, lambda) whose S lies off the fit's S grid
+OFF_GRID_TRUTHS = [
+    (30.0, 0.4663, 6, 1, 0.1),
+    (50.0, 0.2815, 10, 9, 0.4),  # the grid minimum has the right shape
+    (30.0, 0.3364, 9, 7, 0.6),
+    (20.0, 0.4231, 1, 9, 0.5),
+    (50.0, 0.3958, 4, 2, 0.3),
+    (20.0, 0.2744, 5, 4, 0.4),
+]
+
+
+class TestOffGridRecovery:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="S is searched only on s_initial +/- 0.15 in 0.05 steps, so a truth between two grid S values"
+        " is fitted with a lobe shape that absorbs the S error",
+    )
+    def test_fit_recovers_shape_and_s_of_off_grid_truths(self, paper_link, materials_db):
+        misses = []
+        for theta_deg, s_coeff, alpha_r, alpha_i, lam in OFF_GRID_TRUTHS:
+            scene = paper_scene("rough_wall", theta_deg)
+            truth = dual(s_coeff, alpha_r, alpha_i, lam)
+            scan = synthetic_scan(scene, truth, paper_link, materials_db, DEFAULT_CYLINDER_HEIGHTS, DEFAULT_TILE_EDGE)
+            ctx = IncidenceContext(theta_i=scene.incidence_angle, wavelength=paper_link.wavelength)
+            s_initial = initial_scattering_coefficient(materials_db.get("rough_wall"), ctx).s_coeff
+            best = grid_fit(ScanEvaluator(scan, scene, paper_link, materials_db), LobeModel.DUAL_LOBE, s_initial).best
+            if best.shape != truth.shape or abs(best.s_coeff - s_coeff) > 1e-3:
+                misses.append((theta_deg, truth, best))
+        assert misses == []
+
+
 class TestBatchedScoring:
-    def test_mixes_scored_together_equal_call(self, scene30, paper_link, materials_db, cfg):
+    def test_mixes_scored_together_equal_call(self, scene30, paper_link, materials_db, evaluator):
         # acceptance criterion 5 scores its exhaustive dual grid through
         # dual_scores_by_mix; every dB power and FVU must be ScanEvaluator.__call__'s
         scan = with_noise(synthetic_scan(scene30, dual(0.35, 3, 8, 0.3), paper_link, materials_db), 1)
-        evaluate = ScanEvaluator(scan, scene30, cfg)
+        evaluate = evaluator(scan, scene30)
         mismatches = []
         for s_value in (0.2, 0.35, 0.5):
             for alpha_r, alpha_i in itertools.product(range(1, 11), repeat=2):
@@ -282,31 +318,31 @@ class TestBatchedScoring:
 
 
 class TestCompareModels:
-    def test_dual_nests_single(self, scene30, paper_link, materials_db, cfg):
+    def test_dual_nests_single(self, scene30, paper_link, materials_db, evaluator):
         truth = single(0.30, 4)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        comparison = compare_models(scan, scene30, 0.30, cfg)
+        comparison = compare_models(evaluator(scan, scene30), 0.30)
         assert comparison.dual.fvu <= comparison.single.fvu
 
-    def test_dual_truth_prefers_dual(self, scene30, paper_link, materials_db, cfg):
+    def test_dual_truth_prefers_dual(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.35, 1, 10, 0.1)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        comparison = compare_models(scan, scene30, 0.35, cfg)
+        comparison = compare_models(evaluator(scan, scene30), 0.35)
         assert comparison.dual.fvu < comparison.single.fvu
         assert comparison.winner is LobeModel.DUAL_LOBE
 
-    def test_tie_goes_to_single(self, scene30, paper_link, materials_db, cfg):
+    def test_tie_goes_to_single(self, scene30, paper_link, materials_db, evaluator):
         truth = single(0.30, 4)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        comparison = compare_models(scan, scene30, 0.30, cfg)
+        comparison = compare_models(evaluator(scan, scene30), 0.30)
         assert comparison.single.fvu == 0.0 and comparison.dual.fvu == 0.0
         assert comparison.winner is LobeModel.SINGLE_LOBE
 
-    def test_repeat_runs_identical(self, scene30, paper_link, materials_db, cfg):
+    def test_repeat_runs_identical(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.35, 1, 10, 0.1)
         scan = synthetic_scan(scene30, truth, paper_link, materials_db)
-        a = compare_models(scan, scene30, 0.35, cfg)
-        b = compare_models(scan, scene30, 0.35, cfg)
+        a = compare_models(evaluator(scan, scene30), 0.35)
+        b = compare_models(evaluator(scan, scene30), 0.35)
         assert a == b
 
 
@@ -374,10 +410,10 @@ class TestStageAScreen:
 
     @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
     def test_screen_matches_exact_scoring(
-        self, material, theta_deg, heights, paper_link, materials_db, cfg, monkeypatch
+        self, material, theta_deg, heights, paper_link, materials_db, evaluator, monkeypatch
     ):
         scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
-        evaluate = ScanEvaluator(scan, scene, cfg)
+        evaluate = evaluator(scan, scene)
         gate = evaluate.pattern.gate
         fallback_rows = []
 
@@ -396,22 +432,22 @@ class TestStageAScreen:
     @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
     @pytest.mark.parametrize("s", [0.3, 0.9])
     def test_single_lobe_screen_matches_exact_scoring(
-        self, material, theta_deg, heights, s, paper_link, materials_db, cfg
+        self, material, theta_deg, heights, s, paper_link, materials_db, evaluator
     ):
         scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
-        evaluate = ScanEvaluator(scan, scene, cfg)
+        evaluate = evaluator(scan, scene)
         assert_matches_exact(evaluate, LobeModel.SINGLE_LOBE, *stage_a(LobeModel.SINGLE_LOBE, s))
 
     @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
     @pytest.mark.parametrize("shape", [single(0.3, 1), single(0.3, 10), dual(0.3, 2, 9, 0.0), dual(0.3, 7, 3, 0.6)])
     def test_stage_b_screen_matches_exact_scoring(
-        self, material, theta_deg, heights, shape, paper_link, materials_db, cfg
+        self, material, theta_deg, heights, shape, paper_link, materials_db, evaluator
     ):
         scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
         # a grid reaching s 0.9, where the specular certificate misses
         grid = s_grid(0.3) + s_grid(0.8)
         column = shapes_of(shape.model).index(shape.shape)
-        assert_matches_exact(ScanEvaluator(scan, scene, cfg), shape.model, grid, [column] * len(grid))
+        assert_matches_exact(evaluator(scan, scene), shape.model, grid, [column] * len(grid))
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -426,8 +462,8 @@ class TestStageAScreen:
         self, alpha_r, alpha_i, lam, s, theta_deg, material, paper_link, materials_db
     ):
         scene = paper_scene(material, theta_deg)
-        positions = [p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))]
-        pattern = build_pattern(scene, np.array(positions), paper_link, materials_db, 0.5)
+        _, positions = scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
+        pattern = build_pattern(scene, positions, paper_link, materials_db, 0.5)
         limit = _ShapeTable(pattern, (alpha_r,), (alpha_i,), (lam,)).limit[:, 0]
         certified = (pattern.spec_power > 0.0) & (s * s <= limit)
         # predict anchors the delay window on the specular path when no tile outweighs it
@@ -447,8 +483,8 @@ class TestStageAScreen:
         self, alpha_r, alpha_i, lam, s, theta_deg, material, paper_link, materials_db
     ):
         scene = paper_scene(material, theta_deg)
-        positions = [p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))]
-        pattern = build_pattern(scene, np.array(positions), paper_link, materials_db, 0.5)
+        _, positions = scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
+        pattern = build_pattern(scene, positions, paper_link, materials_db, 0.5)
         # the receivers with no specular point: the +/-90 deg ones, in the wall plane
         rows = np.flatnonzero(pattern.spec_power == 0.0)
         assert rows.size == 8
@@ -477,8 +513,8 @@ class TestStageAScreen:
         if s_initial is None:
             ctx = IncidenceContext(theta_i=scene.incidence_angle, wavelength=paper_link.wavelength)
             s_initial = initial_scattering_coefficient(materials_db.get("rough_wall"), ctx).s_coeff
-        positions = [p.position for p in scan_positions(scene, ScanSpec(height_offsets=heights))]
-        pattern = build_pattern(scene, np.array(positions), paper_link, materials_db, tile_edge)
+        _, positions = scan_positions(scene, ScanSpec(height_offsets=heights))
+        pattern = build_pattern(scene, positions, paper_link, materials_db, tile_edge)
         fallbacks = 0
         for model in (LobeModel.SINGLE_LOBE, LobeModel.DUAL_LOBE):
             grid = _shape_grid(model)
@@ -493,8 +529,8 @@ class TestStageAScreen:
     @pytest.mark.parametrize("tile_edge", [0.5, 0.2])
     def test_screened_cell_depends_on_its_own_candidate_only(self, scene30, tile_edge, paper_link, materials_db):
         # the digest scenes at S 0.8, where many cells take the exact-gate fallback
-        positions = [p.position for p in scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))]
-        pattern = build_pattern(scene30, np.array(positions), paper_link, materials_db, tile_edge)
+        _, positions = scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))
+        pattern = build_pattern(scene30, positions, paper_link, materials_db, tile_edge)
         grid = _shape_grid(LobeModel.DUAL_LOBE)
         s_values, columns = stage_a(LobeModel.DUAL_LOBE, 0.8)
         together = pattern.shape_totals(grid, s_values, columns)
@@ -504,8 +540,8 @@ class TestStageAScreen:
         assert np.array_equal(together, alone)
 
     def test_specular_certificate_misses_a_near_tie(self, scene30, paper_link, materials_db):
-        positions = [p.position for p in scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))]
-        pattern = build_pattern(scene30, np.array(positions), paper_link, materials_db, 0.5)
+        _, positions = scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))
+        pattern = build_pattern(scene30, positions, paper_link, materials_db, 0.5)
         params = single(0.5, 4)
         tile_p = pattern.tile_powers(params.s_coeff, *params.shape)
         lengths = pattern._lengths
@@ -564,28 +600,32 @@ class TestStageAScreen:
             (dual(0.35, 6, 2, 1.0), 4),
         ],
     )
-    def test_fit_equals_all_exact_scoring(self, truth, seed, scene30, paper_link, materials_db, cfg, monkeypatch):
+    def test_fit_equals_all_exact_scoring(
+        self, truth, seed, scene30, paper_link, materials_db, evaluator, monkeypatch
+    ):
         scan = with_noise(synthetic_scan(scene30, truth, paper_link, materials_db), seed)
         for model in (LobeModel.SINGLE_LOBE, LobeModel.DUAL_LOBE):
-            screened = grid_fit(scan, scene30, model, truth.s_coeff, cfg)
+            screened = grid_fit(evaluator(scan, scene30), model, truth.s_coeff)
             with monkeypatch.context() as patch:
                 patch.setattr(ScanEvaluator, "screen", self.exact_screen())
-                exact = grid_fit(scan, scene30, model, truth.s_coeff, cfg)
+                exact = grid_fit(evaluator(scan, scene30), model, truth.s_coeff)
             assert screened.best == exact.best
             assert screened.fvu == exact.fvu
             assert screened.converged == exact.converged
             assert screened.trace[-1].round == exact.trace[-1].round
             assert len(screened.trace) == len(exact.trace)
 
-    def test_screen_error_below_margin_cannot_change_the_fit(self, scene30, paper_link, materials_db, cfg, monkeypatch):
+    def test_screen_error_below_margin_cannot_change_the_fit(
+        self, scene30, paper_link, materials_db, evaluator, monkeypatch
+    ):
         # the lambda-0 truth ties all ten forward widths exactly; a screen error
         # far below CONFIRM_MARGIN must not decide the tie
         truth = dual(0.35, 5, 7, 0.0)
         scan = with_noise(synthetic_scan(scene30, truth, paper_link, materials_db), 3)
         monkeypatch.setattr(ScanEvaluator, "screen", self.exact_screen())
-        exact = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
+        exact = grid_fit(evaluator(scan, scene30), LobeModel.DUAL_LOBE, truth.s_coeff)
         monkeypatch.setattr(ScanEvaluator, "screen", self.exact_screen(jitter=1e-12))
-        perturbed = grid_fit(scan, scene30, LobeModel.DUAL_LOBE, truth.s_coeff, cfg)
+        perturbed = grid_fit(evaluator(scan, scene30), LobeModel.DUAL_LOBE, truth.s_coeff)
         assert exact.best.alpha_r == 1
         assert perturbed.best == exact.best
         assert perturbed.fvu == exact.fvu

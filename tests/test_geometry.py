@@ -24,29 +24,37 @@ def scene30():
 
 class TestScanPositions:
     def test_arc_count(self, scene30):
-        positions = scan_positions(scene30, ScanSpec())
-        assert len(positions) == 19
+        keys, positions = scan_positions(scene30, ScanSpec())
+        assert len(keys) == 19
+        assert positions.shape == (19, 3)
 
     def test_cylinder_count(self, scene30):
-        positions = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
-        assert len(positions) == 76
+        keys, positions = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
+        assert len(keys) == 76
+        assert positions.shape == (76, 3)
 
     def test_arc_radius_exact(self, scene30):
-        for pos in scan_positions(scene30, ScanSpec()):
-            dist = float(np.linalg.norm(pos.position - scene30.wall.center))
+        for position in scan_positions(scene30, ScanSpec())[1]:
+            dist = float(np.linalg.norm(position - scene30.wall.center))
             assert abs(dist - 1.5) <= 1e-12
 
+    def test_positions_are_rx_position_of_each_key(self, scene30):
+        # the fit places each scan point with rx_position: simulate's receivers must be the same floats
+        spec = ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS)
+        keys, positions = scan_positions(scene30, spec)
+        assert positions.tolist() == [rx_position(scene30, spec.radius, az, dh).tolist() for az, dh in keys]
+
     def test_ordering(self, scene30):
-        positions = scan_positions(scene30, ScanSpec(height_offsets=(0.2, 0.0)))
-        keys = [(p.delta_h, p.azimuth_deg) for p in positions]
-        assert keys == sorted(keys)
+        keys, _ = scan_positions(scene30, ScanSpec(height_offsets=(0.2, 0.0)))
+        by_height = [(delta_h, azimuth_deg) for azimuth_deg, delta_h in keys]
+        assert by_height == sorted(by_height)
 
     def test_specular_side_is_positive_azimuth(self, scene30):
         # Tx sits at azimuth -30; its mirror direction is +30, where the
         # image path reflects at the wall center: two arc radii long
-        positions = scan_positions(scene30, ScanSpec())
-        length, _ = specular_paths(scene30.tx, np.array([p.position for p in positions]), scene30.wall)
-        by_azimuth = dict(zip((p.azimuth_deg for p in positions), length.tolist()))
+        keys, positions = scan_positions(scene30, ScanSpec())
+        length, _ = specular_paths(scene30.tx, positions, scene30.wall)
+        by_azimuth = dict(zip((azimuth_deg for azimuth_deg, _ in keys), length.tolist()))
         assert by_azimuth[30.0] == pytest.approx(3.0, abs=1e-12)
         assert by_azimuth[-30.0] != pytest.approx(3.0, abs=1e-3)
 

@@ -145,7 +145,7 @@ class TestSimulatePoint:
 
 class TestGating:
     def test_batched_gate_equals_per_mix_gate(self, paper_link, materials_db, scene30):
-        rx = np.array([p.position for p in scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))])
+        _, rx = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.25)
         lambdas = [k / 10 for k in range(11)]
         rows = np.array([0, 5, 9, 18, 19, 37, 75])
@@ -221,7 +221,7 @@ class TestComponentForm:
     )
     def test_pattern_and_gate_equal_row_form(self, make_scene, heights, tile_edge, paper_link, materials_db):
         scene = make_scene()
-        rx = np.array([p.position for p in scan_positions(scene, ScanSpec(height_offsets=heights))])
+        _, rx = scan_positions(scene, ScanSpec(height_offsets=heights))
         pattern = build_pattern(scene, rx, paper_link, materials_db, tile_edge)
         former = row_form_pattern(scene, rx, paper_link, tile_edge)
         for name, attr in (("const", "_const"), ("u", "_u"), ("v", "_v"), ("lengths", "_lengths")):
@@ -235,7 +235,7 @@ class TestComponentForm:
                 assert np.array_equal(new, old)
 
     def test_batched_gate_equals_where_gate(self, paper_link, materials_db, scene30):
-        rx = np.array([p.position for p in scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))])
+        _, rx = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.1)
         rows = np.array([0, 5, 9, 18, 19, 37, 75])
         tile_p = pattern.tile_powers(0.9, 1, 9, [k / 10 for k in range(11)], rows)  # (G, R, T)
@@ -262,7 +262,7 @@ class TestContributions:
     )
     def test_contributions_agree_with_predict(self, material, theta_deg, params, wall_width, paper_link, materials_db):
         scene = paper_scene(material, theta_deg, wall_width=wall_width)
-        rx = np.array([p.position for p in scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))])
+        _, rx = scan_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
         pattern = build_pattern(scene, rx, paper_link, materials_db, 0.25)
         total_w, spec_w, diff_w = pattern.predict(params)
         assert np.array_equal(total_w, spec_w + diff_w)
@@ -314,7 +314,7 @@ class TestKernelAgreement:
     @pytest.mark.parametrize("mode", list(NormalizationMode))
     @pytest.mark.parametrize("params", [single(0.4, 3), dual(0.4, 2, 9, 0.3)], ids=["single", "dual"])
     def test_scalar_kernel_matches_tile_powers(self, params, mode, paper_link, materials_db, scene30):
-        rx = np.array([p.position for p in scan_positions(scene30, ScanSpec())])
+        _, rx = scan_positions(scene30, ScanSpec())
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.25, mode)
         centers, area = tile_centers(scene30, 0.25)
         tx, n = scene30.tx.tolist(), scene30.wall.normal.tolist()
@@ -347,7 +347,7 @@ class TestKernelAgreement:
 class TestNormTable:
     @pytest.mark.parametrize("mode", list(NormalizationMode))
     def test_vector_table_equals_scalar_norm(self, paper_link, materials_db, scene30, mode):
-        rx = np.array([p.position for p in scan_positions(scene30, ScanSpec())])
+        _, rx = scan_positions(scene30, ScanSpec())
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.1, mode)
         for alpha in range(1, 11):
             scalar = [normalization_f(single(0.3, alpha), float(t), mode) for t in pattern.tile_theta]
