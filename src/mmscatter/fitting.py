@@ -17,6 +17,9 @@ one ScanPattern.shape_totals call, which returns their powers (accurate
 to about 1e-15), and scores all of them with fvu. Only the candidates
 within CONFIRM_MARGIN of the stage's screened best are then scored by
 the predictor, and only those exact FVUs take part in choosing the best.
+ScanEvaluator.__call__ keeps the exact FVU of each distinct candidate, S
+and the shape with the width of a zero-weight lobe dropped, so no later
+stage, round or model's fit on the same evaluator predicts it again.
 See docs/stage_a_screen.md.
 """
 
@@ -197,11 +200,22 @@ class ScanEvaluator:
             [rx_position(scene, scan_radius, pt.azimuth_deg, pt.delta_h_m) for pt in scan.points]
         )
         self.pattern = build_pattern(scene, positions, link, materials, tile_edge, mode, polarization)
+        self._exact: dict[tuple, float] = {}
 
     def __call__(self, params: LobeParams) -> float:
-        total_w, _, _ = self.pattern.predict(params)
-        simulated = [watts_to_dbm(float(w)) for w in total_w]
-        return fvu(self.measured, simulated)
+        """The exact FVU of params, from predict once per distinct candidate.
+
+        A lobe of weight zero drops out of predict bit for bit
+        (lobe_mix(1, U, V) == U), so its width is no part of the candidate:
+        a single lobe (S, alpha) is the dual (S, alpha, any, 1.0).
+        """
+        alpha_r, alpha_i, lam = params.shape
+        key = (params.s_coeff, alpha_r if lam > 0.0 else 0, alpha_i if lam < 1.0 else 0, lam)
+        value = self._exact.get(key)
+        if value is None:
+            total_w, _, _ = self.pattern.predict(params)
+            value = self._exact[key] = fvu(self.measured, [watts_to_dbm(float(w)) for w in total_w])
+        return value
 
     def screen(self, model_kind: LobeModel, s_values, columns) -> np.ndarray:
         """Screened FVU of candidate q: column columns[q] of the model's _shape_grid product at S s_values[q].

@@ -17,7 +17,8 @@ with m <= alpha, evaluated for an array of incidence angles at once; the
 HEMISPHERE coefficients follow from the Funk-Hecke theorem as exact rationals.
 Receiver power in a given direction is P_r = G_r lambda^2 / (480 pi^2) * |E_s|^2.
 element_constant and element_power evaluate P_r for arrays of surface
-elements; the scan simulator, the fit and pattern_sweep all use them.
+elements, and mixed_power for the dual-lobe mix; the scan simulator, the
+fit and pattern_sweep all use them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "lobe_mix",
     "element_constant",
     "element_power",
+    "mixed_power",
     "pattern_sweep",
 ]
 
@@ -254,6 +256,18 @@ def element_power(s_value, const, gain, norm, out=None):
     return out
 
 
+def mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i, out=None):
+    """element_power of the dual-lobe mix Lambda = lam: the lobe_mix of the gains over the lobe_mix of the norms.
+
+    The arguments broadcast together, and the gains to the result's shape.
+    Only elementwise operations run, so the powers of any gathered or
+    reordered inputs are those of the original ones, bit for bit. out, an
+    array of the result's shape, receives the powers if given.
+    """
+    gain = lobe_mix(lam, forward, backscatter, out=out)
+    return element_power(s_value, const, gain, lobe_mix(lam, norm_r, norm_i), out=gain)
+
+
 def pattern_sweep(
     material: Material,
     params: LobeParams,
@@ -290,7 +304,6 @@ def pattern_sweep(
     off_axis = (1.0 + np.cos(2.0 * theta)) / 2.0
     forward, backscatter = (1.0, off_axis) if direction is Direction.SPECULAR else (off_axis, 1.0)
     alpha_r, alpha_i, lam = params.shape
-    gain = lobe_mix(lam, forward**alpha_r, backscatter**alpha_i)
-    norm = lobe_mix(lam, single_lobe_norm(mode, alpha_r, theta), single_lobe_norm(mode, alpha_i, theta))
+    norm_r, norm_i = single_lobe_norm(mode, alpha_r, theta), single_lobe_norm(mode, alpha_i, theta)
     const = element_constant(link, SWEEP_RANGE_M, SWEEP_RANGE_M, np.cos(theta), 1.0)
-    return element_power(s_value, const, gain, norm).tolist()
+    return mixed_power(s_value, const, lam, forward**alpha_r, backscatter**alpha_i, norm_r, norm_i).tolist()

@@ -27,8 +27,8 @@ from .lobes import (
     NormalizationMode,
     RadioLink,
     element_constant,
-    element_power,
     lobe_mix,
+    mixed_power,
     single_lobe_norm,
 )
 from .materials import IncidenceContext, MaterialDatabase, Polarization, initial_scattering_coefficient
@@ -137,11 +137,10 @@ class ScanPattern:
         lobe is the mix-1 case. out, an array of the result's shape,
         receives the powers if given.
         """
-        lam = np.asarray(lambdas, dtype=float)[..., None]
-        norm = lobe_mix(lam, self._width_array("norm", alpha_r), self._width_array("norm", alpha_i))
+        lam = np.asarray(lambdas, dtype=float)[..., None, None]
         forward, backscatter = self._width_array("u", alpha_r)[rows], self._width_array("v", alpha_i)[rows]
-        gain = lobe_mix(lam[..., None], forward, backscatter, out=out)
-        return element_power(s_value, self._const[rows], gain, norm[..., None, :], out=gain)
+        norm_r, norm_i = self._width_array("norm", alpha_r), self._width_array("norm", alpha_i)
+        return mixed_power(s_value, self._const[rows], lam, forward, backscatter, norm_r, norm_i, out=out)
 
     def predict(self, params: LobeParams):
         """Gated per-position powers: (total_w, spec_w, diff_w)."""
@@ -263,50 +262,73 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
     which leaves the window unchanged, so s^2 times a certified entry is
     the diffuse sum predict gates.
 
-    The pass runs one width pair at a time, on the tiles of each row in
-    path-length order: there the window and the tie band of an anchor
-    are index ranges, found once per row.
+    The pass works on the tiles of each row in path-length order: there
+    the window and the tie band of an anchor are index ranges, found once
+    per row. The inputs of mixed_power are gathered into that order once,
+    so each width pair forms its tile powers ranked. A lobe of weight
+    zero drops out bit for bit (lobe_mix(1, U, V) == U), so lambda 1 is
+    computed once per alpha_r and lambda 0 once per alpha_i.
     """
     lengths = pattern._lengths[rows]  # (R, T)
     n_rows, n_tiles = lengths.shape
-    n_lam = len(lambdas)
     gate = _LENGTH_GATE
     tie = _ANCHOR_TIE_M
     order = np.argsort(lengths, axis=-1, kind="stable")
-    # per row and length rank of the anchor: the window [lo, hi), the tie
-    # band [band_lo, band_hi), and the count of tiles near the window edge
-    lo, hi, band_lo, band_hi, at_edge = (np.empty((n_rows, n_tiles), dtype=np.intp) for _ in range(5))
+    # per row and length rank of the anchor: the window [start, end), the
+    # ranks of its tie band, and whether no tile lies near the window edge
+    window = np.empty((n_rows, n_tiles, 2), dtype=np.intp)
+    band_lo, band_hi = np.empty((2, n_rows, n_tiles), dtype=np.intp)
+    clear = np.empty((n_rows, n_tiles), dtype=bool)
     for r, ranked in enumerate(np.take_along_axis(lengths, order, axis=-1)):
-        lo[r], hi[r] = np.searchsorted(ranked, ranked - gate), np.searchsorted(ranked, ranked + gate, "right")
+        window[r, :, 0] = np.searchsorted(ranked, ranked - gate)
+        window[r, :, 1] = np.searchsorted(ranked, ranked + gate, "right")
         band_lo[r] = np.searchsorted(ranked, ranked - tie)
         band_hi[r] = np.searchsorted(ranked, ranked + tie, "right")
-        at_edge[r] = sum(
+        clear[r] = 0 == sum(
             np.searchsorted(ranked, edge + 2.0 * tie, "right") - np.searchsorted(ranked, edge - 2.0 * tie)
             for edge in (ranked - gate, ranked + gate)
         )
-    flat_order = (order + n_tiles * np.arange(n_rows)[:, None]).ravel()
+    band = np.minimum(band_lo[..., None] + np.arange((band_hi - band_lo).max()), band_hi[..., None] - 1)
+    del band_lo, band_hi
+    # the (P, T) arrays' entries in each row's length order, and the (T,) norms'
+    flat_order = (order + n_tiles * np.asarray(rows)[:, None]).ravel()
+
+    def ranked(arr):
+        return np.take(arr, flat_order if arr.ndim == 2 else order).reshape(n_rows, n_tiles)
+
+    const = ranked(pattern._const)
+    lam = np.asarray(lambdas, dtype=float)
+    n_lam = lam.size
     base = n_tiles * np.arange(n_lam * n_rows).reshape(n_lam, n_rows)
     row = np.arange(n_rows)
-    band = np.arange((band_hi - band_lo).max())
-    tile_p = np.empty((n_lam, n_rows, n_tiles))
-    # one spare zero past the end keeps every window end a valid index of reduceat
-    flat = np.zeros(tile_p.size + 1)
-    ranked_p = flat[:-1].reshape(n_lam, n_rows, n_tiles)
+    # one spare entry past the end keeps every window end a valid index of reduceat
+    flat = np.empty(n_lam * n_rows * n_tiles + 1)
     shape = (len(alphas_r), len(alphas_i), n_lam, n_rows)
     sums = np.empty(shape)
     certified = np.empty(shape, dtype=bool)
     for i, a_r in enumerate(alphas_r):
+        forward, norm_r = ranked(pattern._width_array("u", a_r)), ranked(pattern._width_array("norm", a_r))
         for j, a_i in enumerate(alphas_i):
-            pattern.tile_powers(1.0, a_r, a_i, lambdas, rows, out=tile_p)
-            np.take(tile_p.reshape(n_lam, -1), flat_order, axis=1, out=ranked_p.reshape(n_lam, -1), mode="clip")
-            k = ranked_p.argmax(axis=-1)  # (L, R): the anchor's length rank
-            top = np.take_along_axis(ranked_p, k[..., None], axis=-1)[..., 0]
-            windows = np.stack([base + lo[row, k], base + hi[row, k]], axis=-1)
-            sums[i, j] = np.add.reduceat(flat, windows.ravel())[::2].reshape(n_lam, n_rows)
+            # lambda 1 at the first alpha_i only, lambda 0 at the first alpha_r only
+            ms = np.flatnonzero(((lam > 0.0) | (i == 0)) & ((lam < 1.0) | (j == 0)))
+            if not ms.size:
+                continue
+            size = ms.size * n_rows * n_tiles
+            ranked_p = flat[:size].reshape(ms.size, n_rows, n_tiles)
+            backscatter, norm_i = ranked(pattern._width_array("v", a_i)), ranked(pattern._width_array("norm", a_i))
+            mixed_power(1.0, const, lam[ms, None, None], forward, backscatter, norm_r, norm_i, out=ranked_p)
+            first = base[: ms.size]
+            k = ranked_p.argmax(axis=-1)  # (M, R): the anchor's length rank
+            top = flat[first + k]
+            ends = first[..., None] + window[row, k]
+            sums[i, j, ms] = np.add.reduceat(flat[: size + 1], ends.ravel())[::2].reshape(ms.size, n_rows)
             # zero the anchor's tie band; the largest tile left is its rival
-            flat[base[..., None] + np.minimum(band_lo[row, k, None] + band, band_hi[row, k, None] - 1)] = 0.0
+            flat[first[..., None] + band[row, k]] = 0.0
             rival = ranked_p.max(axis=-1)
-            certified[i, j] = (top >= (1.0 + _CERTIFICATE_MARGIN) * rival) & (at_edge[row, k] == 0)
+            certified[i, j, ms] = (top >= (1.0 + _CERTIFICATE_MARGIN) * rival) & clear[row, k]
+    for out in (sums, certified):
+        out[:, 1:, lam == 1.0] = out[:, :1, lam == 1.0]
+        out[1:, :, lam == 0.0] = out[:1, :, lam == 0.0]
     return sums.transpose(3, 0, 1, 2), certified.transpose(3, 0, 1, 2)
 
 

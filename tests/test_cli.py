@@ -1,5 +1,8 @@
 import errno
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ from mmscatter import fitting, wavelength_for_frequency
 from mmscatter.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mmscatter.fileio import read_report, read_scan, write_scan
 from mmscatter.materials import rayleigh_factor
+from mmscatter.raytrace import ScanPattern
 
 
 def run(*argv):
@@ -109,6 +113,30 @@ def test_fit_builds_one_pattern(tmp_path, monkeypatch, model):
     assert run("fit", "--scan", str(sim), "--model", model, "--s-initial", "0.35", "--tiles-m", "0.5",
                "--out", str(out)) == EXIT_OK
     assert len(built) == 1
+
+
+def test_fit_both_predicts_each_distinct_candidate_once(tmp_path, monkeypatch):
+    # the benchmark's seed-0 semicylinder scan whose two fits confirm the same
+    # lambda-1 shapes again and again: single (S, a) is dual (S, a, any, 1.0)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    call = workloads.generate("fit-cylinder", 0, tmp_path).calls[1]
+    assert call.name == "noisy1" and call.positions == 76
+    predicted = []
+    predict = ScanPattern.predict
+
+    def recording_predict(self, params):
+        alpha_r, alpha_i, lam = params.shape
+        predicted.append((params.s_coeff, alpha_r if lam > 0.0 else None, alpha_i if lam < 1.0 else None, lam))
+        return predict(self, params)
+
+    monkeypatch.setattr(ScanPattern, "predict", recording_predict)
+    monkeypatch.chdir(tmp_path)
+    assert run(*call.args) == EXIT_OK
+    assert predicted and len(predicted) == len(set(predicted))
 
 
 def test_receiver_on_a_tile_center_up_to_rounding_is_data_error(tmp_path, capsys):

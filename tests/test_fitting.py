@@ -27,6 +27,7 @@ from mmscatter.geometry import DEFAULT_CYLINDER_HEIGHTS, ScanSpec, paper_scene, 
 from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, element_power
 from mmscatter.materials import IncidenceContext, initial_scattering_coefficient
 from mmscatter.raytrace import (
+    _ANCHOR_TIE_M,
     _CERTIFICATE_MARGIN,
     _LENGTH_GATE,
     DEFAULT_TILE_EDGE,
@@ -629,3 +630,96 @@ class TestStageAScreen:
         assert exact.best.alpha_r == 1
         assert perturbed.best == exact.best
         assert perturbed.fvu == exact.fvu
+
+
+def tile_anchor_oracle(pattern, shape, rows):
+    """(sums, certified) of one shape at the positions `rows`, from that shape's own tile_powers.
+
+    Each row is ranked by path length on its own; the window around the
+    strongest tile is summed with np.add.reduceat, as the table sums it, and
+    the certificate rule of _tile_window_sums is applied to the row.
+    """
+    alpha_r, alpha_i, lam = shape
+    sums, certified = [], []
+    for lengths, powers in zip(pattern._lengths[rows], pattern.tile_powers(1.0, alpha_r, alpha_i, lam, rows)):
+        order = np.argsort(lengths, kind="stable")
+        ranked, ranked_p = lengths[order], powers[order]
+        k = int(ranked_p.argmax())
+        lo, hi = np.searchsorted(ranked, ranked[k] - _LENGTH_GATE), np.searchsorted(ranked, ranked[k] + _LENGTH_GATE, "right")
+        sums.append(np.add.reduceat(np.append(ranked_p, 0.0), [lo, hi])[0])
+        band_lo, band_hi = np.searchsorted(ranked, ranked[k] - _ANCHOR_TIE_M), np.searchsorted(ranked, ranked[k] + _ANCHOR_TIE_M, "right")
+        rival = np.concatenate([ranked_p[:band_lo], ranked_p[band_hi:], [0.0]]).max()
+        near_edge = sum(
+            np.searchsorted(ranked, edge + 2.0 * _ANCHOR_TIE_M, "right") - np.searchsorted(ranked, edge - 2.0 * _ANCHOR_TIE_M)
+            for edge in (ranked[k] - _LENGTH_GATE, ranked[k] + _LENGTH_GATE)
+        )
+        certified.append(ranked_p[k] >= (1.0 + _CERTIFICATE_MARGIN) * rival and near_edge == 0)
+    return np.array(sums), np.array(certified)
+
+
+def assert_tile_anchor_table_is_oracle(pattern, alphas_r, alphas_i, lambdas):
+    rows = np.flatnonzero(pattern.spec_power == 0.0)
+    assert rows.size
+    sums, certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
+    for (i, alpha_r), (j, alpha_i), (m, lam) in itertools.product(
+        enumerate(alphas_r), enumerate(alphas_i), enumerate(lambdas)
+    ):
+        expected_sums, expected_certified = tile_anchor_oracle(pattern, (alpha_r, alpha_i, lam), rows)
+        assert sums[:, i, j, m].tobytes() == expected_sums.tobytes(), (alpha_r, alpha_i, lam)
+        assert np.array_equal(certified[:, i, j, m], expected_certified), (alpha_r, alpha_i, lam)
+
+
+class TestTileAnchorTable:
+    """The tile-anchor table against each shape computed on its own, bit for bit."""
+
+    @pytest.mark.parametrize("material", ["rough_wall", "metal_sheet"])
+    @pytest.mark.parametrize("theta_deg", [20.0, 37.3, 55.0])
+    def test_table_equals_per_shape_oracle(self, material, theta_deg, paper_link, materials_db):
+        # lambda 1 is computed at the first alpha_i only and lambda 0 at the first
+        # alpha_r, so two forward and three backscatter widths exercise the copies
+        scene = paper_scene(material, theta_deg)
+        for tile_edge, heights, mode in itertools.product(
+            (0.5, 0.2), ((0.0,), DEFAULT_CYLINDER_HEIGHTS), NormalizationMode
+        ):
+            _, positions = scan_positions(scene, ScanSpec(height_offsets=heights))
+            pattern = build_pattern(scene, positions, paper_link, materials_db, tile_edge, mode)
+            for lambdas in ((0.0,), (1.0,), (0.0, 1.0), (0.0, 0.5, 1.0)):
+                assert_tile_anchor_table_is_oracle(pattern, (9, 2), (1, 10, 5), lambdas)
+
+    def test_model_grids_equal_per_shape_oracle(self, scene30, paper_link, materials_db):
+        _, positions = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
+        pattern = build_pattern(scene30, positions, paper_link, materials_db, 0.5)
+        for model in LobeModel:
+            assert_tile_anchor_table_is_oracle(pattern, *_shape_grid(model))
+
+
+class TestExactScores:
+    """ScanEvaluator.__call__ runs predict once per distinct candidate."""
+
+    @pytest.mark.parametrize("tile_edge", [0.5, 0.2])
+    def test_a_lobe_of_weight_zero_drops_out_of_predict(self, scene30, tile_edge, paper_link, materials_db):
+        # the digest scenes: heights 0 and 0.3 m
+        _, positions = scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))
+        pattern = build_pattern(scene30, positions, paper_link, materials_db, tile_edge)
+
+        def powers(params):
+            return b"".join(w.tobytes() for w in pattern.predict(params))
+
+        for s, alpha in itertools.product((0.3, 0.8), range(1, 11)):
+            forward = {powers(dual(s, alpha, other, 1.0)) for other in range(1, 11)}
+            backscatter = {powers(dual(s, other, alpha, 0.0)) for other in range(1, 11)}
+            assert forward == {powers(single(s, alpha))}
+            assert len(backscatter) == 1
+
+    def test_equal_candidates_share_one_predict(self, scene30, paper_link, materials_db, evaluator, monkeypatch):
+        scan = with_noise(synthetic_scan(scene30, dual(0.35, 3, 8, 0.3), paper_link, materials_db), 1)
+        evaluate = evaluator(scan, scene30)
+        predicted = []
+        predict = evaluate.pattern.predict
+        monkeypatch.setattr(evaluate.pattern, "predict", lambda params: predicted.append(params) or predict(params))
+        forward = [single(0.35, 4)] + [dual(0.35, 4, other, 1.0) for other in range(1, 11)]
+        backscatter = [dual(0.35, other, 6, 0.0) for other in range(1, 11)]
+        mixed = [dual(0.35, 4, 6, 0.5), dual(0.35, 4, 6, 0.5), dual(0.4, 4, 6, 0.5)]
+        values = [evaluate(params) for params in forward + backscatter + mixed]
+        assert predicted == [forward[0], backscatter[0], mixed[0], mixed[2]]
+        assert len(set(values[:11])) == 1 and len(set(values[11:21])) == 1
