@@ -640,18 +640,19 @@ def tile_anchor_oracle(pattern, shape, rows):
     the certificate rule of _tile_window_sums is applied to the row.
     """
     alpha_r, alpha_i, lam = shape
+    gate, tie = _LENGTH_GATE, _ANCHOR_TIE_M
     sums, certified = [], []
     for lengths, powers in zip(pattern._lengths[rows], pattern.tile_powers(1.0, alpha_r, alpha_i, lam, rows)):
         order = np.argsort(lengths, kind="stable")
         ranked, ranked_p = lengths[order], powers[order]
         k = int(ranked_p.argmax())
-        lo, hi = np.searchsorted(ranked, ranked[k] - _LENGTH_GATE), np.searchsorted(ranked, ranked[k] + _LENGTH_GATE, "right")
+        lo, hi = np.searchsorted(ranked, ranked[k] - gate), np.searchsorted(ranked, ranked[k] + gate, "right")
         sums.append(np.add.reduceat(np.append(ranked_p, 0.0), [lo, hi])[0])
-        band_lo, band_hi = np.searchsorted(ranked, ranked[k] - _ANCHOR_TIE_M), np.searchsorted(ranked, ranked[k] + _ANCHOR_TIE_M, "right")
+        band_lo, band_hi = np.searchsorted(ranked, ranked[k] - tie), np.searchsorted(ranked, ranked[k] + tie, "right")
         rival = np.concatenate([ranked_p[:band_lo], ranked_p[band_hi:], [0.0]]).max()
         near_edge = sum(
-            np.searchsorted(ranked, edge + 2.0 * _ANCHOR_TIE_M, "right") - np.searchsorted(ranked, edge - 2.0 * _ANCHOR_TIE_M)
-            for edge in (ranked[k] - _LENGTH_GATE, ranked[k] + _LENGTH_GATE)
+            np.searchsorted(ranked, edge + 2.0 * tie, "right") - np.searchsorted(ranked, edge - 2.0 * tie)
+            for edge in (ranked[k] - gate, ranked[k] + gate)
         )
         certified.append(ranked_p[k] >= (1.0 + _CERTIFICATE_MARGIN) * rival and near_edge == 0)
     return np.array(sums), np.array(certified)
