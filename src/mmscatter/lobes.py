@@ -265,7 +265,9 @@ def mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i, out=N
     array of the result's shape, receives the powers if given.
     """
     gain = lobe_mix(lam, forward, backscatter, out=out)
-    return element_power(s_value, const, gain, lobe_mix(lam, norm_r, norm_i), out=gain)
+    # into one buffer: below numpy's temporary-elision size, lam * a + (1 - lam) * b allocates three arrays
+    norm = lobe_mix(lam, norm_r, norm_i, out=np.empty(np.broadcast_shapes(*map(np.shape, (lam, norm_r, norm_i)))))
+    return element_power(s_value, const, gain, norm, out=gain)
 
 
 def pattern_sweep(
