@@ -16,8 +16,8 @@ Both integrals have closed forms, cosine series sum_m c_m cos(m theta_i)
 with m <= alpha, evaluated for an array of incidence angles at once; the
 HEMISPHERE coefficients follow from the Funk-Hecke theorem as exact rationals.
 Receiver power in a given direction is P_r = G_r lambda^2 / (480 pi^2) * |E_s|^2.
-element_constant and element_power evaluate P_r for arrays of surface
-elements, and mixed_power for the dual-lobe mix; the scan simulator, the
+element_constant and mixed_power evaluate P_r for arrays of surface
+elements, the single lobe as the Lambda = 1 mix; the scan simulator, the
 fit and pattern_sweep all use them.
 """
 
@@ -42,7 +42,6 @@ __all__ = [
     "normalization_f",
     "lobe_mix",
     "element_constant",
-    "element_power",
     "mixed_power",
     "pattern_sweep",
 ]
@@ -205,16 +204,17 @@ def single_lobe_norm(mode: NormalizationMode, alpha: int, theta_i) -> np.ndarray
 
 
 def normalization_f(params: LobeParams, theta_i: float, mode: NormalizationMode = NormalizationMode.HEMISPHERE) -> float:
-    """Lobe-pattern normalization F for the given model and incidence angle.
+    """Lobe-pattern normalization F of params.shape at one incidence angle.
 
-    Dual-lobe: F = Lambda * F(alpha_r) + (1 - Lambda) * F(alpha_i).
+    F = Lambda * F(alpha_r) + (1 - Lambda) * F(alpha_i), which is F(alpha_r) bit for bit at Lambda = 1.
     """
     if not 0.0 <= theta_i < math.pi / 2:
         raise ValueError(f"theta_i must be in [0, pi/2), got {theta_i}")
-    f_forward = float(single_lobe_norm(mode, params.alpha_r, theta_i))
-    if params.model is LobeModel.SINGLE_LOBE:
+    alpha_r, alpha_i, lam = params.shape
+    f_forward = float(single_lobe_norm(mode, alpha_r, theta_i))
+    if lam == 1.0:
         return f_forward
-    return lobe_mix(params.lambda_mix, f_forward, float(single_lobe_norm(mode, params.alpha_i, theta_i)))
+    return lobe_mix(lam, f_forward, float(single_lobe_norm(mode, alpha_i, theta_i)))
 
 
 def lobe_mix(lam, forward, backscatter, out=None):
@@ -240,34 +240,21 @@ def element_constant(link: RadioLink, r_i, r_s, cos_theta_i, area):
     return link.k_const**2 / (r_i * r_s) ** 2 * area * cos_theta_i * rx_scale
 
 
-def element_power(s_value, const, gain, norm, out=None):
-    """Received diffuse power of surface elements, watts: S^2 * const * gain / F.
-
-    const is element_constant of the elements, gain the lobe gain toward
-    the receiver (((1 + cos psi) / 2)^alpha, or the lobe_mix of two) and
-    norm the matching normalization F at the elements' incidence angles.
-    out, an array of the broadcast shape (gain itself, say), receives the
-    powers if given.
-    """
-    if out is None:
-        return s_value * s_value * const * gain / norm
-    np.multiply(s_value * s_value * const, gain, out=out)
-    out /= norm
-    return out
-
-
 def mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i, out=None):
-    """element_power of the dual-lobe mix Lambda = lam: the lobe_mix of the gains over the lobe_mix of the norms.
+    """Received diffuse power of surface elements, watts: S^2 * const * gain / F at Lambda = lam.
 
-    The arguments broadcast together, and the gains to the result's shape.
-    Only elementwise operations run, so the powers of any gathered or
-    reordered inputs are those of the original ones, bit for bit. out, an
-    array of the result's shape, receives the powers if given.
+    const is element_constant of the elements, and gain and F the lobe_mix of
+    the gains forward, backscatter and of the norms norm_r, norm_i; the single
+    lobe is lam = 1. The arguments broadcast together, the gains to the
+    result's shape; scalars give a 0-d array. Only elementwise operations run,
+    so reordered inputs give the same powers bit for bit. out, an array of the
+    result's shape, receives them if given.
     """
-    gain = lobe_mix(lam, forward, backscatter, out=out)
+    gain = np.asarray(lobe_mix(lam, forward, backscatter, out=out))
     # into one buffer: below numpy's temporary-elision size, lam * a + (1 - lam) * b allocates three arrays
     norm = lobe_mix(lam, norm_r, norm_i, out=np.empty(np.broadcast_shapes(*map(np.shape, (lam, norm_r, norm_i)))))
-    return element_power(s_value, const, gain, norm, out=gain)
+    np.multiply(s_value * s_value * const, gain, out=gain)
+    return np.divide(gain, norm, out=gain)
 
 
 def pattern_sweep(

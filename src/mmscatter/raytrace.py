@@ -7,10 +7,11 @@ the measurement's path selection: tiles whose path length leaves the delay
 window around the strongest path are cut individually (5 ns, which is 1.5 m
 of path length at SPEED_OF_LIGHT), and a whole path family (the specular
 path, or the aggregated diffuse sum) is dropped when it falls more than
-35 dB below the stronger one. ScanPattern.gate is the one place these rules live: it turns tile
-powers into (total, specular, diffuse) watts per receiver, for predict and
-for the fit's screen alike. Tile sums always run in tile-index order, so
-identical inputs give bit-identical results.
+35 dB below the stronger one. ScanPattern.gate applies these rules for predict
+and the screen's uncertified cells; the screen's tables encode the delay window
+too, as a mask (_specular_window_sums) and as ranked windows with an edge margin
+(_tile_window_sums). predict sums tiles in tile-index order, the tables in fixed
+orders, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -130,17 +131,16 @@ class ScanPattern:
             self._width_cache[kind, alpha] = arr
         return arr
 
-    def tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None), out=None):
+    def tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None)):
         """(..., R, T) tile powers before gating, watts, of mixes `lambdas` of any shape (...) at the rows `rows`.
 
         (alpha_r, alpha_i, lambda) is a LobeParams.shape, so the single
-        lobe is the mix-1 case. out, an array of the result's shape,
-        receives the powers if given.
+        lobe is the mix-1 case.
         """
         lam = np.asarray(lambdas, dtype=float)[..., None, None]
         forward, backscatter = self._width_array("u", alpha_r)[rows], self._width_array("v", alpha_i)[rows]
         norm_r, norm_i = self._width_array("norm", alpha_r), self._width_array("norm", alpha_i)
-        return mixed_power(s_value, self._const[rows], lam, forward, backscatter, norm_r, norm_i, out=out)
+        return mixed_power(s_value, self._const[rows], lam, forward, backscatter, norm_r, norm_i)
 
     def predict(self, params: LobeParams):
         """Gated per-position powers: (total_w, spec_w, diff_w)."""

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import mmscatter
+from mmscatter import cli
+from mmscatter.fileio import read_scan
 
 MODULES = ["mmscatter"] + sorted(m.name for m in pkgutil.iter_modules(mmscatter.__path__, "mmscatter."))
 
@@ -37,14 +39,19 @@ def test_no_relative_import_inside_a_function():
     assert sorted(deferred) == []
 
 
-def test_benchmark_hooks_resolve():
-    # the traced benchmark swaps these package attributes for timing wrappers;
-    # a renamed one would break `perfbench/run.py --trace 1`
+def _benchmark_spans():
+    """perfbench/spans.py, the traced benchmark's timing wrappers, as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    return spans
+
+
+def test_benchmark_hooks_resolve():
+    # the traced benchmark swaps these package attributes for timing wrappers;
+    # a renamed one would break `perfbench/run.py --trace 1`
+    tracer = _benchmark_spans().Tracer()
     try:
         tracer.instrument()
         patched = list(tracer._saved)
@@ -52,6 +59,29 @@ def test_benchmark_hooks_resolve():
         tracer.restore()
     assert patched
     assert [name for owner, name, original in patched if getattr(owner, name) is not original] == []
+
+
+def test_traced_benchmark_fit_records_its_layers(tmp_path):
+    # `perfbench/run.py --trace 1` replays CLI calls with the spans on, and its
+    # normalization span calls lobes.normalization_f; one traced fit of both
+    # models on a 19-point arc must run and record the layers the metrics read
+    spans = _benchmark_spans()
+    scan, out = tmp_path / "sim.csv", tmp_path / "fit.txt"
+    assert cli.main(["simulate", "--s", "0.35", "--tiles-m", "0.5", "--out", str(scan)]) == cli.EXIT_OK
+    assert len(read_scan(scan).points) == 19
+    tracer = spans.Tracer()
+    tracer.alphas = tuple(range(1, 11))
+    tracer.instrument()
+    try:
+        call = tracer.begin(spans.CALL_SPAN)
+        code = cli.main(["fit", "--scan", str(scan), "--model", "both", "--s-initial", "0.35", "--tiles-m", "0.5",
+                         "--out", str(out)])
+        tracer.end(call)
+    finally:
+        tracer.restore()
+    assert code == cli.EXIT_OK
+    assert {"lobes.norm_table", "raytrace.predict", "fitting.grid_fit"} <= {span[2] for span in tracer.spans}
+    assert tracer.counts[spans.CALL_SPAN]["lobes.norm_pairs"] > 0
 
 
 def _module_imports(tree):

@@ -24,7 +24,7 @@ from mmscatter.fitting import (
     s_grid,
 )
 from mmscatter.geometry import DEFAULT_CYLINDER_HEIGHTS, ScanSpec, paper_scene, scan_positions
-from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, element_power
+from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode
 from mmscatter.materials import IncidenceContext, initial_scattering_coefficient
 from mmscatter.raytrace import (
     _ANCHOR_TIE_M,
@@ -346,6 +346,31 @@ class TestCompareModels:
         b = compare_models(evaluator(scan, scene30), 0.35)
         assert a == b
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 13: the lower FVU wins, and dual nests single, so on noisy scans dual"
+        " often wins by fitting the noise",
+    )
+    def test_noisy_single_truths_are_called_single(self, paper_link, materials_db, evaluator):
+        # six seeded single-lobe truths at the theory S on 68-point semicylinder scans
+        # with 1 dB noise; 4 are called dual on FVU gains of 0.3-1.4%, though
+        # dAIC = n ln(FVU_d^2 / FVU_s^2) + 4 prefers single for all six (+2.0 to +4.0)
+        rng = random.Random(13)
+        spec = ScanSpec(azimuth_range_deg=160.0, height_offsets=DEFAULT_CYLINDER_HEIGHTS)
+        called_dual = []
+        for _ in range(6):
+            scene = paper_scene("rough_wall", rng.uniform(25.0, 55.0))
+            ctx = IncidenceContext(theta_i=scene.incidence_angle, wavelength=paper_link.wavelength)
+            s_theory = initial_scattering_coefficient(materials_db.get("rough_wall"), ctx).s_coeff
+            truth = single(s_theory, rng.randint(1, 10))
+            clean = scan_from_records(simulate_scan(scene, spec, truth, paper_link, materials_db, 0.5))
+            noisy = (ScanPoint(p.azimuth_deg, p.delta_h_cm, p.power_dbm + rng.gauss(0.0, 1.0)) for p in clean.points)
+            scan = Scan(tuple(noisy))
+            if compare_models(evaluator(scan, scene), s_theory).winner is not LobeModel.SINGLE_LOBE:
+                called_dual.append((scene.incidence_angle, truth))
+        assert called_dual == []
+
 
 def scan_for(material, theta_deg, heights, paper_link, materials_db):
     scene = paper_scene(material, theta_deg)
@@ -377,7 +402,7 @@ SCREEN_SCANS = [
 def pure_lobe_peaks(pattern, alphas, kind):
     """Largest tile power per unit S^2 of each pure lobe, (len(alphas), P): kind "u" forward, "v" backscatter."""
     width = pattern._width_array
-    return np.array([element_power(1.0, pattern._const, width(kind, a), width("norm", a)).max(axis=1) for a in alphas])
+    return np.array([(pattern._const * width(kind, a) / width("norm", a)).max(axis=1) for a in alphas])
 
 
 def three_array_certificate(pattern, alphas_r, alphas_i, lambdas):

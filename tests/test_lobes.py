@@ -17,8 +17,8 @@ from mmscatter.lobes import (
     RadioLink,
     _hemisphere_cos_fractions,
     element_constant,
-    element_power,
     lobe_mix,
+    mixed_power,
     normalization_f,
     pattern_sweep,
     single_lobe_norm,
@@ -347,8 +347,8 @@ class TestReceivedPower:
         base = element_constant(low, 1.5, 2.0, 0.8, 0.25)
         assert element_constant(high, 1.5, 2.0, 0.8, 0.25) == pytest.approx(10.0 * base, rel=1e-14)
         assert element_constant(low, 1.5, 2.0, 0.8, 2.5) == pytest.approx(10.0 * base, rel=1e-14)
-        power = element_power(0.3, base, 0.5, 2.0)
-        assert element_power(0.3, 10.0 * base, 0.5, 2.0) == pytest.approx(10.0 * power, rel=1e-14)
+        power = mixed_power(0.3, base, 0.4, 0.5, 0.2, 2.0, 3.0)
+        assert mixed_power(0.3, 10.0 * base, 0.4, 0.5, 0.2, 2.0, 3.0) == pytest.approx(10.0 * power, rel=1e-14)
 
 
 class TestRadioLink:
@@ -444,7 +444,7 @@ def element_powers(tx, rx, params, link, mode):
     if params.model is LobeModel.DUAL_LOBE:
         gain = lobe_mix(params.lambda_mix, gain, ((1.0 + cos_psi_i) / 2.0) ** params.alpha_i)
     const = element_constant(link, paths.r_i, r_s, paths.cos_ti, 1.0)
-    power = element_power(params.s_coeff, const, gain, lobe_norm(params, mode, np.arccos(paths.cos_ti)))
+    power = params.s_coeff * params.s_coeff * const * gain / lobe_norm(params, mode, np.arccos(paths.cos_ti))
     return power, paths.cos_ti, cos_ts
 
 
