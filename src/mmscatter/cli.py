@@ -300,12 +300,11 @@ def _cmd_angles(args) -> int:
     r_i, cos_ti = float(paths.r_i[0]), paths.cos_ti[0]
     rows = []
     keys, positions = scan_positions(scene, spec)
-    for (azimuth_deg, delta_h), rx in zip(keys, positions):
-        r_s, cos_psi_r, cos_psi_i = paths.receiver(rx)
-        angles = np.arccos([cos_ti, paths.cos_ts(rx)[0], cos_psi_r[0], cos_psi_i[0]]).tolist()
+    r_s, cos_psi_r, cos_psi_i = (a[:, 0] for a in paths.receiver(positions))
+    for (azimuth_deg, delta_h), rx, r, c_r, c_i in zip(keys, positions, r_s.tolist(), cos_psi_r, cos_psi_i):
+        angles = np.arccos([cos_ti, paths.cos_ts(rx)[0], c_r, c_i]).tolist()
         rows.append(
-            f"{azimuth_deg!r},{delta_h!r},{r_i!r},{float(r_s[0])!r},"
-            + ",".join(repr(math.degrees(a)) for a in angles)
+            f"{azimuth_deg!r},{delta_h!r},{r_i!r},{r!r}," + ",".join(repr(math.degrees(a)) for a in angles)
         )
     columns = "azimuth_deg,delta_h_m,r_i_m,r_s_m,theta_i_deg,theta_s_deg,psi_r_deg,psi_i_deg"
     write_lines(args.out, [columns, *rows], header_comment=_header(args, _input_digests(args)))

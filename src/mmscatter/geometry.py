@@ -211,18 +211,18 @@ def specular_paths(tx: np.ndarray, rx: np.ndarray, wall: Wall) -> tuple[np.ndarr
 
 
 class SurfacePaths:
-    """Single-bounce path geometry from a Tx over surface points, to one receiver at a time.
+    """Single-bounce path geometry from a Tx over surface points, to a block of receivers at a time.
 
     The incident side is computed once for all points: r_i and cos_ti are
-    (T,) arrays. receiver(rx) computes the scattered side. psi_r is the
-    angle between the Rx direction and the mirror image of the incident
-    direction, psi_i between the Rx direction and the reverse-incident
-    direction; both are 3D angles, so the same values serve in-plane and
-    raised receivers. Every cosine is clipped to [-1, 1].
+    (T,) arrays. receiver(rx) computes the scattered side, a row per
+    receiver. psi_r is the angle between the Rx direction and the mirror
+    image of the incident direction, psi_i between the Rx direction and the
+    reverse-incident direction; both are 3D angles, so the same values serve
+    in-plane and raised receivers. Every cosine is clipped to [-1, 1].
 
     The points and the mirrored and reverse-incident directions are kept
     as contiguous (3, T) component rows. receiver forms r_s and both lobe
-    cosines as three-term sums of (T,) rows, added in axis order as a
+    cosines as three-term sums of (R, T) arrays, added in axis order as a
     row reduction of (T, 3) arrays adds them, so they are bit for bit the
     same. cos_ts(rx) keeps the matrix product with the normal.
     """
@@ -243,20 +243,24 @@ class SurfacePaths:
         self._point_rows, self._spec_rows, self._back_rows = (a.T.copy() for a in (points, spec_dir, -v_i))
 
     def receiver(self, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(r_s, cos_psi_r, cos_psi_i) per point for the receiver at rx."""
+        """(r_s, cos_psi_r, cos_psi_i) per point for the receivers rx (R, 3), each (R, T): a row per receiver."""
         with np.errstate(over="ignore"):
-            d = [c - row for c, row in zip(rx.tolist(), self._point_rows)]
+            d = [rx[:, k, None] - row for k, row in enumerate(self._point_rows)]
             r_s = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-        # element_constant divides by (r_i r_s)^2, which the largest r_i and r_s bound
-        reach = self._r_i_max * float(r_s.max())
-        if not reach * reach < math.inf:
-            raise ValueError(f"path length to the receiver at {rx.tolist()} m is too long: (r_i r_s)^2 is not finite")
-        if np.any(r_s <= _IN_PLANE_M):
+            # element_constant divides by (r_i r_s)^2, which the largest r_i and r_s bound
+            reach = self._r_i_max * r_s.max(axis=-1)
+            too_long = ~(reach * reach < math.inf)
+            n = self.normal.tolist()
+            behind = np.any(d[0] * n[0] + d[1] * n[1] + d[2] * n[2] < -_IN_PLANE_M, axis=-1)
+        on_point = np.any(r_s <= _IN_PLANE_M, axis=-1)
+        p = int(np.argmax(too_long | on_point | behind))  # the first receiver at fault, or 0 if none is
+        if too_long[p]:
+            raise ValueError(f"path length to the receiver at {rx[p].tolist()} m is too long: (r_i r_s)^2 is not finite")
+        if on_point[p]:
             raise ValueError("degenerate geometry: rx coincides with a surface point")
-        n = self.normal.tolist()
-        if np.any(d[0] * n[0] + d[1] * n[1] + d[2] * n[2] < -_IN_PLANE_M):
+        if behind[p]:
             raise ValueError("rx lies behind the wall plane")
-        v = [dk / r_s for dk in d]
+        v = [np.divide(dk, r_s, out=dk) for dk in d]
         s, b = self._spec_rows, self._back_rows
         cos_psi_r = np.clip(v[0] * s[0] + v[1] * s[1] + v[2] * s[2], -1.0, 1.0)
         cos_psi_i = np.clip(v[0] * b[0] + v[1] * b[1] + v[2] * b[2], -1.0, 1.0)

@@ -11,7 +11,10 @@ path, or the aggregated diffuse sum) is dropped when it falls more than
 and the screen's uncertified cells; the screen's tables encode the delay window
 too, as a mask (_specular_window_sums) and as ranked windows with an edge margin
 (_tile_window_sums). predict sums tiles in tile-index order, the tables in fixed
-orders, so identical inputs give bit-identical results.
+orders, so identical inputs give bit-identical results. build_pattern and
+predict work in blocks of whole receiver rows, at most _BLOCK_PATHS paths each,
+so their temporaries take a block's memory, not the pattern's; every step is
+elementwise or reduces along one row, so a row's values do not depend on its block.
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ _ANCHOR_TIE_M = 1e-9
 DEFAULT_TILE_EDGE = 0.10
 # the most receiver-tile paths one pattern may hold: receivers x wall area / tile edge^2
 MAX_PATHS = 10_000_000
+# build_pattern and predict work on whole rows of at most this many paths, 256 KB of float64
+_BLOCK_PATHS = 1 << 15
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices covering n_rows, each at most _BLOCK_PATHS entries of n_cols, and at least one row."""
+    step = max(1, _BLOCK_PATHS // n_cols)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -143,8 +154,11 @@ class ScanPattern:
         return mixed_power(s_value, self._const[rows], lam, forward, backscatter, norm_r, norm_i)
 
     def predict(self, params: LobeParams):
-        """Gated per-position powers: (total_w, spec_w, diff_w)."""
-        return self.gate(self.tile_powers(params.s_coeff, *params.shape))
+        """Gated per-position powers: (total_w, spec_w, diff_w), gated a block of rows at a time."""
+        out = np.empty((3, self.n_positions))
+        for rows in _row_blocks(self.n_positions, self.n_tiles):
+            out[:, rows] = self.gate(self.tile_powers(params.s_coeff, *params.shape, rows), rows)
+        return tuple(out)
 
     def gate(self, tile_p: np.ndarray, rows=slice(None)):
         """Gate the tile powers `tile_p` (..., R, T) of the positions `rows`.
@@ -411,12 +425,12 @@ def build_pattern(
     u_base = np.empty((n_pos, n_tiles))
     v_base = np.empty((n_pos, n_tiles))
     lengths = np.empty((n_pos, n_tiles))
-    for p in range(n_pos):
-        r_s, cos_psi_r, cos_psi_i = paths.receiver(rx[p])
-        for row, cos_psi in ((u_base[p], cos_psi_r), (v_base[p], cos_psi_i)):
-            np.divide(np.add(1.0, cos_psi, out=row), 2.0, out=row)
-        np.add(paths.r_i, r_s, out=lengths[p])
-        const[p] = element_constant(link, paths.r_i, r_s, paths.cos_ti, area)
+    for rows in _row_blocks(n_pos, n_tiles):
+        r_s, cos_psi_r, cos_psi_i = paths.receiver(rx[rows])
+        for block, cos_psi in ((u_base[rows], cos_psi_r), (v_base[rows], cos_psi_i)):
+            np.divide(np.add(1.0, cos_psi, out=block), 2.0, out=block)
+        np.add(paths.r_i, r_s, out=lengths[rows])
+        const[rows] = element_constant(link, paths.r_i, r_s, paths.cos_ti, area)
 
     spec_length, spec_cos = specular_paths(scene.tx, rx, scene.wall)
     spec_power = np.zeros(n_pos)

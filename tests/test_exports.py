@@ -84,6 +84,25 @@ def test_traced_benchmark_fit_records_its_layers(tmp_path):
     assert tracer.counts[spans.CALL_SPAN]["lobes.norm_pairs"] > 0
 
 
+def test_traced_benchmark_simulate_records_its_layers(tmp_path):
+    # simulate-refine's per-layer metrics read these spans; a pattern built and
+    # predicted in receiver blocks still passes through each patched name once
+    spans = _benchmark_spans()
+    tracer = spans.Tracer()
+    tracer.instrument()
+    try:
+        call = tracer.begin(spans.CALL_SPAN)
+        code = cli.main(["simulate", "--s", "0.35", "--tiles-m", "0.05", "--heights", "0,0.1,0.2,0.3",
+                         "--out", str(tmp_path / "sim.csv")])
+        tracer.end(call)
+    finally:
+        tracer.restore()
+    assert code == cli.EXIT_OK
+    names = [span[2] for span in tracer.spans]
+    assert [names.count(n) for n in ("raytrace.build_pattern", "raytrace.tile_centers", "raytrace.predict")] == [1, 1, 1]
+    assert tracer.counts[spans.CALL_SPAN]["raytrace.path_count"] == 76 * 3_600
+
+
 def _module_imports(tree):
     """(name, lineno) of every name that a module-level import statement binds."""
     for node in tree.body:

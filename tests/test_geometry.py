@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,21 +122,38 @@ class TestSpecularPoint:
         # 1e-6 m behind is not
         wall = Wall(center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]), width=3.0, height=3.0, material="m")
         tx, points = np.array([1.0, -1.0, 0.0]), np.array([[0.0, 0.5, 0.0], [0.0, -0.5, 0.2]])
-        in_plane = np.array([-1e-16, 1.5, 0.0])
-        length, cos_theta = specular_paths(tx, in_plane[None, :], wall)
+        in_plane = np.array([[-1e-16, 1.5, 0.0]])
+        length, cos_theta = specular_paths(tx, in_plane, wall)
         assert (length.tolist(), cos_theta.tolist()) == ([0.0], [0.0])
         SurfacePaths(tx, points, wall.normal).receiver(in_plane)
-        behind = np.array([-1e-6, 1.5, 0.0])
+        behind = np.array([[-1e-6, 1.5, 0.0]])
         with pytest.raises(ValueError):
-            specular_paths(tx, behind[None, :], wall)
+            specular_paths(tx, behind, wall)
         with pytest.raises(ValueError):
             SurfacePaths(tx, points, wall.normal).receiver(behind)
 
 
+    def test_receiver_block_raises_for_its_first_receiver_at_fault(self):
+        # in rx order, with the message of that receiver's first fault: too long,
+        # on a surface point, behind the wall plane
+        paths = SurfacePaths(np.array([1.0, -1.0, 0.0]), np.array([[0.0, 0.5, 0.0], [0.0, -0.5, 0.2]]), np.eye(3)[0])
+        good, behind, on_point = [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.5, 0.0]
+        far, far_behind = [1e154, 0.0, 0.0], [-1e154, 0.0, 0.0]
+        cases = [
+            ([good, behind, far], "rx lies behind the wall plane"),
+            ([good, far, behind], "path length to the receiver at [1e+154, 0.0, 0.0] m is too long"),
+            ([good, far_behind, on_point], "path length to the receiver at [-1e+154, 0.0, 0.0] m is too long"),
+            ([on_point, behind], "degenerate geometry: rx coincides with a surface point"),
+        ]
+        for block, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                paths.receiver(np.array(block))
+        assert [a.shape for a in paths.receiver(np.array([good, good, good]))] == [(3, 2)] * 3
+
 def path_geometry(tx, rx, point, normal):
     """Distances and angles (rad) of the path over one surface point, through SurfacePaths."""
     paths = SurfacePaths(tx, point[None, :], normal)
-    r_s, cos_psi_r, cos_psi_i = paths.receiver(rx)
+    r_s, cos_psi_r, cos_psi_i = (row[0] for row in paths.receiver(rx[None, :]))
     cosines = [paths.cos_ti[0], paths.cos_ts(rx)[0], cos_psi_r[0], cos_psi_i[0]]
     theta_i, theta_s, psi_r, psi_i = np.arccos(cosines).tolist()
     return SimpleNamespace(

@@ -324,9 +324,9 @@ class TestScatteredField:
             SurfacePaths(np.array([-1.0, 0.0, 0.0]), points, normal)
         paths = SurfacePaths(np.array([1.0, -0.5, 0.0]), points, normal)
         with pytest.raises(ValueError):
-            paths.receiver(np.array([-0.5, 0.5, 0.0]))
+            paths.receiver(np.array([[-0.5, 0.5, 0.0]]))
         with pytest.raises(ValueError):
-            paths.receiver(points[1])
+            paths.receiver(points[1:])
 
 
 class TestReceivedPower:
@@ -438,7 +438,7 @@ def lobe_norm(params, mode, theta_i):
 def element_powers(tx, rx, params, link, mode):
     """Received power over each wall point from tx to rx, with cos(theta_i) and cos(theta_s)."""
     paths = SurfacePaths(tx, WALL_POINTS, WALL_NORMAL)
-    r_s, cos_psi_r, cos_psi_i = paths.receiver(rx)
+    r_s, cos_psi_r, cos_psi_i = (row[0] for row in paths.receiver(rx[None, :]))
     cos_ts = paths.cos_ts(rx)
     gain = ((1.0 + cos_psi_r) / 2.0) ** params.alpha_r
     if params.model is LobeModel.DUAL_LOBE:

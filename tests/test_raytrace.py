@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from mmscatter.materials import (
     initial_scattering_coefficient,
 )
 from mmscatter.raytrace import (
+    _BLOCK_PATHS,
     DELAY_GATE_S,
     build_pattern,
     power_gate,
@@ -243,6 +245,47 @@ class TestComponentForm:
         for new, old in zip(pattern.gate(tile_p, rows), where_gate(pattern, tile_p, rows)):
             assert new.shape == (11, rows.size)
             assert np.array_equal(new, old)
+
+
+class TestBlocks:
+    """predict gates a block of receiver rows at a time, with the bits and a fraction of the memory of one pass."""
+
+    @pytest.mark.parametrize("mode", list(NormalizationMode))
+    @pytest.mark.parametrize(
+        "params", [single(0.3, 4), dual(0.4, 3, 2, 0.0), dual(0.4, 3, 2, 0.4), dual(0.4, 3, 2, 1.0)],
+        ids=["single", "dual-0", "dual-0.4", "dual-1"],
+    )
+    def test_predict_equals_one_block_gate(self, params, mode, paper_link, materials_db, scene30):
+        _, rx = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.05, mode)
+        rows = _BLOCK_PATHS // pattern.n_tiles
+        # 76 receivers x 3,600 tiles: 8 full blocks of 9 rows and a partial one of 4
+        assert pattern.n_positions // rows >= 3 and pattern.n_positions % rows
+        one_block = pattern.gate(pattern.tile_powers(params.s_coeff, *params.shape))
+        for blocked, whole in zip(pattern.predict(params), one_block):
+            assert blocked.tobytes() == whole.tobytes()
+
+    def test_predict_memory_is_bounded_by_its_blocks(self, paper_link, materials_db, scene30):
+        _, rx = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.025)
+        n_pos, n_tiles = pattern.n_positions, pattern.n_tiles
+        assert (n_pos, n_tiles) == (76, 14_400)
+        params = dual(0.4, 3, 2, 0.4)
+        pattern.predict(params)  # fills the width cache, which the pattern keeps
+        block = 8 * (_BLOCK_PATHS // n_tiles) * n_tiles
+        # at most three float64 blocks live at once (the lobe mix's two products and
+        # their sum; gate's tile powers, work buffer and mask are fewer), the mixed
+        # (T,) norm, and per receiver the (3, P) result and a few row scalars
+        bound = 3 * block + 8 * n_tiles + 1024 * n_pos
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pattern.predict(params)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # one (P, T) float64 temporary alone is 8.75 MB
+        assert peak < bound < 8 * n_pos * n_tiles
 
 
 class TestContributions:
@@ -563,7 +606,7 @@ class TestPhysicalOptics:
         gamma = np.interp(theta, table, [fresnel_gamma(6.0, t, pol) for t in table.tolist()])
         k = 2.0 * math.pi / wavelength
         for p, power in zip(inside.tolist(), spec_power.tolist()):
-            r_s, cos_ts = paths.receiver(rx[p])[0], paths.cos_ts(rx[p])
+            r_s, cos_ts = paths.receiver(rx[p : p + 1])[0][0], paths.cos_ts(rx[p])
             # (1 / (j lambda)) sum Gamma e^(-jk(r_i + r_s)) / (r_i r_s) (cos theta_i + cos theta_s) / 2 dA,
             # which is Gamma e^(-jkL) / L for the image path of length L off an infinite wall
             terms = gamma * np.exp(-1j * k * (paths.r_i + r_s)) / (paths.r_i * r_s) * (paths.cos_ti + cos_ts) / 2.0
