@@ -132,7 +132,6 @@ class TestSpecularPoint:
         with pytest.raises(ValueError):
             SurfacePaths(tx, points, wall.normal).receiver(behind)
 
-
     def test_receiver_block_raises_for_its_first_receiver_at_fault(self):
         # in rx order, with the message of that receiver's first fault: too long,
         # on a surface point, behind the wall plane
@@ -149,6 +148,7 @@ class TestSpecularPoint:
             with pytest.raises(ValueError, match=re.escape(message)):
                 paths.receiver(np.array(block))
         assert [a.shape for a in paths.receiver(np.array([good, good, good]))] == [(3, 2)] * 3
+
 
 def path_geometry(tx, rx, point, normal):
     """Distances and angles (rad) of the path over one surface point, through SurfacePaths."""
