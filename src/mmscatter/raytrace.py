@@ -104,6 +104,9 @@ class ScanPattern:
     across the two. The pattern also owns the fit's screen tables
     (shape_totals, which takes each candidate as a table column and an S
     value), so predict's delay window is decided in this module alone.
+    It keeps 32 B per path (C, U, V and the path length) and per lobe
+    width only the (T,) normalization: each pass forms the lobe gains
+    U^alpha and V^alpha that it uses.
     """
 
     def __init__(self, mode, tile_theta, const, u_base, v_base, lengths, spec_power, spec_length):
@@ -115,7 +118,7 @@ class ScanPattern:
         self._lengths = lengths  # (P, T): r_i + r_s
         self.spec_power = spec_power  # (P,): specular power, 0 where no specular point
         self._spec_length = spec_length  # (P,)
-        self._width_cache: dict[tuple[str, int], np.ndarray] = {}
+        self._norms: dict[int, np.ndarray] = {}
         self._shape_tables: dict[tuple, _ShapeTable] = {}
 
     @property
@@ -126,21 +129,12 @@ class ScanPattern:
     def n_tiles(self) -> int:
         return self._const.shape[1]
 
-    def _width_array(self, kind: str, alpha: int) -> np.ndarray:
-        """The array of lobe width alpha, computed once per pattern.
-
-        kind "norm" is the (T,) normalization, "u" and "v" the (P, T)
-        forward and backscatter lobe gains; width 1 is the base array itself, as x ** 1 == x.
-        """
-        arr = self._width_cache.get((kind, alpha))
-        if arr is None:
-            if kind == "norm":
-                arr = single_lobe_norm(self.mode, alpha, self.tile_theta)
-            else:
-                base = self._u if kind == "u" else self._v
-                arr = base if alpha == 1 else base**alpha
-            self._width_cache[kind, alpha] = arr
-        return arr
+    def _norm(self, alpha: int) -> np.ndarray:
+        """The (T,) normalization of lobe width alpha, computed once per pattern."""
+        norm = self._norms.get(alpha)
+        if norm is None:
+            norm = self._norms[alpha] = single_lobe_norm(self.mode, alpha, self.tile_theta)
+        return norm
 
     def tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None)):
         """(..., R, T) tile powers before gating, watts, of mixes `lambdas` of any shape (...) at the rows `rows`.
@@ -149,9 +143,11 @@ class ScanPattern:
         lobe is the mix-1 case.
         """
         lam = np.asarray(lambdas, dtype=float)[..., None, None]
-        forward, backscatter = self._width_array("u", alpha_r)[rows], self._width_array("v", alpha_i)[rows]
-        norm_r, norm_i = self._width_array("norm", alpha_r), self._width_array("norm", alpha_i)
-        return mixed_power(s_value, self._const[rows], lam, forward, backscatter, norm_r, norm_i)
+        # x ** a is a new array even at a = 1, so a scalar mix (of the gains' shape) may write into forward
+        forward, backscatter = self._u[rows] ** alpha_r, self._v[rows] ** alpha_i
+        out = forward if lam.ndim == 2 else None
+        norm_r, norm_i = self._norm(alpha_r), self._norm(alpha_i)
+        return mixed_power(s_value, self._const[rows], lam, forward, backscatter, norm_r, norm_i, out=out)
 
     def predict(self, params: LobeParams):
         """Gated per-position powers: (total_w, spec_w, diff_w), gated a block of rows at a time."""
@@ -236,8 +232,8 @@ def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas):
     peaks_i (P, Ai), each pure lobe's largest tile power over all tiles
     (0 for a lobe of weight zero in every mix); see docs/stage_a_screen.md.
     """
-    norms_r = np.array([pattern._width_array("norm", a) for a in alphas_r])  # (Ar, T)
-    norms_i = np.array([pattern._width_array("norm", a) for a in alphas_i])  # (Ai, T)
+    norms_r = np.array([pattern._norm(a) for a in alphas_r])  # (Ar, T)
+    norms_i = np.array([pattern._norm(a) for a in alphas_i])  # (Ai, T)
     outside = np.abs(pattern._lengths - pattern._spec_length[:, None]) > _LENGTH_GATE
     n_pos = pattern.n_positions
     sums = np.zeros((n_pos, len(alphas_r), len(alphas_i), len(lambdas)))
@@ -246,13 +242,13 @@ def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas):
     forward = [(m, lam) for m, lam in enumerate(lambdas) if lam > 0.0]
     backscatter = [(m, lam) for m, lam in enumerate(lambdas) if lam < 1.0]
     for k, a in enumerate(alphas_r if forward else ()):
-        np.multiply(pattern._const, pattern._width_array("u", a), out=gain)
+        np.multiply(pattern._const, pattern._u**a, out=gain)
         peaks_r[:, k] = np.divide(gain, norms_r[k], out=tile_p).max(axis=1)
         np.copyto(gain, 0.0, where=outside)
         for m, lam in forward:
             sums[:, k, :, m] += lam * (gain @ np.reciprocal(lobe_mix(lam, norms_r[k], norms_i)).T)
     for k, a in enumerate(alphas_i if backscatter else ()):
-        np.multiply(pattern._const, pattern._width_array("v", a), out=gain)
+        np.multiply(pattern._const, pattern._v**a, out=gain)
         peaks_i[:, k] = np.divide(gain, norms_i[k], out=tile_p).max(axis=1)
         np.copyto(gain, 0.0, where=outside)
         for m, lam in backscatter:
@@ -278,10 +274,12 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
 
     The pass works on the tiles of each row in path-length order: there
     the window and the tie band of an anchor are index ranges, found once
-    per row. The inputs of mixed_power are gathered into that order once,
-    so each width pair forms its tile powers ranked. A lobe of weight
-    zero drops out bit for bit (lobe_mix(1, U, V) == U), so lambda 1 is
-    computed once per alpha_r and lambda 0 once per alpha_i.
+    per row. C and the base gains U, V are gathered into that order once
+    and raised to each width there (the power is elementwise, so
+    ranked(U) ** a == ranked(U ** a) bit for bit), so each width pair
+    forms its tile powers ranked. A lobe of weight zero drops out bit for
+    bit (lobe_mix(1, U, V) == U), so lambda 1 is computed once per alpha_r
+    and lambda 0 once per alpha_i.
     """
     lengths = pattern._lengths[rows]  # (R, T)
     n_rows, n_tiles = lengths.shape
@@ -310,7 +308,7 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
     def ranked(arr):
         return np.take(arr, flat_order if arr.ndim == 2 else order).reshape(n_rows, n_tiles)
 
-    const = ranked(pattern._const)
+    const, u, v = (ranked(arr) for arr in (pattern._const, pattern._u, pattern._v))
     lam = np.asarray(lambdas, dtype=float)
     n_lam = lam.size
     base = n_tiles * np.arange(n_lam * n_rows).reshape(n_lam, n_rows)
@@ -321,7 +319,7 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
     sums = np.empty(shape)
     certified = np.empty(shape, dtype=bool)
     for i, a_r in enumerate(alphas_r):
-        forward, norm_r = ranked(pattern._width_array("u", a_r)), ranked(pattern._width_array("norm", a_r))
+        forward, norm_r = u**a_r, ranked(pattern._norm(a_r))
         for j, a_i in enumerate(alphas_i):
             # lambda 1 at the first alpha_i only, lambda 0 at the first alpha_r only
             ms = np.flatnonzero(((lam > 0.0) | (i == 0)) & ((lam < 1.0) | (j == 0)))
@@ -329,7 +327,7 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
                 continue
             size = ms.size * n_rows * n_tiles
             ranked_p = flat[:size].reshape(ms.size, n_rows, n_tiles)
-            backscatter, norm_i = ranked(pattern._width_array("v", a_i)), ranked(pattern._width_array("norm", a_i))
+            backscatter, norm_i = v**a_i, ranked(pattern._norm(a_i))
             mixed_power(1.0, const, lam[ms, None, None], forward, backscatter, norm_r, norm_i, out=ranked_p)
             first = base[: ms.size]
             k = ranked_p.argmax(axis=-1)  # (M, R): the anchor's length rank

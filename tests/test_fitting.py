@@ -401,8 +401,8 @@ SCREEN_SCANS = [
 
 def pure_lobe_peaks(pattern, alphas, kind):
     """Largest tile power per unit S^2 of each pure lobe, (len(alphas), P): kind "u" forward, "v" backscatter."""
-    width = pattern._width_array
-    return np.array([(pattern._const * width(kind, a) / width("norm", a)).max(axis=1) for a in alphas])
+    base = pattern._u if kind == "u" else pattern._v
+    return np.array([(pattern._const * base**a / pattern._norm(a)).max(axis=1) for a in alphas])
 
 
 def three_array_certificate(pattern, alphas_r, alphas_i, lambdas):

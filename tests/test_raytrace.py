@@ -19,6 +19,7 @@ from mmscatter.geometry import (
     rx_position,
     scan_positions,
 )
+from mmscatter.fitting import _shape_grid
 from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode, element_constant, normalization_f
 from mmscatter.materials import (
     IncidenceContext,
@@ -39,6 +40,9 @@ from mmscatter.raytrace import (
 
 CONVERGENCE_EDGES = (0.4, 0.2, 0.1, 0.05, 0.025)
 CONVERGENCE_TOL_DB = 0.1
+# every dual-lobe shape a fit screens: widths 1-10 of both lobes and 11 mixes
+DUAL_GRID = _shape_grid(LobeModel.DUAL_LOBE)
+DUAL_COLUMNS = np.arange(math.prod(map(len, DUAL_GRID)))
 
 
 def single(s, alpha_r=4):
@@ -271,11 +275,12 @@ class TestBlocks:
         n_pos, n_tiles = pattern.n_positions, pattern.n_tiles
         assert (n_pos, n_tiles) == (76, 14_400)
         params = dual(0.4, 3, 2, 0.4)
-        pattern.predict(params)  # fills the width cache, which the pattern keeps
+        pattern.predict(params)  # fills the norm memo, which the pattern keeps
         block = 8 * (_BLOCK_PATHS // n_tiles) * n_tiles
-        # at most three float64 blocks live at once (the lobe mix's two products and
-        # their sum; gate's tile powers, work buffer and mask are fewer), the mixed
-        # (T,) norm, and per receiver the (3, P) result and a few row scalars
+        # at most three float64 blocks live at once (the two lobe gains and a product
+        # of the mix, which it writes into the forward gains; gate's tile powers, work
+        # buffer and mask are fewer), the mixed (T,) norm, and per receiver the (3, P)
+        # result and a few row scalars
         bound = 3 * block + 8 * n_tiles + 1024 * n_pos
         tracemalloc.start()
         try:
@@ -286,6 +291,40 @@ class TestBlocks:
             tracemalloc.stop()
         # one (P, T) float64 temporary alone is 8.75 MB
         assert peak < bound < 8 * n_pos * n_tiles
+
+    def test_pattern_keeps_no_array_per_lobe_width(self, paper_link, materials_db, scene30):
+        _, rx = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.05)
+        n_pos, n_tiles = pattern.n_positions, pattern.n_tiles
+        assert (n_pos, n_tiles) == (76, 3_600)
+        n_columns, n_widths = DUAL_COLUMNS.size, len(DUAL_GRID[0])
+        assert (n_columns, n_widths) == (1_100, 10)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pattern.shape_totals(DUAL_GRID, [0.3] * n_columns, DUAL_COLUMNS)
+            for params in (single(0.3, 1), dual(0.4, 3, 2, 0.4), dual(0.4, 10, 7, 0.0)):
+                pattern.predict(params)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # the table's window and limit, one (T,) norm per width, and 64 KB of
+        # dicts and objects; one (P, T) float64 array alone is 2.2 MB
+        bound = 2 * 8 * n_pos * n_columns + n_widths * 8 * n_tiles + 64 * 1024
+        assert kept < bound < 8 * n_pos * n_tiles
+
+    def test_passes_leave_the_pattern_arrays_unchanged(self, paper_link, materials_db, scene30):
+        # the digest scene, whose fit at S 0.8 takes the screen's fallback; the
+        # single lobe of width 1 would write into U if its gains were a view of it
+        _, rx = scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.5)
+        arrays = (pattern._const, pattern._u, pattern._v, pattern._lengths)
+        before = [arr.tobytes() for arr in arrays]
+        for params in (single(0.3, 1), dual(0.4, 1, 2, 0.0), dual(0.4, 1, 2, 0.4), dual(0.4, 1, 2, 1.0)):
+            pattern.predict(params)
+        pattern.shape_totals(DUAL_GRID, [0.8] * DUAL_COLUMNS.size, DUAL_COLUMNS)
+        assert np.any(0.8**2 > pattern._shape_tables[DUAL_GRID].limit)
+        assert [arr.tobytes() for arr in arrays] == before
 
 
 class TestContributions:
@@ -394,7 +433,7 @@ class TestNormTable:
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.1, mode)
         for alpha in range(1, 11):
             scalar = [normalization_f(single(0.3, alpha), float(t), mode) for t in pattern.tile_theta]
-            assert pattern._width_array("norm", alpha).tolist() == scalar
+            assert pattern._norm(alpha).tolist() == scalar
 
 
 class TestDeterminism:
