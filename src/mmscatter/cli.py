@@ -39,8 +39,8 @@ from .fileio import (
 )
 from .fitting import ScanEvaluator, compare_models, grid_fit
 from .geometry import MAX_ANGLES, ScanSpec, SurfacePaths, paper_scene, scan_positions
-from .lobes import Direction, LobeModel, LobeParams, NormalizationMode, RadioLink, pattern_sweep
-from .materials import IncidenceContext, Polarization, initial_scattering_coefficient
+from .lobes import LobeModel, LobeParams, NormalizationMode, RadioLink, pattern_sweep
+from .materials import IncidenceContext, Material, Polarization, initial_scattering_coefficient
 from .raytrace import simulate_scan
 
 EXIT_OK = 0
@@ -75,29 +75,16 @@ def _digest(path) -> str:
     return h.hexdigest()[:12]
 
 
-def _header(args: argparse.Namespace, inputs: dict[str, str]) -> str:
+def _header(args: argparse.Namespace) -> str:
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command") and v is not None}
     config_text = " ".join(f"{k}={v}" for k, v in config.items())
-    digest_text = " ".join(f"{name}={_digest(path)}" for name, path in sorted(inputs.items()))
+    # the input files, by option name in sorted order
+    inputs = {name: getattr(args, name, None) for name in ("materials_file", "scan", "scene")}
+    digest_text = " ".join(f"{name}={_digest(path)}" for name, path in inputs.items() if path)
     parts = [f"mmscatter {__version__}", args.command, config_text]
     if digest_text:
         parts.append(f"inputs: {digest_text}")
     return " | ".join(parts)
-
-
-def _materials_db(args):
-    if getattr(args, "materials_file", None):
-        return read_materials(args.materials_file)
-    return default_materials()
-
-
-def _input_digests(args) -> dict[str, str]:
-    inputs = {}
-    for attr in ("materials_file", "scene", "scan"):
-        path = getattr(args, attr, None)
-        if path:
-            inputs[attr] = path
-    return inputs
 
 
 def _link(args, frequency_hz: float) -> RadioLink:
@@ -110,11 +97,10 @@ def _link(args, frequency_hz: float) -> RadioLink:
     )
 
 
-def _material_names(args, db) -> list[str]:
-    if args.material == "all":
-        return db.names()
-    db.get(args.material)
-    return [args.material]
+def _materials(args, db) -> list[tuple[str, Material]]:
+    """(name, material) of --material, or of every material in db for 'all'."""
+    names = db.names() if args.material == "all" else [args.material]
+    return [(name, db.get(name)) for name in names]
 
 
 def _theta_grid(args, *, zero_ok: bool) -> list[float]:
@@ -139,7 +125,8 @@ def _resolve_scene(args, db):
     """Scene from --scene, else the default layout from --material/--theta-deg.
 
     The scene carries the one carrier frequency of the call: a scene file's
-    frequency_ghz, which an explicit --freq-ghz must match, else --freq-ghz.
+    frequency_ghz, which an explicit --freq-ghz must match, else --freq-ghz,
+    else DEFAULT_FREQ_GHZ, which the call's header then records.
     """
     inline_spec = None
     if args.scene:
@@ -151,6 +138,8 @@ def _resolve_scene(args, db):
             )
         args.freq_ghz = scene.carrier_frequency / 1e9
     else:
+        if args.freq_ghz is None:
+            args.freq_ghz = DEFAULT_FREQ_GHZ
         scene = paper_scene(args.material, args.theta_deg, frequency_hz=args.freq_ghz * 1e9)
     db.get(scene.wall.material)
     return scene, inline_spec
@@ -190,13 +179,13 @@ def _lobe_params(args, s_coeff: float) -> LobeParams:
 # --- subcommands ---------------------------------------------------------------
 
 
-def _cmd_theory(args) -> int:
-    db = _materials_db(args)
+def _cmd_theory(args, db) -> int:
     wavelength = wavelength_for_frequency(args.freq_ghz * 1e9)
+    materials = _materials(args, db)
+    theta_grid = _theta_grid(args, zero_ok=True)
     rows = []
-    for name in _material_names(args, db):
-        material = db.get(name)
-        for theta_deg in _theta_grid(args, zero_ok=True):
+    for name, material in materials:
+        for theta_deg in theta_grid:
             ctx = IncidenceContext(
                 theta_i=math.radians(theta_deg), wavelength=wavelength, polarization=Polarization[args.pol]
             )
@@ -206,41 +195,31 @@ def _cmd_theory(args) -> int:
                 f"{bundle.gamma_rough!r},{bundle.s_coeff!r}"
             )
     columns = "material,theta_i_deg,gamma,rayleigh_r,gamma_rough,s_coeff"
-    write_lines(args.out, [columns, *rows], header_comment=_header(args, _input_digests(args)))
+    write_lines(args.out, [columns, *rows], header_comment=_header(args))
     return EXIT_OK
 
 
-def _cmd_pattern(args) -> int:
-    db = _materials_db(args)
+def _cmd_pattern(args, db) -> int:
     link = _link(args, args.freq_ghz * 1e9)
     # lobes.pattern_sweep takes angles in (0, 90) only
     theta_grid = _theta_grid(args, zero_ok=False)
     template = _lobe_params(args, 0.0)
     rows = []
-    for name in _material_names(args, db):
-        material = db.get(name)
-        for direction in (Direction.INCIDENT, Direction.SPECULAR):
-            sweep = pattern_sweep(
-                material,
-                template,
-                link,
-                direction,
-                theta_grid,
-                mode=_MODES[args.mode],
-                polarization=Polarization[args.pol],
-                fixed_s=args.s,
-            )
-            rows.extend(
-                f"{theta_deg!r},{direction.value},{watts_to_dbm(p_r)!r},{template.model.value},{name}"
-                for theta_deg, p_r in zip(theta_grid, sweep)
-            )
-    header = _header(args, _input_digests(args)) + " | extent=unit-patch"
+    for name, material in _materials(args, db):
+        sweeps = pattern_sweep(
+            material, template, link, theta_grid, _MODES[args.mode], Polarization[args.pol], fixed_s=args.s
+        )
+        rows.extend(
+            f"{theta_deg!r},{direction},{watts_to_dbm(p_r)!r},{template.model.value},{name}"
+            for direction, sweep in zip(("incident", "specular"), sweeps)
+            for theta_deg, p_r in zip(theta_grid, sweep)
+        )
+    header = _header(args) + " | extent=unit-patch"
     write_lines(args.out, ["theta_i_deg,direction,p_r_dbm,model,material", *rows], header_comment=header)
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    db = _materials_db(args)
+def _cmd_simulate(args, db) -> int:
     scene, inline_spec = _resolve_scene(args, db)
     spec = _resolve_scanspec(args, inline_spec)
     link = _link(args, scene.carrier_frequency)
@@ -249,13 +228,12 @@ def _cmd_simulate(args) -> int:
     records = simulate_scan(
         scene, spec, params, link, db, args.tiles_m, _MODES[args.mode], Polarization[args.pol]
     )
-    header = _header(args, _input_digests(args)) + " | extent=tile-area"
+    header = _header(args) + " | extent=tile-area"
     write_simulated_scan(records, args.out, header_comment=header)
     return EXIT_OK
 
 
-def _cmd_fit(args) -> int:
-    db = _materials_db(args)
+def _cmd_fit(args, db) -> int:
     scene, inline_spec = _resolve_scene(args, db)
     scan = read_scan(args.scan)
     link = _link(args, scene.carrier_frequency)
@@ -272,7 +250,7 @@ def _cmd_fit(args) -> int:
         polarization=Polarization[args.pol],
         plane_only=args.plane_only,
     )
-    header = _header(args, _input_digests(args))
+    header = _header(args)
     if args.model == "both":
         comparison = compare_models(evaluate, s_initial)
         base, ext = os.path.splitext(args.out)
@@ -291,8 +269,7 @@ def _cmd_fit(args) -> int:
     return EXIT_OK if report.converged else EXIT_NUMERIC
 
 
-def _cmd_angles(args) -> int:
-    db = _materials_db(args)
+def _cmd_angles(args, db) -> int:
     scene, inline_spec = _resolve_scene(args, db)
     spec = _resolve_scanspec(args, inline_spec)
     # the path over the wall center, toward each receiver
@@ -307,7 +284,7 @@ def _cmd_angles(args) -> int:
             f"{azimuth_deg!r},{delta_h!r},{r_i!r},{r!r}," + ",".join(repr(math.degrees(a)) for a in angles)
         )
     columns = "azimuth_deg,delta_h_m,r_i_m,r_s_m,theta_i_deg,theta_s_deg,psi_r_deg,psi_i_deg"
-    write_lines(args.out, [columns, *rows], header_comment=_header(args, _input_digests(args)))
+    write_lines(args.out, [columns, *rows], header_comment=_header(args))
     return EXIT_OK
 
 
@@ -316,11 +293,13 @@ def _cmd_angles(args) -> int:
 
 def _add_shared(parser, with_scene: bool = False) -> None:
     parser.add_argument("--materials-file", help="material database file (default: built-in table)")
+    # a scene command leaves it unset: _resolve_scene takes the scene file's, else DEFAULT_FREQ_GHZ
+    fallback = "the scene file's, else " if with_scene else ""
     parser.add_argument(
         "--freq-ghz",
         type=float,
-        default=None,
-        help=f"carrier frequency (default: the scene file's, else {DEFAULT_FREQ_GHZ:g})",
+        default=None if with_scene else DEFAULT_FREQ_GHZ,
+        help=f"carrier frequency (default: {fallback}{DEFAULT_FREQ_GHZ:g})",
     )
     parser.add_argument("--pol", choices=("TE", "TM"), default="TE", help="polarization for Gamma (default TE)")
     parser.add_argument("--out", required=True, help="output file path")
@@ -328,6 +307,13 @@ def _add_shared(parser, with_scene: bool = False) -> None:
         parser.add_argument("--scene", help="scene file (overrides --material/--theta-deg)")
         parser.add_argument("--material", default="rough_wall", help="wall material name (default rough_wall)")
         parser.add_argument("--theta-deg", type=float, default=30.0, help="incidence angle, degrees (default 30)")
+
+
+def _add_sweep(parser) -> None:
+    parser.add_argument("--material", default="all", help="material name, or 'all' (default)")
+    parser.add_argument("--theta-min", type=float, default=1.0)
+    parser.add_argument("--theta-max", type=float, default=89.0)
+    parser.add_argument("--theta-step", type=float, default=1.0)
 
 
 def _add_link(parser) -> None:
@@ -355,19 +341,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("theory", help="reflection/roughness/scattering tables per material")
-    p.add_argument("--material", default="all", help="material name, or 'all' (default)")
-    p.add_argument("--theta-min", type=float, default=1.0)
-    p.add_argument("--theta-max", type=float, default=89.0)
-    p.add_argument("--theta-step", type=float, default=1.0)
+    _add_sweep(p)
     _add_shared(p)
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("pattern", help="scattered power vs incidence angle sweeps")
-    p.add_argument("--material", default="all", help="material name, or 'all' (default)")
     p.add_argument("--s", type=float, default=None, help="fixed scattering coefficient (default: per-angle theory)")
-    p.add_argument("--theta-min", type=float, default=1.0)
-    p.add_argument("--theta-max", type=float, default=89.0)
-    p.add_argument("--theta-step", type=float, default=1.0)
+    _add_sweep(p)
     _add_model(p, default_model="single")
     _add_link(p)
     _add_shared(p)
@@ -409,12 +389,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.freq_ghz is None and not getattr(args, "scene", None):
-        args.freq_ghz = DEFAULT_FREQ_GHZ
     # input errors, exit 2: FileFormatError and DegenerateScanError among the
     # ValueErrors, and every OSError of a path that cannot be read or written
     try:
-        return args.func(args)
+        db = read_materials(args.materials_file) if args.materials_file else default_materials()
+        return args.func(args, db)
     except (OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -68,8 +68,8 @@ class Wall:
         object.__setattr__(self, "normal", _as_vec3(self.normal, "wall normal"))
         if abs(float(np.linalg.norm(self.normal)) - 1.0) > 1e-12:
             raise ValueError("wall normal must be unit length (within 1e-12)")
-        if self.width <= 0.0 or self.height <= 0.0:
-            raise ValueError("wall width and height must be > 0")
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError(f"wall width and height must be > 0 and finite, got {self.width} and {self.height}")
         if abs(float(np.dot(self.normal, _UP))) > 1.0 - 1e-9:
             raise ValueError("wall normal must not be vertical")
 

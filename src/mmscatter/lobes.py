@@ -18,7 +18,8 @@ HEMISPHERE coefficients follow from the Funk-Hecke theorem as exact rationals.
 Receiver power in a given direction is P_r = G_r lambda^2 / (480 pi^2) * |E_s|^2.
 element_constant and mixed_power evaluate P_r for arrays of surface
 elements, the single lobe as the Lambda = 1 mix; the scan simulator, the
-fit and pattern_sweep all use them.
+fit and pattern_sweep all use them. pattern_sweep gives one unit-area
+element's power toward the incident and the specular receiver together.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .materials import IncidenceContext, Material, Polarization, initial_scatter
 __all__ = [
     "LobeModel",
     "NormalizationMode",
-    "Direction",
     "LobeParams",
     "RadioLink",
     "normalization_f",
@@ -60,11 +60,6 @@ class LobeModel(Enum):
 class NormalizationMode(Enum):
     PAPER_LINE = "line"
     HEMISPHERE = "hemisphere"
-
-
-class Direction(Enum):
-    INCIDENT = "incident"
-    SPECULAR = "specular"
 
 
 @dataclass(frozen=True)
@@ -261,20 +256,20 @@ def pattern_sweep(
     material: Material,
     params: LobeParams,
     link: RadioLink,
-    direction: Direction,
     theta_grid_deg,
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,
     fixed_s: float | None = None,
-) -> list[float]:
-    """Received scattered power in watts at each incidence angle of theta_grid_deg, in one direction.
+) -> tuple[list[float], list[float]]:
+    """Received scattered power in watts at each incidence angle of theta_grid_deg: (incident, specular).
 
     A unit-area surface element sits SWEEP_RANGE_M from both antennas; the
-    receiver lies in either the specular direction (psi_r = 0,
-    psi_i = 2 theta_i) or back along the incident direction (psi_i = 0,
-    psi_r = 2 theta_i). Unless fixed_s is given, the scattering
-    coefficient is recomputed per angle from the material's roughness and
-    reflection coefficient.
+    receiver lies back along the incident direction (psi_i = 0,
+    psi_r = 2 theta_i) or in the specular direction (psi_r = 0,
+    psi_i = 2 theta_i). Unless fixed_s is given, the scattering
+    coefficient is computed once per angle from the material's roughness
+    and reflection coefficient; both directions share it, the
+    normalizations and the element constant.
     """
     grid = list(theta_grid_deg)
     for theta_deg in grid:
@@ -291,8 +286,10 @@ def pattern_sweep(
     else:
         s_value = replace(params, s_coeff=fixed_s).s_coeff
     off_axis = (1.0 + np.cos(2.0 * theta)) / 2.0
-    forward, backscatter = (1.0, off_axis) if direction is Direction.SPECULAR else (off_axis, 1.0)
     alpha_r, alpha_i, lam = params.shape
+    # row 0 the incident receiver, on the backscatter lobe's axis; row 1 the specular one, on the forward lobe's
+    on_axis = np.ones_like(off_axis)
+    forward, backscatter = np.stack([off_axis**alpha_r, on_axis]), np.stack([on_axis, off_axis**alpha_i])
     norm_r, norm_i = single_lobe_norm(mode, alpha_r, theta), single_lobe_norm(mode, alpha_i, theta)
     const = element_constant(link, SWEEP_RANGE_M, SWEEP_RANGE_M, np.cos(theta), 1.0)
-    return mixed_power(s_value, const, lam, forward**alpha_r, backscatter**alpha_i, norm_r, norm_i).tolist()
+    return tuple(mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i).tolist())

@@ -2,13 +2,14 @@ import errno
 import importlib.util
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from mmscatter import fitting, wavelength_for_frequency
+from mmscatter import fitting, lobes, wavelength_for_frequency
 from mmscatter.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from mmscatter.fileio import read_report, read_scan, write_scan
+from mmscatter.fileio import default_materials, read_report, read_scan, write_scan
 from mmscatter.materials import rayleigh_factor
 from mmscatter.raytrace import ScanPattern
 
@@ -162,6 +163,20 @@ def test_pattern_dual_lambda(tmp_path):
     rows = lines[2:]
     assert len(rows) == 8 * 2  # both directions
     assert all(row.endswith(",dual,rough_wall") for row in rows)
+
+
+def test_pattern_computes_each_angles_s_once(tmp_path, monkeypatch):
+    # both directions of a material share one theory S per angle of the default 89-angle grid
+    names = []
+    theory = lobes.initial_scattering_coefficient
+
+    def counting_theory(material, ctx):
+        names.append(material.name)
+        return theory(material, ctx)
+
+    monkeypatch.setattr(lobes, "initial_scattering_coefficient", counting_theory)
+    assert run("pattern", "--out", str(tmp_path / "pattern.csv")) == EXIT_OK
+    assert Counter(names) == dict.fromkeys(default_materials().names(), 89)
 
 
 def test_angles_dump(tmp_path):
@@ -582,6 +597,8 @@ _BAD_NUMBERS = {
     "fit-radius-1e154": (["fit", "--radius", "1e154"], _PATH_LENGTH + "[1e+154, 0.0, 0.0]" + _TOO_LONG),
     "fit-radius-nan": (["fit", "--radius", "nan"], "scan radius must be > 0 and finite, got nan"),
     "fit-p-t-dbm-nan": (["fit", "--p-t-dbm", "nan"], _LINK + "nan,"),
+    "theory-freq-ghz-0": (["theory", "--freq-ghz", "0"], "frequency must be > 0 Hz, got 0.0"),
+    "simulate-theta-deg-90": (["simulate", "--theta-deg", "90"], "theta_i_deg must be in [0, 90), got 90.0"),
     "theory-theta-step-nan": (["theory", "--theta-step", "nan"], _THETA_GRID + "1.0/89.0/nan"),
     "theory-theta-step-0": (["theory", "--theta-step", "0"], _THETA_GRID + "1.0/89.0/0.0"),
     "theory-theta-step-negative": (["theory", "--theta-step", "-1"], _THETA_GRID + "1.0/89.0/-1.0"),
@@ -623,4 +640,42 @@ def test_bad_number_is_data_error_naming_it(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
     assert run(argv[0], *base, *argv[1:], "--out", str(out)) == EXIT_DATA
     assert f"input error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_MATERIAL = "eps_r 5\nh_rms_mm 0.3\nthickness_cm 10\n"
+# each case: the option that reads the bad file, the file's text, and the message after its path
+_BAD_FILES = {
+    "scene-wall-width-0": (
+        "--scene", SCENE_60GHZ.replace("wall_width_m 3\n", "wall_width_m 0\n"),
+        ": wall width and height must be > 0 and finite, got 0.0 and 3.0",
+    ),
+    "scan-header-only": ("--scan", "angle_deg,delta_h_cm,power_dbm\n", ": scan file has a header but no records"),
+    "materials-record-without-name": ("--materials-file", "material\n" + _MATERIAL, ":1: material record needs a name"),
+    "materials-key-before-record": (
+        "--materials-file", "eps_r 5\nmaterial m\n" + _MATERIAL, ":1: eps_r outside a material record"
+    ),
+    "materials-key-twice": (
+        "--materials-file", "material m\neps_r 6\n" + _MATERIAL, ":3: duplicate key eps_r for material 'm'"
+    ),
+    "materials-no-records": ("--materials-file", "# no records\n\n", ": no material records found"),
+    "materials-malformed-value": (
+        "--materials-file", "material m\neps_r 5\nh_rms_mm 1 mm x\nthickness_cm 10\n",
+        ":3: malformed h_rms_mm value '1 mm x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("option, text, message", list(_BAD_FILES.values()), ids=list(_BAD_FILES))
+def test_bad_input_file_is_data_error_naming_it(tmp_path, capsys, option, text, message):
+    argv = {
+        "--scene": ["simulate", "--tiles-m", "0.5"],
+        "--scan": ["fit", "--model", "single", "--s-initial", "0.3", "--tiles-m", "0.5"],
+        "--materials-file": ["theory"],
+    }[option]
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert run(*argv, option, str(path), "--out", str(out)) == EXIT_DATA
+    assert f"input error: {path}{message}" in capsys.readouterr().err
     assert not out.exists()

@@ -530,13 +530,26 @@ class TestReportLayout:
             (lambda ls: ls[:8] + ls[6:7] + ls[8:], 9, "repeated trace column header"),
             (lambda ls: ls[:5] + ls[6:7] + ls[5:6] + ls[7:], 6, "unknown key 'round'"),
             (lambda ls: ls[:7] + [ls[7].replace(" A ", " Q ")] + ls[8:], 8, "trace stage must be A or B, got 'Q'"),
+            (lambda ls: [ls[0].replace(" single ", " triple ")] + ls[1:], 1, "unknown model 'triple'"),
+            (lambda ls: [ls[0].rsplit(" ", 1)[0]] + ls[1:], 1, "malformed best-parameters line"),
+            (lambda ls: ls[:3] + ["plane_only maybe"] + ls[4:], 4, "plane_only must be true or false, got 'maybe'"),
         ],
-        ids=["header-missing", "header-three-times", "header-mid-trace", "header-before-trace", "stage-Q"],
+        ids=[
+            "header-missing", "header-three-times", "header-mid-trace", "header-before-trace", "stage-Q",
+            "unknown-model", "best-four-tokens", "plane-only-maybe",
+        ],
     )
     def test_layout_error_names_its_line(self, tmp_path, edit, lineno, message):
         path, lines = self._lines(tmp_path)
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match=rf"report\.txt:{lineno}: {message}"):
+            read_report(path)
+
+    def test_missing_key_is_named(self, tmp_path):
+        path, lines = self._lines(tmp_path)
+        assert lines[1].startswith("fvu ")
+        path.write_text("\n".join(lines[:1] + lines[2:]) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r"report\.txt: missing keys: fvu$"):
             read_report(path)
 
     def test_header_missing_after_empty_trace(self, tmp_path):

@@ -225,6 +225,14 @@ class TestSceneValidation:
         with pytest.raises(ValueError):
             Wall(center=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]), width=3.0, height=3.0, material="m")
 
+    @pytest.mark.parametrize("extent", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["width", "height"])
+    def test_extents_must_be_positive_and_finite(self, side, extent):
+        # nan passes a plain "<= 0" check, and tile_centers would then count nan tiles
+        extents = {"width": 3.0, "height": 3.0, side: extent}
+        with pytest.raises(ValueError, match="wall width and height must be > 0 and finite"):
+            Wall(center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]), material="m", **extents)
+
     def test_tx_must_be_outward(self):
         wall = Wall(center=np.zeros(3), normal=np.array([1.0, 0.0, 0.0]), width=3.0, height=3.0, material="m")
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from conftest import WAVELENGTH_28GHZ
 from mmscatter.geometry import SurfacePaths
 from mmscatter.lobes import (
     SWEEP_RANGE_M,
-    Direction,
     LobeModel,
     LobeParams,
     NormalizationMode,
@@ -72,8 +71,12 @@ def rx_scale(link):
     return link.g_r * link.wavelength**2 / (480.0 * math.pi**2)
 
 
+# the indices of pattern_sweep's pair of sweeps
+INCIDENT, SPECULAR = 0, 1
+
+
 def sweep_power(material, params, link, direction, theta_deg, mode=NormalizationMode.HEMISPHERE, fixed_s=0.3):
-    return pattern_sweep(material, params, link, direction, [theta_deg], mode, fixed_s=fixed_s)[0]
+    return pattern_sweep(material, params, link, [theta_deg], mode, fixed_s=fixed_s)[direction][0]
 
 
 def forward_lobe_ratio(material, alpha, theta_deg, link):
@@ -83,8 +86,8 @@ def forward_lobe_ratio(material, alpha, theta_deg, link):
     angle, and the specular one sits on the lobe axis (gain 1).
     """
     params = single(0.3, alpha)
-    incident = sweep_power(material, params, link, Direction.INCIDENT, theta_deg)
-    return incident / sweep_power(material, params, link, Direction.SPECULAR, theta_deg)
+    incident = sweep_power(material, params, link, INCIDENT, theta_deg)
+    return incident / sweep_power(material, params, link, SPECULAR, theta_deg)
 
 
 class TestLobeParams:
@@ -259,8 +262,7 @@ class TestScatteredField:
     def test_zero_s_scatters_nothing(self, materials_db, paper_link):
         grid = [float(t) for t in range(1, 90)]
         for params in (single(0.0, 4), dual(0.0, 2, 9, 0.3)):
-            for direction in Direction:
-                powers = pattern_sweep(materials_db.get("rough_wall"), params, paper_link, direction, grid, fixed_s=0.0)
+            for powers in pattern_sweep(materials_db.get("rough_wall"), params, paper_link, grid, fixed_s=0.0):
                 assert powers == [0.0] * len(grid)
 
     def test_inverse_square_pair(self, paper_link):
@@ -273,7 +275,7 @@ class TestScatteredField:
         # (S=0.3, alpha_R=4, theta_i=30 deg, psi_R=0, r_i=r_s=1.5, l=1,
         #  K from 10 dBm / 15 dBi, hemisphere normalization)
         assert SWEEP_RANGE_M == 1.5
-        power = sweep_power(materials_db.get("rough_wall"), single(0.3, 4), paper_link, Direction.SPECULAR, 30.0)
+        power = sweep_power(materials_db.get("rough_wall"), single(0.3, 4), paper_link, SPECULAR, 30.0)
         assert power / rx_scale(paper_link) == pytest.approx(0.12594525392857644, rel=1e-14)
 
     def test_dual_mix_component_decomposition(self, materials_db, paper_link):
@@ -284,7 +286,7 @@ class TestScatteredField:
         for lam in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
             params = dual(0.4, 3, 7, lam)
             wall = materials_db.get("rough_wall")
-            full = sweep_power(wall, params, paper_link, Direction.INCIDENT, 30.0, fixed_s=0.4)
+            full = sweep_power(wall, params, paper_link, INCIDENT, 30.0, fixed_s=0.4)
             base = (
                 (0.4 * paper_link.k_const / (1.5 * 1.5)) ** 2
                 * math.cos(theta)
@@ -299,8 +301,8 @@ class TestScatteredField:
         # the specular receiver sits on the lobe axis, the incident one at psi_R = 2 theta_i
         wall = materials_db.get("rough_wall")
         for theta_deg in range(1, 90, 3):
-            peak = sweep_power(wall, single(0.3, 5), paper_link, Direction.SPECULAR, float(theta_deg))
-            off = sweep_power(wall, single(0.3, 5), paper_link, Direction.INCIDENT, float(theta_deg))
+            peak = sweep_power(wall, single(0.3, 5), paper_link, SPECULAR, float(theta_deg))
+            off = sweep_power(wall, single(0.3, 5), paper_link, INCIDENT, float(theta_deg))
             assert peak >= off
 
     def test_full_grid_finite_nonnegative(self, materials_db, paper_link):
@@ -309,8 +311,8 @@ class TestScatteredField:
         for alpha in range(1, 11):
             shapes = [single(0.3, alpha)] + [dual(0.3, alpha, 11 - alpha, round(k * 0.1, 10)) for k in range(11)]
             for params in shapes:
-                for direction in Direction:
-                    for p_r in pattern_sweep(wall, params, paper_link, direction, grid, fixed_s=0.3):
+                for powers in pattern_sweep(wall, params, paper_link, grid, fixed_s=0.3):
+                    for p_r in powers:
                         assert math.isfinite(p_r) and p_r >= 0.0
 
     def test_degenerate_geometry(self):
@@ -366,29 +368,28 @@ class TestRadioLink:
 class TestPatternSweep:
     def test_grid_validation(self, materials_db, paper_link):
         with pytest.raises(ValueError):
-            pattern_sweep(materials_db.get("rough_wall"), single(0.0, 4), paper_link, Direction.SPECULAR, [0.0])
+            pattern_sweep(materials_db.get("rough_wall"), single(0.0, 4), paper_link, [0.0])
         with pytest.raises(ValueError):
-            pattern_sweep(materials_db.get("rough_wall"), single(0.0, 4), paper_link, Direction.SPECULAR, [90.0])
+            pattern_sweep(materials_db.get("rough_wall"), single(0.0, 4), paper_link, [90.0])
 
     def test_fixed_s_override(self, materials_db, paper_link):
         mat = materials_db.get("rough_wall")
-        fixed = pattern_sweep(mat, single(0.0, 4), paper_link, Direction.SPECULAR, [30.0], fixed_s=0.5)[0]
-        theory = pattern_sweep(mat, single(0.0, 4), paper_link, Direction.SPECULAR, [30.0])[0]
+        fixed = pattern_sweep(mat, single(0.0, 4), paper_link, [30.0], fixed_s=0.5)[SPECULAR][0]
+        theory = pattern_sweep(mat, single(0.0, 4), paper_link, [30.0])[SPECULAR][0]
         assert fixed != theory
 
     def test_specular_not_below_incident_single_lobe(self, materials_db, paper_link):
         mat = materials_db.get("smooth_wall")
         grid = [float(t) for t in range(5, 90, 5)]
-        spec = pattern_sweep(mat, single(0.0, 4), paper_link, Direction.SPECULAR, grid)
-        inc = pattern_sweep(mat, single(0.0, 4), paper_link, Direction.INCIDENT, grid)
+        inc, spec = pattern_sweep(mat, single(0.0, 4), paper_link, grid)
         for s_p, i_p in zip(spec, inc):
             assert s_p >= i_p
 
     def test_material_smoke_caches(self, materials_db, paper_link):
         # repeat calls agree exactly
         mat = materials_db.get("marble_wall")
-        a = pattern_sweep(mat, single(0.0, 4), paper_link, Direction.SPECULAR, [20.0, 40.0])
-        b = pattern_sweep(mat, single(0.0, 4), paper_link, Direction.SPECULAR, [20.0, 40.0])
+        a = pattern_sweep(mat, single(0.0, 4), paper_link, [20.0, 40.0])
+        b = pattern_sweep(mat, single(0.0, 4), paper_link, [20.0, 40.0])
         assert a == b
 
     @pytest.mark.parametrize("mode", list(NormalizationMode))
@@ -399,14 +400,13 @@ class TestPatternSweep:
         grid = [float(t) for t in range(1, 90)]
         for name in materials_db.names():
             material = materials_db.get(name)
-            for direction in Direction:
-                powers = pattern_sweep(material, params, paper_link, direction, grid, mode)
+            for direction, powers in enumerate(pattern_sweep(material, params, paper_link, grid, mode)):
                 assert len(powers) == len(grid)
                 for theta_deg, p_r in zip(grid, powers):
                     theta = math.radians(theta_deg)
                     s = initial_scattering_coefficient(material, IncidenceContext(theta, paper_link.wavelength)).s_coeff
                     off_axis = (1.0 + math.cos(2.0 * theta)) / 2.0
-                    forward, back = (1.0, off_axis) if direction is Direction.SPECULAR else (off_axis, 1.0)
+                    forward, back = (1.0, off_axis) if direction == SPECULAR else (off_axis, 1.0)
                     gain = forward**params.alpha_r
                     if params.model is LobeModel.DUAL_LOBE:
                         gain = params.lambda_mix * gain + (1.0 - params.lambda_mix) * back**params.alpha_i

@@ -11,14 +11,22 @@ on purpose regenerates them with
 
 which prints the names whose digests changed, appeared or vanished
 against the file it overwrites, and commits the new file with the change.
+
+A second test reruns three of the calls on an emulated CPU without
+AVX-512, where the last digits of their outputs move (ROADMAP item 16).
 """
 
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
+import mmscatter
 from mmscatter.cli import EXIT_OK, main
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
@@ -59,6 +67,35 @@ def output_digests(directory) -> dict[str, str]:
 
 def test_outputs_keep_their_digests(tmp_path):
     assert output_digests(tmp_path) == json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+# a CPU without AVX-512, emulated for one child process: OpenBLAS's Prescott
+# kernels, and numpy's loops without AVX2 or AVX-512
+OLD_CPU = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+# the child runs the calls given as JSON and exits with the largest exit code
+_RUN_CALLS = """
+import json, sys
+from mmscatter.cli import main
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 16: BLAS dots and numpy's SIMD loops round the last digits by CPU",
+)
+def test_outputs_keep_their_digests_on_an_older_cpu(tmp_path):
+    names = ("sim_0.5.csv", "sim_0.2.csv", "angles.csv")
+    calls = [argv for argv in CALLS if argv[argv.index("--out") + 1] in names]
+    src = Path(mmscatter.__file__).resolve().parents[1]
+    env = {**os.environ, **OLD_CPU, "PYTHONPATH": str(src)}
+    child = [sys.executable, "-c", _RUN_CALLS, json.dumps(calls)]
+    subprocess.run(child, cwd=tmp_path, env=env, check=True, timeout=120)
+    committed = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names} == {
+        name: committed[name] for name in names
+    }
 
 
 if __name__ == "__main__":
