@@ -51,6 +51,8 @@ EXIT_NUMERIC = 3
 DEFAULT_FREQ_GHZ = 28.0
 
 _MODES = {"hemisphere": NormalizationMode.HEMISPHERE, "line": NormalizationMode.PAPER_LINE}
+# the input files, by option name in sorted order
+_INPUTS = ("materials_file", "scan", "scene")
 
 
 class UsageError(Exception):
@@ -78,13 +80,29 @@ def _digest(path) -> str:
 def _header(args: argparse.Namespace) -> str:
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command") and v is not None}
     config_text = " ".join(f"{k}={v}" for k, v in config.items())
-    # the input files, by option name in sorted order
-    inputs = {name: getattr(args, name, None) for name in ("materials_file", "scan", "scene")}
+    inputs = {name: getattr(args, name, None) for name in _INPUTS}
     digest_text = " ".join(f"{name}={_digest(path)}" for name, path in inputs.items() if path)
     parts = [f"mmscatter {__version__}", args.command, config_text]
     if digest_text:
         parts.append(f"inputs: {digest_text}")
     return " | ".join(parts)
+
+
+def _outputs(args) -> list[str]:
+    """Every file the call writes: --out, after the .single and .dual siblings of fit --model both."""
+    if getattr(args, "model", None) != "both":
+        return [args.out]
+    base, ext = os.path.splitext(args.out)
+    return [f"{base}.single{ext}", f"{base}.dual{ext}", args.out]
+
+
+def _refuse_overwriting_inputs(args) -> None:
+    """Raise before anything is written if an output of the call is one of its input files."""
+    for out in filter(os.path.exists, _outputs(args)):
+        for name in _INPUTS:
+            path = getattr(args, name, None)
+            if path and os.path.exists(path) and os.path.samefile(path, out):
+                raise ValueError(f"output {out} is the --{name.replace('_', '-')} input {path}; not overwriting it")
 
 
 def _link(args, frequency_hz: float) -> RadioLink:
@@ -253,11 +271,11 @@ def _cmd_fit(args, db) -> int:
     header = _header(args)
     if args.model == "both":
         comparison = compare_models(evaluate, s_initial)
-        base, ext = os.path.splitext(args.out)
-        write_report(comparison.single, f"{base}.single{ext}", header_comment=header)
-        write_report(comparison.dual, f"{base}.dual{ext}", header_comment=header)
+        single_out, dual_out, _ = _outputs(args)
+        write_report(comparison.single, single_out, header_comment=header)
+        write_report(comparison.dual, dual_out, header_comment=header)
         # the winner's report is its sibling's bytes
-        shutil.copyfile(f"{base}.{comparison.winner.value}{ext}", args.out)
+        shutil.copyfile(dual_out if comparison.winner is LobeModel.DUAL_LOBE else single_out, args.out)
         print(
             f"single FVU {comparison.single.fvu!r} | dual FVU {comparison.dual.fvu!r} | winner {comparison.winner.value}"
         )
@@ -392,6 +410,7 @@ def main(argv=None) -> int:
     # input errors, exit 2: FileFormatError and DegenerateScanError among the
     # ValueErrors, and every OSError of a path that cannot be read or written
     try:
+        _refuse_overwriting_inputs(args)
         db = read_materials(args.materials_file) if args.materials_file else default_materials()
         return args.func(args, db)
     except (OSError, KeyError, ValueError) as exc:

@@ -4,6 +4,7 @@ All formats are line-oriented UTF-8 text with LF line endings and
 locale-independent number formatting (shortest representation that parses
 back to the identical float, never fewer than the digits needed for an
 exact round trip). Every reader sees the same data lines (_data_lines):
+a leading byte-order mark, as spreadsheet tools write it, is dropped,
 blank lines and '#' comments are skipped, and whitespace around a line is
 ignored. Readers reject trailing garbage and report 1-based line numbers.
 
@@ -158,7 +159,7 @@ def _data_lines(path):
     """Yield (1-based line number, line) for every line that is neither blank
     nor a '#' comment, with surrounding whitespace stripped: the one line
     grammar of every input format."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         text = fh.read()
     for no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

@@ -11,21 +11,19 @@ The FVU that decides a fit always comes from the tiled single-bounce
 predictor that simulate_scan uses, so a scan generated by this package is
 reproduced bit-exactly. Every stage is first screened from the pattern's
 tables: ScanEvaluator.screen passes the stage's candidates, as columns
-of the model's shape grid with one S each (stage A: every column at the
+of the model's shape table with one S each (stage A: every column at the
 round's S; stage B: the best shape's column at each S of its grid), to
 one ScanPattern.shape_totals call, which returns their powers (accurate
 to about 1e-15), and scores all of them with fvu. Only the candidates
 within CONFIRM_MARGIN of the stage's screened best are then scored by
 the predictor, and only those exact FVUs take part in choosing the best.
-ScanEvaluator.__call__ keeps the exact FVU of each distinct candidate, S
-and the shape with the width of a zero-weight lobe dropped, so no later
-stage, round or model's fit on the same evaluator predicts it again.
-See docs/stage_a_screen.md.
+ScanEvaluator.__call__ keeps the exact FVU of each S and shape, so no
+later stage, round or model's fit on the same evaluator predicts it
+again. See docs/stage_a_screen.md.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -159,7 +157,7 @@ class _Candidate:
 
 
 def _shape_grid(model_kind: LobeModel):
-    """(alphas_r, alphas_i, lambdas) whose product, in this order, is the model's stage-A LobeParams.shape values."""
+    """(alphas_r, alphas_i, lambdas), from ALPHA_MIN: the product's distinct shapes are the model's stage-A shapes."""
     if model_kind is LobeModel.SINGLE_LOBE:
         return _ALPHAS, (ALPHA_MIN,), (1.0,)
     return _ALPHAS, _ALPHAS, _LAMBDAS
@@ -203,14 +201,8 @@ class ScanEvaluator:
         self._exact: dict[tuple, float] = {}
 
     def __call__(self, params: LobeParams) -> float:
-        """The exact FVU of params, from predict once per distinct candidate.
-
-        A lobe of weight zero drops out of predict bit for bit
-        (lobe_mix(1, U, V) == U), so its width is no part of the candidate:
-        a single lobe (S, alpha) is the dual (S, alpha, any, 1.0).
-        """
-        alpha_r, alpha_i, lam = params.shape
-        key = (params.s_coeff, alpha_r if lam > 0.0 else 0, alpha_i if lam < 1.0 else 0, lam)
+        """The exact FVU of params, from predict once per S and shape; a single lobe's is its dual lambda-1 twin's."""
+        key = (params.s_coeff, *params.shape)
         value = self._exact.get(key)
         if value is None:
             total_w, _, _ = self.pattern.predict(params)
@@ -218,7 +210,7 @@ class ScanEvaluator:
         return value
 
     def screen(self, model_kind: LobeModel, s_values, columns) -> np.ndarray:
-        """Screened FVU of candidate q: column columns[q] of the model's _shape_grid product at S s_values[q].
+        """Screened FVU of candidate q: column columns[q] of the model's shape table at S s_values[q].
 
         The powers come from ScanPattern.shape_totals, which agrees with
         predict to rounding, so the values agree with __call__ to about
@@ -234,7 +226,7 @@ def grid_fit(evaluate: ScanEvaluator, model_kind: LobeModel, s_initial: float) -
     """Staged exhaustive search for the lobe parameters minimizing the FVU that evaluate scores."""
     if not 0.0 < s_initial < 1.0:
         raise ValueError(f"s_initial must be in (0, 1), got {s_initial}")
-    shapes = list(itertools.product(*_shape_grid(model_kind)))
+    shapes = evaluate.pattern.shape_table(_shape_grid(model_kind)).shapes
 
     trace: list[TraceEntry] = []
     best: _Candidate | None = None

@@ -190,45 +190,54 @@ class ScanPattern:
         spec_w, diff_w = power_gate(np.where(spec_in, spec_p, 0.0), diff_sum)
         return spec_w + diff_w, spec_w, diff_w
 
-    def shape_totals(self, grid, s_values, columns) -> np.ndarray:
-        """Gated total watts (P, Q) of Q candidates: candidate q is shape columns[q] of grid at S s_values[q].
+    def shape_table(self, grid) -> _ShapeTable:
+        """The _ShapeTable of grid, (alphas_r, alphas_i, lambdas), built once per pattern."""
+        if grid not in self._shape_tables:
+            self._shape_tables[grid] = _ShapeTable(self, *grid)
+        return self._shape_tables[grid]
 
-        grid is (alphas_r, alphas_i, lambdas), a grid of LobeParams.shape
-        values whose product, in this order, numbers the columns; its
-        tables are built once per pattern. Each entry equals predict's
-        total for that candidate to rounding (about 1e-15): at each
-        position the diffuse sum is s^2 times the table's window entry
-        where s^2 is within the table's limit, and every other cell takes
-        gate's total. One gate call serves the candidates of one S and
-        width pair, but only their uncertified cells take its values, so
-        column q depends on candidate q alone; see docs/stage_a_screen.md.
+    def shape_totals(self, grid, s_values, columns) -> np.ndarray:
+        """Gated total watts (P, Q) of Q candidates: candidate q is column columns[q] of grid's table at S s_values[q].
+
+        The table's shapes[n] is column n's LobeParams.shape. Each entry
+        equals predict's total for that candidate to rounding (about
+        1e-15): at each position the diffuse sum is s^2 times the table's
+        window entry where s^2 is within the table's limit, and every
+        other cell takes gate's total. One gate call serves the candidates
+        of one S and width pair, but only their uncertified cells take its
+        values, so column q depends on candidate q alone; see
+        docs/stage_a_screen.md.
         """
-        table = self._shape_tables.get(grid)
-        if table is None:
-            table = self._shape_tables[grid] = _ShapeTable(self, *grid)
+        table = self.shape_table(grid)
         s_sq = np.square(s_values)
         spec_w, diff_w = power_gate(self.spec_power[:, None], s_sq * table.window[:, columns])
         total_w = spec_w + diff_w
         uncertified = s_sq > table.limit[:, columns]
-        alphas_r, alphas_i, lambdas = grid
-        groups: dict[tuple, list[tuple[int, int]]] = {}
+        groups: dict[tuple, list[tuple[int, float]]] = {}
         for q in np.flatnonzero(uncertified.any(axis=0)).tolist():
-            i_r, i_i, m = np.unravel_index(columns[q], (len(alphas_r), len(alphas_i), len(lambdas)))
-            groups.setdefault((s_values[q], i_r, i_i), []).append((q, m))
-        for (s_value, i_r, i_i), members in groups.items():
-            qs, ms = map(list, zip(*members))
+            alpha_r, alpha_i, lam = table.shapes[columns[q]]
+            groups.setdefault((s_values[q], alpha_r, alpha_i), []).append((q, lam))
+        for (s_value, alpha_r, alpha_i), members in groups.items():
+            qs, lams = map(list, zip(*members))
             rows = np.flatnonzero(uncertified[:, qs].any(axis=1))
-            tile_p = self.tile_powers(s_value, alphas_r[i_r], alphas_i[i_i], [lambdas[m] for m in ms], rows)
+            tile_p = self.tile_powers(s_value, alpha_r, alpha_i, lams, rows)
             cells = np.ix_(rows, qs)
             total_w[cells] = np.where(uncertified[cells], self.gate(tile_p, rows)[0].T, total_w[cells])
         return total_w
 
 
+def _distinct_shapes(alphas_r, alphas_i, lambdas) -> np.ndarray:
+    """(Ar, Ai, L) mask of the grid's shapes equal to no earlier one: a lobe of weight zero keeps the first width."""
+    lam, first_r, first_i = np.asarray(lambdas), np.arange(len(alphas_r)) == 0, np.arange(len(alphas_i)) == 0
+    return ((lam < 1.0) | first_i[:, None]) & ((lam > 0.0) | first_r[:, None, None])
+
+
 def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas):
     """Specular-window sums and pure-lobe peaks per unit S^2 of a dual-lobe shape grid, one pass per lobe width.
 
-    Returns sums (P, Ar, Ai, L), each shape's diffuse sum over the tiles in
-    the delay window around the specular path, and peaks_r (P, Ar) and
+    Returns sums (P, N), the diffuse sum over the tiles in the delay window
+    around the specular path of each of the grid's N distinct shapes, in
+    _ShapeTable column order, and peaks_r (P, Ar) and
     peaks_i (P, Ai), each pure lobe's largest tile power over all tiles
     (0 for a lobe of weight zero in every mix); see docs/stage_a_screen.md.
     """
@@ -253,7 +262,7 @@ def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas):
         np.copyto(gain, 0.0, where=outside)
         for m, lam in backscatter:
             sums[:, :, k, m] += (1.0 - lam) * (gain @ np.reciprocal(lobe_mix(lam, norms_r, norms_i[k])).T)
-    return sums, peaks_r, peaks_i
+    return sums[:, _distinct_shapes(alphas_r, alphas_i, lambdas)], peaks_r, peaks_i
 
 
 def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
@@ -261,9 +270,9 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
 
     For receivers with no specular path (spec_power 0) predict anchors
     the delay window on the strongest tile. Scaling by S^2 does not
-    move it, so one pass at unit S serves every S. Returns two
-    (R, Ar, Ai, L) arrays over the positions `rows`, indexed like
-    _specular_window_sums: the window sums, and where they are certified.
+    move it, so one pass at unit S serves every S. Returns two (R, N)
+    arrays over the positions `rows` and the grid's N distinct shapes, in
+    _ShapeTable column order: the window sums, and where they are certified.
     An entry is certified when the strongest tile outweighs every tile
     of a different path length (more than _ANCHOR_TIE_M apart) by
     (1 + _CERTIFICATE_MARGIN), and no tile lies within 2 _ANCHOR_TIE_M of
@@ -277,9 +286,7 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
     per row. C and the base gains U, V are gathered into that order once
     and raised to each width there (the power is elementwise, so
     ranked(U) ** a == ranked(U ** a) bit for bit), so each width pair
-    forms its tile powers ranked. A lobe of weight zero drops out bit for
-    bit (lobe_mix(1, U, V) == U), so lambda 1 is computed once per alpha_r
-    and lambda 0 once per alpha_i.
+    forms its tile powers ranked, for the mixes of its distinct shapes.
     """
     lengths = pattern._lengths[rows]  # (R, T)
     n_rows, n_tiles = lengths.shape
@@ -315,14 +322,13 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
     row = np.arange(n_rows)
     # one spare entry past the end keeps every window end a valid index of reduceat
     flat = np.empty(n_lam * n_rows * n_tiles + 1)
-    shape = (len(alphas_r), len(alphas_i), n_lam, n_rows)
-    sums = np.empty(shape)
-    certified = np.empty(shape, dtype=bool)
+    distinct = _distinct_shapes(alphas_r, alphas_i, lambdas)
+    sums = np.empty((*distinct.shape, n_rows))
+    certified = np.empty(sums.shape, dtype=bool)
     for i, a_r in enumerate(alphas_r):
         forward, norm_r = u**a_r, ranked(pattern._norm(a_r))
         for j, a_i in enumerate(alphas_i):
-            # lambda 1 at the first alpha_i only, lambda 0 at the first alpha_r only
-            ms = np.flatnonzero(((lam > 0.0) | (i == 0)) & ((lam < 1.0) | (j == 0)))
+            ms = np.flatnonzero(distinct[i, j])
             if not ms.size:
                 continue
             size = ms.size * n_rows * n_tiles
@@ -338,43 +344,41 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
             flat[first[..., None] + band[row, k]] = 0.0
             rival = ranked_p.max(axis=-1)
             certified[i, j, ms] = (top >= (1.0 + _CERTIFICATE_MARGIN) * rival) & clear[row, k]
-    for out in (sums, certified):
-        out[:, 1:, lam == 1.0] = out[:, :1, lam == 1.0]
-        out[1:, :, lam == 0.0] = out[:1, :, lam == 0.0]
-    return sums.transpose(3, 0, 1, 2), certified.transpose(3, 0, 1, 2)
+    return sums[distinct].T, certified[distinct].T
 
 
 class _ShapeTable:
     """Per-unit-S^2 tables of a grid of dual-lobe shapes, built once per pattern and grid.
 
-    Column n is shape n of the product alphas_r x alphas_i x lambdas, in
-    that order; each shape is a LobeParams.shape (alpha_r, alpha_i, lambda).
-    window[p, n] is the diffuse sum in the delay window that
-    predict anchors at position p: on the specular path where there is
-    one, else on the strongest tile. limit[p, n] is the largest S^2 at
-    which s^2 * window[p, n] is the diffuse sum that predict gates: the
-    specular power over (1 + _CERTIFICATE_MARGIN) times a bound on every
-    tile power, or with no specular path +inf or -inf as the tile-anchor
-    certificate holds or not.
+    Column n is shapes[n], a LobeParams.shape (alpha_r, alpha_i, lambda): the
+    product alphas_r x alphas_i x lambdas in that order, each shape equal
+    to an earlier one skipped (_distinct_shapes). window[p, n] is the
+    diffuse sum in the delay window that predict anchors at position p: on
+    the specular path where there is one, else on the strongest tile.
+    limit[p, n] is the largest S^2 at which s^2 * window[p, n] is the
+    diffuse sum that predict gates: the specular power over
+    (1 + _CERTIFICATE_MARGIN) times a bound on every tile power, or with
+    no specular path +inf or -inf as the tile-anchor certificate holds or
+    not.
     """
 
     def __init__(self, pattern: ScanPattern, alphas_r, alphas_i, lambdas):
         lam = np.asarray(lambdas)
-        window, peaks_r, peaks_i = _specular_window_sums(pattern, alphas_r, alphas_i, lambdas)  # (P, Ar, Ai, L)
+        distinct = _distinct_shapes(alphas_r, alphas_i, lambdas)
+        self.shapes = [(alphas_r[i], alphas_i[j], lambdas[m]) for i, j, m in np.argwhere(distinct).tolist()]
+        self.window, peaks_r, peaks_i = _specular_window_sums(pattern, alphas_r, alphas_i, lambdas)
         # a dual-lobe tile power is a mediant of the two pure ones; a lobe of weight zero bounds nothing
         bound = np.maximum(
             np.where(lam > 0.0, peaks_r[:, :, None, None], 0.0), np.where(lam < 1.0, peaks_i[:, None, :, None], 0.0)
-        )
-        spec = pattern.spec_power[:, None, None, None]
+        )[:, distinct] * (1.0 + _CERTIFICATE_MARGIN)
+        spec = pattern.spec_power[:, None]
         # the rows with no specular path are set below; a bound of 0 certifies every S
         with np.errstate(divide="ignore"):
-            limit = np.divide(spec, (1.0 + _CERTIFICATE_MARGIN) * bound, out=np.zeros_like(window), where=spec > 0.0)
-        self.window, self.limit = window.reshape(len(window), -1), limit.reshape(len(limit), -1)
+            self.limit = np.divide(spec, bound, out=np.zeros_like(bound), where=spec > 0.0)
         rows = np.flatnonzero(pattern.spec_power == 0.0)
         if rows.size:
-            sums, certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
-            self.window[rows] = sums.reshape(rows.size, -1)
-            self.limit[rows] = np.where(certified.reshape(rows.size, -1), np.inf, -np.inf)
+            self.window[rows], certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
+            self.limit[rows] = np.where(certified, np.inf, -np.inf)
 
 
 def tile_centers(scene: Scene, tile_edge: float, receivers: int = 1) -> tuple[np.ndarray, float]:

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import importlib.util
 import math
 import sys
@@ -118,7 +119,8 @@ def test_fit_builds_one_pattern(tmp_path, monkeypatch, model):
 
 def test_fit_both_predicts_each_distinct_candidate_once(tmp_path, monkeypatch):
     # the benchmark's seed-0 semicylinder scan whose two fits confirm the same
-    # lambda-1 shapes again and again: single (S, a) is dual (S, a, any, 1.0)
+    # lambda-1 shapes again and again: single (S, a) is dual (S, a, 1, 1.0); the
+    # record drops a zero-weight width, so no duplicate shape may run predict either
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -679,3 +681,74 @@ def test_bad_input_file_is_data_error_naming_it(tmp_path, capsys, option, text, 
     assert run(*argv, option, str(path), "--out", str(out)) == EXIT_DATA
     assert f"input error: {path}{message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# each command, with every input file option it reads
+_INPUT_OPTIONS = {
+    "theory": ["--materials-file"],
+    "pattern": ["--materials-file"],
+    "simulate": ["--materials-file", "--scene"],
+    "angles": ["--materials-file", "--scene"],
+    "fit": ["--materials-file", "--scene", "--scan"],
+}
+
+
+def _valid_inputs(tmp_path):
+    """A materials file, a scene file and a scan, each one a call could read and succeed on."""
+    files = {"--materials-file": tmp_path / "materials.txt", "--scene": tmp_path / "scene.txt"}
+    files["--materials-file"].write_bytes((Path(lobes.__file__).parent / "data" / "materials.txt").read_bytes())
+    files["--scene"].write_text(SCENE_60GHZ, encoding="utf-8")
+    files["--scan"] = tmp_path / "scan.csv"
+    assert run("simulate", "--s", "0.3", "--tiles-m", "0.5", "--out", str(files["--scan"])) == EXIT_OK
+    return files
+
+
+def _tree(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "command, option", [(command, option) for command, options in _INPUT_OPTIONS.items() for option in options]
+)
+def test_output_that_is_an_input_is_refused_before_writing(tmp_path, capsys, command, option):
+    files = _valid_inputs(tmp_path)
+    argv = [command, option, str(files[option])]
+    if command in ("simulate", "fit"):
+        argv += ["--tiles-m", "0.5"]
+    if command == "fit":
+        argv += ["--model", "dual", "--s-initial", "0.3"]
+        if option != "--scan":
+            argv += ["--scan", str(files["--scan"])]
+    # the same file under another spelling of its path
+    out = tmp_path / "." / files[option].name
+    before = _tree(tmp_path)
+    assert run(*argv, "--out", str(out)) == EXIT_DATA
+    assert f"input error: output {out} is the {option} input {files[option]}" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("sibling", ["single", "dual"])
+def test_fit_both_refuses_a_sibling_report_that_is_its_scan(tmp_path, capsys, sibling):
+    scan = _valid_inputs(tmp_path)["--scan"]
+    named = scan.rename(tmp_path / f"fit.{sibling}.csv")
+    before = _tree(tmp_path)
+    out = tmp_path / "fit.csv"
+    assert run("fit", "--scan", str(named), "--tiles-m", "0.5", "--s-initial", "0.3", "--out", str(out)) == EXIT_DATA
+    assert f"input error: output {named} is the --scan input {named}" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+def test_scan_with_a_byte_order_mark_fits_like_without(tmp_path):
+    # spreadsheet tools save CSV as "UTF-8 with BOM"; the header digest still hashes the file's bytes
+    plain = _valid_inputs(tmp_path)["--scan"]
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for scan in (plain, marked):
+        out = tmp_path / f"fit_{scan.stem}.txt"
+        assert run("fit", "--scan", str(scan), "--model", "single", "--s-initial", "0.3", "--tiles-m", "0.5",
+                   "--out", str(out)) == EXIT_OK
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert f"scan={hashlib.sha256(scan.read_bytes()).hexdigest()[:12]}" in header
+        reports.append(rows)
+    assert reports[0] == reports[1]

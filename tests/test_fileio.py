@@ -1,3 +1,5 @@
+import codecs
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -598,6 +600,14 @@ class TestLineGrammar:
         lines = [lines[0], "", "   # an indented note", *lines[1:-1], " \t", "\t# a tabbed note", lines[-1], ""]
         padded.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert read(padded) == read(plain)
+
+    @pytest.mark.parametrize("fmt", ["scan", "materials", "scene", "report"])
+    def test_a_utf8_byte_order_mark_is_dropped(self, tmp_path, fmt):
+        # spreadsheet tools save text as "UTF-8 with BOM"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        read = self._write(fmt, plain)
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert read(marked) == read(plain)
 
     @pytest.mark.parametrize(
         "fmt, bad, message",

@@ -24,7 +24,7 @@ from mmscatter.fitting import (
     s_grid,
 )
 from mmscatter.geometry import DEFAULT_CYLINDER_HEIGHTS, ScanSpec, paper_scene, scan_positions
-from mmscatter.lobes import LobeModel, LobeParams, NormalizationMode
+from mmscatter.lobes import ALPHA_MIN, LobeModel, LobeParams, NormalizationMode
 from mmscatter.materials import IncidenceContext, initial_scattering_coefficient
 from mmscatter.raytrace import (
     _ANCHOR_TIE_M,
@@ -47,15 +47,24 @@ def dual(s, alpha_r, alpha_i, lam):
     return LobeParams(model=LobeModel.DUAL_LOBE, s_coeff=s, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
 
 
-def shapes_of(model):
+def shapes_of(pattern, model):
     """The model's stage-A shapes; the screen's column n is shape n."""
-    return list(itertools.product(*_shape_grid(model)))
+    return pattern.shape_table(_shape_grid(model)).shapes
 
 
-def stage_a(model, s):
+def stage_a(pattern, model, s):
     """(s_values, columns) of every stage-A shape of the model at S s."""
-    n = len(shapes_of(model))
+    n = len(shapes_of(pattern, model))
     return [s] * n, range(n)
+
+
+def distinct_shapes(alphas_r, alphas_i, lambdas):
+    """The product alphas_r x alphas_i x lambdas, less each shape whose zero-weight lobe is not the first width."""
+    return [
+        (alpha_r, alpha_i, lam)
+        for alpha_r, alpha_i, lam in itertools.product(alphas_r, alphas_i, lambdas)
+        if (lam < 1.0 or alpha_i == alphas_i[0]) and (lam > 0.0 or alpha_r == alphas_r[0])
+    ]
 
 
 @pytest.fixture
@@ -262,7 +271,7 @@ class TestGridMinimum:
         evaluate = ScanEvaluator(scan, scene, paper_link, materials_db)
         report = grid_fit(evaluate, LobeModel.DUAL_LOBE, s_initial)
         # every shape at every S of the fit's own S grid, in one screen call
-        n = len(shapes_of(LobeModel.DUAL_LOBE))
+        n = len(shapes_of(evaluate.pattern, LobeModel.DUAL_LOBE))
         s_values = [s for s in s_grid(s_initial) for _ in range(n)]
         columns = list(range(n)) * len(s_grid(s_initial))
         assert report.fvu <= evaluate.screen(LobeModel.DUAL_LOBE, s_values, columns).min() + FVU_TIE_TOL
@@ -379,7 +388,7 @@ def scan_for(material, theta_deg, heights, paper_link, materials_db):
 
 def exact_scores(evaluate, model, s_values, columns):
     """ScanEvaluator.__call__ of each candidate that screen(model, s_values, columns) scores."""
-    shapes = shapes_of(model)
+    shapes = shapes_of(evaluate.pattern, model)
     return np.array([evaluate(LobeParams.from_shape(model, s, shapes[n])) for s, n in zip(s_values, columns)])
 
 
@@ -408,21 +417,23 @@ def pure_lobe_peaks(pattern, alphas, kind):
 def three_array_certificate(pattern, alphas_r, alphas_i, lambdas):
     """The screen's former certificate, from a peak bound, a no-specular mask and a tile certificate.
 
-    Returns a function of S giving the (P, N) cells of the grid, in _ShapeTable column
-    order, where s^2 times the table's window sum is the diffuse sum predict gates.
+    Returns a function of S giving the (P, N) cells of the grid's N distinct shapes, in
+    _ShapeTable column order, where s^2 times the table's window sum is the diffuse sum
+    predict gates.
     """
-    n_pos = pattern.n_positions
-    lam = np.asarray(lambdas)
-    peak = np.where(lam > 0.0, pure_lobe_peaks(pattern, alphas_r, "u").T[:, :, None, None], 0.0)
-    if np.any(lam < 1.0):
-        backscatter = pure_lobe_peaks(pattern, alphas_i, "v").T[:, None, :, None]
-        peak = np.maximum(peak, np.where(lam < 1.0, backscatter, 0.0))
-    peak = np.broadcast_to(peak, (n_pos, len(alphas_r), len(alphas_i), len(lambdas))).reshape(n_pos, -1)
+    forward = dict(zip(alphas_r, pure_lobe_peaks(pattern, alphas_r, "u")))
+    backscatter = dict(zip(alphas_i, pure_lobe_peaks(pattern, alphas_i, "v")))
+    peak = np.column_stack(
+        [
+            np.maximum(forward[alpha_r] if lam > 0.0 else 0.0, backscatter[alpha_i] if lam < 1.0 else 0.0)
+            for alpha_r, alpha_i, lam in distinct_shapes(alphas_r, alphas_i, lambdas)
+        ]
+    )
     no_spec = pattern.spec_power == 0.0
     tile_certified = np.zeros(peak.shape, dtype=bool)
     rows = np.flatnonzero(no_spec)
     if rows.size:
-        tile_certified[rows] = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)[1].reshape(rows.size, -1)
+        tile_certified[rows] = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)[1]
 
     def certified(s_value):
         specular = pattern.spec_power[:, None] >= s_value * s_value * (1.0 + _CERTIFICATE_MARGIN) * peak
@@ -449,11 +460,11 @@ class TestStageAScreen:
 
         with monkeypatch.context() as patch:
             patch.setattr(evaluate.pattern, "gate", spy)
-            evaluate.screen(LobeModel.DUAL_LOBE, *stage_a(LobeModel.DUAL_LOBE, 0.9))
+            evaluate.screen(LobeModel.DUAL_LOBE, *stage_a(evaluate.pattern, LobeModel.DUAL_LOBE, 0.9))
         # at s 0.9 on 0.5 m tiles the specular certificate misses for many shapes
         assert fallback_rows
         for s in (0.3, 0.9):
-            assert_matches_exact(evaluate, LobeModel.DUAL_LOBE, *stage_a(LobeModel.DUAL_LOBE, s))
+            assert_matches_exact(evaluate, LobeModel.DUAL_LOBE, *stage_a(evaluate.pattern, LobeModel.DUAL_LOBE, s))
 
     @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
     @pytest.mark.parametrize("s", [0.3, 0.9])
@@ -462,18 +473,19 @@ class TestStageAScreen:
     ):
         scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
         evaluate = evaluator(scan, scene)
-        assert_matches_exact(evaluate, LobeModel.SINGLE_LOBE, *stage_a(LobeModel.SINGLE_LOBE, s))
+        assert_matches_exact(evaluate, LobeModel.SINGLE_LOBE, *stage_a(evaluate.pattern, LobeModel.SINGLE_LOBE, s))
 
     @pytest.mark.parametrize("material, theta_deg, heights", SCREEN_SCANS)
-    @pytest.mark.parametrize("shape", [single(0.3, 1), single(0.3, 10), dual(0.3, 2, 9, 0.0), dual(0.3, 7, 3, 0.6)])
+    @pytest.mark.parametrize("shape", [single(0.3, 1), single(0.3, 10), dual(0.3, 1, 9, 0.0), dual(0.3, 7, 3, 0.6)])
     def test_stage_b_screen_matches_exact_scoring(
         self, material, theta_deg, heights, shape, paper_link, materials_db, evaluator
     ):
         scene, scan = scan_for(material, theta_deg, heights, paper_link, materials_db)
         # a grid reaching s 0.9, where the specular certificate misses
         grid = s_grid(0.3) + s_grid(0.8)
-        column = shapes_of(shape.model).index(shape.shape)
-        assert_matches_exact(evaluator(scan, scene), shape.model, grid, [column] * len(grid))
+        evaluate = evaluator(scan, scene)
+        column = shapes_of(evaluate.pattern, shape.model).index(shape.shape)
+        assert_matches_exact(evaluate, shape.model, grid, [column] * len(grid))
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -558,7 +570,7 @@ class TestStageAScreen:
         _, positions = scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))
         pattern = build_pattern(scene30, positions, paper_link, materials_db, tile_edge)
         grid = _shape_grid(LobeModel.DUAL_LOBE)
-        s_values, columns = stage_a(LobeModel.DUAL_LOBE, 0.8)
+        s_values, columns = stage_a(pattern, LobeModel.DUAL_LOBE, 0.8)
         together = pattern.shape_totals(grid, s_values, columns)
         reversed_order = pattern.shape_totals(grid, s_values[::-1], columns[::-1])[:, ::-1]
         alone = np.column_stack([pattern.shape_totals(grid, [s], [n]) for s, n in zip(s_values, columns)])
@@ -687,12 +699,12 @@ def assert_tile_anchor_table_is_oracle(pattern, alphas_r, alphas_i, lambdas):
     rows = np.flatnonzero(pattern.spec_power == 0.0)
     assert rows.size
     sums, certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
-    for (i, alpha_r), (j, alpha_i), (m, lam) in itertools.product(
-        enumerate(alphas_r), enumerate(alphas_i), enumerate(lambdas)
-    ):
-        expected_sums, expected_certified = tile_anchor_oracle(pattern, (alpha_r, alpha_i, lam), rows)
-        assert sums[:, i, j, m].tobytes() == expected_sums.tobytes(), (alpha_r, alpha_i, lam)
-        assert np.array_equal(certified[:, i, j, m], expected_certified), (alpha_r, alpha_i, lam)
+    shapes = distinct_shapes(alphas_r, alphas_i, lambdas)
+    assert sums.shape == certified.shape == (rows.size, len(shapes))
+    for n, shape in enumerate(shapes):
+        expected_sums, expected_certified = tile_anchor_oracle(pattern, shape, rows)
+        assert sums[:, n].tobytes() == expected_sums.tobytes(), shape
+        assert np.array_equal(certified[:, n], expected_certified), shape
 
 
 class TestTileAnchorTable:
@@ -701,8 +713,8 @@ class TestTileAnchorTable:
     @pytest.mark.parametrize("material", ["rough_wall", "metal_sheet"])
     @pytest.mark.parametrize("theta_deg", [20.0, 37.3, 55.0])
     def test_table_equals_per_shape_oracle(self, material, theta_deg, paper_link, materials_db):
-        # lambda 1 is computed at the first alpha_i only and lambda 0 at the first
-        # alpha_r, so two forward and three backscatter widths exercise the copies
+        # lambda 1 keeps the first alpha_i only and lambda 0 the first alpha_r, so
+        # two forward and three backscatter widths exercise the skipped duplicates
         scene = paper_scene(material, theta_deg)
         for tile_edge, heights, mode in itertools.product(
             (0.5, 0.2), ((0.0,), DEFAULT_CYLINDER_HEIGHTS), NormalizationMode
@@ -717,6 +729,48 @@ class TestTileAnchorTable:
         pattern = build_pattern(scene30, positions, paper_link, materials_db, 0.5)
         for model in LobeModel:
             assert_tile_anchor_table_is_oracle(pattern, *_shape_grid(model))
+
+
+class TestDistinctShapes:
+    """Each model's table holds every distinct stage-A shape once; a zero-weight lobe keeps ALPHA_MIN."""
+
+    def test_tables_hold_each_distinct_shape_once(self, scene30, paper_link, materials_db):
+        _, positions = scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))
+        pattern = build_pattern(scene30, positions, paper_link, materials_db, 0.5)
+        for model, count in ((LobeModel.SINGLE_LOBE, 10), (LobeModel.DUAL_LOBE, 920)):
+            shapes = shapes_of(pattern, model)
+            assert shapes == distinct_shapes(*_shape_grid(model))
+            assert len(shapes) == len(set(shapes)) == count
+            assert all(alpha_i == ALPHA_MIN for _, alpha_i, lam in shapes if lam == 1.0)
+            assert all(alpha_r == ALPHA_MIN for alpha_r, _, lam in shapes if lam == 0.0)
+
+    @pytest.mark.parametrize("truth", [dual(0.35, 6, ALPHA_MIN, 1.0), dual(0.35, ALPHA_MIN, 7, 0.0)])
+    def test_zero_weight_truth_is_the_grids_unique_zero(self, truth, scene30, paper_link, materials_db, evaluator):
+        scan = synthetic_scan(scene30, truth, paper_link, materials_db, heights=(0.0, 0.3))
+        evaluate = evaluator(scan, scene30)
+        report = grid_fit(evaluate, LobeModel.DUAL_LOBE, truth.s_coeff)
+        assert report.fvu == 0.0 and report.best == truth
+        # every shape of the fit's grid at every S of its S grid, in one screen call
+        shapes = shapes_of(evaluate.pattern, LobeModel.DUAL_LOBE)
+        s_values = [s for s in s_grid(truth.s_coeff) for _ in shapes]
+        columns = list(range(len(shapes))) * len(s_grid(truth.s_coeff))
+        screened = evaluate.screen(LobeModel.DUAL_LOBE, s_values, columns)
+        zeros = [(s_values[q], shapes[columns[q]]) for q in np.flatnonzero(screened <= 1e-12)]
+        assert zeros == [(truth.s_coeff, truth.shape)]
+
+    def test_both_dual_trace_screens_920_distinct_predictions_a_round(
+        self, scene30, paper_link, materials_db, evaluator
+    ):
+        # compare_models is what `fit --model both` runs
+        scan = with_noise(synthetic_scan(scene30, dual(0.35, 3, 8, 0.3), paper_link, materials_db), 1)
+        evaluate = evaluator(scan, scene30)
+        dual_report = compare_models(evaluate, 0.35).dual
+        rounds = sorted({entry.round for entry in dual_report.trace})
+        for rnd in rounds:
+            stage_a_rows = [entry.params for entry in dual_report.trace if (entry.round, entry.stage) == (rnd, "A")]
+            assert len(stage_a_rows) == 920
+            powers = {b"".join(w.tobytes() for w in evaluate.pattern.predict(params)) for params in stage_a_rows}
+            assert len(powers) == 920
 
 
 class TestExactScores:
@@ -743,9 +797,9 @@ class TestExactScores:
         predicted = []
         predict = evaluate.pattern.predict
         monkeypatch.setattr(evaluate.pattern, "predict", lambda params: predicted.append(params) or predict(params))
-        forward = [single(0.35, 4)] + [dual(0.35, 4, other, 1.0) for other in range(1, 11)]
-        backscatter = [dual(0.35, other, 6, 0.0) for other in range(1, 11)]
+        # a single lobe and its dual lambda-1 twin, whose zero-weight width is ALPHA_MIN
+        forward = [single(0.35, 4), dual(0.35, 4, 1, 1.0)]
         mixed = [dual(0.35, 4, 6, 0.5), dual(0.35, 4, 6, 0.5), dual(0.4, 4, 6, 0.5)]
-        values = [evaluate(params) for params in forward + backscatter + mixed]
-        assert predicted == [forward[0], backscatter[0], mixed[0], mixed[2]]
-        assert len(set(values[:11])) == 1 and len(set(values[11:21])) == 1
+        values = [evaluate(params) for params in forward + mixed]
+        assert predicted == [forward[0], mixed[0], mixed[2]]
+        assert values[0] == values[1] and values[2] == values[3]

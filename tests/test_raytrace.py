@@ -40,9 +40,10 @@ from mmscatter.raytrace import (
 
 CONVERGENCE_EDGES = (0.4, 0.2, 0.1, 0.05, 0.025)
 CONVERGENCE_TOL_DB = 0.1
-# every dual-lobe shape a fit screens: widths 1-10 of both lobes and 11 mixes
+# every dual-lobe shape a fit screens: widths 1-10 of both lobes and 11 mixes, less the
+# 90 + 90 duplicates at lambda 1 and 0, where the zero-weight lobe's width drops out
 DUAL_GRID = _shape_grid(LobeModel.DUAL_LOBE)
-DUAL_COLUMNS = np.arange(math.prod(map(len, DUAL_GRID)))
+DUAL_COLUMNS = np.arange(math.prod(map(len, DUAL_GRID)) - 2 * 90)
 
 
 def single(s, alpha_r=4):
@@ -298,7 +299,7 @@ class TestBlocks:
         n_pos, n_tiles = pattern.n_positions, pattern.n_tiles
         assert (n_pos, n_tiles) == (76, 3_600)
         n_columns, n_widths = DUAL_COLUMNS.size, len(DUAL_GRID[0])
-        assert (n_columns, n_widths) == (1_100, 10)
+        assert (n_columns, n_widths) == (920, 10)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -308,6 +309,7 @@ class TestBlocks:
             kept = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
+        assert len(pattern.shape_table(DUAL_GRID).shapes) == n_columns
         # the table's window and limit, one (T,) norm per width, and 64 KB of
         # dicts and objects; one (P, T) float64 array alone is 2.2 MB
         bound = 2 * 8 * n_pos * n_columns + n_widths * 8 * n_tiles + 64 * 1024
