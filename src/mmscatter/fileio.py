@@ -59,6 +59,10 @@ def _err(source: str, lineno: int, message: str) -> FileFormatError:
     return FileFormatError(f"{source}:{lineno}: {message}")
 
 
+# the report's model tokens, resolved once
+_SINGLE, _DUAL = LobeModel.SINGLE_LOBE.value, LobeModel.DUAL_LOBE.value
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -395,16 +399,11 @@ class FitReport:
     converged: bool
 
 
-def _params_tokens(params) -> list[str]:
+def _params_text(params) -> str:
+    """The five report tokens of params; a single lobe, the one model without alpha_i, writes "-" for the last two."""
     if params.alpha_i is None:
-        return [params.model.value, _fmt(params.s_coeff), str(params.alpha_r), "-", "-"]
-    return [
-        params.model.value,
-        _fmt(params.s_coeff),
-        str(params.alpha_r),
-        str(params.alpha_i),
-        _fmt(params.lambda_mix),
-    ]
+        return f"{_SINGLE} {float(params.s_coeff)!r} {params.alpha_r} - -"
+    return f"{_DUAL} {float(params.s_coeff)!r} {params.alpha_r} {params.alpha_i} {float(params.lambda_mix)!r}"
 
 
 def _params_from_tokens(tokens, source: str, lineno: int) -> LobeParams:
@@ -429,15 +428,14 @@ def write_report(report: FitReport, path, header_comment: str | None = None) -> 
     """Serialize a FitReport; read_report(write_report(r)) == r."""
     lines = []
     best = report.best
-    lines.append("best " + " ".join(_params_tokens(best)))
+    lines.append(f"best {_params_text(best)}")
     lines.append(f"fvu {_fmt(report.fvu)}")
     lines.append(f"s_initial {_fmt(report.s_initial)}")
     lines.append(f"plane_only {'true' if report.plane_only else 'false'}")
     lines.append(f"converged {'true' if report.converged else 'false'}")
     lines.append(f"trace {len(report.trace)}")
     lines.append(_TRACE_HEADER)
-    for entry in report.trace:
-        lines.append(f"{entry.round} {entry.stage} " + " ".join(_params_tokens(entry.params)) + f" {_fmt(entry.fvu)}")
+    lines.extend(f"{e.round} {e.stage} {_params_text(e.params)} {float(e.fvu)!r}" for e in report.trace)
     write_lines(path, lines, header_comment)
 
 

@@ -210,6 +210,14 @@ def specular_paths(tx: np.ndarray, rx: np.ndarray, wall: Wall) -> tuple[np.ndarr
     return np.where(hit, len_in + len_out, 0.0), np.where(hit, cos_theta, 0.0)
 
 
+def _sum3(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """a[0] b[0] + a[1] b[1] + a[2] b[2] into out, added in that order; tmp is scratch of out's shape."""
+    np.multiply(a[0], b[0], out=out)
+    for k in (1, 2):
+        out += np.multiply(a[k], b[k], out=tmp)
+    return out
+
+
 class SurfacePaths:
     """Single-bounce path geometry from a Tx over surface points, to a block of receivers at a time.
 
@@ -224,7 +232,9 @@ class SurfacePaths:
     as contiguous (3, T) component rows. receiver forms r_s and both lobe
     cosines as three-term sums of (R, T) arrays, added in axis order as a
     row reduction of (T, 3) arrays adds them, so they are bit for bit the
-    same. cos_ts(rx) keeps the matrix product with the normal.
+    same; it writes them into a workspace that a scan pattern allocates
+    once and refills per block of receivers. cos_ts(rx) keeps the matrix
+    product with the normal.
     """
 
     def __init__(self, tx: np.ndarray, points: np.ndarray, normal: np.ndarray):
@@ -242,16 +252,23 @@ class SurfacePaths:
         spec_dir = v_i - 2.0 * (v_i @ normal)[:, None] * normal
         self._point_rows, self._spec_rows, self._back_rows = (a.T.copy() for a in (points, spec_dir, -v_i))
 
-    def receiver(self, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(r_s, cos_psi_r, cos_psi_i) per point for the receivers rx (R, 3), each (R, T): a row per receiver."""
+    def receiver(self, rx: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(r_s, cos_psi_r, cos_psi_i) per point for the receivers rx (R, 3), each (R, T): a row per receiver.
+
+        They and every (R, T) temporary live in out, seven (R, T) float
+        arrays that a caller may reuse across blocks of receivers, or in
+        new ones.
+        """
+        work = out if out is not None else [np.empty((len(rx), self.r_i.size)) for _ in range(7)]
+        d, (r_s, cos_psi_r, cos_psi_i, tmp) = work[:3], work[3:]
         with np.errstate(over="ignore"):
-            d = [rx[:, k, None] - row for k, row in enumerate(self._point_rows)]
-            r_s = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+            for k, row in enumerate(self._point_rows):
+                np.subtract(rx[:, k, None], row, out=d[k])
+            np.sqrt(_sum3(d, d, r_s, tmp), out=r_s)
             # element_constant divides by (r_i r_s)^2, which the largest r_i and r_s bound
             reach = self._r_i_max * r_s.max(axis=-1)
             too_long = ~(reach * reach < math.inf)
-            n = self.normal.tolist()
-            behind = np.any(d[0] * n[0] + d[1] * n[1] + d[2] * n[2] < -_IN_PLANE_M, axis=-1)
+            behind = np.any(_sum3(d, self.normal.tolist(), cos_psi_r, tmp) < -_IN_PLANE_M, axis=-1)
         on_point = np.any(r_s <= _IN_PLANE_M, axis=-1)
         p = int(np.argmax(too_long | on_point | behind))  # the first receiver at fault, or 0 if none is
         if too_long[p]:
@@ -260,10 +277,10 @@ class SurfacePaths:
             raise ValueError("degenerate geometry: rx coincides with a surface point")
         if behind[p]:
             raise ValueError("rx lies behind the wall plane")
-        v = [np.divide(dk, r_s, out=dk) for dk in d]
-        s, b = self._spec_rows, self._back_rows
-        cos_psi_r = np.clip(v[0] * s[0] + v[1] * s[1] + v[2] * s[2], -1.0, 1.0)
-        cos_psi_i = np.clip(v[0] * b[0] + v[1] * b[1] + v[2] * b[2], -1.0, 1.0)
+        for dk in d:
+            np.divide(dk, r_s, out=dk)
+        np.clip(_sum3(d, self._spec_rows, cos_psi_r, tmp), -1.0, 1.0, out=cos_psi_r)
+        np.clip(_sum3(d, self._back_rows, cos_psi_i, tmp), -1.0, 1.0, out=cos_psi_i)
         return r_s, cos_psi_r, cos_psi_i
 
     def cos_ts(self, rx: np.ndarray) -> np.ndarray:

@@ -224,15 +224,19 @@ def lobe_mix(lam, forward, backscatter, out=None):
     return out
 
 
-def element_constant(link: RadioLink, r_i, r_s, cos_theta_i, area):
+def element_constant(link: RadioLink, r_i, r_s, cos_theta_i, area, out=None):
     """K^2 / (r_i r_s)^2 * A cos(theta_i) * G_r lambda^2 / (480 pi^2), per surface element.
 
     This is the received power without S^2, the lobe gain and F. It
     depends on the geometry only, so a scan pattern computes it once per
-    tiling and receiver; the arguments broadcast together.
+    tiling and receiver; the arguments broadcast together. out, an array
+    of the broadcast shape, receives it if given.
     """
     rx_scale = link.g_r * link.wavelength**2 / (480.0 * math.pi**2)
-    return link.k_const**2 / (r_i * r_s) ** 2 * area * cos_theta_i * rx_scale
+    const = np.divide(link.k_const**2, np.square(np.multiply(r_i, r_s, out=out), out=out), out=out)
+    for factor in (area, cos_theta_i, rx_scale):
+        const = np.multiply(const, factor, out=out)
+    return const
 
 
 def mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i, out=None):

@@ -15,6 +15,10 @@ orders, so identical inputs give bit-identical results. build_pattern and
 predict work in blocks of whole receiver rows, at most _BLOCK_PATHS paths each,
 so their temporaries take a block's memory, not the pattern's; every step is
 elementwise or reduces along one row, so a row's values do not depend on its block.
+The fit keeps build_pattern's whole pattern, which it predicts and screens many
+times; simulate_scan reads each row once, so it builds and predicts one block at
+a time and never holds more. Both run one row code (_Tiling.pattern) and refill
+one block workspace per call.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ _BLOCK_PATHS = 1 << 15
 def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     """Consecutive row slices covering n_rows, each at most _BLOCK_PATHS entries of n_cols, and at least one row."""
     step = max(1, _BLOCK_PATHS // n_cols)
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,11 @@ class ScanPattern:
     value), so predict's delay window is decided in this module alone.
     It keeps 32 B per path (C, U, V and the path length) and per lobe
     width only the (T,) normalization: each pass forms the lobe gains
-    U^alpha and V^alpha that it uses.
+    U^alpha and V^alpha that it uses. simulate_scan makes one pattern per
+    block of receiver rows, and they share one dict of norms.
     """
 
-    def __init__(self, mode, tile_theta, const, u_base, v_base, lengths, spec_power, spec_length):
+    def __init__(self, mode, tile_theta, const, u_base, v_base, lengths, spec_power, spec_length, norms=None):
         self.mode = mode
         self.tile_theta = tile_theta  # (T,)
         self._const = const  # (P, T): everything except S^2, lobe gain, normalization
@@ -118,7 +123,7 @@ class ScanPattern:
         self._lengths = lengths  # (P, T): r_i + r_s
         self.spec_power = spec_power  # (P,): specular power, 0 where no specular point
         self._spec_length = spec_length  # (P,)
-        self._norms: dict[int, np.ndarray] = {}
+        self._norms: dict[int, np.ndarray] = {} if norms is None else norms
         self._shape_tables: dict[tuple, _ShapeTable] = {}
 
     @property
@@ -404,6 +409,52 @@ def tile_centers(scene: Scene, tile_edge: float, receivers: int = 1) -> tuple[np
     return centers.reshape(-1, 3), du * dw
 
 
+class _Tiling:
+    """The per-tiling part of build_pattern, done once per call; pattern(rx, arrays) is the per-row part.
+
+    It holds the tiles' incident paths and angles, the (T,) normalization
+    of each lobe width that the patterns of its receivers use (one dict,
+    shared), and receiver's workspace for one block of rows, which pattern
+    refills for each block. The tiling must give n_receivers at most
+    MAX_PATHS paths. Block arrays are separate (R, T) arrays: freeing one
+    stacked array of them would raise glibc's mmap threshold, and a fit's
+    later arrays would then stay in the heap (measured at 76 x 900 paths).
+    """
+
+    def __init__(self, scene, n_receivers, link, materials, tile_edge, mode, polarization):
+        self.scene, self.link, self.mode, self.polarization = scene, link, mode, polarization
+        self.material = materials.get(scene.wall.material)
+        centers, self.area = tile_centers(scene, tile_edge, n_receivers)
+        self.paths = SurfacePaths(scene.tx, centers, scene.wall.normal)
+        self.tile_theta = np.arccos(self.paths.cos_ti)
+        self.norms: dict[int, np.ndarray] = {}
+        self.n_tiles = centers.shape[0]
+        self.block_rows = _row_blocks(max(1, n_receivers), self.n_tiles)[0].stop
+        self._work: list[np.ndarray] = []
+
+    def pattern(self, rx: np.ndarray, arrays) -> ScanPattern:
+        """The ScanPattern of the receivers rx (R, 3), its C, U, V and path lengths written into four (R, T) arrays."""
+        const, u_base, v_base, lengths = arrays
+        paths = self.paths
+        if not self._work:  # allocated after the caller's arrays, which a fit keeps, so the heap can return it
+            self._work = [np.empty((self.block_rows, self.n_tiles)) for _ in range(7)]
+        for rows in _row_blocks(len(rx), self.n_tiles):
+            r_s, cos_psi_r, cos_psi_i = paths.receiver(rx[rows], [a[: rows.stop - rows.start] for a in self._work])
+            for block, cos_psi in ((u_base[rows], cos_psi_r), (v_base[rows], cos_psi_i)):
+                np.divide(np.add(1.0, cos_psi, out=block), 2.0, out=block)
+            np.add(paths.r_i, r_s, out=lengths[rows])
+            element_constant(self.link, paths.r_i, r_s, paths.cos_ti, self.area, out=const[rows])
+
+        spec_length, spec_cos = specular_paths(self.scene.tx, rx, self.scene.wall)
+        spec_power = np.zeros(len(rx))
+        for p in np.flatnonzero(spec_length).tolist():
+            length, cos_theta = float(spec_length[p]), float(spec_cos[p])
+            ctx = IncidenceContext(math.acos(min(1.0, cos_theta)), self.link.wavelength, self.polarization)
+            rough = initial_scattering_coefficient(self.material, ctx).gamma_rough
+            spec_power[p] = self.link.friis_power(length) * rough * rough
+        return ScanPattern(self.mode, self.tile_theta, const, u_base, v_base, lengths, spec_power, spec_length, self.norms)
+
+
 def build_pattern(
     scene: Scene,
     rx_positions: np.ndarray,
@@ -414,44 +465,11 @@ def build_pattern(
     polarization: Polarization = Polarization.TE,
 ) -> ScanPattern:
     """Precompute per-tile geometry and constants for a set of receivers."""
-    material = materials.get(scene.wall.material)
     rx = np.atleast_2d(np.asarray(rx_positions, dtype=float))
     if rx.shape[1] != 3:
         raise ValueError("rx_positions must be (P, 3)")
-    n_pos = rx.shape[0]
-    centers, area = tile_centers(scene, tile_edge, n_pos)
-    paths = SurfacePaths(scene.tx, centers, scene.wall.normal)
-
-    n_tiles = centers.shape[0]
-    const = np.empty((n_pos, n_tiles))
-    u_base = np.empty((n_pos, n_tiles))
-    v_base = np.empty((n_pos, n_tiles))
-    lengths = np.empty((n_pos, n_tiles))
-    for rows in _row_blocks(n_pos, n_tiles):
-        r_s, cos_psi_r, cos_psi_i = paths.receiver(rx[rows])
-        for block, cos_psi in ((u_base[rows], cos_psi_r), (v_base[rows], cos_psi_i)):
-            np.divide(np.add(1.0, cos_psi, out=block), 2.0, out=block)
-        np.add(paths.r_i, r_s, out=lengths[rows])
-        const[rows] = element_constant(link, paths.r_i, r_s, paths.cos_ti, area)
-
-    spec_length, spec_cos = specular_paths(scene.tx, rx, scene.wall)
-    spec_power = np.zeros(n_pos)
-    for p in np.flatnonzero(spec_length).tolist():
-        length, cos_theta = float(spec_length[p]), float(spec_cos[p])
-        ctx = IncidenceContext(math.acos(min(1.0, cos_theta)), link.wavelength, polarization)
-        rough = initial_scattering_coefficient(material, ctx).gamma_rough
-        spec_power[p] = link.friis_power(length) * rough * rough
-
-    return ScanPattern(
-        mode=mode,
-        tile_theta=np.arccos(paths.cos_ti),
-        const=const,
-        u_base=u_base,
-        v_base=v_base,
-        lengths=lengths,
-        spec_power=spec_power,
-        spec_length=spec_length,
-    )
+    tiling = _Tiling(scene, rx.shape[0], link, materials, tile_edge, mode, polarization)
+    return tiling.pattern(rx, [np.empty((rx.shape[0], tiling.n_tiles)) for _ in range(4)])
 
 
 def simulate_scan(
@@ -464,10 +482,19 @@ def simulate_scan(
     mode: NormalizationMode = NormalizationMode.HEMISPHERE,
     polarization: Polarization = Polarization.TE,
 ) -> list[SimRecord]:
-    """Simulated scan over the arc/semicylinder, ordered by (delta_h, azimuth)."""
+    """Simulated scan over the arc/semicylinder, ordered by (delta_h, azimuth).
+
+    It builds and predicts one block of receiver rows at a time, into
+    arrays allocated once per call, so it never holds the whole pattern;
+    the powers equal those of build_pattern(...).predict bit for bit.
+    """
     keys, positions = scan_positions(scene, scanspec)
-    pattern = build_pattern(scene, positions, link, materials, tile_edge, mode, polarization)
-    total_w, spec_w, diff_w = pattern.predict(lobe_params)
+    tiling = _Tiling(scene, len(positions), link, materials, tile_edge, mode, polarization)
+    arrays = [np.empty((tiling.block_rows, tiling.n_tiles)) for _ in range(4)]
+    powers = np.empty((3, len(positions)))
+    for rows in _row_blocks(len(positions), tiling.n_tiles):
+        block = tiling.pattern(positions[rows], [a[: rows.stop - rows.start] for a in arrays])
+        powers[:, rows] = block.predict(lobe_params)
     return [
         SimRecord(
             azimuth_deg=az,
@@ -476,5 +503,5 @@ def simulate_scan(
             specular_dbm=watts_to_dbm(float(spec)),
             diffuse_dbm=watts_to_dbm(float(diff)),
         )
-        for (az, dh), total, spec, diff in zip(keys, total_w, spec_w, diff_w)
+        for (az, dh), total, spec, diff in zip(keys, *powers)
     ]

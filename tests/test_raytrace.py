@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmscatter import SPEED_OF_LIGHT, watts_to_dbm
+from mmscatter import SPEED_OF_LIGHT, raytrace, watts_to_dbm
+from mmscatter.cli import EXIT_DATA
+from mmscatter.cli import main as cli_main
 from mmscatter.fileio import default_materials, read_scan, write_simulated_scan
 from mmscatter.geometry import (
     DEFAULT_CYLINDER_HEIGHTS,
@@ -293,6 +296,41 @@ class TestBlocks:
         # one (P, T) float64 temporary alone is 8.75 MB
         assert peak < bound < 8 * n_pos * n_tiles
 
+    def test_simulate_memory_is_bounded_by_its_blocks(self, paper_link, materials_db, scene30):
+        spec = ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS)
+        n_pos, n_tiles = len(scan_positions(scene30, spec)[0]), tile_centers(scene30, 0.05)[0].shape[0]
+        assert (n_pos, n_tiles) == (76, 3_600)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            simulate_scan(scene30, spec, dual(0.4, 3, 2, 0.4), paper_link, materials_db, 0.05)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        block = 8 * (_BLOCK_PATHS // n_tiles) * n_tiles
+        # float64 blocks: receiver's workspace (7), the block's C, U, V and path
+        # lengths (4), predict's two lobe gains and their mix (3), and one for the
+        # boolean masks of receiver and gate; per tile, the centers, incident
+        # paths, direction rows, angles and norms, fewer than 32 float64 arrays of
+        # T; per receiver its position, key, powers and record
+        bound = 15 * block + 32 * 8 * n_tiles + 1024 * n_pos
+        # the whole pattern, C, U, V and the path lengths, is 8.75 MB
+        assert peak < bound < 4 * 8 * n_pos * n_tiles
+
+    def test_simulate_norms_each_width_once(self, monkeypatch, paper_link, materials_db, scene30):
+        widths = []
+        norm = raytrace.single_lobe_norm
+
+        def counting_norm(mode, alpha, theta_i):
+            widths.append(alpha)
+            return norm(mode, alpha, theta_i)
+
+        monkeypatch.setattr(raytrace, "single_lobe_norm", counting_norm)
+        spec = ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS)
+        # 9 blocks of receiver rows share the tiling's norms
+        simulate_scan(scene30, spec, dual(0.4, 3, 2, 0.4), paper_link, materials_db, 0.05)
+        assert sorted(widths) == [2, 3]
+
     def test_pattern_keeps_no_array_per_lobe_width(self, paper_link, materials_db, scene30):
         _, rx = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
         pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.05)
@@ -327,6 +365,58 @@ class TestBlocks:
         pattern.shape_totals(DUAL_GRID, [0.8] * DUAL_COLUMNS.size, DUAL_COLUMNS)
         assert np.any(0.8**2 > pattern._shape_tables[DUAL_GRID].limit)
         assert [arr.tobytes() for arr in arrays] == before
+
+
+class TestStream:
+    """simulate_scan builds and predicts a block of receiver rows at a time, with the stored pattern's bits."""
+
+    @pytest.mark.parametrize("mode", list(NormalizationMode))
+    @pytest.mark.parametrize(
+        "params", [single(0.3, 4), dual(0.4, 3, 2, 0.0), dual(0.4, 3, 2, 0.4), dual(0.4, 3, 2, 1.0)],
+        ids=["single", "dual-0", "dual-0.4", "dual-1"],
+    )
+    def test_simulate_equals_stored_pattern(self, params, mode, paper_link, materials_db, scene30):
+        spec = ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS)
+        keys, rx = scan_positions(scene30, spec)
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.05, mode)
+        # 76 receivers x 3,600 tiles: 8 full blocks of 9 rows and a partial one of 4
+        assert pattern.n_positions % (_BLOCK_PATHS // pattern.n_tiles)
+        stored = np.array([[watts_to_dbm(float(w)) for w in row] for row in zip(*pattern.predict(params))])
+        records = simulate_scan(scene30, spec, params, paper_link, materials_db, 0.05, mode)
+        assert [(r.azimuth_deg, r.delta_h_cm / 100.0) for r in records] == keys
+        streamed = np.array([[r.power_dbm, r.specular_dbm, r.diffuse_dbm] for r in records])
+        assert streamed.tobytes() == stored.tobytes()
+        # the +-90 deg receivers, in the wall plane, have no specular path
+        assert [r.azimuth_deg for r in records if r.specular_dbm == -math.inf] == [-90.0, 90.0] * 4
+
+    @pytest.mark.parametrize("first", ["behind", "too-long"])
+    def test_first_fault_in_a_later_block(self, first, monkeypatch, tmp_path, capsys, paper_link, materials_db):
+        # receivers 40 (the fifth block of 9 rows) and 60 (the seventh) are at fault
+        scene = paper_scene("rough_wall", 30.0)
+        wall = scene.wall
+        faulty = {"behind": wall.center - 0.5 * wall.normal, "too-long": wall.center + 1e154 * wall.normal}
+        messages = {
+            "behind": "rx lies behind the wall plane",
+            "too-long": f"path length to the receiver at {faulty['too-long'].tolist()} m is too long",
+        }
+        second = "too-long" if first == "behind" else "behind"
+        positions = raytrace.scan_positions
+
+        def faulty_positions(scene, spec):
+            keys, rx = positions(scene, spec)
+            rx[40], rx[60] = faulty[first], faulty[second]
+            return keys, rx
+
+        monkeypatch.setattr(raytrace, "scan_positions", faulty_positions)
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--s", "0.35", "--tiles-m", "0.05", "--heights", "0,0.1,0.2,0.3", "--out", str(out)]
+        assert cli_main(argv) == EXIT_DATA
+        assert f"input error: {messages[first]}" in capsys.readouterr().err
+        assert not out.exists()
+        # the stored pattern of the same receivers names the same fault
+        _, rx = faulty_positions(scene, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
+        with pytest.raises(ValueError, match=re.escape(messages[first])):
+            build_pattern(scene, rx, paper_link, materials_db, 0.05)
 
 
 class TestContributions:
