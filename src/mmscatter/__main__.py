@@ -1,4 +1,4 @@
-"""`mmscatter` and `python -m mmscatter`: run `mmscatter.cli` as the main program, which its BLAS setting needs."""
+"""`mmscatter` and `python -m mmscatter`: run `mmscatter.cli` as the main program, which its BLAS, GC and exit need."""
 
 import runpy
 

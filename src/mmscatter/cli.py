@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import math
 import os
 import shutil
@@ -22,6 +21,7 @@ if __name__ == "__main__":
     # before numpy loads OpenBLAS: idle workers sleep after 2^20 cycles, not 2^28 (~0.13 s of
     # CPU a process); a caller's value wins, and an importer's environment stays untouched
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+    gc.disable()  # the imports allocate for good: collecting while they run frees nothing
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digest(path) -> str:
+    import hashlib  # loads OpenSSL, 3.6 MB: only calls that digest an input file pay for it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())
@@ -268,23 +270,23 @@ def _cmd_fit(args, db) -> int:
         polarization=Polarization[args.pol],
         plane_only=args.plane_only,
     )
+    if args.model == "both":
+        fit = compare_models(evaluate, s_initial)
+    else:
+        fit = grid_fit(evaluate, LobeModel(args.model), s_initial)
+    del evaluate  # the pattern is freed before the header's digests load OpenSSL (3.6 MB) into its memory
     header = _header(args)
     if args.model == "both":
-        comparison = compare_models(evaluate, s_initial)
         single_out, dual_out, _ = _outputs(args)
-        write_report(comparison.single, single_out, header_comment=header)
-        write_report(comparison.dual, dual_out, header_comment=header)
+        write_report(fit.single, single_out, header_comment=header)
+        write_report(fit.dual, dual_out, header_comment=header)
         # the winner's report is its sibling's bytes
-        shutil.copyfile(dual_out if comparison.winner is LobeModel.DUAL_LOBE else single_out, args.out)
-        print(
-            f"single FVU {comparison.single.fvu!r} | dual FVU {comparison.dual.fvu!r} | winner {comparison.winner.value}"
-        )
-        return EXIT_OK if (comparison.single.converged and comparison.dual.converged) else EXIT_NUMERIC
-    kind = LobeModel(args.model)
-    report = grid_fit(evaluate, kind, s_initial)
-    write_report(report, args.out, header_comment=header)
-    print(f"{kind.value} FVU {report.fvu!r} (converged={report.converged})")
-    return EXIT_OK if report.converged else EXIT_NUMERIC
+        shutil.copyfile(dual_out if fit.winner is LobeModel.DUAL_LOBE else single_out, args.out)
+        print(f"single FVU {fit.single.fvu!r} | dual FVU {fit.dual.fvu!r} | winner {fit.winner.value}")
+        return EXIT_OK if (fit.single.converged and fit.dual.converged) else EXIT_NUMERIC
+    write_report(fit, args.out, header_comment=header)
+    print(f"{args.model} FVU {fit.fvu!r} (converged={fit.converged})")
+    return EXIT_OK if fit.converged else EXIT_NUMERIC
 
 
 def _cmd_angles(args, db) -> int:
@@ -419,6 +421,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()  # the loaded modules stay for the process: the work's collections skip them
+    gc.enable()
     code = main()
-    gc.freeze()  # the interpreter's final collections skip frozen objects; outputs are closed already
-    sys.exit(code)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)  # outputs are closed and flushed: skip the interpreter's teardown

@@ -383,6 +383,8 @@ _TRACE_HEADER = "round stage model s_coeff alpha_r alpha_i lambda_mix fvu"
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One evaluated candidate of a fit: its round, stage, parameters and FVU."""
+
     round: int
     stage: str
     params: LobeParams
@@ -391,6 +393,8 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class FitReport:
+    """A fit's best parameters and FVU, its starting S, its trace, and whether it converged."""
+
     best: LobeParams
     fvu: float
     s_initial: float

@@ -73,6 +73,8 @@ class DegenerateScanError(ValueError):
 
 @dataclass(frozen=True)
 class ModelComparison:
+    """Both fits of one scan and the model with the lower FVU."""
+
     single: FitReport
     dual: FitReport
     winner: LobeModel

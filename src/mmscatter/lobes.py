@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -159,6 +158,7 @@ def _line_cos_coeffs(alpha: int) -> tuple[float, ...]:
 
 def _hemisphere_cos_fractions(alpha: int) -> list[Fraction]:
     """Exact q_m with F_hemi(alpha, ti) = 2 pi sum_m q_m cos(m ti)."""
+    from fractions import Fraction  # with decimal, loaded only by a hemisphere norm
     # Funk-Hecke: F / 2pi = 1/(alpha+1) + sum_{odd l <= alpha} e_l P_l(cos ti), with
     #   e_l = (2l+1) P_{l-1}(0) alpha!^2 / ((l+1) (alpha-l)! (alpha+l+1)!),  P_{2n}(0) = (-1)^n g_n,
     #   P_l(cos t) = sum_{k=0..l} g_k g_{l-k} cos((l-2k) t),  g_k = C(2k,k) / 4^k;

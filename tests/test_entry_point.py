@@ -1,51 +1,61 @@
-"""How the CLI starts and ends: the BLAS-worker default must be in the environment before numpy
-loads, and the heap is frozen once main returns, so that the interpreter's final collections skip it.
+"""How the CLI starts and ends, and what a call loads.
 
-Each check runs a fresh interpreter, as this process has loaded numpy already.
+Run as a program, the CLI sets the BLAS-worker default and turns the cyclic GC off before numpy
+loads, freezes the loaded heap and turns the GC back on before main works, and once main returns
+flushes stdout and stderr and exits at once, skipping the interpreter's teardown. OpenSSL and
+fractions load only in the calls that use them.
+
+Each check of a start, an exit or the loaded modules runs a fresh interpreter, as this process
+has loaded numpy and the package already.
 """
 
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import mmscatter
+from mmscatter import cli
 
 SRC = str(Path(mmscatter.__file__).resolve().parents[1])
+MATERIALS = str(Path(mmscatter.__file__).resolve().parent / "data" / "materials.txt")
 # module and function of the installed `mmscatter` script
 _SCRIPT = re.search(
     r'^mmscatter = "([\w.]+):(\w+)"$', (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8"), re.M
 ).groups()
 
-# records OPENBLAS_THREAD_TIMEOUT at the first import of numpy, then runs the entry point
+# prints, flushed, "<module> <value>" at the first import of each module named in {probes},
+# a dict of module name to a function of no arguments, then runs the entry point, whose exit
+# would skip any later line of this program
 _SPY = """
-import os, runpy, sys
-seen = []
+import gc, os, runpy, sys
+probes = {probes}
 class Spy:
     def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        if name in probes:
+            print(name, probes.pop(name)(), flush=True)
 sys.meta_path.insert(0, Spy())
-{argv}
-try:
-    {entry}
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-print(seen)
+sys.argv[1:] = {argv!r}
+{entry}
 """
 
-_THEORY_ARGV = (
-    'sys.argv[1:] = ["theory", "--material", "metal_sheet", "--theta-min", "30", "--theta-max", "30", "--out", {out!r}]'
-)
+_BLAS_PROBE = '{"numpy": lambda: os.environ.get("OPENBLAS_THREAD_TIMEOUT")}'
 
-# prints from an atexit hook, which runs after the entry point's sys.exit, whether the heap is frozen
-_FREEZE_SPY = """
-import atexit, gc, runpy, sys
-atexit.register(lambda: print(gc.get_freeze_count() > 0))
-{argv}
+
+def _theory_argv(tmp_path, *extra):
+    return ["theory", "--material", "metal_sheet", "--theta-min", "30", "--theta-max", "30", *extra,
+            "--out", str(tmp_path / "theory.csv")]
+
+
+# a caller's atexit hook, which would print after the entry point if the interpreter tore down
+_EXIT_SPY = """
+import atexit, runpy, sys
+atexit.register(print, "the caller's atexit hook ran")
+sys.argv[1:] = {argv!r}
 {entry}
 """
 
@@ -56,12 +66,29 @@ _ENTRIES = {
     "console-script": "from {0} import {1}; sys.exit({1}())".format(*_SCRIPT),
 }
 
+# imported only by the calls that use them: OpenSSL for a digest of an input file, and
+# fractions, with decimal, for the exact hemisphere coefficients
+_LAZY = ("hashlib", "_hashlib", "fractions", "decimal")
+
+
+def _run(code: str, **env_extra: str) -> subprocess.CompletedProcess:
+    # without PYTHONUNBUFFERED, stdout to a pipe is block-buffered, as a caller that pipes the CLI has it
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_THREAD_TIMEOUT", "PYTHONUNBUFFERED")}
+    env.update(PYTHONPATH=SRC, **env_extra)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
 
 def _python(code: str, **env_extra: str) -> str:
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
-    env.update(PYTHONPATH=SRC, **env_extra)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    proc = _run(code, **env_extra)
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+@pytest.fixture(scope="module")
+def scan(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scan") / "sim.csv"
+    assert cli.main(["simulate", "--s", "0.35", "--tiles-m", "0.5", "--out", str(path)]) == cli.EXIT_OK
+    return path
 
 
 def test_package_import_loads_no_numpy():
@@ -70,28 +97,89 @@ def test_package_import_loads_no_numpy():
 
 @pytest.mark.parametrize("entry", list(_ENTRIES.values()), ids=list(_ENTRIES))
 def test_blas_timeout_is_set_before_numpy_loads(tmp_path, entry):
-    out = tmp_path / "theory.csv"
-    assert _python(_SPY.format(argv=_THEORY_ARGV.format(out=str(out)), entry=entry)) == "['20']"
-    assert out.read_text().count("\n") == 3
+    assert _python(_SPY.format(probes=_BLAS_PROBE, argv=_theory_argv(tmp_path), entry=entry)) == "numpy 20"
+    assert (tmp_path / "theory.csv").read_text().count("\n") == 3
 
 
 def test_blas_timeout_the_caller_set_wins(tmp_path):
-    code = _SPY.format(argv=_THEORY_ARGV.format(out=str(tmp_path / "theory.csv")), entry=_ENTRIES["module-cli"])
-    assert _python(code, OPENBLAS_THREAD_TIMEOUT="12") == "['12']"
-
-
-def test_importing_the_cli_leaves_the_environment_alone():
-    assert _python("import os, mmscatter.cli; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))") == "None"
+    code = _SPY.format(probes=_BLAS_PROBE, argv=_theory_argv(tmp_path), entry=_ENTRIES["module-cli"])
+    assert _python(code, OPENBLAS_THREAD_TIMEOUT="12") == "numpy 12"
 
 
 @pytest.mark.parametrize("entry", list(_ENTRIES.values()), ids=list(_ENTRIES))
-def test_heap_is_frozen_when_the_cli_ends(tmp_path, entry):
-    out = tmp_path / "theory.csv"
-    assert _python(_FREEZE_SPY.format(argv=_THEORY_ARGV.format(out=str(out)), entry=entry)) == "True"
-    assert out.read_text().count("\n") == 3
+def test_gc_is_off_while_loading_and_skips_the_loaded_heap_while_working(tmp_path, entry):
+    # the materials file's digest imports hashlib inside main
+    probes = '{"numpy": gc.isenabled, "hashlib": lambda: (gc.isenabled(), gc.get_freeze_count() > 0)}'
+    code = _SPY.format(probes=probes, argv=_theory_argv(tmp_path, "--materials-file", MATERIALS), entry=entry)
+    assert _python(code).splitlines() == ["numpy False", "hashlib (True, True)"]
+    assert (tmp_path / "theory.csv").read_text().count("\n") == 3
+
+
+def test_importing_the_cli_leaves_the_environment_alone():
+    code = "import gc, os, mmscatter.cli\nprint(os.getenv('OPENBLAS_THREAD_TIMEOUT'), gc.isenabled(), gc.get_freeze_count())"
+    assert _python(code) == "None True 0"
+
+
+@pytest.mark.parametrize("case", ["fit", "bad-option"])
+@pytest.mark.parametrize("entry", list(_ENTRIES.values()), ids=list(_ENTRIES))
+def test_the_cli_exit_keeps_its_code_and_whole_output(tmp_path, capsys, scan, entry, case):
+    argv = {
+        "fit": ["fit", "--scan", str(scan), "--s-initial", "0.35", "--tiles-m", "0.5", "--out", str(tmp_path / "fit")],
+        "bad-option": ["fit", "--scan", str(scan), "--no-such-option", "--out", str(tmp_path / "fit")],
+    }[case]
+    code = cli.main(argv)
+    expected = capsys.readouterr()
+    if case == "fit":
+        # both fits converge, and the FVU line is the only stdout
+        assert code == cli.EXIT_OK and re.fullmatch(r"single FVU \S+ \| dual FVU \S+ \| winner \w+\n", expected.out)
+    else:
+        assert code == cli.EXIT_USAGE and expected.out == "" and expected.err.startswith("usage error: ")
+    # all of the block-buffered stdout is written before the process exits, and the
+    # caller's atexit hook does not run
+    proc = _run(_EXIT_SPY.format(argv=argv, entry=entry))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
 
 
 def test_calling_main_leaves_the_heap_unfrozen(tmp_path):
     argv = ["theory", "--material", "metal_sheet", "--out", str(tmp_path / "theory.csv")]
-    code = f"import gc, mmscatter.cli; assert mmscatter.cli.main({argv!r}) == 0; print(gc.get_freeze_count())"
-    assert _python(code) == "0"
+    code = f"import gc, mmscatter.cli as c; assert c.main({argv!r}) == 0; print(gc.get_freeze_count(), gc.isenabled())"
+    assert _python(code) == "0 True"
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_fractions():
+    code = f"import sys, mmscatter.cli; print([m for m in {_LAZY!r} if m in sys.modules])"
+    assert _python(code) == "[]"
+
+
+def test_theory_loads_neither_openssl_nor_fractions(tmp_path):
+    code = (
+        f"import sys, mmscatter.cli; assert mmscatter.cli.main({_theory_argv(tmp_path)!r}) == 0; "
+        "print([m for m in ('_hashlib', 'fractions') if m in sys.modules])"
+    )
+    assert _python(code) == "[]"
+
+
+def test_fit_digests_its_inputs_after_the_fit_frees_its_pattern(tmp_path, monkeypatch, scan):
+    events, patterns = [], []
+    evaluator, compare, digest = cli.ScanEvaluator, cli.compare_models, cli._digest
+
+    def spy_evaluator(*args, **kwargs):
+        evaluate = evaluator(*args, **kwargs)
+        patterns.append(weakref.ref(evaluate.pattern))
+        return evaluate
+
+    def spy_compare(*args):
+        comparison = compare(*args)
+        events.append("compare_models returned")
+        return comparison
+
+    def spy_digest(path):
+        events.append(("digest", Path(path).name, "pattern freed" if patterns[0]() is None else "pattern held"))
+        return digest(path)
+
+    monkeypatch.setattr(cli, "ScanEvaluator", spy_evaluator)
+    monkeypatch.setattr(cli, "compare_models", spy_compare)
+    monkeypatch.setattr(cli, "_digest", spy_digest)
+    argv = ["fit", "--scan", str(scan), "--s-initial", "0.35", "--tiles-m", "0.5", "--out", str(tmp_path / "fit")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert events == ["compare_models returned", ("digest", "sim.csv", "pattern freed")]
