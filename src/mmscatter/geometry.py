@@ -229,16 +229,15 @@ class SurfacePaths:
     in-plane and raised receivers. Every cosine is clipped to [-1, 1].
 
     The points and the mirrored and reverse-incident directions are kept
-    as contiguous (3, T) component rows. receiver forms r_s and both lobe
-    cosines as three-term sums of (R, T) arrays, added in axis order as a
-    row reduction of (T, 3) arrays adds them, so they are bit for bit the
-    same; it writes them into a workspace that a scan pattern allocates
-    once and refills per block of receivers. cos_ts(rx) keeps the matrix
-    product with the normal.
+    only as contiguous (3, T) component rows. receiver forms r_s and both
+    lobe cosines as three-term sums of (R, T) arrays, added in axis order
+    as a row reduction of (T, 3) arrays adds them, so they are bit for bit
+    the same; it writes them into arrays of the caller's, which a scan
+    pattern then turns into its own rows in place. cos_ts(rx) keeps the
+    matrix product with the normal, of C-ordered (T, 3) differences.
     """
 
     def __init__(self, tx: np.ndarray, points: np.ndarray, normal: np.ndarray):
-        self.points = points
         self.normal = normal
         to_point = points - tx
         self.r_i = np.linalg.norm(to_point, axis=1)
@@ -250,17 +249,20 @@ class SurfacePaths:
         if np.any(self.cos_ti <= 0.0):
             raise ValueError("tx does not illuminate the surface from the outward side")
         spec_dir = v_i - 2.0 * (v_i @ normal)[:, None] * normal
+        # a receiver behind the frontmost point along the normal is behind the surface
+        self._front = float((points @ normal).max())
         self._point_rows, self._spec_rows, self._back_rows = (a.T.copy() for a in (points, spec_dir, -v_i))
 
-    def receiver(self, rx: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def receiver(self, rx: np.ndarray, out=None, work=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(r_s, cos_psi_r, cos_psi_i) per point for the receivers rx (R, 3), each (R, T): a row per receiver.
 
-        They and every (R, T) temporary live in out, seven (R, T) float
-        arrays that a caller may reuse across blocks of receivers, or in
-        new ones.
+        They are written into out, three (R, T) float arrays, and every
+        (R, T) temporary into work, four more; a caller may reuse both
+        across blocks of receivers. New ones stand in for either not given.
         """
-        work = out if out is not None else [np.empty((len(rx), self.r_i.size)) for _ in range(7)]
-        d, (r_s, cos_psi_r, cos_psi_i, tmp) = work[:3], work[3:]
+        shape = (len(rx), self.r_i.size)
+        r_s, cos_psi_r, cos_psi_i = out if out is not None else [np.empty(shape) for _ in range(3)]
+        *d, tmp = work if work is not None else [np.empty(shape) for _ in range(4)]
         with np.errstate(over="ignore"):
             for k, row in enumerate(self._point_rows):
                 np.subtract(rx[:, k, None], row, out=d[k])
@@ -268,8 +270,8 @@ class SurfacePaths:
             # element_constant divides by (r_i r_s)^2, which the largest r_i and r_s bound
             reach = self._r_i_max * r_s.max(axis=-1)
             too_long = ~(reach * reach < math.inf)
-            behind = np.any(_sum3(d, self.normal.tolist(), cos_psi_r, tmp) < -_IN_PLANE_M, axis=-1)
-        on_point = np.any(r_s <= _IN_PLANE_M, axis=-1)
+            behind = rx @ self.normal - self._front < -_IN_PLANE_M
+        on_point = r_s.min(axis=-1) <= _IN_PLANE_M
         p = int(np.argmax(too_long | on_point | behind))  # the first receiver at fault, or 0 if none is
         if too_long[p]:
             raise ValueError(f"path length to the receiver at {rx[p].tolist()} m is too long: (r_i r_s)^2 is not finite")
@@ -285,7 +287,7 @@ class SurfacePaths:
 
     def cos_ts(self, rx: np.ndarray) -> np.ndarray:
         """Cosine of the scattering angle theta_s per point, toward the receiver at rx."""
-        from_point = rx - self.points
+        from_point = np.subtract(rx, self._point_rows.T, order="C")
         v_s = from_point / np.linalg.norm(from_point, axis=1)[:, None]
         return np.clip(v_s @ self.normal, -1.0, 1.0)
 

@@ -14,7 +14,7 @@ in-plane scattering angle with |sin theta_s| weighting, HEMISPHERE (the
 default) integrates the lobe over the upward hemisphere in solid angle.
 Both integrals have closed forms, cosine series sum_m c_m cos(m theta_i)
 with m <= alpha, evaluated for an array of incidence angles at once; the
-HEMISPHERE coefficients follow from the Funk-Hecke theorem as exact rationals.
+HEMISPHERE coefficients follow from the Funk-Hecke theorem as exact integer ratios.
 Receiver power in a given direction is P_r = G_r lambda^2 / (480 pi^2) * |E_s|^2.
 element_constant and mixed_power evaluate P_r for arrays of surface
 elements, the single lobe as the Lambda = 1 mix; the scan simulator, the
@@ -156,28 +156,30 @@ def _line_cos_coeffs(alpha: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def _hemisphere_cos_fractions(alpha: int) -> list[Fraction]:
-    """Exact q_m with F_hemi(alpha, ti) = 2 pi sum_m q_m cos(m ti)."""
-    from fractions import Fraction  # with decimal, loaded only by a hemisphere norm
+def _hemisphere_cos_fractions(alpha: int) -> tuple[list[int], int]:
+    """Exact q_m with F_hemi(alpha, ti) = 2 pi sum_m q_m cos(m ti): integer numerators over one denominator."""
     # Funk-Hecke: F / 2pi = 1/(alpha+1) + sum_{odd l <= alpha} e_l P_l(cos ti), with
     #   e_l = (2l+1) P_{l-1}(0) alpha!^2 / ((l+1) (alpha-l)! (alpha+l+1)!),  P_{2n}(0) = (-1)^n g_n,
     #   P_l(cos t) = sum_{k=0..l} g_k g_{l-k} cos((l-2k) t),  g_k = C(2k,k) / 4^k;
-    # odd l gives odd m only, so every even m >= 2 stays exactly 0
-    g = [Fraction(math.comb(2 * k, k), 4**k) for k in range(alpha + 1)]
-    q = [Fraction(1, alpha + 1)] + [Fraction(0)] * alpha
+    # odd l gives odd m only, so every even m >= 2 stays exactly 0. Each term is an integer over d:
+    # (l+1) divides (alpha+1)! / (alpha-l)!, a product of l+1 consecutive integers
     fac = math.factorial
+    d = fac(alpha + 1) * fac(2 * alpha + 1) * 4 ** (2 * alpha)
+    c = [math.comb(2 * k, k) for k in range(alpha + 1)]  # g_k 4^k
+    q = [d // (alpha + 1)] + [0] * alpha
     for l in range(1, alpha + 1, 2):
-        p_at_0 = (-1) ** (l // 2) * g[l // 2]  # P_{l-1}(0)
-        e = (2 * l + 1) * p_at_0 * Fraction(fac(alpha) ** 2, (l + 1) * fac(alpha - l) * fac(alpha + l + 1))
+        e = fac(alpha) ** 2 * fac(alpha + 1) * fac(2 * alpha + 1) // ((l + 1) * fac(alpha - l) * fac(alpha + l + 1))
+        e *= (-1) ** (l // 2) * (2 * l + 1) * c[l // 2] * 4 ** (2 * alpha - l // 2 - l)  # P_{l-1}(0) = +-g_{l//2}
         for k in range(l + 1):
-            q[abs(l - 2 * k)] += e * g[k] * g[l - k]
-    return q
+            q[abs(l - 2 * k)] += e * c[k] * c[l - k]
+    return q, d
 
 
 @lru_cache(maxsize=None)
 def _hemisphere_cos_coeffs(alpha: int) -> tuple[float, ...]:
-    # each exact q_m rounded once, then scaled by 2 pi
-    return tuple(2.0 * math.pi * float(q) for q in _hemisphere_cos_fractions(alpha))
+    # each exact q_m rounded once, by a correctly rounded int / int division, then scaled by 2 pi
+    numerators, d = _hemisphere_cos_fractions(alpha)
+    return tuple(2.0 * math.pi * (n / d) for n in numerators)
 
 
 def single_lobe_norm(mode: NormalizationMode, alpha: int, theta_i) -> np.ndarray:

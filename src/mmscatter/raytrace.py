@@ -18,7 +18,9 @@ elementwise or reduces along one row, so a row's values do not depend on its blo
 The fit keeps build_pattern's whole pattern, which it predicts and screens many
 times; simulate_scan reads each row once, so it builds and predicts one block at
 a time and never holds more. Both run one row code (_Tiling.pattern) and refill
-one block workspace per call.
+one block workspace per call: receiver writes r_s and both lobe cosines into the
+pattern's own path-length and lobe-base rows, which become those in place, so a
+block takes 8 float64 arrays, the pattern's 4 and 4 of workspace.
 """
 
 from __future__ import annotations
@@ -414,11 +416,13 @@ class _Tiling:
 
     It holds the tiles' incident paths and angles, the (T,) normalization
     of each lobe width that the patterns of its receivers use (one dict,
-    shared), and receiver's workspace for one block of rows, which pattern
-    refills for each block. The tiling must give n_receivers at most
-    MAX_PATHS paths. Block arrays are separate (R, T) arrays: freeing one
-    stacked array of them would raise glibc's mmap threshold, and a fit's
-    later arrays would then stay in the heap (measured at 76 x 900 paths).
+    shared), and receiver's workspace for one block of rows, its three
+    differences and a scratch, which pattern refills for each block; the
+    tile centers stay only in SurfacePaths' (3, T) rows. The tiling must
+    give n_receivers at most MAX_PATHS paths. Block arrays are separate
+    (R, T) arrays: freeing one stacked array of them would raise glibc's
+    mmap threshold, and a fit's later arrays would then stay in the heap
+    (measured at 76 x 900 paths).
     """
 
     def __init__(self, scene, n_receivers, link, materials, tile_edge, mode, polarization):
@@ -437,13 +441,15 @@ class _Tiling:
         const, u_base, v_base, lengths = arrays
         paths = self.paths
         if not self._work:  # allocated after the caller's arrays, which a fit keeps, so the heap can return it
-            self._work = [np.empty((self.block_rows, self.n_tiles)) for _ in range(7)]
+            self._work = [np.empty((self.block_rows, self.n_tiles)) for _ in range(4)]
         for rows in _row_blocks(len(rx), self.n_tiles):
-            r_s, cos_psi_r, cos_psi_i = paths.receiver(rx[rows], [a[: rows.stop - rows.start] for a in self._work])
-            for block, cos_psi in ((u_base[rows], cos_psi_r), (v_base[rows], cos_psi_i)):
-                np.divide(np.add(1.0, cos_psi, out=block), 2.0, out=block)
-            np.add(paths.r_i, r_s, out=lengths[rows])
+            work = [a[: rows.stop - rows.start] for a in self._work]
+            r_s, *cosines = paths.receiver(rx[rows], (lengths[rows], u_base[rows], v_base[rows]), work)
             element_constant(self.link, paths.r_i, r_s, paths.cos_ti, self.area, out=const[rows])
+            # then r_s becomes the path length, and each cos psi its lobe base (1 + cos psi)/2, in place
+            np.add(paths.r_i, r_s, out=r_s)
+            for cos_psi in cosines:
+                np.divide(np.add(1.0, cos_psi, out=cos_psi), 2.0, out=cos_psi)
 
         spec_length, spec_cos = specular_paths(self.scene.tx, rx, self.scene.wall)
         spec_power = np.zeros(len(rx))

@@ -2,8 +2,8 @@
 
 Run as a program, the CLI sets the BLAS-worker default and turns the cyclic GC off before numpy
 loads, freezes the loaded heap and turns the GC back on before main works, and once main returns
-flushes stdout and stderr and exits at once, skipping the interpreter's teardown. OpenSSL and
-fractions load only in the calls that use them.
+flushes stdout and stderr and exits at once, skipping the interpreter's teardown. OpenSSL loads
+only in the calls that use it, and fractions and decimal in none.
 
 Each check of a start, an exit or the loaded modules runs a fresh interpreter, as this process
 has loaded numpy and the package already.
@@ -66,9 +66,10 @@ _ENTRIES = {
     "console-script": "from {0} import {1}; sys.exit({1}())".format(*_SCRIPT),
 }
 
-# imported only by the calls that use them: OpenSSL for a digest of an input file, and
-# fractions, with decimal, for the exact hemisphere coefficients
-_LAZY = ("hashlib", "_hashlib", "fractions", "decimal")
+# imported only by the calls that use them: OpenSSL for a digest of an input file
+_LAZY = ("hashlib", "_hashlib")
+# imported by no call: the exact hemisphere coefficients are integers over one denominator
+_UNUSED = ("fractions", "decimal")
 
 
 def _run(code: str, **env_extra: str) -> subprocess.CompletedProcess:
@@ -147,14 +148,32 @@ def test_calling_main_leaves_the_heap_unfrozen(tmp_path):
 
 
 def test_importing_the_cli_loads_neither_openssl_nor_fractions():
-    code = f"import sys, mmscatter.cli; print([m for m in {_LAZY!r} if m in sys.modules])"
+    code = f"import sys, mmscatter.cli; print([m for m in {_LAZY + _UNUSED!r} if m in sys.modules])"
     assert _python(code) == "[]"
+
+
+@pytest.mark.parametrize("command", ["pattern", "simulate", "fit"])
+def test_no_command_loads_fractions_or_decimal(tmp_path, scan, command):
+    # theory is checked by test_theory_loads_neither_openssl_nor_fractions
+    out = str(tmp_path / "out")
+    argv = {
+        "pattern": ["pattern", "--material", "rough_wall", "--theta-step", "10", "--out", out],
+        # the hemisphere normalization, the default
+        "simulate": ["simulate", "--s", "0.35", "--tiles-m", "0.5", "--out", out],
+        "fit": ["fit", "--scan", str(scan), "--s-initial", "0.35", "--tiles-m", "0.5", "--out", out],
+    }[command]
+    code = (
+        f"import sys, mmscatter.cli; assert mmscatter.cli.main({argv!r}) == 0; "
+        f"print([m for m in {_UNUSED!r} if m in sys.modules])"
+    )
+    # after the fit's FVU line
+    assert _python(code).splitlines()[-1] == "[]"
 
 
 def test_theory_loads_neither_openssl_nor_fractions(tmp_path):
     code = (
         f"import sys, mmscatter.cli; assert mmscatter.cli.main({_theory_argv(tmp_path)!r}) == 0; "
-        "print([m for m in ('_hashlib', 'fractions') if m in sys.modules])"
+        f"print([m for m in {('_hashlib', *_UNUSED)!r} if m in sys.modules])"
     )
     assert _python(code) == "[]"
 

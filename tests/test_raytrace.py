@@ -60,9 +60,8 @@ def dual(s, alpha_r, alpha_i, lam):
 def _warm_one_time_caches(scene, link, db):
     """Fill, outside a tracemalloc window, what the first pass of a process allocates for good.
 
-    The per-width coefficient caches of both normalizations, the fractions module
-    the hemisphere one imports on first use, and numpy's own helpers: a memory test
-    run alone, or first, would otherwise count them.
+    The per-width coefficient caches of both normalizations and numpy's own
+    helpers: a memory test run alone, or first, would otherwise count them.
     """
     _, rx = scan_positions(scene, ScanSpec())
     for mode in NormalizationMode:
@@ -326,12 +325,14 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         block = 8 * (_BLOCK_PATHS // n_tiles) * n_tiles
-        # float64 blocks: receiver's workspace (7), the block's C, U, V and path
-        # lengths (4), predict's two lobe gains and their mix (3), and one for the
-        # boolean masks of receiver and gate; per tile, the centers, incident
-        # paths, direction rows, angles and norms, fewer than 32 float64 arrays of
-        # T; per receiver its position, key, powers and record
-        bound = 15 * block + 32 * 8 * n_tiles + 1024 * n_pos
+        # float64 blocks: receiver's workspace, three differences and a scratch
+        # (4), the block's C, U, V and path lengths, into which receiver writes
+        # r_s and both cosines (4), and predict's two lobe gains with one
+        # temporary of their mix or of s^2 C (3); per tile, the (3, T) rows of the
+        # points and both directions (9), r_i, cos theta_i, theta_i and the two
+        # widths' norms (5), and predict's mixed norm and one temporary of it (2),
+        # 16 float64 arrays of T in all; per receiver its position, key and powers
+        bound = 11 * block + 16 * 8 * n_tiles + 1024 * n_pos
         # the whole pattern, C, U, V and the path lengths, is 8.75 MB
         assert peak < bound < 4 * 8 * n_pos * n_tiles
 
