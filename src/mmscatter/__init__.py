@@ -14,6 +14,9 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 
 DBM_REF_WATTS = 1.0e-3
 
+# the most angles one azimuth sweep or CLI theta grid may hold
+MAX_ANGLES = 100_000
+
 
 def watts_to_dbm(p_watts: float) -> float:
     if p_watts < 0.0:
@@ -36,6 +39,6 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 
 def wavelength_for_frequency(freq_hz: float) -> float:
-    if freq_hz <= 0.0:
-        raise ValueError(f"frequency must be > 0 Hz, got {freq_hz}")
+    if not 0.0 < freq_hz < math.inf:
+        raise ValueError(f"frequency must be > 0 Hz and finite, got {freq_hz}")
     return SPEED_OF_LIGHT / freq_hz

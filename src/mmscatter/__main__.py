@@ -1,4 +1,7 @@
-"""`mmscatter` and `python -m mmscatter`: run `mmscatter.cli` as the main program, which its BLAS, GC and exit need."""
+"""`mmscatter` and `python -m mmscatter`: run `mmscatter.cli` as the main program, which its BLAS, GC and exit need.
+
+A call loads only its command's layers (see `mmscatter.cli`): theory no numpy, pattern no ray tracer, simulate no fitter.
+"""
 
 import runpy
 

@@ -6,12 +6,18 @@ file, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 input-data error, 3 numerical
 non-convergence.
+
+This module imports the package root and materials, which load no numpy. main
+loads a command's other layers before it runs it (_load): theory none, pattern
+lobes (and numpy), angles geometry and fileio, simulate lobes, geometry, fileio
+and raytrace (not fitting), and fit every layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import math
 import os
 import shutil
@@ -23,25 +29,18 @@ if __name__ == "__main__":
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
     gc.disable()  # the imports allocate for good: collecting while they run frees nothing
 
-import numpy as np
-
-from . import __version__, db_to_linear, dbm_to_watts, watts_to_dbm, wavelength_for_frequency
-from .fileio import (
+from . import MAX_ANGLES, __version__, db_to_linear, dbm_to_watts, watts_to_dbm, wavelength_for_frequency
+from .materials import (
+    IncidenceContext,
+    Material,
+    Polarization,
     default_materials,
+    initial_scattering_coefficient,
     parse_float,
     parse_int,
     read_materials,
-    read_scan,
-    read_scene,
     write_lines,
-    write_report,
-    write_simulated_scan,
 )
-from .fitting import ScanEvaluator, compare_models, grid_fit
-from .geometry import MAX_ANGLES, ScanSpec, SurfacePaths, paper_scene, scan_positions
-from .lobes import LobeModel, LobeParams, NormalizationMode, RadioLink, pattern_sweep
-from .materials import IncidenceContext, Material, Polarization, initial_scattering_coefficient
-from .raytrace import simulate_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,9 +49,45 @@ EXIT_NUMERIC = 3
 
 DEFAULT_FREQ_GHZ = 28.0
 
-_MODES = {"hemisphere": NormalizationMode.HEMISPHERE, "line": NormalizationMode.PAPER_LINE}
+# the --mode choices, the values of lobes.NormalizationMode
+_MODES = ("hemisphere", "line")
 # the input files, by option name in sorted order
 _INPUTS = ("materials_file", "scan", "scene")
+
+
+# the names the commands take from each layer past materials, and the layers each command runs:
+# main binds a command's layers into this module before it runs, so a call loads only those
+_LAYER_NAMES = {
+    "lobes": ("LobeModel", "LobeParams", "NormalizationMode", "RadioLink", "pattern_sweep"),
+    "geometry": ("ScanSpec", "SurfacePaths", "paper_scene", "scan_positions"),
+    "fileio": ("read_scan", "read_scene", "write_report", "write_simulated_scan"),
+    "raytrace": ("simulate_scan",),
+    "fitting": ("ScanEvaluator", "compare_models", "grid_fit"),
+}
+_COMMAND_LAYERS = {
+    "theory": (),
+    "pattern": ("lobes",),
+    "simulate": ("lobes", "geometry", "fileio", "raytrace"),
+    "fit": tuple(_LAYER_NAMES),
+    "angles": ("geometry", "fileio"),
+}
+
+
+def _load(layers) -> None:
+    """Import each layer and bind its names into this module, keeping a name bound already (a caller's patch)."""
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    # a layer's name read from outside before a command bound it, by a caller that patches it, loads its layer
+    layers = [layer for layer, names in _LAYER_NAMES.items() if name in names]
+    if not layers:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(layers)
+    return globals()[name]
 
 
 class UsageError(Exception):
@@ -227,7 +262,7 @@ def _cmd_pattern(args, db) -> int:
     rows = []
     for name, material in _materials(args, db):
         sweeps = pattern_sweep(
-            material, template, link, theta_grid, _MODES[args.mode], Polarization[args.pol], fixed_s=args.s
+            material, template, link, theta_grid, NormalizationMode(args.mode), Polarization[args.pol], fixed_s=args.s
         )
         rows.extend(
             f"{theta_deg!r},{direction},{watts_to_dbm(p_r)!r},{template.model.value},{name}"
@@ -246,7 +281,7 @@ def _cmd_simulate(args, db) -> int:
     s_coeff = args.s if args.s is not None else _theoretical_s(scene, db, args)
     params = _lobe_params(args, s_coeff)
     records = simulate_scan(
-        scene, spec, params, link, db, args.tiles_m, _MODES[args.mode], Polarization[args.pol]
+        scene, spec, params, link, db, args.tiles_m, NormalizationMode(args.mode), Polarization[args.pol]
     )
     header = _header(args) + " | extent=tile-area"
     write_simulated_scan(records, args.out, header_comment=header)
@@ -266,7 +301,7 @@ def _cmd_fit(args, db) -> int:
         db,
         scan_radius=args.radius if args.radius is not None else (inline_spec or ScanSpec()).radius,
         tile_edge=args.tiles_m,
-        mode=_MODES[args.mode],
+        mode=NormalizationMode(args.mode),
         polarization=Polarization[args.pol],
         plane_only=args.plane_only,
     )
@@ -290,6 +325,7 @@ def _cmd_fit(args, db) -> int:
 
 
 def _cmd_angles(args, db) -> int:
+    import numpy as np  # loaded by geometry already
     scene, inline_spec = _resolve_scene(args, db)
     spec = _resolve_scanspec(args, inline_spec)
     # the path over the wall center, toward each receiver
@@ -346,7 +382,7 @@ def _add_model(parser, default_model: str) -> None:
     parser.add_argument("--alpha-r", type=int, default=4, help="forward lobe width factor (default 4)")
     parser.add_argument("--alpha-i", type=int, default=10, help="backscatter lobe width factor (default 10)")
     parser.add_argument("--lambda", dest="lambda_mix", type=float, default=0.2, help="forward/backscatter mix (default 0.2)")
-    parser.add_argument("--mode", choices=tuple(_MODES), default="hemisphere", help="lobe normalization mode")
+    parser.add_argument("--mode", choices=_MODES, default="hemisphere", help="lobe normalization mode")
 
 
 def _add_scan_layout(parser) -> None:
@@ -388,7 +424,7 @@ def build_parser() -> _Parser:
     p.add_argument("--plane-only", action="store_true", help="fit only delta_h = 0 records")
     p.add_argument("--tiles-m", type=float, default=0.1, help="wall tile edge, m (default 0.1)")
     p.add_argument("--model", choices=("single", "dual", "both"), default="both")
-    p.add_argument("--mode", choices=tuple(_MODES), default="hemisphere", help="lobe normalization mode")
+    p.add_argument("--mode", choices=_MODES, default="hemisphere", help="lobe normalization mode")
     p.add_argument("--radius", type=float, default=None, help="scan radius, m (default 1.5)")
     _add_link(p)
     _add_shared(p, with_scene=True)
@@ -409,6 +445,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _load(_COMMAND_LAYERS[args.command])
+    if __name__ == "__main__":
+        gc.freeze()  # the loaded modules stay for the process: the work's collections skip them
+        gc.enable()
     # input errors, exit 2: FileFormatError and DegenerateScanError among the
     # ValueErrors, and every OSError of a path that cannot be read or written
     try:
@@ -416,13 +456,12 @@ def main(argv=None) -> int:
         db = read_materials(args.materials_file) if args.materials_file else default_materials()
         return args.func(args, db)
     except (OSError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, in quotes
+        print(f"input error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_DATA
 
 
 if __name__ == "__main__":
-    gc.freeze()  # the loaded modules stay for the process: the work's collections skip them
-    gc.enable()
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -3,7 +3,9 @@
 All formats are line-oriented UTF-8 text with LF line endings and
 locale-independent number formatting (shortest representation that parses
 back to the identical float, never fewer than the digits needed for an
-exact round trip). Every reader sees the same data lines (_data_lines):
+exact round trip). The line grammar and the material database reader live
+in materials, which loads no numpy; this module re-exports them. Every
+reader sees the same data lines (materials._data_lines):
 a leading byte-order mark, as spreadsheet tools write it, is dropped,
 blank lines and '#' comments are skipped, and whitespace around a line is
 ignored. Readers reject trailing garbage and report 1-based line numbers.
@@ -16,13 +18,13 @@ columns; readers accept either shape and use the first three columns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .geometry import ScanSpec, Scene, Wall, height_m_to_cm
 from .lobes import LobeModel, LobeParams
-from .materials import Material, MaterialDatabase
+# re-exported, and the line grammar that every reader shares
+from .materials import FileFormatError, default_materials, read_materials, write_lines
+from .materials import _data_lines, _err, _parse_finite, _parse_float, _parse_int
 
 __all__ = [
     "FileFormatError",
@@ -33,8 +35,6 @@ __all__ = [
     "write_scan",
     "write_simulated_scan",
     "write_lines",
-    "parse_float",
-    "parse_int",
     "scan_from_records",
     "read_materials",
     "default_materials",
@@ -48,64 +48,12 @@ __all__ = [
 SCAN_HEADER = "angle_deg,delta_h_cm,power_dbm"
 SIM_SCAN_HEADER = "angle_deg,delta_h_cm,power_dbm,specular_dbm,diffuse_dbm"
 
-_LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3}
-
-
-class FileFormatError(ValueError):
-    """Malformed input file; message carries `path:line:`."""
-
-
-def _err(source: str, lineno: int, message: str) -> FileFormatError:
-    return FileFormatError(f"{source}:{lineno}: {message}")
-
-
 # the report's model tokens, resolved once
 _SINGLE, _DUAL = LobeModel.SINGLE_LOBE.value, LobeModel.DUAL_LOBE.value
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def parse_float(token: str) -> float:
-    """float(token) in the one number grammar of input files and CLI options.
-
-    float() alone would also read "1_0" as 10 and non-ASCII digits; both are refused.
-    """
-    if "_" in token or not token.isascii():
-        raise ValueError(f"could not convert string to float: {token!r}")
-    return float(token)
-
-
-def parse_int(token: str) -> int:
-    """int(token) of plain ASCII digits with an optional leading '-', the integer grammar of files and options."""
-    if not (token.isascii() and token.removeprefix("-").isdigit()):
-        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
-    return int(token)
-
-
-def _parse_float(token: str, source: str, lineno: int, what: str) -> float:
-    try:
-        value = parse_float(token)
-    except ValueError:
-        raise _err(source, lineno, f"non-numeric {what}: {token!r}") from None
-    if math.isnan(value):
-        raise _err(source, lineno, f"{what} must not be NaN")
-    return value
-
-
-def _parse_finite(token: str, source: str, lineno: int, what: str) -> float:
-    value = _parse_float(token, source, lineno, what)
-    if math.isinf(value):
-        raise _err(source, lineno, f"{what} must be finite, got {value!r}")
-    return value
-
-
-def _parse_int(token: str, source: str, lineno: int, what: str) -> int:
-    try:
-        return parse_int(token)
-    except ValueError:
-        raise _err(source, lineno, f"non-integer {what}: {token!r}") from None
 
 
 @dataclass(frozen=True)
@@ -157,18 +105,6 @@ class Scan:
         if len(kept) < 2:
             raise ValueError("fewer than 2 in-plane (delta_h = 0) points in scan")
         return Scan(points=kept)
-
-
-def _data_lines(path):
-    """Yield (1-based line number, line) for every line that is neither blank
-    nor a '#' comment, with surrounding whitespace stripped: the one line
-    grammar of every input format."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
-    for no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield no, line
 
 
 def read_scan(path) -> Scan:
@@ -231,89 +167,6 @@ def scan_from_records(records) -> Scan:
             ScanPoint(azimuth_deg=r.azimuth_deg, delta_h_cm=r.delta_h_cm, power_dbm=r.power_dbm) for r in records
         )
     )
-
-
-def write_lines(path, lines, header_comment: str | None = None) -> None:
-    """Write lines with LF endings, after a `# header_comment` line if one is given."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment is not None:
-            # escaped, a line break in a value (an --out path, say) cannot end the comment line
-            fh.write("# " + header_comment.replace("\r", "\\r").replace("\n", "\\n") + "\n")
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
-# --- material database ------------------------------------------------------
-
-_MATERIAL_KEYS = {"eps_r": None, "h_rms_mm": "mm", "thickness_cm": "cm"}
-
-
-def _parse_length(token: str, default_unit: str, source: str, lineno: int, what: str) -> float:
-    parts = token.split()
-    if len(parts) == 1:
-        unit = default_unit
-    elif len(parts) == 2:
-        unit = parts[1]
-        if unit not in _LENGTH_UNITS:
-            raise _err(source, lineno, f"unknown unit {unit!r} for {what} (use m, cm, or mm)")
-    else:
-        raise _err(source, lineno, f"malformed {what} value {token!r}")
-    return _parse_finite(parts[0], source, lineno, what) * _LENGTH_UNITS[unit]
-
-
-def _close_material(db: MaterialDatabase, record, source: str) -> None:
-    """Add the open record (name, line number, fields), if any, to db."""
-    if record is None:
-        return
-    name, lineno, fields = record
-    missing = [k for k in _MATERIAL_KEYS if k not in fields]
-    if missing:
-        raise _err(source, lineno, f"material {name!r} is missing {', '.join(missing)}")
-    try:
-        db.add(Material(name=name, eps_r=fields["eps_r"], h_rms=fields["h_rms_mm"]))
-    except ValueError as exc:
-        raise _err(source, lineno, str(exc)) from None
-
-
-def read_materials(path) -> MaterialDatabase:
-    """Parse a material database file (see data/materials.txt for the format)."""
-    source = str(path)
-    db = MaterialDatabase()
-    record = None  # the open `material` record: (name, line number, fields)
-    for no, line in _data_lines(path):
-        key, _, value = line.partition(" ")
-        value = value.strip()
-        if key == "material":
-            _close_material(db, record, source)
-            if not value:
-                raise _err(source, no, "material record needs a name")
-            record = (value, no, {})
-        elif key in _MATERIAL_KEYS:
-            if record is None:
-                raise _err(source, no, f"{key} outside a material record")
-            name, _, fields = record
-            if key in fields:
-                raise _err(source, no, f"duplicate key {key} for material {name!r}")
-            unit = _MATERIAL_KEYS[key]
-            if unit is None:
-                fields[key] = _parse_finite(value, source, no, key)
-            else:
-                fields[key] = _parse_length(value, unit, source, no, key)
-            # the half-space reflection model never reads the slab thickness,
-            # but a record must still give a valid one
-            if key == "thickness_cm" and fields[key] <= 0.0:
-                raise _err(source, no, f"thickness_cm must be > 0 m, got {fields[key]!r}")
-        else:
-            raise _err(source, no, f"unknown key {key!r}")
-    _close_material(db, record, source)
-    if len(db) == 0:
-        raise FileFormatError(f"{source}: no material records found")
-    return db
-
-
-def default_materials() -> MaterialDatabase:
-    """The shipped four-surface database."""
-    return read_materials(Path(__file__).parent / "data" / "materials.txt")
 
 
 # --- scene files -------------------------------------------------------------

@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import MAX_ANGLES
+
 __all__ = [
     "Wall",
     "Scene",
@@ -33,8 +35,6 @@ _UP = np.array([0.0, 0.0, 1.0])
 
 DEFAULT_ARC_HEIGHTS = (0.0,)
 DEFAULT_CYLINDER_HEIGHTS = (0.0, 0.10, 0.20, 0.30)
-# the most angles one azimuth sweep or CLI theta grid may hold
-MAX_ANGLES = 100_000
 # a receiver this close to the wall plane, on either side, lies in it: the
 # +-90 deg scan positions do, up to rounding of about 1e-16 m
 _IN_PLANE_M = 1e-9

@@ -13,6 +13,10 @@ amplitude coefficient
 
 which preserves the energy split S^2 + (R*Gamma)^2 = Gamma^2 of the
 reflected power.
+
+The line grammar of every input file (_data_lines, parse_float, parse_int),
+write_lines and the material database reader live here too, in a module
+without numpy, so that `theory` loads none; fileio re-exports them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 __all__ = [
     "Polarization",
@@ -31,6 +36,12 @@ __all__ = [
     "fresnel_gamma",
     "rayleigh_factor",
     "initial_scattering_coefficient",
+    "FileFormatError",
+    "parse_float",
+    "parse_int",
+    "write_lines",
+    "read_materials",
+    "default_materials",
 ]
 
 # Power series below this point, asymptotic expansion above; both branches
@@ -232,3 +243,149 @@ def initial_scattering_coefficient(material: Material, ctx: IncidenceContext) ->
     r = rayleigh_factor(material.h_rms, ctx.theta_i, ctx.wavelength)
     s_coeff = math.sqrt((1.0 - r * r) * gamma * gamma)
     return ReflectionBundle(gamma=gamma, rayleigh_r=r, gamma_rough=r * gamma, s_coeff=s_coeff)
+
+
+# --- the line grammar of every input file, and the material database file ------
+
+
+class FileFormatError(ValueError):
+    """Malformed input file; message carries `path:line:`."""
+
+
+def _err(source: str, lineno: int, message: str) -> FileFormatError:
+    return FileFormatError(f"{source}:{lineno}: {message}")
+
+
+def parse_float(token: str) -> float:
+    """float(token) in the one number grammar of input files and CLI options.
+
+    float() alone would also read "1_0" as 10 and non-ASCII digits; both are refused.
+    """
+    if "_" in token or not token.isascii():
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
+def parse_int(token: str) -> int:
+    """int(token) of plain ASCII digits with an optional leading '-', the integer grammar of files and options."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
+def _parse_float(token: str, source: str, lineno: int, what: str) -> float:
+    try:
+        value = parse_float(token)
+    except ValueError:
+        raise _err(source, lineno, f"non-numeric {what}: {token!r}") from None
+    if math.isnan(value):
+        raise _err(source, lineno, f"{what} must not be NaN")
+    return value
+
+
+def _parse_finite(token: str, source: str, lineno: int, what: str) -> float:
+    value = _parse_float(token, source, lineno, what)
+    if math.isinf(value):
+        raise _err(source, lineno, f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _parse_int(token: str, source: str, lineno: int, what: str) -> int:
+    try:
+        return parse_int(token)
+    except ValueError:
+        raise _err(source, lineno, f"non-integer {what}: {token!r}") from None
+
+
+def _data_lines(path):
+    """Yield (1-based line number, line) for every line that is neither blank
+    nor a '#' comment, with surrounding whitespace stripped: the one line
+    grammar of every input format."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    for no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield no, line
+
+
+def write_lines(path, lines, header_comment: str | None = None) -> None:
+    """Write lines with LF endings, after a `# header_comment` line if one is given."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header_comment is not None:
+            # escaped, a line break in a value (an --out path, say) cannot end the comment line
+            fh.write("# " + header_comment.replace("\r", "\\r").replace("\n", "\\n") + "\n")
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+_MATERIAL_KEYS = {"eps_r": None, "h_rms_mm": "mm", "thickness_cm": "cm"}
+_LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3}
+
+
+def _parse_length(token: str, default_unit: str, source: str, lineno: int, what: str) -> float:
+    parts = token.split()
+    if len(parts) == 1:
+        unit = default_unit
+    elif len(parts) == 2:
+        unit = parts[1]
+        if unit not in _LENGTH_UNITS:
+            raise _err(source, lineno, f"unknown unit {unit!r} for {what} (use m, cm, or mm)")
+    else:
+        raise _err(source, lineno, f"malformed {what} value {token!r}")
+    return _parse_finite(parts[0], source, lineno, what) * _LENGTH_UNITS[unit]
+
+
+def _close_material(db: MaterialDatabase, record, source: str) -> None:
+    """Add the open record (name, line number, fields), if any, to db."""
+    if record is None:
+        return
+    name, lineno, fields = record
+    missing = [k for k in _MATERIAL_KEYS if k not in fields]
+    if missing:
+        raise _err(source, lineno, f"material {name!r} is missing {', '.join(missing)}")
+    try:
+        db.add(Material(name=name, eps_r=fields["eps_r"], h_rms=fields["h_rms_mm"]))
+    except ValueError as exc:
+        raise _err(source, lineno, str(exc)) from None
+
+
+def read_materials(path) -> MaterialDatabase:
+    """Parse a material database file (see data/materials.txt for the format)."""
+    source = str(path)
+    db = MaterialDatabase()
+    record = None  # the open `material` record: (name, line number, fields)
+    for no, line in _data_lines(path):
+        key, _, value = line.partition(" ")
+        value = value.strip()
+        if key == "material":
+            _close_material(db, record, source)
+            if not value:
+                raise _err(source, no, "material record needs a name")
+            record = (value, no, {})
+        elif key in _MATERIAL_KEYS:
+            if record is None:
+                raise _err(source, no, f"{key} outside a material record")
+            name, _, fields = record
+            if key in fields:
+                raise _err(source, no, f"duplicate key {key} for material {name!r}")
+            unit = _MATERIAL_KEYS[key]
+            if unit is None:
+                fields[key] = _parse_finite(value, source, no, key)
+            else:
+                fields[key] = _parse_length(value, unit, source, no, key)
+            # the half-space reflection model never reads the slab thickness,
+            # but a record must still give a valid one
+            if key == "thickness_cm" and fields[key] <= 0.0:
+                raise _err(source, no, f"thickness_cm must be > 0 m, got {fields[key]!r}")
+        else:
+            raise _err(source, no, f"unknown key {key!r}")
+    _close_material(db, record, source)
+    if len(db) == 0:
+        raise FileFormatError(f"{source}: no material records found")
+    return db
+
+
+def default_materials() -> MaterialDatabase:
+    """The shipped four-surface database."""
+    return read_materials(Path(__file__).parent / "data" / "materials.txt")

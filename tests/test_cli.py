@@ -376,8 +376,15 @@ def test_path_under_a_regular_file_is_data_error(tmp_path, capsys, role):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
-def test_unknown_material_is_data_error(tmp_path):
-    assert run("theory", "--material", "kryptonite", "--out", str(tmp_path / "t.csv")) == EXIT_DATA
+def test_unknown_material_is_data_error(tmp_path, capsys):
+    # the message prints bare, not in the quotes of a KeyError's str()
+    for command in ("theory", "pattern", "simulate"):
+        out = tmp_path / f"{command}.csv"
+        assert run(command, "--material", "kryptonite", "--out", str(out)) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "input error: unknown material 'kryptonite'; known: marble_wall, metal_sheet, rough_wall, smooth_wall\n"
+        )
+        assert not out.exists()
 
 
 def test_malformed_scan_is_data_error(tmp_path):
@@ -541,6 +548,7 @@ _PATTERN_THETA_RANGE = "--theta-min/--theta-max must give angles in (0, 90) degr
 _TINY_STEP = "azimuth step 5e-324 over range 180.0 gives inf azimuths, more than 100,000"
 _TOO_MANY_TILES = " receivers x inf tiles, more than 10,000,000 paths"
 _WAVELENGTH = "wavelength must be > 0 m with a finite square, got "
+_FREQUENCY = "frequency must be > 0 Hz and finite, got "
 _PATH_LENGTH = "path length to the receiver at "
 _TOO_LONG = " m is too long: (r_i r_s)^2 is not finite"
 _EQUAL_IN_CM = "height offsets must be distinct, got (0.0, 1e-12): 0.0 and 1e-12 m are both 0.0 cm in a scan file"
@@ -599,7 +607,11 @@ _BAD_NUMBERS = {
     "fit-radius-1e154": (["fit", "--radius", "1e154"], _PATH_LENGTH + "[1e+154, 0.0, 0.0]" + _TOO_LONG),
     "fit-radius-nan": (["fit", "--radius", "nan"], "scan radius must be > 0 and finite, got nan"),
     "fit-p-t-dbm-nan": (["fit", "--p-t-dbm", "nan"], _LINK + "nan,"),
-    "theory-freq-ghz-0": (["theory", "--freq-ghz", "0"], "frequency must be > 0 Hz, got 0.0"),
+    "theory-freq-ghz-0": (["theory", "--freq-ghz", "0"], _FREQUENCY + "0.0"),
+    # the frequency is named, not the wavelength it would give
+    "theory-freq-ghz-inf": (["theory", "--freq-ghz", "inf"], _FREQUENCY + "inf"),
+    "theory-freq-ghz-nan": (["theory", "--freq-ghz", "nan"], _FREQUENCY + "nan"),
+    "pattern-freq-ghz-inf": (["pattern", "--freq-ghz", "inf"], _FREQUENCY + "inf"),
     "simulate-theta-deg-90": (["simulate", "--theta-deg", "90"], "theta_i_deg must be in [0, 90), got 90.0"),
     "theory-theta-step-nan": (["theory", "--theta-step", "nan"], _THETA_GRID + "1.0/89.0/nan"),
     "theory-theta-step-0": (["theory", "--theta-step", "0"], _THETA_GRID + "1.0/89.0/0.0"),

@@ -3,7 +3,8 @@
 Run as a program, the CLI sets the BLAS-worker default and turns the cyclic GC off before numpy
 loads, freezes the loaded heap and turns the GC back on before main works, and once main returns
 flushes stdout and stderr and exits at once, skipping the interpreter's teardown. OpenSSL loads
-only in the calls that use it, and fractions and decimal in none.
+only in the calls that use it, and fractions and decimal in none. numpy and each package layer
+load only in the commands that run them: theory loads neither.
 
 Each check of a start, an exit or the loaded modules runs a fresh interpreter, as this process
 has loaded numpy and the package already.
@@ -51,6 +52,12 @@ def _theory_argv(tmp_path, *extra):
             "--out", str(tmp_path / "theory.csv")]
 
 
+# a one-angle pattern, the shortest call that loads numpy: theory loads none
+def _pattern_argv(tmp_path, *extra):
+    return ["pattern", "--material", "metal_sheet", "--theta-min", "30", "--theta-max", "30", *extra,
+            "--out", str(tmp_path / "pattern.csv")]
+
+
 # a caller's atexit hook, which would print after the entry point if the interpreter tore down
 _EXIT_SPY = """
 import atexit, runpy, sys
@@ -70,6 +77,14 @@ _ENTRIES = {
 _LAZY = ("hashlib", "_hashlib")
 # imported by no call: the exact hemisphere coefficients are integers over one denominator
 _UNUSED = ("fractions", "decimal")
+# the modules a command does not run, so does not load; fit runs every layer
+_NOT_RUN = {
+    "theory": ("numpy", "mmscatter.lobes", "mmscatter.geometry", "mmscatter.fileio", "mmscatter.raytrace",
+               "mmscatter.fitting"),
+    "pattern": ("mmscatter.geometry", "mmscatter.fileio", "mmscatter.raytrace", "mmscatter.fitting"),
+    "simulate": ("mmscatter.fitting",),
+    "fit": (),
+}
 
 
 def _run(code: str, **env_extra: str) -> subprocess.CompletedProcess:
@@ -98,12 +113,13 @@ def test_package_import_loads_no_numpy():
 
 @pytest.mark.parametrize("entry", list(_ENTRIES.values()), ids=list(_ENTRIES))
 def test_blas_timeout_is_set_before_numpy_loads(tmp_path, entry):
-    assert _python(_SPY.format(probes=_BLAS_PROBE, argv=_theory_argv(tmp_path), entry=entry)) == "numpy 20"
-    assert (tmp_path / "theory.csv").read_text().count("\n") == 3
+    assert _python(_SPY.format(probes=_BLAS_PROBE, argv=_pattern_argv(tmp_path), entry=entry)) == "numpy 20"
+    # the header, the column names, and the incident and specular rows
+    assert (tmp_path / "pattern.csv").read_text().count("\n") == 4
 
 
 def test_blas_timeout_the_caller_set_wins(tmp_path):
-    code = _SPY.format(probes=_BLAS_PROBE, argv=_theory_argv(tmp_path), entry=_ENTRIES["module-cli"])
+    code = _SPY.format(probes=_BLAS_PROBE, argv=_pattern_argv(tmp_path), entry=_ENTRIES["module-cli"])
     assert _python(code, OPENBLAS_THREAD_TIMEOUT="12") == "numpy 12"
 
 
@@ -111,9 +127,13 @@ def test_blas_timeout_the_caller_set_wins(tmp_path):
 def test_gc_is_off_while_loading_and_skips_the_loaded_heap_while_working(tmp_path, entry):
     # the materials file's digest imports hashlib inside main
     probes = '{"numpy": gc.isenabled, "hashlib": lambda: (gc.isenabled(), gc.get_freeze_count() > 0)}'
-    code = _SPY.format(probes=probes, argv=_theory_argv(tmp_path, "--materials-file", MATERIALS), entry=entry)
+    code = _SPY.format(probes=probes, argv=_pattern_argv(tmp_path, "--materials-file", MATERIALS), entry=entry)
     assert _python(code).splitlines() == ["numpy False", "hashlib (True, True)"]
-    assert (tmp_path / "theory.csv").read_text().count("\n") == 3
+    assert (tmp_path / "pattern.csv").read_text().count("\n") == 4
+
+
+def test_importing_the_cli_loads_no_numpy():
+    assert _python("import sys, mmscatter.cli; print('numpy' in sys.modules)") == "False"
 
 
 def test_importing_the_cli_leaves_the_environment_alone():
@@ -154,7 +174,7 @@ def test_importing_the_cli_loads_neither_openssl_nor_fractions():
 
 @pytest.mark.parametrize("command", ["pattern", "simulate", "fit"])
 def test_no_command_loads_fractions_or_decimal(tmp_path, scan, command):
-    # theory is checked by test_theory_loads_neither_openssl_nor_fractions
+    # nor a layer it does not run; theory is checked by test_theory_loads_neither_openssl_nor_fractions
     out = str(tmp_path / "out")
     argv = {
         "pattern": ["pattern", "--material", "rough_wall", "--theta-step", "10", "--out", out],
@@ -164,7 +184,7 @@ def test_no_command_loads_fractions_or_decimal(tmp_path, scan, command):
     }[command]
     code = (
         f"import sys, mmscatter.cli; assert mmscatter.cli.main({argv!r}) == 0; "
-        f"print([m for m in {_UNUSED!r} if m in sys.modules])"
+        f"print([m for m in {_UNUSED + _NOT_RUN[command]!r} if m in sys.modules])"
     )
     # after the fit's FVU line
     assert _python(code).splitlines()[-1] == "[]"
@@ -173,7 +193,7 @@ def test_no_command_loads_fractions_or_decimal(tmp_path, scan, command):
 def test_theory_loads_neither_openssl_nor_fractions(tmp_path):
     code = (
         f"import sys, mmscatter.cli; assert mmscatter.cli.main({_theory_argv(tmp_path)!r}) == 0; "
-        f"print([m for m in {('_hashlib', *_UNUSED)!r} if m in sys.modules])"
+        f"print([m for m in {('_hashlib', *_UNUSED, *_NOT_RUN['theory'])!r} if m in sys.modules])"
     )
     assert _python(code) == "[]"
 

@@ -23,20 +23,77 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+# the one function that imports package modules: it loads the layers of the command the CLI runs,
+# so that a call loads only those (theory no numpy)
+_LAYER_LOADER = "cli.py:_load"
+
+
+def _package_modules(node, stems):
+    """The package modules, by file stem ('__init__' for the root), that an import node imports."""
+    if isinstance(node, ast.Import):
+        names = [alias.name.split(".") + ["__init__"] for alias in node.names]
+        return [parts[1] for parts in names if parts[0] == "mmscatter"]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 0 and (node.module or "").split(".")[0] != "mmscatter":
+        return []
+    module = (node.module or "").removeprefix("mmscatter").lstrip(".")
+    if module:
+        return [module.split(".")[0]]
+    return [alias.name if alias.name in stems else "__init__" for alias in node.names]
+
+
+def _is_dynamic_import(node):
+    """Whether node calls importlib.import_module or __import__, by whatever name."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+    return name in ("import_module", "__import__")
+
+
 def test_no_relative_import_inside_a_function():
-    # a deferred `from .x import` inside a function hides an import cycle
-    # between package modules; every package import sits at module level
-    deferred = set()
-    for path in sorted(Path(mmscatter.__file__).parent.glob("*.py")):
+    # a deferred import of a package module inside a function hides an import cycle
+    # between package modules; every package import sits at module level, but for
+    # the CLI's one per-command layer loader, which the cycle check below covers
+    paths = sorted(Path(mmscatter.__file__).parent.glob("*.py"))
+    stems = {path.stem for path in paths}
+    deferred = []
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for func in ast.walk(tree):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                deferred.update(
-                    f"{path.name}:{node.lineno}"
+                deferred += [
+                    f"{path.name}:{func.name}"
                     for node in ast.walk(func)
-                    if isinstance(node, ast.ImportFrom) and node.level > 0
-                )
-    assert sorted(deferred) == []
+                    if _package_modules(node, stems) or _is_dynamic_import(node)
+                ]
+    assert deferred == [_LAYER_LOADER]
+
+
+def test_package_imports_have_no_cycle():
+    # the module-level imports between package modules form no cycle, so the loader may
+    # import a command's layers in any order and each finds its imports complete
+    paths = sorted(Path(mmscatter.__file__).parent.glob("*.py"))
+    stems = {path.stem for path in paths}
+    graph = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        graph[path.stem] = {m for node in tree.body for m in _package_modules(node, stems)}
+    # cli loads the numpy-free modules only; _load imports a command's other layers
+    assert graph["cli"] == {"__init__", "materials"}
+    done, cycles = set(), []
+
+    def visit(stem, chain):
+        if stem in chain:
+            cycles.append(chain[chain.index(stem):] + [stem])
+        elif stem not in done:
+            for target in sorted(graph[stem]):
+                visit(target, chain + [stem])
+            done.add(stem)
+
+    for stem in sorted(graph):
+        visit(stem, [])
+    assert cycles == []
 
 
 def _benchmark_spans():
