@@ -8,9 +8,10 @@ Exit codes: 0 success, 1 usage error, 2 input-data error, 3 numerical
 non-convergence.
 
 This module imports the package root and materials, which load no numpy. main
-loads a command's other layers before it runs it (_load): theory none, pattern
-lobes (and numpy), angles geometry and fileio, simulate lobes, geometry, fileio
-and raytrace (not fitting), and fit every layer.
+loads a command's other layers before it runs it (_load), and binds the names
+each exports in __all__: theory none, pattern lobes (and numpy), angles geometry
+and fileio, simulate lobes, geometry, fileio and raytrace (not fitting), and fit
+every layer.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ import math
 import os
 import shutil
 import sys
-
-if __name__ == "__main__":
-    # before numpy loads OpenBLAS: idle workers sleep after 2^20 cycles, not 2^28 (~0.13 s of
-    # CPU a process); a caller's value wins, and an importer's environment stays untouched
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
-    gc.disable()  # the imports allocate for good: collecting while they run frees nothing
 
 from . import MAX_ANGLES, __version__, db_to_linear, dbm_to_watts, watts_to_dbm, wavelength_for_frequency
 from .materials import (
@@ -55,39 +50,32 @@ _MODES = ("hemisphere", "line")
 _INPUTS = ("materials_file", "scan", "scene")
 
 
-# the names the commands take from each layer past materials, and the layers each command runs:
-# main binds a command's layers into this module before it runs, so a call loads only those
-_LAYER_NAMES = {
-    "lobes": ("LobeModel", "LobeParams", "NormalizationMode", "RadioLink", "pattern_sweep"),
-    "geometry": ("ScanSpec", "SurfacePaths", "paper_scene", "scan_positions"),
-    "fileio": ("read_scan", "read_scene", "write_report", "write_simulated_scan"),
-    "raytrace": ("simulate_scan",),
-    "fitting": ("ScanEvaluator", "compare_models", "grid_fit"),
-}
+# the layers each command runs past materials: main binds the names in each one's __all__ into
+# this module before the command runs, so a call loads only those
 _COMMAND_LAYERS = {
     "theory": (),
     "pattern": ("lobes",),
     "simulate": ("lobes", "geometry", "fileio", "raytrace"),
-    "fit": tuple(_LAYER_NAMES),
+    "fit": ("lobes", "geometry", "fileio", "raytrace", "fitting"),
     "angles": ("geometry", "fileio"),
 }
 
 
 def _load(layers) -> None:
-    """Import each layer and bind its names into this module, keeping a name bound already (a caller's patch)."""
+    """Import each layer and bind its __all__ into this module, keeping a name bound already (a caller's patch)."""
     for layer in layers:
         module = importlib.import_module(f".{layer}", __package__)
-        for name in _LAYER_NAMES[layer]:
+        for name in module.__all__:
             globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
-    # a layer's name read from outside before a command bound it, by a caller that patches it, loads its layer
-    layers = [layer for layer, names in _LAYER_NAMES.items() if name in names]
-    if not layers:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(layers)
-    return globals()[name]
+    # a layer's name read from outside before a command bound it, by a caller that patches it, loads every layer
+    if not (name.startswith("__") and name.endswith("__")):
+        _load(_COMMAND_LAYERS["fit"])
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -357,7 +345,7 @@ def _add_shared(parser, with_scene: bool = False) -> None:
         default=None if with_scene else DEFAULT_FREQ_GHZ,
         help=f"carrier frequency (default: {fallback}{DEFAULT_FREQ_GHZ:g})",
     )
-    parser.add_argument("--pol", choices=("TE", "TM"), default="TE", help="polarization for Gamma (default TE)")
+    parser.add_argument("--pol", choices=tuple(Polarization.__members__), default="TE", help="polarization for Gamma (default TE)")
     parser.add_argument("--out", required=True, help="output file path")
     if with_scene:
         parser.add_argument("--scene", help="scene file (overrides --material/--theta-deg)")
@@ -462,6 +450,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # before main loads numpy's OpenBLAS: idle workers sleep after 2^20 cycles, not 2^28 (~0.13 s
+    # of CPU a process); a caller's value wins, and an importer's environment stays untouched
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+    gc.disable()  # main's imports allocate for good: collecting while they run frees nothing
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

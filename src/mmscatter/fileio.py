@@ -4,11 +4,12 @@ All formats are line-oriented UTF-8 text with LF line endings and
 locale-independent number formatting (shortest representation that parses
 back to the identical float, never fewer than the digits needed for an
 exact round trip). The line grammar and the material database reader live
-in materials, which loads no numpy; this module re-exports them. Every
-reader sees the same data lines (materials._data_lines):
-a leading byte-order mark, as spreadsheet tools write it, is dropped,
-blank lines and '#' comments are skipped, and whitespace around a line is
-ignored. Readers reject trailing garbage and report 1-based line numbers.
+in materials, which loads no numpy; this module re-exports FileFormatError
+and default_materials. Every reader sees the same data lines
+(materials._data_lines): a leading byte-order mark, as spreadsheet tools
+write it, is dropped, blank lines and '#' comments are skipped, and
+whitespace around a line is ignored. Readers reject trailing garbage and
+report 1-based line numbers.
 
 Scan CSV: header `angle_deg,delta_h_cm,power_dbm`, one record per receiver
 position. Azimuth 0 is the wall normal at the wall center; positive angles
@@ -20,23 +21,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import ScanSpec, Scene, Wall, height_m_to_cm
+from .geometry import ScanSpec, Scene, Wall
 from .lobes import LobeModel, LobeParams
-# re-exported, and the line grammar that every reader shares
-from .materials import FileFormatError, default_materials, read_materials, write_lines
+# two re-exported names, then the line grammar that every reader shares
+from .materials import FileFormatError, default_materials, write_lines
 from .materials import _data_lines, _err, _parse_finite, _parse_float, _parse_int
 
 __all__ = [
     "FileFormatError",
     "ScanPoint",
     "Scan",
-    "height_m_to_cm",
     "read_scan",
     "write_scan",
     "write_simulated_scan",
-    "write_lines",
     "scan_from_records",
-    "read_materials",
     "default_materials",
     "TraceEntry",
     "FitReport",

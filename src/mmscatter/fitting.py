@@ -38,8 +38,6 @@ from .raytrace import DEFAULT_TILE_EDGE, build_pattern
 
 __all__ = [
     "DegenerateScanError",
-    "TraceEntry",
-    "FitReport",
     "ModelComparison",
     "fvu",
     "s_grid",

@@ -28,7 +28,6 @@ __all__ = [
     "specular_paths",
     "paper_scene",
     "height_m_to_cm",
-    "MAX_ANGLES",
 ]
 
 _UP = np.array([0.0, 0.0, 1.0])
@@ -133,6 +132,8 @@ class ScanSpec:
         step, span = self.azimuth_step_deg, self.azimuth_range_deg
         if not (0.0 < step < math.inf and 0.0 < span < math.inf):
             raise ValueError(f"azimuth step and range must be > 0 and finite, got {step} and {span}")
+        if span > 180.0:
+            raise ValueError(f"azimuth range {span} deg puts receivers past +-90 deg, behind the wall; it must be at most 180")
         steps = span / step
         if not steps < MAX_ANGLES:
             raise ValueError(

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import WAVELENGTH_28GHZ, dual_scores_by_mix, series_i0
 from mmscatter.cli import EXIT_OK, main as cli_main
-from mmscatter.fileio import FileFormatError, default_materials, read_materials, read_scan, scan_from_records
+from mmscatter.fileio import FileFormatError, default_materials, read_scan, scan_from_records
 from mmscatter.fitting import ScanEvaluator, fvu, grid_fit, lambda_grid, s_grid
 from mmscatter.geometry import ScanSpec, paper_scene
 from mmscatter.lobes import LobeModel, LobeParams, RadioLink, pattern_sweep
@@ -25,6 +25,7 @@ from mmscatter.materials import (
     bessel_i0,
     initial_scattering_coefficient,
     rayleigh_factor,
+    read_materials,
 )
 from mmscatter.raytrace import simulate_scan
 

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from mmscatter import fitting, lobes, wavelength_for_frequency
-from mmscatter.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from mmscatter.cli import _MODES, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from mmscatter.fileio import default_materials, read_report, read_scan, write_scan
-from mmscatter.materials import rayleigh_factor
+from mmscatter.materials import Polarization, rayleigh_factor
 from mmscatter.raytrace import ScanPattern
 
 
@@ -459,6 +459,23 @@ def test_help_exits_zero():
     assert info.value.code == 0
 
 
+def _choices(command, dest):
+    """The choices of a command's option."""
+    commands = next(action for action in build_parser()._actions if action.dest == "command").choices
+    return tuple(next(action.choices for action in commands[command]._actions if action.dest == dest))
+
+
+def test_literal_choices_are_the_enum_values():
+    # the parser is built before lobes loads, so these choices stay literal, each in its help order
+    models = sorted(model.value for model in lobes.LobeModel)
+    assert sorted(_MODES) == sorted(mode.value for mode in lobes.NormalizationMode)
+    for command in ("pattern", "simulate", "fit"):
+        assert sorted(_choices(command, "model")) == sorted(models + ["both"] if command == "fit" else models)
+        assert _choices(command, "mode") == _MODES
+    for command in ("theory", "pattern", "simulate", "fit", "angles"):
+        assert _choices(command, "pol") == tuple(Polarization.__members__)
+
+
 def test_pattern_line_mode(tmp_path):
     out = tmp_path / "p.csv"
     assert (
@@ -553,6 +570,7 @@ _PATH_LENGTH = "path length to the receiver at "
 _TOO_LONG = " m is too long: (r_i r_s)^2 is not finite"
 _EQUAL_IN_CM = "height offsets must be distinct, got (0.0, 1e-12): 0.0 and 1e-12 m are both 0.0 cm in a scan file"
 _HEIGHTS = "--heights takes comma-separated numbers in m, got "
+_RANGE_200 = "azimuth range 200.0 deg puts receivers past +-90 deg, behind the wall; it must be at most 180"
 # the first receiver of the default scan at radius 1e170: azimuth -90 deg
 _FAR_RX = "[6.1232339957367664e+153, -1e+170, 0.0]"
 # each case: the bad option and the message that names its value
@@ -563,6 +581,9 @@ _BAD_NUMBERS = {
     "simulate-heights-nan": (["simulate", "--heights", "nan"], "height offsets must be finite, got (nan,)"),
     "simulate-p-t-dbm-inf": (["simulate", "--p-t-dbm", "inf"], _LINK + "inf,"),
     "simulate-range-deg-inf": (["simulate", "--range-deg", "inf"], _AZIMUTHS + "10.0 and inf"),
+    # receivers past +-90 deg would lie behind the wall
+    "simulate-range-deg-200": (["simulate", "--range-deg", "200"], _RANGE_200),
+    "angles-range-deg-200": (["angles", "--range-deg", "200"], _RANGE_200),
     "simulate-tiles-m-nan": (["simulate", "--tiles-m", "nan"], "tile edge must be > 0 m and finite, got nan"),
     "simulate-step-deg-nan": (["simulate", "--step-deg", "nan"], _AZIMUTHS + "nan and 180.0"),
     "simulate-freq-ghz-nan": (
@@ -692,6 +713,18 @@ def test_bad_input_file_is_data_error_naming_it(tmp_path, capsys, option, text, 
     out = tmp_path / "out.txt"
     assert run(*argv, option, str(path), "--out", str(out)) == EXIT_DATA
     assert f"input error: {path}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "angles"])
+def test_scene_scan_range_past_180_is_data_error(tmp_path, capsys, command):
+    # fit takes no --range-deg, yet refuses the scene file as the scan commands do
+    scene, scan, out = tmp_path / "scene.txt", tmp_path / "scan.csv", tmp_path / "out.txt"
+    scene.write_text(SCENE_60GHZ + "scan_range_deg 200\n", encoding="utf-8")
+    scan.write_text("angle_deg,delta_h_cm,power_dbm\n0.0,0.0,-55.0\n", encoding="utf-8")
+    extra = ["--scan", str(scan)] if command == "fit" else []
+    assert run(command, "--scene", str(scene), *extra, "--out", str(out)) == EXIT_DATA
+    assert capsys.readouterr().err == f"input error: {scene}: {_RANGE_200}\n"
     assert not out.exists()
 
 

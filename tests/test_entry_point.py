@@ -136,6 +136,26 @@ def test_importing_the_cli_loads_no_numpy():
     assert _python("import sys, mmscatter.cli; print('numpy' in sys.modules)") == "False"
 
 
+# a dunder name loads nothing; any other name loads every layer, then resolves or raises
+_LOADER_EDGES = """
+import sys, mmscatter.cli as cli
+getattr(cli, "__wrapped__", None)
+print("numpy" in sys.modules)
+import mmscatter.fitting
+print(cli.grid_fit is mmscatter.fitting.grid_fit)
+try:
+    cli.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_the_cli_loader_edge_cases():
+    assert _python(_LOADER_EDGES).splitlines() == [
+        "False", "True", "module 'mmscatter.cli' has no attribute 'no_such_name'"
+    ]
+
+
 def test_importing_the_cli_leaves_the_environment_alone():
     code = "import gc, os, mmscatter.cli\nprint(os.getenv('OPENBLAS_THREAD_TIMEOUT'), gc.isenabled(), gc.get_freeze_count())"
     assert _python(code) == "None True 0"

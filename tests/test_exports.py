@@ -183,6 +183,21 @@ def test_no_unused_module_import():
     assert unused == []
 
 
+# the names a module's __all__ lists though it imports them: perfbench imports these from fileio
+_REEXPORTS = ["fileio.py: FileFormatError", "fileio.py: default_materials"]
+
+
+def test_all_lists_only_names_the_module_defines():
+    # a public name is listed once, in the __all__ of the module that defines it
+    listed = []
+    for path in sorted(Path(mmscatter.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exported = next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                         and [getattr(target, "id", None) for target in node.targets] == ["__all__"]), [])
+        listed += [f"{path.name}: {name}" for name, _ in _module_imports(tree) if name in exported]
+    assert sorted(listed) == _REEXPORTS
+
+
 # the modules that importing the CLI and one default (hemisphere-mode) simulate load, in a fresh interpreter
 _LOADED_BY_SIMULATE = """
 import sys

@@ -6,19 +6,20 @@ from hypothesis import strategies as st
 
 from mmscatter.fileio import (
     FileFormatError,
+    FitReport,
     Scan,
     ScanPoint,
+    TraceEntry,
     default_materials,
-    height_m_to_cm,
-    read_materials,
     read_report,
     read_scan,
     read_scene,
     write_report,
     write_scan,
 )
-from mmscatter.fitting import FitReport, TraceEntry
+from mmscatter.geometry import height_m_to_cm
 from mmscatter.lobes import LobeModel, LobeParams
+from mmscatter.materials import read_materials
 
 
 def make_scan(n=19, step=10.0):
@@ -471,6 +472,19 @@ class TestSceneFile:
         path.write_text("material rough_wall\nwibble 3\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match=r":2: unknown key"):
             read_scene(path)
+
+    def test_scan_range_past_180_rejected(self, tmp_path):
+        # the receivers past +-90 deg would lie behind the wall
+        path = tmp_path / "scene.txt"
+        path.write_text(
+            "material rough_wall\nfrequency_ghz 28\nwall_center 0 0 0\nwall_normal 1 0 0\n"
+            "wall_width_m 3\nwall_height_m 3\ntx 1.3 -0.75 0\nscan_range_deg 200\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(FileFormatError) as info:
+            read_scene(path)
+        message = "azimuth range 200.0 deg puts receivers past +-90 deg, behind the wall; it must be at most 180"
+        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "line, lineno",
