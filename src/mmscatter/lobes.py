@@ -214,15 +214,20 @@ def normalization_f(params: LobeParams, theta_i: float, mode: NormalizationMode 
     return lobe_mix(lam, f_forward, float(single_lobe_norm(mode, alpha_i, theta_i)))
 
 
-def lobe_mix(lam, forward, backscatter, out=None):
+def lobe_mix(lam, forward, backscatter, out=None, work=None):
     """Dual-lobe mix Lambda * forward + (1 - Lambda) * backscatter, of lobe gains or of normalizations.
 
-    out, an array of the broadcast shape, receives the mix if given.
+    out, an array of the broadcast shape, receives the mix if given, the
+    term of out's shape first (the forward one if both are): the sum commutes
+    bit for bit, and the other term, which work receives if given, is smaller.
     """
     if out is None:
         return lam * forward + (1.0 - lam) * backscatter
-    np.multiply(lam, forward, out=out)
-    out += (1.0 - lam) * backscatter
+    terms = [(lam, forward), (1.0 - lam, backscatter)]
+    if np.shape(forward) != out.shape and np.shape(backscatter) == out.shape:
+        terms.reverse()
+    np.multiply(*terms[0], out=out)
+    out += np.multiply(*terms[1], out=work)
     return out
 
 
@@ -241,7 +246,7 @@ def element_constant(link: RadioLink, r_i, r_s, cos_theta_i, area, out=None):
     return const
 
 
-def mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i, out=None):
+def mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i, out=None, work=(None, None)):
     """Received diffuse power of surface elements, watts: S^2 * const * gain / F at Lambda = lam.
 
     const is element_constant of the elements, and gain and F the lobe_mix of
@@ -249,12 +254,13 @@ def mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i, out=N
     lobe is lam = 1. The arguments broadcast together, the gains to the
     result's shape; scalars give a 0-d array. Only elementwise operations run,
     so reordered inputs give the same powers bit for bit. out, an array of the
-    result's shape, receives them if given.
+    result's shape, receives them if given, and work's two arrays the terms
+    lobe_mix passes to work and S^2 * const; backscatter may serve as both.
     """
-    gain = np.asarray(lobe_mix(lam, forward, backscatter, out=out))
+    gain = np.asarray(lobe_mix(lam, forward, backscatter, out=out, work=work[0]))
     # into one buffer: below numpy's temporary-elision size, lam * a + (1 - lam) * b allocates three arrays
     norm = lobe_mix(lam, norm_r, norm_i, out=np.empty(np.broadcast_shapes(*map(np.shape, (lam, norm_r, norm_i)))))
-    np.multiply(s_value * s_value * const, gain, out=gain)
+    np.multiply(np.multiply(s_value * s_value, const, out=work[1]), gain, out=gain)
     return np.divide(gain, norm, out=gain)
 
 

@@ -11,16 +11,19 @@ path, or the aggregated diffuse sum) is dropped when it falls more than
 and the screen's uncertified cells; the screen's tables encode the delay window
 too, as a mask (_specular_window_sums) and as ranked windows with an edge margin
 (_tile_window_sums). predict sums tiles in tile-index order, the tables in fixed
-orders, so identical inputs give bit-identical results. build_pattern and
-predict work in blocks of whole receiver rows, at most _BLOCK_PATHS paths each,
-so their temporaries take a block's memory, not the pattern's; every step is
-elementwise or reduces along one row, so a row's values do not depend on its block.
+orders, so identical inputs give bit-identical results. Every per-row pass
+(build_pattern, predict, the two table passes) works in blocks of whole receiver
+rows, at most _BLOCK_PATHS paths each, so its temporaries take a block's memory;
+every step is elementwise or reduces along one row, so a row's values do not
+depend on its block. Only the operand of _specular_window_sums' matrix products
+is a whole (P, T) array: BLAS may round a product over fewer rows differently.
 The fit keeps build_pattern's whole pattern, which it predicts and screens many
 times; simulate_scan reads each row once, so it builds and predicts one block at
-a time and never holds more. Both run one row code (_Tiling.pattern) and refill
-one block workspace per call: receiver writes r_s and both lobe cosines into the
-pattern's own path-length and lobe-base rows, which become those in place, so a
-block takes 8 float64 arrays, the pattern's 4 and 4 of workspace.
+a time. Both run one row code (_Tiling.pattern) and refill one 3-array block
+workspace: receiver writes r_s and both lobe cosines into the pattern's own
+path-length and lobe-base rows, which become those in place, with its C row as
+scratch, and simulate_scan's predict puts its lobe gains and gate's buffer there,
+so a block takes 7 float64 arrays and gate's bool tile mask.
 """
 
 from __future__ import annotations
@@ -143,28 +146,32 @@ class ScanPattern:
             norm = self._norms[alpha] = single_lobe_norm(self.mode, alpha, self.tile_theta)
         return norm
 
-    def tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None)):
+    def tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None), work=(None, None)):
         """(..., R, T) tile powers before gating, watts, of mixes `lambdas` of any shape (...) at the rows `rows`.
 
         (alpha_r, alpha_i, lambda) is a LobeParams.shape, so the single
-        lobe is the mix-1 case.
+        lobe is the mix-1 case. work's two (R, T) arrays receive the lobe gains.
         """
         lam = np.asarray(lambdas, dtype=float)[..., None, None]
-        # x ** a is a new array even at a = 1, so a scalar mix (of the gains' shape) may write into forward
-        forward, backscatter = self._u[rows] ** alpha_r, self._v[rows] ** alpha_i
-        out = forward if lam.ndim == 2 else None
+        # the gains are never views of U and V, so a scalar mix (of the gains' shape) may write into forward
+        forward, backscatter = np.power(self._u[rows], alpha_r, out=work[0]), np.power(self._v[rows], alpha_i, out=work[1])
+        out, term = (forward, backscatter) if lam.ndim == 2 else (None, None)
         norm_r, norm_i = self._norm(alpha_r), self._norm(alpha_i)
-        return mixed_power(s_value, self._const[rows], lam, forward, backscatter, norm_r, norm_i, out=out)
+        return mixed_power(s_value, self._const[rows], lam, forward, backscatter, norm_r, norm_i, out, (term, backscatter))
 
-    def predict(self, params: LobeParams):
-        """Gated per-position powers: (total_w, spec_w, diff_w), gated a block of rows at a time."""
+    def predict(self, params: LobeParams, work=None):
+        """Gated per-position powers: (total_w, spec_w, diff_w), gated a block of rows at a time.
+
+        Each block's lobe gains and gate's buffer go into work if given, two arrays of a block's rows or more.
+        """
         out = np.empty((3, self.n_positions))
         for rows in _row_blocks(self.n_positions, self.n_tiles):
-            out[:, rows] = self.gate(self.tile_powers(params.s_coeff, *params.shape, rows), rows)
+            block = [a[: rows.stop - rows.start] for a in work[:2]] if work else (None, None)
+            out[:, rows] = self.gate(self.tile_powers(params.s_coeff, *params.shape, rows, block), rows, block[1])
         return tuple(out)
 
-    def gate(self, tile_p: np.ndarray, rows=slice(None)):
-        """Gate the tile powers `tile_p` (..., R, T) of the positions `rows`.
+    def gate(self, tile_p: np.ndarray, rows=slice(None), work=None):
+        """Gate the tile powers `tile_p` (..., R, T) of the positions `rows`, in work, a buffer of its shape, if given.
 
         Returns (total_w, spec_w, diff_w) per row, each of shape (..., R),
         with total_w = spec_w + diff_w; leading axes of tile_p batch several
@@ -187,7 +194,7 @@ class ScanPattern:
         best_len = np.where(spec_p >= tile_max, spec_len, tile_best_len)
 
         # a path of zero power adds nothing, in the window or out of it
-        work = np.subtract(lengths, best_len[..., None])
+        work = np.subtract(lengths, best_len[..., None], out=work)
         tile_in = np.abs(work, out=work) <= _LENGTH_GATE
         spec_in = np.abs(spec_len - best_len) <= _LENGTH_GATE
 
@@ -248,27 +255,33 @@ def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas):
     peaks_i (P, Ai), each pure lobe's largest tile power over all tiles
     (0 for a lobe of weight zero in every mix); see docs/stage_a_screen.md.
     """
-    norms_r = np.array([pattern._norm(a) for a in alphas_r])  # (Ar, T)
-    norms_i = np.array([pattern._norm(a) for a in alphas_i])  # (Ai, T)
-    outside = np.abs(pattern._lengths - pattern._spec_length[:, None]) > _LENGTH_GATE
     n_pos = pattern.n_positions
     sums = np.zeros((n_pos, len(alphas_r), len(alphas_i), len(lambdas)))
     peaks_r, peaks_i = np.zeros((n_pos, len(alphas_r))), np.zeros((n_pos, len(alphas_i)))
-    gain, tile_p = np.empty_like(pattern._const), np.empty_like(pattern._const)
-    forward = [(m, lam) for m, lam in enumerate(lambdas) if lam > 0.0]
-    backscatter = [(m, lam) for m, lam in enumerate(lambdas) if lam < 1.0]
-    for k, a in enumerate(alphas_r if forward else ()):
-        np.multiply(pattern._const, pattern._u**a, out=gain)
-        peaks_r[:, k] = np.divide(gain, norms_r[k], out=tile_p).max(axis=1)
-        np.copyto(gain, 0.0, where=outside)
-        for m, lam in forward:
-            sums[:, k, :, m] += lam * (gain @ np.reciprocal(lobe_mix(lam, norms_r[k], norms_i)).T)
-    for k, a in enumerate(alphas_i if backscatter else ()):
-        np.multiply(pattern._const, pattern._v**a, out=gain)
-        peaks_i[:, k] = np.divide(gain, norms_i[k], out=tile_p).max(axis=1)
-        np.copyto(gain, 0.0, where=outside)
-        for m, lam in backscatter:
-            sums[:, :, k, m] += (1.0 - lam) * (gain @ np.reciprocal(lobe_mix(lam, norms_r, norms_i[k])).T)
+    # the matrix products' operand is the one (P, T) array; the rest is per block of rows or per tile
+    gain, blocks = np.empty_like(pattern._const), _row_blocks(n_pos, pattern.n_tiles)
+    scratch = np.empty((blocks[0].stop, pattern.n_tiles))
+
+    def lobe_pass(lobe_base, alphas, peaks, other_alphas, forward_lobe, lobe_sums):
+        """One lobe's peaks and terms of the sums, whose axis 1 indexes its widths."""
+        mixes = [(m, lam) for m, lam in enumerate(lambdas) if (lam > 0.0 if forward_lobe else lam < 1.0)]
+        # each width mixes its (T,) norm with the other lobe's (A, T) stack, in one more (A, T) array
+        others = np.array([pattern._norm(a) for a in other_alphas])
+        mix = np.empty_like(others)
+        for k, a in enumerate(alphas if mixes else ()):
+            norm = pattern._norm(a)
+            for rows in blocks:  # gain = C * lobe_base^a, zero outside the specular delay window
+                work, block = scratch[: rows.stop - rows.start], gain[rows]
+                np.multiply(pattern._const[rows], np.power(lobe_base[rows], a, out=work), out=block)
+                peaks[rows, k] = np.divide(block, norm, out=work).max(axis=1)
+                np.abs(np.subtract(pattern._lengths[rows], pattern._spec_length[rows, None], out=work), out=work)
+                np.copyto(block, 0.0, where=work > _LENGTH_GATE)
+            for m, lam in mixes:
+                np.reciprocal(lobe_mix(lam, *((norm, others) if forward_lobe else (others, norm)), out=mix), out=mix)
+                lobe_sums[:, k, :, m] += (lam if forward_lobe else 1.0 - lam) * (gain @ mix.T)
+
+    lobe_pass(pattern._u, alphas_r, peaks_r, alphas_i, True, sums)
+    lobe_pass(pattern._v, alphas_i, peaks_i, alphas_r, False, sums.transpose(0, 2, 1, 3))
     return sums[:, _distinct_shapes(alphas_r, alphas_i, lambdas)], peaks_r, peaks_i
 
 
@@ -290,67 +303,66 @@ def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
 
     The pass works on the tiles of each row in path-length order: there
     the window and the tie band of an anchor are index ranges, found once
-    per row. C and the base gains U, V are gathered into that order once
-    and raised to each width there (the power is elementwise, so
-    ranked(U) ** a == ranked(U ** a) bit for bit), so each width pair
-    forms its tile powers ranked, for the mixes of its distinct shapes.
+    per row. It runs over _row_blocks of rows and reuses two mix buffers:
+    each width pair forms the tile powers of the mixes of its distinct
+    shapes in one, in tile order with (T,) norms, and gathers them into
+    length order in the other (the gather moves values, so they keep
+    their bits), which first holds mixed_power's backscatter term.
     """
-    lengths = pattern._lengths[rows]  # (R, T)
-    n_rows, n_tiles = lengths.shape
-    gate = _LENGTH_GATE
-    tie = _ANCHOR_TIE_M
-    order = np.argsort(lengths, axis=-1, kind="stable")
-    # per row and length rank of the anchor: the window [start, end), the
-    # ranks of its tie band, and whether no tile lies near the window edge
-    window = np.empty((n_rows, n_tiles, 2), dtype=np.intp)
-    band_lo, band_hi = np.empty((2, n_rows, n_tiles), dtype=np.intp)
-    clear = np.empty((n_rows, n_tiles), dtype=bool)
-    for r, ranked in enumerate(np.take_along_axis(lengths, order, axis=-1)):
-        window[r, :, 0] = np.searchsorted(ranked, ranked - gate)
-        window[r, :, 1] = np.searchsorted(ranked, ranked + gate, "right")
-        band_lo[r] = np.searchsorted(ranked, ranked - tie)
-        band_hi[r] = np.searchsorted(ranked, ranked + tie, "right")
-        clear[r] = 0 == sum(
-            np.searchsorted(ranked, edge + 2.0 * tie, "right") - np.searchsorted(ranked, edge - 2.0 * tie)
-            for edge in (ranked - gate, ranked + gate)
-        )
-    band = np.minimum(band_lo[..., None] + np.arange((band_hi - band_lo).max()), band_hi[..., None] - 1)
-    del band_lo, band_hi
-    # the (P, T) arrays' entries in each row's length order, and the (T,) norms'
-    flat_order = (order + n_tiles * np.asarray(rows)[:, None]).ravel()
-
-    def ranked(arr):
-        return np.take(arr, flat_order if arr.ndim == 2 else order).reshape(n_rows, n_tiles)
-
-    const, u, v = (ranked(arr) for arr in (pattern._const, pattern._u, pattern._v))
-    lam = np.asarray(lambdas, dtype=float)
-    n_lam = lam.size
-    base = n_tiles * np.arange(n_lam * n_rows).reshape(n_lam, n_rows)
-    row = np.arange(n_rows)
-    # one spare entry past the end keeps every window end a valid index of reduceat
-    flat = np.empty(n_lam * n_rows * n_tiles + 1)
     distinct = _distinct_shapes(alphas_r, alphas_i, lambdas)
-    sums = np.empty((*distinct.shape, n_rows))
+    lam = np.asarray(lambdas, dtype=float)
+    n_lam, n_tiles = lam.size, pattern.n_tiles
+    gate, tie = _LENGTH_GATE, _ANCHOR_TIE_M
+    blocks = _row_blocks(len(rows), n_tiles)
+    # one spare entry past the end keeps every window end a valid index of reduceat
+    flat, term = np.empty(n_lam * blocks[0].stop * n_tiles + 1), np.empty(n_lam * blocks[0].stop * n_tiles)
+    sums = np.empty((*distinct.shape, len(rows)))
     certified = np.empty(sums.shape, dtype=bool)
-    for i, a_r in enumerate(alphas_r):
-        forward, norm_r = u**a_r, ranked(pattern._norm(a_r))
-        for j, a_i in enumerate(alphas_i):
-            ms = np.flatnonzero(distinct[i, j])
-            if not ms.size:
-                continue
-            size = ms.size * n_rows * n_tiles
-            ranked_p = flat[:size].reshape(ms.size, n_rows, n_tiles)
-            backscatter, norm_i = v**a_i, ranked(pattern._norm(a_i))
-            mixed_power(1.0, const, lam[ms, None, None], forward, backscatter, norm_r, norm_i, out=ranked_p)
-            first = base[: ms.size]
-            k = ranked_p.argmax(axis=-1)  # (M, R): the anchor's length rank
-            top = flat[first + k]
-            ends = first[..., None] + window[row, k]
-            sums[i, j, ms] = np.add.reduceat(flat[: size + 1], ends.ravel())[::2].reshape(ms.size, n_rows)
-            # zero the anchor's tie band; the largest tile left is its rival
-            flat[first[..., None] + band[row, k]] = 0.0
-            rival = ranked_p.max(axis=-1)
-            certified[i, j, ms] = (top >= (1.0 + _CERTIFICATE_MARGIN) * rival) & clear[row, k]
+    for block in blocks:
+        block_rows, n_rows = rows[block], block.stop - block.start
+        const, u, v, lengths = (arr[block_rows] for arr in (pattern._const, pattern._u, pattern._v, pattern._lengths))
+        order = np.argsort(lengths, axis=-1, kind="stable")
+        # per row and length rank of the anchor: the window [start, end), the
+        # ranks of its tie band, and whether no tile lies near the window edge
+        window = np.empty((n_rows, n_tiles, 2), dtype=np.intp)
+        band_lo, band_hi = np.empty((2, n_rows, n_tiles), dtype=np.intp)
+        clear = np.empty((n_rows, n_tiles), dtype=bool)
+        for r, ranked in enumerate(np.take_along_axis(lengths, order, axis=-1)):
+            window[r, :, 0] = np.searchsorted(ranked, ranked - gate)
+            window[r, :, 1] = np.searchsorted(ranked, ranked + gate, "right")
+            band_lo[r] = np.searchsorted(ranked, ranked - tie)
+            band_hi[r] = np.searchsorted(ranked, ranked + tie, "right")
+            clear[r] = 0 == sum(
+                np.searchsorted(ranked, edge + 2.0 * tie, "right") - np.searchsorted(ranked, edge - 2.0 * tie)
+                for edge in (ranked - gate, ranked + gate)
+            )
+        band = np.minimum(band_lo[..., None] + np.arange((band_hi - band_lo).max()), band_hi[..., None] - 1)
+        del band_lo, band_hi, lengths
+        # the block's (R, T) entries in each row's length order
+        ranks = (order + n_tiles * np.arange(n_rows)[:, None]).ravel()
+        base = n_tiles * np.arange(n_lam * n_rows).reshape(n_lam, n_rows)
+        row = np.arange(n_rows)
+        for i, a_r in enumerate(alphas_r):
+            forward = u**a_r
+            for j, a_i in enumerate(alphas_i):
+                ms = np.flatnonzero(distinct[i, j])
+                if not ms.size:
+                    continue
+                size = ms.size * n_rows * n_tiles
+                tile_p, ranked_p = (buf[:size].reshape(ms.size, n_rows, n_tiles) for buf in (term, flat))
+                backscatter, norms = v**a_i, (pattern._norm(a_r), pattern._norm(a_i))
+                mixed_power(1.0, const, lam[ms, None, None], forward, backscatter, *norms, tile_p, (ranked_p, backscatter))
+                # mode "clip": "raise" would buffer the gather in a third array
+                np.take(tile_p.reshape(ms.size, -1), ranks, axis=1, out=ranked_p.reshape(ms.size, -1), mode="clip")
+                first = base[: ms.size]
+                k = ranked_p.argmax(axis=-1)  # (M, R): the anchor's length rank
+                top = flat[first + k]
+                ends = first[..., None] + window[row, k]
+                sums[i, j, ms, block] = np.add.reduceat(flat[: size + 1], ends.ravel())[::2].reshape(ms.size, n_rows)
+                # zero the anchor's tie band; the largest tile left is its rival
+                flat[first[..., None] + band[row, k]] = 0.0
+                rival = ranked_p.max(axis=-1)
+                certified[i, j, ms, block] = (top >= (1.0 + _CERTIFICATE_MARGIN) * rival) & clear[row, k]
     return sums[distinct].T, certified[distinct].T
 
 
@@ -382,6 +394,7 @@ class _ShapeTable:
         # the rows with no specular path are set below; a bound of 0 certifies every S
         with np.errstate(divide="ignore"):
             self.limit = np.divide(spec, bound, out=np.zeros_like(bound), where=spec > 0.0)
+        del bound  # before the tile pass, whose buffers are the build's largest at a fine tiling
         rows = np.flatnonzero(pattern.spec_power == 0.0)
         if rows.size:
             self.window[rows], certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
@@ -416,13 +429,13 @@ class _Tiling:
 
     It holds the tiles' incident paths and angles, the (T,) normalization
     of each lobe width that the patterns of its receivers use (one dict,
-    shared), and receiver's workspace for one block of rows, its three
-    differences and a scratch, which pattern refills for each block; the
-    tile centers stay only in SurfacePaths' (3, T) rows. The tiling must
-    give n_receivers at most MAX_PATHS paths. Block arrays are separate
-    (R, T) arrays: freeing one stacked array of them would raise glibc's
-    mmap threshold, and a fit's later arrays would then stay in the heap
-    (measured at 76 x 900 paths).
+    shared), and work, receiver's three coordinate differences for one
+    block of rows, which pattern refills for each block and simulate_scan's
+    predict reuses; the tile centers stay only in SurfacePaths' (3, T)
+    rows. The tiling must give n_receivers at most MAX_PATHS paths. Block
+    arrays are separate (R, T) arrays: freeing one stacked array of them
+    would raise glibc's mmap threshold, and a fit's later arrays would then
+    stay in the heap (measured at 76 x 900 paths).
     """
 
     def __init__(self, scene, n_receivers, link, materials, tile_edge, mode, polarization):
@@ -434,17 +447,18 @@ class _Tiling:
         self.norms: dict[int, np.ndarray] = {}
         self.n_tiles = centers.shape[0]
         self.block_rows = _row_blocks(max(1, n_receivers), self.n_tiles)[0].stop
-        self._work: list[np.ndarray] = []
+        self.work: list[np.ndarray] = []
 
     def pattern(self, rx: np.ndarray, arrays) -> ScanPattern:
         """The ScanPattern of the receivers rx (R, 3), its C, U, V and path lengths written into four (R, T) arrays."""
         const, u_base, v_base, lengths = arrays
         paths = self.paths
-        if not self._work:  # allocated after the caller's arrays, which a fit keeps, so the heap can return it
-            self._work = [np.empty((self.block_rows, self.n_tiles)) for _ in range(4)]
+        if not self.work:  # allocated after the caller's arrays, which a fit keeps, so the heap can return it
+            self.work = [np.empty((self.block_rows, self.n_tiles)) for _ in range(3)]
         for rows in _row_blocks(len(rx), self.n_tiles):
-            work = [a[: rows.stop - rows.start] for a in self._work]
-            r_s, *cosines = paths.receiver(rx[rows], (lengths[rows], u_base[rows], v_base[rows]), work)
+            work = [a[: rows.stop - rows.start] for a in self.work]
+            # receiver's scratch is the C row, which element_constant fills afterwards
+            r_s, *cosines = paths.receiver(rx[rows], (lengths[rows], u_base[rows], v_base[rows]), [*work, const[rows]])
             element_constant(self.link, paths.r_i, r_s, paths.cos_ti, self.area, out=const[rows])
             # then r_s becomes the path length, and each cos psi its lobe base (1 + cos psi)/2, in place
             np.add(paths.r_i, r_s, out=r_s)
@@ -500,7 +514,7 @@ def simulate_scan(
     powers = np.empty((3, len(positions)))
     for rows in _row_blocks(len(positions), tiling.n_tiles):
         block = tiling.pattern(positions[rows], [a[: rows.stop - rows.start] for a in arrays])
-        powers[:, rows] = block.predict(lobe_params)
+        powers[:, rows] = block.predict(lobe_params, tiling.work)
     return [
         SimRecord(
             azimuth_deg=az,

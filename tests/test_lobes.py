@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import WAVELENGTH_28GHZ
 from mmscatter.geometry import SurfacePaths
 from mmscatter.lobes import (
+    ALPHA_MAX,
+    ALPHA_MIN,
     SWEEP_RANGE_M,
     LobeModel,
     LobeParams,
@@ -483,3 +485,11 @@ class TestReciprocity:
         forward, _, _ = element_powers(tx_pos, rx_pos, single(0.3, 4), paper_link, mode)
         backward, _, _ = element_powers(rx_pos, tx_pos, single(0.3, 4), paper_link, mode)
         assert np.all(np.abs(forward / backward - 1.0) > 0.01)
+
+
+@pytest.mark.parametrize("alpha", range(ALPHA_MIN, ALPHA_MAX + 1))
+def test_power_into_a_buffer_equals_the_operator(alpha):
+    # the passes raise lobe bases in [0, 1] with np.power(..., out=); ** may take its own fast path
+    base = np.concatenate([np.linspace(0.0, 1.0, 10_001), [5e-324, 1e-310, 2.2250738585072014e-308, 1.0 - 2**-53]])
+    buf = np.empty_like(base)
+    assert np.power(base, alpha, out=buf).tobytes() == (base**alpha).tobytes()

@@ -325,16 +325,48 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         block = 8 * (_BLOCK_PATHS // n_tiles) * n_tiles
-        # float64 blocks: receiver's workspace, three differences and a scratch
-        # (4), the block's C, U, V and path lengths, into which receiver writes
-        # r_s and both cosines (4), and predict's two lobe gains with one
-        # temporary of their mix or of s^2 C (3); per tile, the (3, T) rows of the
-        # points and both directions (9), r_i, cos theta_i, theta_i and the two
-        # widths' norms (5), and predict's mixed norm and one temporary of it (2),
-        # 16 float64 arrays of T in all; per receiver its position, key and powers
-        bound = 11 * block + 16 * 8 * n_tiles + 1024 * n_pos
+        # float64 blocks: the tiling's workspace of three differences, which
+        # then holds predict's two lobe gains and gate's buffer (3), and the
+        # block's C, U, V and path lengths, into which receiver writes r_s and
+        # both cosines, its scratch being the C row (4), plus gate's bool tile
+        # mask; per tile, the (3, T) rows of the points and both directions (9),
+        # r_i, cos theta_i, theta_i and the two widths' norms (5), and predict's
+        # mixed norm and one temporary of it (2), 16 float64 arrays of T in all;
+        # per receiver its position, key and powers
+        bound = 7 * block + block // 8 + 16 * 8 * n_tiles + 1024 * n_pos
         # the whole pattern, C, U, V and the path lengths, is 8.75 MB
         assert peak < bound < 4 * 8 * n_pos * n_tiles
+
+    def test_table_memory_is_bounded_by_its_blocks(self, monkeypatch, paper_link, materials_db, scene30):
+        _, rx = scan_positions(scene30, ScanSpec(height_offsets=DEFAULT_CYLINDER_HEIGHTS))
+        whole = build_pattern(scene30, rx, paper_link, materials_db, 0.05).shape_table(DUAL_GRID)
+        n_tiles = 3_600
+        # blocks of 2 rows: the 8 rows with no specular path span 4 blocks of the tile pass
+        monkeypatch.setattr(raytrace, "_BLOCK_PATHS", 2 * n_tiles)
+        pattern = build_pattern(scene30, rx, paper_link, materials_db, 0.05)
+        n_pos, n_columns, n_lam = pattern.n_positions, DUAL_COLUMNS.size, len(DUAL_GRID[2])
+        assert (n_pos, pattern.n_tiles, np.sum(pattern.spec_power == 0.0)) == (76, n_tiles, 8)
+        for alpha in DUAL_GRID[0]:
+            pattern._norm(alpha)  # the pattern keeps its norms
+        _warm_one_time_caches(scene30, paper_link, materials_db)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = raytrace._ShapeTable(pattern, *DUAL_GRID)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert table.window.tobytes() == whole.window.tobytes() and table.limit.tobytes() == whole.limit.tobytes()
+        block = 8 * 2 * n_tiles
+        # the kept window and limit, the one (P, T) matrix-product operand, the
+        # specular pass's (P, Ar, Ai, L) sums and its two (A, T) norm arrays;
+        # the tile pass's two mix buffers of n_lam blocks each, and at most 16
+        # more block arrays (the rows' C, U, V, lengths, length order and ranks,
+        # window ends (2), tie band (4), and both lobe gains)
+        bound = 2 * 8 * n_pos * n_columns + 8 * n_pos * n_tiles + 8 * n_pos * 1_100 + 2 * 8 * 10 * n_tiles
+        bound += (2 * n_lam + 16) * block
+        # one (P, T) float64 array is 2.2 MB
+        assert peak < bound
 
     def test_simulate_norms_each_width_once(self, monkeypatch, paper_link, materials_db, scene30):
         widths = []
