@@ -280,6 +280,8 @@ def grid_fit(evaluate: ScanEvaluator, model_kind: LobeModel, s_initial: float) -
 
 def compare_models(evaluate: ScanEvaluator, s_initial: float) -> ModelComparison:
     """Fit both models against evaluate's one pattern and report the lower-FVU one (ties go to single-lobe)."""
+    # the dual table's pass emits the single-lobe table too, so both fits share one build
+    evaluate.pattern.shape_table(_shape_grid(LobeModel.DUAL_LOBE))
     single = grid_fit(evaluate, LobeModel.SINGLE_LOBE, s_initial)
     dual = grid_fit(evaluate, LobeModel.DUAL_LOBE, s_initial)
     winner = LobeModel.DUAL_LOBE if dual.fvu < single.fvu - FVU_TIE_TOL else LobeModel.SINGLE_LOBE

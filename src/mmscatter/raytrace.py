@@ -17,6 +17,8 @@ rows, at most _BLOCK_PATHS paths each, so its temporaries take a block's memory;
 every step is elementwise or reduces along one row, so a row's values do not
 depend on its block. Only the operand of _specular_window_sums' matrix products
 is a whole (P, T) array: BLAS may round a product over fewer rows differently.
+A dual grid's table pass also emits the single-lobe table, so a fit of both
+models runs each table pass once.
 The fit keeps build_pattern's whole pattern, which it predicts and screens many
 times; simulate_scan reads each row once, so it builds and predicts one block at
 a time. Both run one row code (_Tiling.pattern) and refill one 3-array block
@@ -28,6 +30,7 @@ so a block takes 7 float64 arrays and gate's bool tile mask.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -205,9 +208,11 @@ class ScanPattern:
         return spec_w + diff_w, spec_w, diff_w
 
     def shape_table(self, grid) -> _ShapeTable:
-        """The _ShapeTable of grid, (alphas_r, alphas_i, lambdas), built once per pattern."""
+        """The _ShapeTable of grid, (alphas_r, alphas_i, lambdas), built once per pattern, and its table.single too."""
         if grid not in self._shape_tables:
-            self._shape_tables[grid] = _ShapeTable(self, *grid)
+            table = self._shape_tables[grid] = _ShapeTable(self, *grid)
+            if table.single is not None:  # the single-lobe grid's table, from the same pass
+                self._shape_tables.setdefault((grid[0], grid[1][:1], (1.0,)), table.single)
         return self._shape_tables[grid]
 
     def shape_totals(self, grid, s_values, columns) -> np.ndarray:
@@ -251,38 +256,51 @@ def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas):
 
     Returns sums (P, N), the diffuse sum over the tiles in the delay window
     around the specular path of each of the grid's N distinct shapes, in
-    _ShapeTable column order, and peaks_r (P, Ar) and
+    _ShapeTable column order, peaks_r (P, Ar) and
     peaks_i (P, Ai), each pure lobe's largest tile power over all tiles
-    (0 for a lobe of weight zero in every mix); see docs/stage_a_screen.md.
+    (0 for a lobe of weight zero in every mix), and single_sums (P, Ar), the
+    sums of the single-lobe grid (alphas_r, alphas_i[:1], (1.0,)) as its own
+    pass forms them, or None if the grid is that grid or has no mix 1; see
+    docs/stage_a_screen.md.
     """
-    n_pos = pattern.n_positions
+    n_pos, n_tiles = pattern.n_positions, pattern.n_tiles
     sums = np.zeros((n_pos, len(alphas_r), len(alphas_i), len(lambdas)))
     peaks_r, peaks_i = np.zeros((n_pos, len(alphas_r))), np.zeros((n_pos, len(alphas_i)))
+    single_sums = np.zeros((n_pos, len(alphas_r))) if 1.0 in lambdas and len(alphas_i) * len(lambdas) > 1 else None
     # the matrix products' operand is the one (P, T) array; the rest is per block of rows or per tile
-    gain, blocks = np.empty_like(pattern._const), _row_blocks(n_pos, pattern.n_tiles)
-    scratch = np.empty((blocks[0].stop, pattern.n_tiles))
+    gain, blocks = np.empty_like(pattern._const), _row_blocks(n_pos, n_tiles)
+    # a block's rows, or one lobe's (A, T) stack of mixed reciprocal norms
+    scratch = np.empty((max(blocks[0].stop, len(alphas_r), len(alphas_i)), n_tiles))
+    outside = np.empty((n_pos, -(-n_tiles // 8)), dtype=np.uint8)  # tiles outside the specular window, one bit each
+    for rows in blocks:
+        work = scratch[: rows.stop - rows.start]
+        np.abs(np.subtract(pattern._lengths[rows], pattern._spec_length[rows, None], out=work), out=work)
+        outside[rows] = np.packbits(work > _LENGTH_GATE, axis=1)
 
     def lobe_pass(lobe_base, alphas, peaks, other_alphas, forward_lobe, lobe_sums):
         """One lobe's peaks and terms of the sums, whose axis 1 indexes its widths."""
         mixes = [(m, lam) for m, lam in enumerate(lambdas) if (lam > 0.0 if forward_lobe else lam < 1.0)]
-        # each width mixes its (T,) norm with the other lobe's (A, T) stack, in one more (A, T) array
+        if not mixes:
+            return
+        # each width mixes its (T,) norm with the other lobe's (A, T) stack
         others = np.array([pattern._norm(a) for a in other_alphas])
-        mix = np.empty_like(others)
-        for k, a in enumerate(alphas if mixes else ()):
+        mix = scratch[: len(others)]
+        for k, a in enumerate(alphas):
             norm = pattern._norm(a)
             for rows in blocks:  # gain = C * lobe_base^a, zero outside the specular delay window
                 work, block = scratch[: rows.stop - rows.start], gain[rows]
                 np.multiply(pattern._const[rows], np.power(lobe_base[rows], a, out=work), out=block)
                 peaks[rows, k] = np.divide(block, norm, out=work).max(axis=1)
-                np.abs(np.subtract(pattern._lengths[rows], pattern._spec_length[rows, None], out=work), out=work)
-                np.copyto(block, 0.0, where=work > _LENGTH_GATE)
+                np.copyto(block, 0.0, where=np.unpackbits(outside[rows], axis=1, count=n_tiles).view(bool))
             for m, lam in mixes:
                 np.reciprocal(lobe_mix(lam, *((norm, others) if forward_lobe else (others, norm)), out=mix), out=mix)
                 lobe_sums[:, k, :, m] += (lam if forward_lobe else 1.0 - lam) * (gain @ mix.T)
+                if single_sums is not None and forward_lobe and lam == 1.0:
+                    single_sums[:, k] = (gain @ mix[:1].T)[:, 0]  # one column, as the single-lobe pass forms it
 
     lobe_pass(pattern._u, alphas_r, peaks_r, alphas_i, True, sums)
     lobe_pass(pattern._v, alphas_i, peaks_i, alphas_r, False, sums.transpose(0, 2, 1, 3))
-    return sums[:, _distinct_shapes(alphas_r, alphas_i, lambdas)], peaks_r, peaks_i
+    return sums[:, _distinct_shapes(alphas_r, alphas_i, lambdas)], peaks_r, peaks_i, single_sums
 
 
 def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
@@ -378,14 +396,16 @@ class _ShapeTable:
     diffuse sum that predict gates: the specular power over
     (1 + _CERTIFICATE_MARGIN) times a bound on every tile power, or with
     no specular path +inf or -inf as the tile-anchor certificate holds or
-    not.
+    not. single is the table of the single-lobe grid (alphas_r, alphas_i[:1],
+    (1.0,)), built in the same pass, or None if this is that grid or has no
+    mix 1: it equals that grid's own _ShapeTable bit for bit.
     """
 
     def __init__(self, pattern: ScanPattern, alphas_r, alphas_i, lambdas):
         lam = np.asarray(lambdas)
         distinct = _distinct_shapes(alphas_r, alphas_i, lambdas)
         self.shapes = [(alphas_r[i], alphas_i[j], lambdas[m]) for i, j, m in np.argwhere(distinct).tolist()]
-        self.window, peaks_r, peaks_i = _specular_window_sums(pattern, alphas_r, alphas_i, lambdas)
+        self.window, peaks_r, peaks_i, single_sums = _specular_window_sums(pattern, alphas_r, alphas_i, lambdas)
         # a dual-lobe tile power is a mediant of the two pure ones; a lobe of weight zero bounds nothing
         bound = np.maximum(
             np.where(lam > 0.0, peaks_r[:, :, None, None], 0.0), np.where(lam < 1.0, peaks_i[:, None, :, None], 0.0)
@@ -399,6 +419,13 @@ class _ShapeTable:
         if rows.size:
             self.window[rows], certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
             self.limit[rows] = np.where(certified, np.inf, -np.inf)
+        self.single = None
+        if single_sums is not None:  # its own specular-window sums; its other entries are this table's, bit for bit
+            cols = (np.cumsum(distinct) - 1).reshape(distinct.shape)[:, 0, list(lambdas).index(1.0)]
+            single_sums[rows] = self.window[np.ix_(rows, cols)]
+            self.single = single = copy.copy(self)
+            single.shapes = [self.shapes[n] for n in cols]
+            single.window, single.limit = single_sums, self.limit[:, cols]
 
 
 def tile_centers(scene: Scene, tile_edge: float, receivers: int = 1) -> tuple[np.ndarray, float]:

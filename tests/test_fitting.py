@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dual_scores_by_mix
-from mmscatter import watts_to_dbm
+from mmscatter import raytrace, watts_to_dbm
 from mmscatter.fileio import Scan, ScanPoint, default_materials, scan_from_records
 from mmscatter.fitting import (
     FVU_TIE_TOL,
@@ -347,6 +347,24 @@ class TestCompareModels:
         comparison = compare_models(evaluator(scan, scene30), 0.30)
         assert comparison.single.fvu == 0.0 and comparison.dual.fvu == 0.0
         assert comparison.winner is LobeModel.SINGLE_LOBE
+
+    def test_each_table_pass_runs_once(self, monkeypatch, scene30, paper_link, materials_db, evaluator):
+        calls = []
+        for name in ("_specular_window_sums", "_tile_window_sums"):
+
+            def spy(pattern, alphas_r, alphas_i, lambdas, *rows, table_pass=getattr(raytrace, name), name=name):
+                calls.append((name, len(alphas_r) * len(alphas_i) * len(lambdas)))
+                return table_pass(pattern, alphas_r, alphas_i, lambdas, *rows)
+
+            monkeypatch.setattr(raytrace, name, spy)
+        scan = synthetic_scan(scene30, dual(0.35, 1, 10, 0.1), paper_link, materials_db)
+        comparison = compare_models(evaluator(scan, scene30), 0.35)
+        # one pass of each over the 1,100 products of the dual grid serves both fits
+        assert sorted(calls) == [("_specular_window_sums", 1_100), ("_tile_window_sums", 1_100)]
+        calls.clear()
+        # a single-lobe fit on its own builds its 10 columns only, and fits as compare_models does
+        assert grid_fit(evaluator(scan, scene30), LobeModel.SINGLE_LOBE, 0.35) == comparison.single
+        assert sorted(calls) == [("_specular_window_sums", 10), ("_tile_window_sums", 10)]
 
     def test_repeat_runs_identical(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.35, 1, 10, 0.1)

@@ -46,6 +46,7 @@ CONVERGENCE_TOL_DB = 0.1
 # every dual-lobe shape a fit screens: widths 1-10 of both lobes and 11 mixes, less the
 # 90 + 90 duplicates at lambda 1 and 0, where the zero-weight lobe's width drops out
 DUAL_GRID = _shape_grid(LobeModel.DUAL_LOBE)
+SINGLE_GRID = _shape_grid(LobeModel.SINGLE_LOBE)
 DUAL_COLUMNS = np.arange(math.prod(map(len, DUAL_GRID)) - 2 * 90)
 
 
@@ -356,10 +357,15 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert table.window.tobytes() == whole.window.tobytes() and table.limit.tobytes() == whole.limit.tobytes()
+        # the build emits the single-lobe table too, as the unpatched build does
+        for built, unpatched in ((table, whole), (table.single, whole.single)):
+            assert built.window.tobytes() == unpatched.window.tobytes()
+            assert built.limit.tobytes() == unpatched.limit.tobytes()
+        assert len(table.single.shapes) == 10
         block = 8 * 2 * n_tiles
-        # the kept window and limit, the one (P, T) matrix-product operand, the
-        # specular pass's (P, Ar, Ai, L) sums and its two (A, T) norm arrays;
+        # the kept window and limit (the single table's 10 columns of each are
+        # under 1% of them), the one (P, T) matrix-product operand, the specular
+        # pass's (P, Ar, Ai, L) sums and its two (A, T) norm arrays;
         # the tile pass's two mix buffers of n_lam blocks each, and at most 16
         # more block arrays (the rows' C, U, V, lengths, length order and ranks,
         # window ends (2), tie band (4), and both lobe gains)
@@ -417,6 +423,34 @@ class TestBlocks:
         pattern.shape_totals(DUAL_GRID, [0.8] * DUAL_COLUMNS.size, DUAL_COLUMNS)
         assert np.any(0.8**2 > pattern._shape_tables[DUAL_GRID].limit)
         assert [arr.tobytes() for arr in arrays] == before
+
+
+class TestSingleTableFromDualPass:
+    """A dual table's pass emits the single-lobe table: the single grid's own table, bit for bit."""
+
+    @pytest.mark.parametrize("block_rows", [None, 2], ids=["blocks", "2-row-blocks"])
+    @pytest.mark.parametrize("heights", [(0.0,), DEFAULT_CYLINDER_HEIGHTS], ids=["arc", "semicylinder"])
+    @pytest.mark.parametrize("tile_edge", [0.5, 0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("mode", list(NormalizationMode))
+    def test_emitted_table_equals_its_own_build(
+        self, monkeypatch, mode, tile_edge, heights, block_rows, paper_link, materials_db
+    ):
+        if block_rows:
+            n_tiles = tile_centers(paper_scene("rough_wall", 20.0), tile_edge)[0].shape[0]
+            monkeypatch.setattr(raytrace, "_BLOCK_PATHS", block_rows * n_tiles)
+        for material, theta in (("rough_wall", 20.0), ("smooth_wall", 37.0), ("marble_wall", 60.0)):
+            scene = paper_scene(material, theta)
+            _, rx = scan_positions(scene, ScanSpec(height_offsets=heights))
+            pattern = build_pattern(scene, rx, paper_link, materials_db, tile_edge, mode)
+            # both table passes run: the in-plane receivers have no specular path
+            assert 0 < np.sum(pattern.spec_power == 0.0) < pattern.n_positions
+            emitted = pattern.shape_table(DUAL_GRID).single
+            assert pattern.shape_table(SINGLE_GRID) is emitted
+            alone = raytrace._ShapeTable(pattern, *SINGLE_GRID)
+            assert alone.single is None
+            assert emitted.shapes == alone.shapes == [(alpha, 1, 1.0) for alpha in range(1, 11)]
+            assert emitted.window.tobytes() == alone.window.tobytes()
+            assert emitted.limit.tobytes() == alone.limit.tobytes()
 
 
 class TestStream:
