@@ -273,6 +273,8 @@ def _params_from_tokens(tokens, source: str, lineno: int) -> LobeParams:
     if ai_token != "-":
         alpha_i = _parse_int(ai_token, source, lineno, "alpha_i")
         lam = _parse_float(lam_token, source, lineno, "lambda_mix")
+    elif lam_token != "-":
+        raise _err(source, lineno, f"lambda_mix must be - where alpha_i is -, got {lam_token!r}")
     try:
         return LobeParams(model=model, s_coeff=s_value, alpha_r=alpha_r, alpha_i=alpha_i, lambda_mix=lam)
     except ValueError as exc:

@@ -13,8 +13,9 @@ reproduced bit-exactly. Every stage is first screened from the pattern's
 tables: ScanEvaluator.screen passes the stage's candidates, as columns
 of the model's shape table with one S each (stage A: every column at the
 round's S; stage B: the best shape's column at each S of its grid), to
-one ScanPattern.shape_totals call, which returns their powers (accurate
-to about 1e-15), and scores all of them with fvu. Only the candidates
+one ScanPattern.shape_totals call, which returns their powers (exact at
+positions with no specular path, accurate to about 1e-15 at the others),
+and scores all of them with fvu. Only the candidates
 within CONFIRM_MARGIN of the stage's screened best are then scored by
 the predictor, and only those exact FVUs take part in choosing the best.
 ScanEvaluator.__call__ keeps the exact FVU of each S and shape, so no
@@ -213,7 +214,8 @@ class ScanEvaluator:
         """Screened FVU of candidate q: column columns[q] of the model's shape table at S s_values[q].
 
         The powers come from ScanPattern.shape_totals, which agrees with
-        predict to rounding, so the values agree with __call__ to about
+        predict bit for bit at positions with no specular path and to
+        rounding at the others, so the values agree with __call__ to about
         1e-15.
         """
         total_w = self.pattern.shape_totals(_shape_grid(model_kind), s_values, columns)

@@ -5,10 +5,11 @@ The scattered power density around a surface element follows a lobe shape
 for the dual-lobe model, a second lobe anchored on the incident direction
 (psi_i) mixed with weight Lambda:
 
-    |E_s|^2 = (S K / (r_i r_s))^2 * (l cos(theta_i) / F)
+    |E_s|^2 = S^2 * (K / (r_i r_s))^2 * (l cos(theta_i) / F)
               * [ Lambda ((1+cos psi_R)/2)^a_R + (1-Lambda) ((1+cos psi_i)/2)^a_i ]
 
-with K = sqrt(60 P_t G_t) and F the lobe-pattern normalization. Two
+with K = sqrt(60 P_t G_t) and F the lobe-pattern normalization. S^2 only
+scales the diffuse power, so it multiplies sums of element powers. Two
 normalizations are supported: PAPER_LINE integrates the lobe over the
 in-plane scattering angle with |sin theta_s| weighting, HEMISPHERE (the
 default) integrates the lobe over the upward hemisphere in solid angle.
@@ -16,7 +17,7 @@ Both integrals have closed forms, cosine series sum_m c_m cos(m theta_i)
 with m <= alpha, evaluated for an array of incidence angles at once; the
 HEMISPHERE coefficients follow from the Funk-Hecke theorem as exact integer ratios.
 Receiver power in a given direction is P_r = G_r lambda^2 / (480 pi^2) * |E_s|^2.
-element_constant and mixed_power evaluate P_r for arrays of surface
+element_constant and mixed_power evaluate P_r / S^2 for arrays of surface
 elements, the single lobe as the Lambda = 1 mix; the scan simulator, the
 fit and pattern_sweep all use them. pattern_sweep gives one unit-area
 element's power toward the incident and the specular receiver together.
@@ -246,21 +247,21 @@ def element_constant(link: RadioLink, r_i, r_s, cos_theta_i, area, out=None):
     return const
 
 
-def mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i, out=None, work=(None, None)):
-    """Received diffuse power of surface elements, watts: S^2 * const * gain / F at Lambda = lam.
+def mixed_power(const, lam, forward, backscatter, norm_r, norm_i, out=None, work=None):
+    """Received diffuse power of surface elements per unit S^2, watts: const * gain / F at Lambda = lam.
 
     const is element_constant of the elements, and gain and F the lobe_mix of
     the gains forward, backscatter and of the norms norm_r, norm_i; the single
     lobe is lam = 1. The arguments broadcast together, the gains to the
     result's shape; scalars give a 0-d array. Only elementwise operations run,
     so reordered inputs give the same powers bit for bit. out, an array of the
-    result's shape, receives them if given, and work's two arrays the terms
-    lobe_mix passes to work and S^2 * const; backscatter may serve as both.
+    result's shape, receives them if given, and work the term lobe_mix passes
+    to work; backscatter may serve as it.
     """
-    gain = np.asarray(lobe_mix(lam, forward, backscatter, out=out, work=work[0]))
+    gain = np.asarray(lobe_mix(lam, forward, backscatter, out=out, work=work))
     # into one buffer: below numpy's temporary-elision size, lam * a + (1 - lam) * b allocates three arrays
     norm = lobe_mix(lam, norm_r, norm_i, out=np.empty(np.broadcast_shapes(*map(np.shape, (lam, norm_r, norm_i)))))
-    np.multiply(np.multiply(s_value * s_value, const, out=work[1]), gain, out=gain)
+    np.multiply(gain, const, out=gain)
     return np.divide(gain, norm, out=gain)
 
 
@@ -304,4 +305,4 @@ def pattern_sweep(
     forward, backscatter = np.stack([off_axis**alpha_r, on_axis]), np.stack([on_axis, off_axis**alpha_i])
     norm_r, norm_i = single_lobe_norm(mode, alpha_r, theta), single_lobe_norm(mode, alpha_i, theta)
     const = element_constant(link, SWEEP_RANGE_M, SWEEP_RANGE_M, np.cos(theta), 1.0)
-    return tuple(mixed_power(s_value, const, lam, forward, backscatter, norm_r, norm_i).tolist())
+    return tuple((s_value * s_value * mixed_power(const, lam, forward, backscatter, norm_r, norm_i)).tolist())

@@ -7,18 +7,19 @@ the measurement's path selection: tiles whose path length leaves the delay
 window around the strongest path are cut individually (5 ns, which is 1.5 m
 of path length at SPEED_OF_LIGHT), and a whole path family (the specular
 path, or the aggregated diffuse sum) is dropped when it falls more than
-35 dB below the stronger one. ScanPattern.gate applies these rules for predict
-and the screen's uncertified cells; the screen's tables encode the delay window
-too, as a mask (_specular_window_sums) and as ranked windows with an edge margin
-(_tile_window_sums). predict sums tiles in tile-index order, the tables in fixed
-orders, so identical inputs give bit-identical results. Every per-row pass
-(build_pattern, predict, the two table passes) works in blocks of whole receiver
-rows, at most _BLOCK_PATHS paths each, so its temporaries take a block's memory;
-every step is elementwise or reduces along one row, so a row's values do not
-depend on its block. Only the operand of _specular_window_sums' matrix products
-is a whole (P, T) array: BLAS may round a product over fewer rows differently.
-A dual grid's table pass also emits the single-lobe table, so a fit of both
-models runs each table pass once.
+35 dB below the stronger one. S^2 scales the gated diffuse sum, not each tile.
+ScanPattern.gate applies these rules for predict and the screen, whose tables
+hold sums per unit S^2: gate's own where a receiver has no specular path
+(_tile_anchor_sums), else the sums in a specular-window mask
+(_specular_window_sums). predict sums tiles in tile-index order, the tables in
+fixed orders, so identical inputs give bit-identical results. Every per-row
+pass (build_pattern, predict, the two table passes) works in blocks of whole
+receiver rows, at most _BLOCK_PATHS paths each, so its temporaries take a
+block's memory; every step is elementwise or reduces along one row, so a row's
+values do not depend on its block. Only the operand of _specular_window_sums'
+matrix products is a whole (P, T) array: BLAS may round a product over fewer
+rows differently. A dual grid's table pass also emits the single-lobe table,
+so a fit of both models runs each table pass once.
 The fit keeps build_pattern's whole pattern, which it predicts and screens many
 times; simulate_scan reads each row once, so it builds and predicts one block at
 a time. Both run one row code (_Tiling.pattern) and refill one 3-array block
@@ -65,13 +66,9 @@ DELAY_GATE_S = 5e-9
 # the delay window as a path-length difference, m
 _LENGTH_GATE = DELAY_GATE_S * SPEED_OF_LIGHT
 
-# relative inflation of the anchor certificates, far above the few-ulp rounding
-# of the tile powers that predict compares
+# relative inflation of the specular-anchor certificate, far above the few-ulp
+# rounding of the tile powers that predict compares
 _CERTIFICATE_MARGIN = 1e-9
-# path lengths closer than this count as one length when the strongest tile
-# anchors the delay window: far above the rounding of lengths of a few m, far
-# below the spacing of distinct tile path lengths
-_ANCHOR_TIE_M = 1e-9
 
 DEFAULT_TILE_EDGE = 0.10
 # the most receiver-tile paths one pattern may hold: receivers x wall area / tile edge^2
@@ -149,8 +146,8 @@ class ScanPattern:
             norm = self._norms[alpha] = single_lobe_norm(self.mode, alpha, self.tile_theta)
         return norm
 
-    def tile_powers(self, s_value: float, alpha_r: int, alpha_i: int, lambdas, rows=slice(None), work=(None, None)):
-        """(..., R, T) tile powers before gating, watts, of mixes `lambdas` of any shape (...) at the rows `rows`.
+    def tile_powers(self, alpha_r: int, alpha_i: int, lambdas, rows=slice(None), work=(None, None)):
+        """(..., R, T) unit-S tile powers before gating, watts, of mixes `lambdas` of any shape (...) at rows `rows`.
 
         (alpha_r, alpha_i, lambda) is a LobeParams.shape, so the single
         lobe is the mix-1 case. work's two (R, T) arrays receive the lobe gains.
@@ -160,41 +157,39 @@ class ScanPattern:
         forward, backscatter = np.power(self._u[rows], alpha_r, out=work[0]), np.power(self._v[rows], alpha_i, out=work[1])
         out, term = (forward, backscatter) if lam.ndim == 2 else (None, None)
         norm_r, norm_i = self._norm(alpha_r), self._norm(alpha_i)
-        return mixed_power(s_value, self._const[rows], lam, forward, backscatter, norm_r, norm_i, out, (term, backscatter))
+        return mixed_power(self._const[rows], lam, forward, backscatter, norm_r, norm_i, out, term)
 
     def predict(self, params: LobeParams, work=None):
         """Gated per-position powers: (total_w, spec_w, diff_w), gated a block of rows at a time.
 
         Each block's lobe gains and gate's buffer go into work if given, two arrays of a block's rows or more.
         """
-        out = np.empty((3, self.n_positions))
+        out, s_sq = np.empty((3, self.n_positions)), params.s_coeff * params.s_coeff
         for rows in _row_blocks(self.n_positions, self.n_tiles):
             block = [a[: rows.stop - rows.start] for a in work[:2]] if work else (None, None)
-            out[:, rows] = self.gate(self.tile_powers(params.s_coeff, *params.shape, rows, block), rows, block[1])
+            out[:, rows] = self.gate(self.tile_powers(*params.shape, rows, block), s_sq, rows, block[1])
         return tuple(out)
 
-    def gate(self, tile_p: np.ndarray, rows=slice(None), work=None):
-        """Gate the tile powers `tile_p` (..., R, T) of the positions `rows`, in work, a buffer of its shape, if given.
+    def gate(self, tile_p: np.ndarray, s_sq: float, rows=slice(None), work=None):
+        """Gate unit-S tile powers `tile_p` (..., R, T) at positions `rows` and S^2 s_sq, in work (its shape) if given.
 
         Returns (total_w, spec_w, diff_w) per row, each of shape (..., R),
         with total_w = spec_w + diff_w; leading axes of tile_p batch several
         candidates over the same rows. The path-length (delay) gate cuts
         individual tiles: only surface elements whose path length sits
-        within the window around the strongest path contribute. The power
-        gate then de-noises whole paths: the specular path and the
-        aggregated diffuse path are each dropped when more than
-        POWER_GATE_DB below the stronger of the two; gating tiles
-        individually would make the diffuse sum depend on the tiling, so the
-        aggregate carries the rule.
+        within the window around the strongest path contribute, and s_sq
+        times their sum is the diffuse sum. The power gate then de-noises
+        whole paths: the specular path and the aggregated diffuse path are
+        each dropped when more than POWER_GATE_DB below the stronger of the
+        two; gating tiles individually would make the diffuse sum depend on
+        the tiling, so the aggregate carries the rule.
         """
-        spec_p = self.spec_power[rows]
-        spec_len = self._spec_length[rows]
-        lengths = self._lengths[rows]
+        spec_p, spec_len, lengths = self.spec_power[rows], self._spec_length[rows], self._lengths[rows]
 
-        # the strongest single contribution anchors the delay window
-        tile_max = tile_p.max(axis=-1)
+        # the strongest single contribution anchors the delay window, a row with
+        # no specular power its strongest unit-S tile at every s_sq
         tile_best_len = lengths[np.arange(lengths.shape[0]), tile_p.argmax(axis=-1)]
-        best_len = np.where(spec_p >= tile_max, spec_len, tile_best_len)
+        best_len = np.where((spec_p > 0.0) & (spec_p >= s_sq * tile_p.max(axis=-1)), spec_len, tile_best_len)
 
         # a path of zero power adds nothing, in the window or out of it
         work = np.subtract(lengths, best_len[..., None], out=work)
@@ -203,8 +198,7 @@ class ScanPattern:
 
         work.fill(0.0)
         np.copyto(work, tile_p, where=tile_in)
-        diff_sum = work.sum(axis=-1)
-        spec_w, diff_w = power_gate(np.where(spec_in, spec_p, 0.0), diff_sum)
+        spec_w, diff_w = power_gate(np.where(spec_in, spec_p, 0.0), s_sq * work.sum(axis=-1))
         return spec_w + diff_w, spec_w, diff_w
 
     def shape_table(self, grid) -> _ShapeTable:
@@ -218,14 +212,15 @@ class ScanPattern:
     def shape_totals(self, grid, s_values, columns) -> np.ndarray:
         """Gated total watts (P, Q) of Q candidates: candidate q is column columns[q] of grid's table at S s_values[q].
 
-        The table's shapes[n] is column n's LobeParams.shape. Each entry
-        equals predict's total for that candidate to rounding (about
-        1e-15): at each position the diffuse sum is s^2 times the table's
-        window entry where s^2 is within the table's limit, and every
-        other cell takes gate's total. One gate call serves the candidates
-        of one S and width pair, but only their uncertified cells take its
-        values, so column q depends on candidate q alone; see
-        docs/stage_a_screen.md.
+        The table's shapes[n] is column n's LobeParams.shape. At each
+        position the diffuse sum is s^2 times the table's window entry
+        where s^2 is within the table's limit, and every other cell takes
+        gate's total. So each entry equals predict's total for that
+        candidate, bit for bit where there is no specular power (limit
+        +inf) and to rounding (about 1e-15) elsewhere. One gate call serves
+        the candidates of one S and width pair, but only their uncertified
+        cells take its values, so column q depends on candidate q alone;
+        see docs/stage_a_screen.md.
         """
         table = self.shape_table(grid)
         s_sq = np.square(s_values)
@@ -239,9 +234,10 @@ class ScanPattern:
         for (s_value, alpha_r, alpha_i), members in groups.items():
             qs, lams = map(list, zip(*members))
             rows = np.flatnonzero(uncertified[:, qs].any(axis=1))
-            tile_p = self.tile_powers(s_value, alpha_r, alpha_i, lams, rows)
+            # s * s is the double that np.square gives the certified cells
+            gated = self.gate(self.tile_powers(alpha_r, alpha_i, lams, rows), s_value * s_value, rows)[0].T
             cells = np.ix_(rows, qs)
-            total_w[cells] = np.where(uncertified[cells], self.gate(tile_p, rows)[0].T, total_w[cells])
+            total_w[cells] = np.where(uncertified[cells], gated, total_w[cells])
         return total_w
 
 
@@ -303,85 +299,33 @@ def _specular_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas):
     return sums[:, _distinct_shapes(alphas_r, alphas_i, lambdas)], peaks_r, peaks_i, single_sums
 
 
-def _tile_window_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows):
-    """Dual-lobe diffuse sums per unit S^2 in the strongest tile's delay window, with a certificate.
+def _tile_anchor_sums(pattern: ScanPattern, alphas_r, alphas_i, lambdas, rows) -> np.ndarray:
+    """(R, N) gate's diffuse sums at s_sq 1 at positions `rows` with no specular power, in _ShapeTable column order.
 
-    For receivers with no specular path (spec_power 0) predict anchors
-    the delay window on the strongest tile. Scaling by S^2 does not
-    move it, so one pass at unit S serves every S. Returns two (R, N)
-    arrays over the positions `rows` and the grid's N distinct shapes, in
-    _ShapeTable column order: the window sums, and where they are certified.
-    An entry is certified when the strongest tile outweighs every tile
-    of a different path length (more than _ANCHOR_TIE_M apart) by
-    (1 + _CERTIFICATE_MARGIN), and no tile lies within 2 _ANCHOR_TIE_M of
-    the window edge. Rounding of the S^2 scaling can then only move the
-    anchor among tiles of one path length (mirror images tie exactly),
-    which leaves the window unchanged, so s^2 times a certified entry is
-    the diffuse sum predict gates.
-
-    The pass works on the tiles of each row in path-length order: there
-    the window and the tie band of an anchor are index ranges, found once
-    per row. It runs over _row_blocks of rows and reuses two mix buffers:
-    each width pair forms the tile powers of the mixes of its distinct
-    shapes in one, in tile order with (T,) norms, and gathers them into
-    length order in the other (the gather moves values, so they keep
-    their bits), which first holds mixed_power's backscatter term.
+    gate anchors such a row on its strongest unit-S tile at every S, so s^2
+    times an entry is predict's diffuse sum bit for bit. Per block of rows
+    and width pair, one mixed_power call forms the tile powers of the
+    pair's distinct mixes, into one reused buffer, and one gate call sums
+    them in another, which first holds mixed_power's backscatter term.
     """
     distinct = _distinct_shapes(alphas_r, alphas_i, lambdas)
-    lam = np.asarray(lambdas, dtype=float)
-    n_lam, n_tiles = lam.size, pattern.n_tiles
-    gate, tie = _LENGTH_GATE, _ANCHOR_TIE_M
+    lam, n_tiles = np.asarray(lambdas, dtype=float)[:, None, None], pattern.n_tiles
     blocks = _row_blocks(len(rows), n_tiles)
-    # one spare entry past the end keeps every window end a valid index of reduceat
-    flat, term = np.empty(n_lam * blocks[0].stop * n_tiles + 1), np.empty(n_lam * blocks[0].stop * n_tiles)
+    tile_buf, work_buf = (np.empty(lam.size * blocks[0].stop * n_tiles) for _ in range(2))
     sums = np.empty((*distinct.shape, len(rows)))
-    certified = np.empty(sums.shape, dtype=bool)
     for block in blocks:
-        block_rows, n_rows = rows[block], block.stop - block.start
-        const, u, v, lengths = (arr[block_rows] for arr in (pattern._const, pattern._u, pattern._v, pattern._lengths))
-        order = np.argsort(lengths, axis=-1, kind="stable")
-        # per row and length rank of the anchor: the window [start, end), the
-        # ranks of its tie band, and whether no tile lies near the window edge
-        window = np.empty((n_rows, n_tiles, 2), dtype=np.intp)
-        band_lo, band_hi = np.empty((2, n_rows, n_tiles), dtype=np.intp)
-        clear = np.empty((n_rows, n_tiles), dtype=bool)
-        for r, ranked in enumerate(np.take_along_axis(lengths, order, axis=-1)):
-            window[r, :, 0] = np.searchsorted(ranked, ranked - gate)
-            window[r, :, 1] = np.searchsorted(ranked, ranked + gate, "right")
-            band_lo[r] = np.searchsorted(ranked, ranked - tie)
-            band_hi[r] = np.searchsorted(ranked, ranked + tie, "right")
-            clear[r] = 0 == sum(
-                np.searchsorted(ranked, edge + 2.0 * tie, "right") - np.searchsorted(ranked, edge - 2.0 * tie)
-                for edge in (ranked - gate, ranked + gate)
-            )
-        band = np.minimum(band_lo[..., None] + np.arange((band_hi - band_lo).max()), band_hi[..., None] - 1)
-        del band_lo, band_hi, lengths
-        # the block's (R, T) entries in each row's length order
-        ranks = (order + n_tiles * np.arange(n_rows)[:, None]).ravel()
-        base = n_tiles * np.arange(n_lam * n_rows).reshape(n_lam, n_rows)
-        row = np.arange(n_rows)
+        block_rows = rows[block]
+        const, u, v = (arr[block_rows] for arr in (pattern._const, pattern._u, pattern._v))
         for i, a_r in enumerate(alphas_r):
-            forward = u**a_r
+            forward, norm_r = np.power(u, a_r), pattern._norm(a_r)
             for j, a_i in enumerate(alphas_i):
                 ms = np.flatnonzero(distinct[i, j])
                 if not ms.size:
                     continue
-                size = ms.size * n_rows * n_tiles
-                tile_p, ranked_p = (buf[:size].reshape(ms.size, n_rows, n_tiles) for buf in (term, flat))
-                backscatter, norms = v**a_i, (pattern._norm(a_r), pattern._norm(a_i))
-                mixed_power(1.0, const, lam[ms, None, None], forward, backscatter, *norms, tile_p, (ranked_p, backscatter))
-                # mode "clip": "raise" would buffer the gather in a third array
-                np.take(tile_p.reshape(ms.size, -1), ranks, axis=1, out=ranked_p.reshape(ms.size, -1), mode="clip")
-                first = base[: ms.size]
-                k = ranked_p.argmax(axis=-1)  # (M, R): the anchor's length rank
-                top = flat[first + k]
-                ends = first[..., None] + window[row, k]
-                sums[i, j, ms, block] = np.add.reduceat(flat[: size + 1], ends.ravel())[::2].reshape(ms.size, n_rows)
-                # zero the anchor's tie band; the largest tile left is its rival
-                flat[first[..., None] + band[row, k]] = 0.0
-                rival = ranked_p.max(axis=-1)
-                certified[i, j, ms, block] = (top >= (1.0 + _CERTIFICATE_MARGIN) * rival) & clear[row, k]
-    return sums[distinct].T, certified[distinct].T
+                tile_p, work = (buf[: ms.size * u.size].reshape(ms.size, *u.shape) for buf in (tile_buf, work_buf))
+                mixed_power(const, lam[ms], forward, np.power(v, a_i), norm_r, pattern._norm(a_i), tile_p, work)
+                sums[i, j, ms, block] = pattern.gate(tile_p, 1.0, block_rows, work)[2]
+    return sums[distinct].T
 
 
 class _ShapeTable:
@@ -391,14 +335,15 @@ class _ShapeTable:
     product alphas_r x alphas_i x lambdas in that order, each shape equal
     to an earlier one skipped (_distinct_shapes). window[p, n] is the
     diffuse sum in the delay window that predict anchors at position p: on
-    the specular path where there is one, else on the strongest tile.
+    the specular path where there is one (_specular_window_sums), else on
+    the strongest tile, where it is gate's own sum (_tile_anchor_sums).
     limit[p, n] is the largest S^2 at which s^2 * window[p, n] is the
     diffuse sum that predict gates: the specular power over
-    (1 + _CERTIFICATE_MARGIN) times a bound on every tile power, or with
-    no specular path +inf or -inf as the tile-anchor certificate holds or
-    not. single is the table of the single-lobe grid (alphas_r, alphas_i[:1],
-    (1.0,)), built in the same pass, or None if this is that grid or has no
-    mix 1: it equals that grid's own _ShapeTable bit for bit.
+    (1 + _CERTIFICATE_MARGIN) times a bound on every tile power, or +inf
+    with no specular power. single is the table of the single-lobe grid
+    (alphas_r, alphas_i[:1], (1.0,)), built in the same pass, or None if
+    this is that grid or has no mix 1: it equals that grid's own
+    _ShapeTable bit for bit.
     """
 
     def __init__(self, pattern: ScanPattern, alphas_r, alphas_i, lambdas):
@@ -411,14 +356,13 @@ class _ShapeTable:
             np.where(lam > 0.0, peaks_r[:, :, None, None], 0.0), np.where(lam < 1.0, peaks_i[:, None, :, None], 0.0)
         )[:, distinct] * (1.0 + _CERTIFICATE_MARGIN)
         spec = pattern.spec_power[:, None]
-        # the rows with no specular path are set below; a bound of 0 certifies every S
+        # a bound of 0 certifies every S, and so does a row with no specular power
         with np.errstate(divide="ignore"):
-            self.limit = np.divide(spec, bound, out=np.zeros_like(bound), where=spec > 0.0)
+            self.limit = np.divide(spec, bound, out=np.full_like(bound, np.inf), where=spec > 0.0)
         del bound  # before the tile pass, whose buffers are the build's largest at a fine tiling
         rows = np.flatnonzero(pattern.spec_power == 0.0)
         if rows.size:
-            self.window[rows], certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
-            self.limit[rows] = np.where(certified, np.inf, -np.inf)
+            self.window[rows] = _tile_anchor_sums(pattern, alphas_r, alphas_i, lambdas, rows)
         self.single = None
         if single_sums is not None:  # its own specular-window sums; its other entries are this table's, bit for bit
             cols = (np.cumsum(distinct) - 1).reshape(distinct.shape)[:, 0, list(lambdas).index(1.0)]

@@ -32,8 +32,8 @@ def dual_scores_by_mix(evaluate, s_value, alpha_r, alpha_i):
     evaluate is a ScanEvaluator. The dB conversion is watts_to_dbm, the math.log10 that
     ScanEvaluator.__call__ uses: np.log10 differs from it in the last bit of some powers.
     """
-    tile_p = evaluate.pattern.tile_powers(s_value, alpha_r, alpha_i, lambda_grid())
-    total_w, _, _ = evaluate.pattern.gate(tile_p)
+    tile_p = evaluate.pattern.tile_powers(alpha_r, alpha_i, lambda_grid())
+    total_w, _, _ = evaluate.pattern.gate(tile_p, s_value * s_value)
     simulated = np.array([[watts_to_dbm(w) for w in row] for row in total_w.tolist()]).T
     return simulated, fvu(evaluate.measured, simulated)
 

@@ -395,6 +395,9 @@ class TestReportRoundTrip:
             (8, "1 A dual 0.25 7 2 0.7 0.4_243", "non-numeric fvu: '0.4_243'"),
             (1, "best dual 1.5 4 9 0.2", r"s_coeff must be in \[0, 1\)"),
             (8, "1.5 A dual 0.25 7 2 0.7 0.4243", "non-integer round: '1.5'"),
+            # a mix after an alpha_i of - would be dropped unread
+            (1, "best single 0.3 4 - 0.7", "lambda_mix must be - where alpha_i is -, got '0.7'"),
+            (8, "1 A single 0.3 4 - banana 0.5", "lambda_mix must be - where alpha_i is -, got 'banana'"),
         ],
     )
     def test_bad_value_names_its_line(self, tmp_path, lineno, line, message):

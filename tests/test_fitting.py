@@ -27,13 +27,12 @@ from mmscatter.geometry import DEFAULT_CYLINDER_HEIGHTS, ScanSpec, paper_scene, 
 from mmscatter.lobes import ALPHA_MIN, LobeModel, LobeParams, NormalizationMode
 from mmscatter.materials import IncidenceContext, initial_scattering_coefficient
 from mmscatter.raytrace import (
-    _ANCHOR_TIE_M,
     _CERTIFICATE_MARGIN,
     _LENGTH_GATE,
     DEFAULT_TILE_EDGE,
     ScanPattern,
     _ShapeTable,
-    _tile_window_sums,
+    _tile_anchor_sums,
     build_pattern,
     simulate_scan,
 )
@@ -350,7 +349,7 @@ class TestCompareModels:
 
     def test_each_table_pass_runs_once(self, monkeypatch, scene30, paper_link, materials_db, evaluator):
         calls = []
-        for name in ("_specular_window_sums", "_tile_window_sums"):
+        for name in ("_specular_window_sums", "_tile_anchor_sums"):
 
             def spy(pattern, alphas_r, alphas_i, lambdas, *rows, table_pass=getattr(raytrace, name), name=name):
                 calls.append((name, len(alphas_r) * len(alphas_i) * len(lambdas)))
@@ -360,11 +359,11 @@ class TestCompareModels:
         scan = synthetic_scan(scene30, dual(0.35, 1, 10, 0.1), paper_link, materials_db)
         comparison = compare_models(evaluator(scan, scene30), 0.35)
         # one pass of each over the 1,100 products of the dual grid serves both fits
-        assert sorted(calls) == [("_specular_window_sums", 1_100), ("_tile_window_sums", 1_100)]
+        assert sorted(calls) == [("_specular_window_sums", 1_100), ("_tile_anchor_sums", 1_100)]
         calls.clear()
         # a single-lobe fit on its own builds its 10 columns only, and fits as compare_models does
         assert grid_fit(evaluator(scan, scene30), LobeModel.SINGLE_LOBE, 0.35) == comparison.single
-        assert sorted(calls) == [("_specular_window_sums", 10), ("_tile_window_sums", 10)]
+        assert sorted(calls) == [("_specular_window_sums", 10), ("_tile_anchor_sums", 10)]
 
     def test_repeat_runs_identical(self, scene30, paper_link, materials_db, evaluator):
         truth = dual(0.35, 1, 10, 0.1)
@@ -433,11 +432,12 @@ def pure_lobe_peaks(pattern, alphas, kind):
 
 
 def three_array_certificate(pattern, alphas_r, alphas_i, lambdas):
-    """The screen's former certificate, from a peak bound, a no-specular mask and a tile certificate.
+    """The screen's former certificate, from a peak bound and a no-specular mask.
 
     Returns a function of S giving the (P, N) cells of the grid's N distinct shapes, in
     _ShapeTable column order, where s^2 times the table's window sum is the diffuse sum
-    predict gates.
+    predict gates: a row with no specular power holds gate's own unit-S sum, so all
+    its cells are certified.
     """
     forward = dict(zip(alphas_r, pure_lobe_peaks(pattern, alphas_r, "u")))
     backscatter = dict(zip(alphas_i, pure_lobe_peaks(pattern, alphas_i, "v")))
@@ -448,14 +448,10 @@ def three_array_certificate(pattern, alphas_r, alphas_i, lambdas):
         ]
     )
     no_spec = pattern.spec_power == 0.0
-    tile_certified = np.zeros(peak.shape, dtype=bool)
-    rows = np.flatnonzero(no_spec)
-    if rows.size:
-        tile_certified[rows] = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)[1]
 
     def certified(s_value):
         specular = pattern.spec_power[:, None] >= s_value * s_value * (1.0 + _CERTIFICATE_MARGIN) * peak
-        return np.where(no_spec[:, None], tile_certified, specular)
+        return no_spec[:, None] | specular
 
     return certified
 
@@ -472,9 +468,9 @@ class TestStageAScreen:
         gate = evaluate.pattern.gate
         fallback_rows = []
 
-        def spy(tile_p, rows, *args, **kwargs):
+        def spy(tile_p, s_sq, rows, *args, **kwargs):
             fallback_rows.extend(rows)
-            return gate(tile_p, rows, *args, **kwargs)
+            return gate(tile_p, s_sq, rows, *args, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(evaluate.pattern, "gate", spy)
@@ -523,8 +519,8 @@ class TestStageAScreen:
         limit = _ShapeTable(pattern, (alpha_r,), (alpha_i,), (lam,)).limit[:, 0]
         certified = (pattern.spec_power > 0.0) & (s * s <= limit)
         # predict anchors the delay window on the specular path when no tile outweighs it
-        tile_max = pattern.tile_powers(s, alpha_r, alpha_i, lam).max(axis=1)
-        assert np.all(pattern.spec_power[certified] >= tile_max[certified])
+        tile_max = pattern.tile_powers(alpha_r, alpha_i, lam).max(axis=1)
+        assert np.all(pattern.spec_power[certified] >= s * s * tile_max[certified])
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -535,7 +531,7 @@ class TestStageAScreen:
         theta_deg=st.floats(5.0, 80.0),
         material=st.sampled_from(default_materials().names()),
     )
-    def test_certified_tile_anchor_equals_predict(
+    def test_tile_anchor_equals_predict_bit_for_bit(
         self, alpha_r, alpha_i, lam, s, theta_deg, material, paper_link, materials_db
     ):
         scene = paper_scene(material, theta_deg)
@@ -545,11 +541,10 @@ class TestStageAScreen:
         rows = np.flatnonzero(pattern.spec_power == 0.0)
         assert rows.size == 8
         table = _ShapeTable(pattern, (alpha_r,), (alpha_i,), (lam,))
-        sums, certified = table.window[rows, 0], table.limit[rows, 0] == np.inf
-        # mirror-image tiles tie exactly at delta_h 0; the tie band still certifies them
-        assert certified.all()
+        assert np.all(table.limit[rows, 0] == np.inf)
+        # S^2 scales the gated sum, so the unit-S window serves every S
         total_w = pattern.predict(dual(s, alpha_r, alpha_i, lam))[0][rows]
-        assert np.all(np.abs(s * s * sums - total_w) <= 1e-13 * total_w)
+        assert (s * s * table.window[rows, 0]).tobytes() == total_w.tobytes()
 
     @pytest.mark.parametrize(
         "heights, tile_edge, s_initial, falls_back",
@@ -599,7 +594,7 @@ class TestStageAScreen:
         _, positions = scan_positions(scene30, ScanSpec(height_offsets=(0.0, 0.3)))
         pattern = build_pattern(scene30, positions, paper_link, materials_db, 0.5)
         params = single(0.5, 4)
-        tile_p = pattern.tile_powers(params.s_coeff, *params.shape)
+        tile_p = params.s_coeff * params.s_coeff * pattern.tile_powers(*params.shape)
         lengths = pattern._lengths
         anchor_len = lengths[np.arange(len(lengths)), tile_p.argmax(axis=1)]
         # specular rows where a tile anchor would gate other tiles than the specular anchor does
@@ -617,7 +612,7 @@ class TestStageAScreen:
         exact = pattern.predict(params)[0]
         assert np.all(np.abs(total_w - exact) <= 1e-13 * exact)
 
-    def test_tile_certificate_misses_a_tie_at_two_lengths(self):
+    def test_tile_anchor_takes_the_first_of_a_tie_at_two_lengths(self):
         # one receiver with no specular path; tiles 0 and 2 carry the same
         # power at path lengths 2 m apart. predict anchors on tile 0 (the first
         # index), whose window holds tile 1; the window of tile 2 does not
@@ -634,7 +629,28 @@ class TestStageAScreen:
         params = dual(0.5, 4, 10, 0.7)
         total_w = pattern.shape_totals(((4,), (10,), (0.7,)), [params.s_coeff], [0])[:, 0]
         exact = pattern.predict(params)[0]
-        assert np.all(np.abs(total_w - exact) <= 1e-13 * exact)
+        assert exact[0] > 0.0
+        assert total_w.tobytes() == exact.tobytes()
+
+    def test_tile_anchor_holds_where_s_squared_times_every_tile_underflows(self):
+        # one receiver with no specular power and 1,000 equal tiles in one window: at
+        # S 1e-159, s^2 times one tile rounds to 0 but s^2 times their sum does not
+        n_tiles = 1_000
+        pattern = ScanPattern(
+            NormalizationMode.HEMISPHERE,
+            tile_theta=np.full(n_tiles, 0.5),
+            const=np.full((1, n_tiles), 1e-6),
+            u_base=np.full((1, n_tiles), 0.9),
+            v_base=np.full((1, n_tiles), 0.4),
+            lengths=np.full((1, n_tiles), 4.0),
+            spec_power=np.zeros(1),
+            spec_length=np.zeros(1),
+        )
+        params = single(1e-159, 4)
+        total_w = pattern.shape_totals(((4,), (1,), (1.0,)), [params.s_coeff], [0])[:, 0]
+        exact = pattern.predict(params)[0]
+        assert exact[0] > 0.0
+        assert total_w.tobytes() == exact.tobytes()
 
     @staticmethod
     def exact_screen(jitter=0.0):
@@ -688,41 +704,26 @@ class TestStageAScreen:
 
 
 def tile_anchor_oracle(pattern, shape, rows):
-    """(sums, certified) of one shape at the positions `rows`, from that shape's own tile_powers.
+    """Unit-S diffuse sums of one shape at the positions `rows`, gated row by row from that shape's own tile_powers.
 
-    Each row is ranked by path length on its own; the window around the
-    strongest tile is summed with np.add.reduceat, as the table sums it, and
-    the certificate rule of _tile_window_sums is applied to the row.
+    Each row's window is anchored on its strongest tile and summed as one
+    row of zeros and in-window powers, as gate sums it.
     """
-    alpha_r, alpha_i, lam = shape
-    gate, tie = _LENGTH_GATE, _ANCHOR_TIE_M
-    sums, certified = [], []
-    for lengths, powers in zip(pattern._lengths[rows], pattern.tile_powers(1.0, alpha_r, alpha_i, lam, rows)):
-        order = np.argsort(lengths, kind="stable")
-        ranked, ranked_p = lengths[order], powers[order]
-        k = int(ranked_p.argmax())
-        lo, hi = np.searchsorted(ranked, ranked[k] - gate), np.searchsorted(ranked, ranked[k] + gate, "right")
-        sums.append(np.add.reduceat(np.append(ranked_p, 0.0), [lo, hi])[0])
-        band_lo, band_hi = np.searchsorted(ranked, ranked[k] - tie), np.searchsorted(ranked, ranked[k] + tie, "right")
-        rival = np.concatenate([ranked_p[:band_lo], ranked_p[band_hi:], [0.0]]).max()
-        near_edge = sum(
-            np.searchsorted(ranked, edge + 2.0 * tie, "right") - np.searchsorted(ranked, edge - 2.0 * tie)
-            for edge in (ranked[k] - gate, ranked[k] + gate)
-        )
-        certified.append(ranked_p[k] >= (1.0 + _CERTIFICATE_MARGIN) * rival and near_edge == 0)
-    return np.array(sums), np.array(certified)
+    sums = []
+    for lengths, powers in zip(pattern._lengths[rows], pattern.tile_powers(*shape, rows)):
+        anchor = lengths[powers.argmax()]
+        sums.append(np.where(np.abs(lengths - anchor) <= _LENGTH_GATE, powers, 0.0).sum())
+    return np.array(sums)
 
 
 def assert_tile_anchor_table_is_oracle(pattern, alphas_r, alphas_i, lambdas):
     rows = np.flatnonzero(pattern.spec_power == 0.0)
     assert rows.size
-    sums, certified = _tile_window_sums(pattern, alphas_r, alphas_i, lambdas, rows)
+    sums = _tile_anchor_sums(pattern, alphas_r, alphas_i, lambdas, rows)
     shapes = distinct_shapes(alphas_r, alphas_i, lambdas)
-    assert sums.shape == certified.shape == (rows.size, len(shapes))
+    assert sums.shape == (rows.size, len(shapes))
     for n, shape in enumerate(shapes):
-        expected_sums, expected_certified = tile_anchor_oracle(pattern, shape, rows)
-        assert sums[:, n].tobytes() == expected_sums.tobytes(), shape
-        assert np.array_equal(certified[:, n], expected_certified), shape
+        assert sums[:, n].tobytes() == tile_anchor_oracle(pattern, shape, rows).tobytes(), shape
 
 
 class TestTileAnchorTable:
@@ -747,6 +748,22 @@ class TestTileAnchorTable:
         pattern = build_pattern(scene30, positions, paper_link, materials_db, 0.5)
         for model in LobeModel:
             assert_tile_anchor_table_is_oracle(pattern, *_shape_grid(model))
+
+    @pytest.mark.parametrize("heights, tile_edge", [((0.0,), 0.2), (DEFAULT_CYLINDER_HEIGHTS, 0.5)])
+    def test_screen_equals_predict_on_rows_with_no_specular_path(
+        self, heights, tile_edge, scene30, paper_link, materials_db
+    ):
+        _, positions = scan_positions(scene30, ScanSpec(height_offsets=heights))
+        pattern = build_pattern(scene30, positions, paper_link, materials_db, tile_edge)
+        rows = np.flatnonzero(pattern.spec_power == 0.0)
+        assert rows.size == 2 * len(heights)
+        model = LobeModel.DUAL_LOBE
+        shapes = shapes_of(pattern, model)
+        assert len(shapes) == 920
+        for s in (0.05, 0.35, 0.8):
+            screened = pattern.shape_totals(_shape_grid(model), *stage_a(pattern, model, s))[rows]
+            exact = [pattern.predict(LobeParams.from_shape(model, s, shape))[0][rows] for shape in shapes]
+            assert screened.tobytes() == np.column_stack(exact).tobytes()
 
 
 class TestDistinctShapes:

@@ -352,8 +352,10 @@ class TestReceivedPower:
         base = element_constant(low, 1.5, 2.0, 0.8, 0.25)
         assert element_constant(high, 1.5, 2.0, 0.8, 0.25) == pytest.approx(10.0 * base, rel=1e-14)
         assert element_constant(low, 1.5, 2.0, 0.8, 2.5) == pytest.approx(10.0 * base, rel=1e-14)
-        power = mixed_power(0.3, base, 0.4, 0.5, 0.2, 2.0, 3.0)
-        assert mixed_power(0.3, 10.0 * base, 0.4, 0.5, 0.2, 2.0, 3.0) == pytest.approx(10.0 * power, rel=1e-14)
+        # per unit S^2: const * (lam U + (1 - lam) V) / (lam N_r + (1 - lam) N_i)
+        power = mixed_power(base, 0.4, 0.5, 0.2, 2.0, 3.0)
+        assert power == pytest.approx(base * (0.4 * 0.5 + 0.6 * 0.2) / (0.4 * 2.0 + 0.6 * 3.0), rel=1e-14)
+        assert mixed_power(10.0 * base, 0.4, 0.5, 0.2, 2.0, 3.0) == pytest.approx(10.0 * power, rel=1e-14)
 
 
 class TestRadioLink:
